@@ -29,6 +29,8 @@ from .conditions import (
     integrate_density,
     run_suite,
 )
+from .exprjet import DomainError
+from .pointgeom import FrameError, MetricError
 
 DENSITIES = {
     "qJ": "q_j",
@@ -253,7 +255,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CatalogError, ConditionsError) as exc:
+    except (CatalogError, ConditionsError, MetricError, FrameError, DomainError) as exc:
+        # a manifold that fails at a point the config validation did not sample
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -868,11 +868,13 @@ class IntegralResult:
     volume: float
 
 
+# keyed by the whole frozen spec: two configs may share an id and a domain
+# but not a metric
 _VOLUME_CACHE: dict = {}
 
 
 def _volume(spec: ManifoldSpec, n: int) -> float:
-    key = (spec.id, spec.domain, n)
+    key = (spec, n)
     if key in _VOLUME_CACHE:
         return _VOLUME_CACHE[key]
     nodes, weights = np.polynomial.legendre.leggauss(n)

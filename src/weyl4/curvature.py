@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exprjet import Jet, jderiv, jmul, jtruncate, jvalue, tables
+from .exprjet import Jet, jderiv, jeinsum, jet_order, jmul, jtruncate, jvalue, tables, unit_index
 from .pointgeom import MetricPoint, is_skew
 
 
@@ -96,8 +96,7 @@ def christoffel(mp: MetricPoint) -> np.ndarray:
     # T[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     T = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
     ginv = jtruncate(mp.inv_jets, d, d - 1)
-    prod = jmul(ginv[:, :, None, None, :], T[None, :, :, :, :], d - 1)
-    return 0.5 * prod.sum(axis=1)
+    return 0.5 * jeinsum("kl,lij->kij", ginv, T, d - 1)
 
 
 def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
@@ -109,7 +108,7 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     o2 = d - 2
     dgamma = np.stack([jderiv(gamma, v, d - 1) for v in range(4)])  # [m,k,i,j]
     gam = jtruncate(gamma, d - 1, o2)
-    gg = jmul(gam[:, :, :, None, None, :], gam[None, None, :, :, :, :], o2).sum(axis=2)
+    gg = jeinsum("abc,cde->abde", gam, gam, o2)
     # R(d_i, d_j) d_k = rup[l,i,j,k] d_l
     rup = (
         dgamma.transpose(1, 0, 2, 3, 4)
@@ -119,11 +118,9 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     )
     g2 = jtruncate(mp.jets, d, o2)
     ginv2 = jtruncate(mp.inv_jets, d, o2)
-    # R_{ijkl} = g_{lm} rup[m,i,j,k]; the sum over the first axis of rup
-    # leaves the result already ordered as [i,j,k,l]
-    riem = jmul(rup[:, :, :, :, None, :], g2[:, None, None, None, :, :], o2).sum(axis=0)
-    ric = jmul(rup, ginv2[None, None, :, :, :], o2).sum(axis=(2, 3))  # [a,i]
-    ric_form = jmul(ric[:, :, None, :], g2[:, None, :, :], o2).sum(axis=0)  # [i,j]
+    riem = jeinsum("mijk,ml->ijkl", rup, g2, o2)  # R_{ijkl} = g_{lm} rup[m,i,j,k]
+    ric = jeinsum("aijk,jk->ai", rup, ginv2, o2)
+    ric_form = jeinsum("ai,aj->ij", ric, g2, o2)
     S = np.einsum("aac->c", ric)
     weyl = _weyl_04(riem, ric_form, S, g2, o2)
 
@@ -131,18 +128,16 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     nabla_ric = nabla_ric_jets = nabla2_ric = nabla_weyl = None
     if d >= 3:
         t = tables(o2)
-        dS = np.array([S[t.pos[_unit(v)]] for v in range(4)])
+        dS = np.array([S[t.pos[unit_index(v)]] for v in range(4)])
         o3 = d - 3
         ric3 = jtruncate(ric, o2, o3)
         gam3 = jtruncate(gamma, d - 1, o3)
-        rows = []
-        for m in range(4):
-            gm = gam3[:, m, :, :]  # [k, j] = Gamma^k_{mj}
-            term = jderiv(ric, m, o2)
-            term = term + jmul(gm[:, :, None, :], ric3[None, :, :, :], o3).sum(axis=1)
-            term = term - jmul(ric3[:, :, None, :], gm[None, :, :, :], o3).sum(axis=1)
-            rows.append(term)
-        nabla_ric_jets = np.stack(rows)  # [m,a,b]
+        # (nabla_m Ric)^a_b = d_m Ric^a_b + Gamma^a_{mk} Ric^k_b - Ric^a_k Gamma^k_{mb}
+        nabla_ric_jets = (
+            np.stack([jderiv(ric, m, o2) for m in range(4)])
+            + jeinsum("amk,kb->mab", gam3, ric3, o3)
+            - jeinsum("ak,kmb->mab", ric3, gam3, o3)
+        )
         nabla_ric = jvalue(nabla_ric_jets)
 
         dweyl = np.stack([jvalue(jderiv(weyl, v, o2)) for v in range(4)])  # [m,i,j,k,l]
@@ -185,38 +180,19 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     )
 
 
-def _unit(v: int):
-    e = [0, 0, 0, 0]
-    e[v] = 1
-    return tuple(e)
-
-
 def _kulkarni(h: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
     """(h . k)_{ijkl} = h_{jk}k_{il} + h_{il}k_{jk} - h_{ik}k_{jl} - h_{jl}k_{ik},
     the product for which constant curvature K is (K/2)(g . g) in our sign."""
-    h_jk = h[None, :, :, None, :]
-    k_il = k[:, None, None, :, :]
-    h_il = h[:, None, None, :, :]
-    k_jk = k[None, :, :, None, :]
-    h_ik = h[:, None, :, None, :]
-    k_jl = k[None, :, None, :, :]
-    h_jl = h[None, :, None, :, :]
-    k_ik = k[:, None, :, None, :]
-    return (
-        jmul(h_jk, k_il, order)
-        + jmul(h_il, k_jk, order)
-        - jmul(h_ik, k_jl, order)
-        - jmul(h_jl, k_ik, order)
-    )
+    P = jeinsum("jk,il->ijkl", h, k, order)
+    return P + P.transpose(1, 0, 3, 2, 4) - P.transpose(1, 0, 2, 3, 4) - P.transpose(0, 1, 3, 2, 4)
 
 
 def _weyl_04(riem, ric_form, S, g2, order):
     """Standard Ricci decomposition, arranged so the induced operator matches
-    W(A) = R(A) - {Ric,A} + (S/3)A."""
+    W(A) = R(A) - {Ric,A} + (S/3)A.  The correction (Ric_0 . g)/2 + (S g/24) . g
+    with Ric_0 = Ric - S g/4 is linear in its first slot: one product (Ric/2 - S g/12) . g."""
     Sg = jmul(S, g2, order)
-    ric0 = ric_form - 0.25 * Sg
-    corr = 0.5 * _kulkarni(ric0, g2, order) + _kulkarni(Sg / 24.0, g2, order)
-    return riem - corr
+    return riem - _kulkarni(0.5 * ric_form - Sg / 12.0, g2, order)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +234,11 @@ def covariant_derivatives(bundle: CurvatureBundle):
 def laplacian_scalar(f: Jet | np.ndarray, bundle: CurvatureBundle) -> float:
     """lap f = -g^{ij}(d_i d_j f - Gamma^k_{ij} d_k f) (sign: -trace of Hessian)."""
     coeffs = f.coeffs if isinstance(f, Jet) else np.asarray(f)
-    order = {tables(n).ncoef: n for n in range(5)}.get(coeffs.shape[-1])
-    if order is None or order < 2:
+    order = jet_order(coeffs)
+    if order < 2:
         raise InsufficientJetOrder("laplacian needs a scalar jet of order >= 2")
     t = tables(order)
-    grad = np.array([coeffs[t.pos[_unit(v)]] for v in range(4)])
+    grad = np.array([coeffs[t.pos[unit_index(v)]] for v in range(4)])
     hess = np.zeros((4, 4))
     for i in range(4):
         for j in range(4):

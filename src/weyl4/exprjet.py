@@ -9,12 +9,15 @@ Jets are stored as dense vectors of Taylor coefficients ``c_alpha =
 d^alpha f / alpha!`` indexed by the multi-indices of degree <= order in four
 variables (graded lexicographic order), so symmetry of mixed partials holds
 by construction.  The module also exposes the coefficient-array helpers
-(``jmul``, ``jderiv``, ...) used by the curvature pipeline to run whole
-tensor fields through the same arithmetic.
+used by the curvature pipeline to run whole tensor fields through the same
+arithmetic: ``jeinsum`` is the one tensor-contracting jet product (every
+index contraction of two jet tensors goes through it), ``jmul`` the
+elementwise product, ``jderiv`` the coordinate derivative.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,6 +125,24 @@ def jmul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     return prod @ t.mul_scatter
 
 
+def jeinsum(subscripts: str, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Truncated product of two jet tensors, contracted as ``np.einsum(subscripts)``.
+
+    ``subscripts`` names only the tensor axes (``"ik,kj->ij"``); the trailing
+    coefficient axis is implicit.  Coefficient pairs are gathered, the tensor
+    indices contracted for all pairs at once, and only then scattered.
+    """
+    t = tables(order)
+    pa, pb = a[..., t.mul_ia], b[..., t.mul_ib]
+    equation = subscripts.replace(",", "...,").replace("->", "...->") + "..."
+    return np.einsum(equation, pa, pb, optimize=_einsum_path(equation, pa.shape, pb.shape)) @ t.mul_scatter
+
+
+@functools.lru_cache(maxsize=1024)
+def _einsum_path(equation: str, shape_a: tuple, shape_b: tuple) -> list:
+    return np.einsum_path(equation, np.empty(shape_a), np.empty(shape_b), optimize="optimal")[0]
+
+
 def jderiv(a: np.ndarray, v: int, order: int) -> np.ndarray:
     """Coordinate derivative d/dx_v; result is a jet of order ``order - 1``."""
     if order < 1:
@@ -149,7 +170,7 @@ def jvalue(a: np.ndarray) -> np.ndarray:
 
 def jmatmul(A: np.ndarray, B: np.ndarray, order: int) -> np.ndarray:
     """Matrix product of two (4,4,ncoef) jet matrices."""
-    return jmul(A[:, :, None, :], B[None, :, :, :], order).sum(axis=1)
+    return jeinsum("ik,kj->ij", A, B, order)
 
 
 def jmatinv(G: np.ndarray, order: int) -> np.ndarray:
@@ -168,25 +189,25 @@ def jmatinv(G: np.ndarray, order: int) -> np.ndarray:
     return np.einsum("ijc,jk->ikc", acc, g0inv)
 
 
+PERMUTATIONS4 = np.array(list(itertools.permutations(range(NCOORDS))))
+PERM_SIGNS4 = np.linalg.det(np.eye(NCOORDS)[PERMUTATIONS4]).round()  # sign = det of the permutation matrix
+
+
 def jdet4(G: np.ndarray, order: int) -> np.ndarray:
-    """Determinant jet of a (4,4,ncoef) jet matrix (Leibniz expansion)."""
-    out = np.zeros(tables(order).ncoef)
-    for perm in itertools.permutations(range(4)):
-        sign = _perm_sign(perm)
-        term = G[0, perm[0]]
-        for i in range(1, 4):
-            term = jmul(term, G[i, perm[i]], order)
-        out = out + sign * term
-    return out
+    """Determinant jet of a (4,4,ncoef) jet matrix (Leibniz expansion, all 24 terms in one batch)."""
+    F = G[np.arange(NCOORDS), PERMUTATIONS4]  # [perm, i] = G[i, perm[i]]
+    return PERM_SIGNS4 @ jmul(jmul(F[:, 0], F[:, 1], order), jmul(F[:, 2], F[:, 3], order), order)
 
 
-def _perm_sign(perm: Sequence[int]) -> float:
-    sign = 1.0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+_ORDER_BY_NCOEF = {math.comb(n + NCOORDS, NCOORDS): n for n in range(MAX_ORDER + 1)}
+
+
+def jet_order(a: np.ndarray) -> int:
+    """Truncation order of a coefficient array, from its trailing axis length."""
+    order = _ORDER_BY_NCOEF.get(a.shape[-1])
+    if order is None:
+        raise ValueError(f"{a.shape[-1]} is not a jet coefficient count")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +253,7 @@ class Jet:
         return float(self.coeffs[i] * t.factorials[i])
 
     def gradient(self) -> np.ndarray:
-        return np.array([self.partial(_unit(v)) for v in range(NCOORDS)])
+        return np.array([self.partial(unit_index(v)) for v in range(NCOORDS)])
 
     def hessian(self) -> np.ndarray:
         H = np.empty((NCOORDS, NCOORDS))
@@ -319,7 +340,8 @@ class Jet:
         return Jet(out, self.order)
 
 
-def _unit(v: int) -> tuple[int, ...]:
+def unit_index(v: int) -> tuple[int, ...]:
+    """Multi-index of the first derivative d/dx_v."""
     e = [0] * NCOORDS
     e[v] = 1
     return tuple(e)

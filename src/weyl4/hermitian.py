@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureBundle
-from .exprjet import Jet, jderiv, jmul, jtruncate, jvalue
+from .exprjet import Jet, jderiv, jeinsum, jet_order, jmatmul, jtruncate, jvalue
+from .exprjet import jmul  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .pointgeom import (
+    FrameError,
     MetricPoint,
     SelfDualFrame,
     adjoint_endo,
@@ -48,26 +50,19 @@ class AcsPoint:
 
     @staticmethod
     def from_jets(j_jets: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> "AcsPoint":
-        order = None
-        from .exprjet import tables
-
-        for n in range(5):
-            if tables(n).ncoef == j_jets.shape[-1]:
-                order = n
-        if order is None:
-            raise ValueError("bad jet coefficient count")
+        order = jet_order(j_jets)
         J = jvalue(j_jets)
         r1 = np.abs(J @ J + np.eye(4)).max()
         r2 = np.abs(adjoint_endo(J, mp) + J).max()
         if max(r1, r2) > tol:
-            raise ValueError(
+            raise FrameError(
                 f"not a compatible almost complex structure (J^2 residual {r1:.2e}, adjoint {r2:.2e})"
             )
         omega = endo_to_form(J, mp, check=False)
         sigma = chart_orientation(J, mp)
         r3 = np.abs(hodge_star(omega, mp, sigma) - omega).max()
         if r3 > tol * max(np.abs(omega).max(), 1.0):
-            raise ValueError(f"fundamental form not self-dual (residual {r3:.2e})")
+            raise FrameError(f"fundamental form not self-dual (residual {r3:.2e})")
         return AcsPoint(J=J, omega=omega, jets=j_jets, order=order, mp=mp)
 
 
@@ -271,7 +266,7 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     o = min(acs.order, bundle.order)
     jj = jtruncate(acs.jets, acs.order, o)
     gj = jtruncate(mp.jets, mp.order, o)
-    omega_jets = jmul(jj[:, :, None, :], gj[:, None, :, :], o).sum(axis=0)  # (J^T g)_{ij}
+    omega_jets = jeinsum("ai,aj->ij", jj, gj, o)  # (J^T g)_{ij}
     d_omega_partials = np.stack([jvalue(jderiv(omega_jets, m, o)) for m in range(4)])  # [m,i,j]
     # (d Omega)_{ijk} = d_i O_{jk} - d_j O_{ik} + d_k O_{ij}
     d_omega = (
@@ -469,25 +464,15 @@ def conformal_bracket(f_grad: np.ndarray, X: np.ndarray, frame: SelfDualFrame) -
 
 
 def s_star_jet(bundle: CurvatureBundle, acs: AcsPoint) -> Jet:
-    """S_star as a scalar jet, from Riemann jets and J jets."""
+    """S_star as a scalar jet, from Riemann jets and J jets: with C[n,l] = J^n_k g^{kl},
+    Ric*[i,a] = J^m_i R_{mnly} g^{ya} C[n,l], so S_star = R_{mnly} C[n,l] C[m,y]."""
     d = min(bundle.order - 2, acs.order)
     mp = bundle.mp
     riem = jtruncate(bundle.riem, bundle.order - 2, d)
     gi = jtruncate(mp.inv_jets, mp.order, d)
-    jj = jtruncate(acs.jets, acs.order, d)
-    # rop[p,m,a,l]: raise the last Riemann index
-    tmp = jmul(riem[:, :, :, :, None, :], gi[None, None, None, :, :, :], d).sum(axis=3)  # [p,m,l,a]
-    rop = tmp.transpose(0, 1, 3, 2, 4)
-    C = jmatmul_like(jj, gi, d)  # C[n,l] = J^n_k g^{kl}
-    # E[m,n,a] = sum_l rop[m,n,a,l] C[n,l]
-    E = jmul(rop, C[None, :, None, :, :], d).sum(axis=3)
-    G = E.sum(axis=1)  # [m,a]
-    ric_star = jmul(jj[:, :, None, :], G[:, None, :, :], d).sum(axis=0)  # [i,a]
-    return Jet(np.einsum("iic->c", ric_star), d)
-
-
-def jmatmul_like(A: np.ndarray, B: np.ndarray, order: int) -> np.ndarray:
-    return jmul(A[:, :, None, :], B[None, :, :, :], order).sum(axis=1)
+    C = jmatmul(jtruncate(acs.jets, acs.order, d), gi, d)
+    rc = jeinsum("mnly,nl->my", riem, C, d)
+    return Jet(jeinsum("my,my->", rc, C, d), d)
 
 
 def lambda_jet(bundle: CurvatureBundle, acs: AcsPoint) -> Jet:

@@ -13,12 +13,11 @@ column vectors of chart components.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprjet import jmatinv, jvalue
+from .exprjet import PERM_SIGNS4, PERMUTATIONS4, jmatinv, jvalue
 
 N = 4
 
@@ -35,24 +34,20 @@ IM_STD = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], dt
 KM_STD = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
 
 
-def _levi_civita() -> np.ndarray:
-    eps = np.zeros((N, N, N, N))
-    for perm in itertools.permutations(range(N)):
-        sign = 1.0
-        p = list(perm)
-        for i in range(N):
-            for j in range(i + 1, N):
-                if p[i] > p[j]:
-                    sign = -sign
-        eps[perm] = sign
-    return eps
-
-
-EPS4 = _levi_civita()
+EPS4 = np.zeros((N, N, N, N))
+EPS4[tuple(PERMUTATIONS4.T)] = PERM_SIGNS4
 
 
 class FrameError(ValueError):
     """Raised for degenerate seeds or incompatible almost complex structures."""
+
+
+class MetricError(ValueError):
+    """The metric matrix at ``point`` is not symmetric positive definite."""
+
+    def __init__(self, message: str, point):
+        self.point = np.asarray(point, dtype=float)
+        super().__init__(f"{message} at point {self.point.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -73,10 +68,10 @@ class MetricPoint:
         asym = np.abs(g - g.T).max()
         scale = np.abs(g).max()
         if asym > 1e-12 * max(scale, 1.0):
-            raise ValueError(f"metric matrix not symmetric (residual {asym:.3e})")
+            raise MetricError(f"metric matrix not symmetric (residual {asym:.3e})", point)
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
         if eig[0] <= 1e-12 * eig[-1]:
-            raise ValueError(f"metric not positive definite (eigenvalues {eig})")
+            raise MetricError(f"metric not positive definite (eigenvalues {eig.tolist()})", point)
         inv_jets = jmatinv(jets, order)
         return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)
 
@@ -146,7 +141,7 @@ def chart_orientation(J: np.ndarray, mp: MetricPoint) -> float:
     w = endo_to_form(J, mp, check=False)
     pf = w[0, 1] * w[2, 3] - w[0, 2] * w[1, 3] + w[0, 3] * w[1, 2]
     if pf == 0.0:
-        raise ValueError("degenerate fundamental form")
+        raise FrameError("degenerate fundamental form")
     return float(np.sign(pf))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureBundle
-from .exprjet import Jet, jmul, jtruncate, jdet4, jet_sqrt
+from .exprjet import Jet, jeinsum, jmul, jtruncate, jdet4, jet_sqrt
 from .pointgeom import (
     EPS4,
     MetricPoint,
@@ -248,25 +248,15 @@ def wplus_norm2_jet(bundle: CurvatureBundle, orientation: float) -> Jet:
     mp = bundle.mp
     g = jtruncate(mp.jets, bundle.order, d)
     gi = jtruncate(mp.inv_jets, bundle.order, d)
-    W = bundle.weyl
-
-    def raise_last(T):
-        # contract the third-from-last tensor index of T[..., a, x, c] style
-        # layouts; here: A[i,j,b,k] = sum_a T[i,j,a,b] g^{ak}
-        tmp = jmul(T[:, :, :, :, None, :], gi[None, None, :, None, :, :], d)
-        return tmp.sum(axis=2)
-
-    A = raise_last(W)          # [i,j,b,k]
-    Wud = raise_last(A)        # [i,j,k,l] = W_{ij}^{kl}
-    M = -Wud
-    T2 = jmul(M[:, :, :, :, None, None, :], M[None, None, :, :, :, :, :], d).sum(axis=(2, 3))
+    # M = -W_{ij}^{kl}, the form-operator matrix of W
+    M = -jeinsum("ijbk,bl->ijkl", jeinsum("ijab,ak->ijbk", bundle.weyl, gi, d), gi, d)
+    T2 = jeinsum("ijab,abkl->ijkl", M, M, d)
     tr_w2 = np.einsum("ijijc->c", T2)
 
+    # star = (orientation/2) sqrt(det g) eps_{ij}^{kl}: EPS4 is constant, so its first
+    # raising is a plain contraction, and sqrt(det g) factors out of the trace
+    eps_up = jeinsum("ijbk,bl->ijkl", np.einsum("ijab,akc->ijbkc", EPS4, gi), gi, d)
     sqrt_det = jet_sqrt(Jet(jdet4(g, d), d)).coeffs
-    # EPS4 is constant, so the first raising is a plain contraction
-    step = np.einsum("ijab,akc->ijbkc", EPS4, gi)  # [i,j,b,k]
-    step2 = jmul(step[:, :, :, :, None, :], gi[None, None, :, None, :, :], d).sum(axis=2)  # [i,j,k,l]
-    Mstar = (0.5 * orientation) * jmul(step2, sqrt_det, d)
-    prod = jmul(T2, Mstar.transpose(2, 3, 0, 1, 4), d)  # T2[i,j,a,b] * Mstar[a,b,i,j]
-    tr_w2_star = prod.sum(axis=(0, 1, 2, 3))
+    tr_w2_eps = jeinsum("ijab,abij->", T2, eps_up, d)
+    tr_w2_star = (0.5 * orientation) * jmul(tr_w2_eps, sqrt_det, d)
     return Jet(0.5 * (tr_w2 + tr_w2_star), d)

@@ -161,6 +161,27 @@ class TestIntegrate:
         assert code == 2
 
 
+class TestPointFailures:
+    DIP = (
+        "[manifold]\nid = dip\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+        "[metric]\ng_11 = 1 - 1.1*exp(-2000*(x - 0.4)^2)\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+    )
+
+    def test_metric_failing_at_a_sampled_point_exit_2(self, capsys, tmp_path):
+        # g_11 < 0 only in a slab |x - 0.4| < 0.007 that the 20-point config
+        # validation and a 25-point check both miss; 200 points land in it
+        path = tmp_path / "dip.cfg"
+        path.write_text(self.DIP)
+        assert run(capsys, "check", "--config", str(path), "--points", "25")[0] == 0
+        code, out, err = run(capsys, "check", "--config", str(path), "--points", "200")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: metric not positive definite")
+        assert err.count("\n") == 1
+        point = json.loads(err.rsplit("at point ", 1)[1])
+        assert abs(point[0] - 0.4) < 0.007
+
+
 class TestUsage:
     def test_bad_flag_exit_2(self, capsys):
         assert main(["check", "flat_torus", "--badflag"]) == 2

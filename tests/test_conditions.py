@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from weyl4.catalog import get_manifold
+from weyl4.catalog import get_manifold, load_manifold_config
 from weyl4.conditions import (
     GATE,
     REGISTRY,
@@ -265,6 +265,20 @@ class TestQuadrature:
     def test_non_compact_rejected(self):
         with pytest.raises(ConditionsError):
             integrate_density(get_manifold("fubini_study_cp2"), lambda p: 1.0)
+
+    def test_volume_not_shared_between_specs_with_one_id(self, tmp_path):
+        # same id and domain, different metrics: volumes 1 and 2*2 = 4
+        volumes = []
+        for name, g11 in (("flat", "1"), ("stretched", "4")):
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(
+                "[manifold]\nid = box\ncoords = x, y, z, t\ncompact = true\n"
+                "domain = 0..1, 0..1, 0..1, 0..1\n"
+                f"[metric]\ng_11 = {g11}\ng_22 = {g11}\ng_33 = 1\ng_44 = 1\n"
+            )
+            spec = load_manifold_config(str(path))
+            volumes.append(integrate_density(spec, lambda p: 1.0).volume)
+        assert volumes == [pytest.approx(1.0, rel=1e-12), pytest.approx(4.0, rel=1e-12)]
 
     def test_non_convergent_refinement(self):
         spec = get_manifold("flat_torus")

@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,12 @@ from weyl4.exprjet import (
     eval_jet,
     eval_values,
     expr_to_string,
+    jconst,
+    jdet4,
+    jeinsum,
+    jmatinv,
+    jmatmul,
+    jmul,
     parse_expression,
     tables,
 )
@@ -229,3 +238,90 @@ class TestJetAlgebra:
         assert H[0, 0] == pytest.approx(4.0)
         assert H[0, 1] == H[1, 0] == pytest.approx(2.0)
         assert H[2, 3] == pytest.approx(1.0)
+
+
+# Every contraction pattern the package passes to jeinsum, read from its source.
+PACKAGE_PATTERNS = sorted(
+    {
+        m
+        for path in Path(exprjet.__file__).parent.glob("*.py")
+        for m in re.findall(r'jeinsum\(\s*"([^"]*)"', path.read_text())
+    }
+)
+
+
+def broadcast_reference(subscripts, a, b, order):
+    """Truncated contraction the slow way: broadcast both operands over every
+    index, multiply elementwise with jmul, then sum the contracted axes."""
+    inputs, out = subscripts.split("->")
+    left, right = inputs.split(",")
+    letters = sorted(set(left + right))
+
+    def expand(x, sub):
+        present = [c for c in letters if c in sub]
+        x = x.transpose([sub.index(c) for c in present] + [len(sub)])
+        shape = [x.shape[present.index(c)] if c in sub else 1 for c in letters]
+        return x.reshape(shape + [x.shape[-1]])
+
+    prod = jmul(expand(a, left), expand(b, right), order)
+    prod = prod.sum(axis=tuple(i for i, c in enumerate(letters) if c not in out))
+    kept = [c for c in letters if c in out]
+    return prod.transpose([kept.index(c) for c in out] + [len(out)])
+
+
+def random_jets(rng, subscripts, order):
+    left, right = subscripts.split("->")[0].split(",")
+    nc = tables(order).ncoef
+    return (rng.standard_normal((4,) * len(left) + (nc,)),
+            rng.standard_normal((4,) * len(right) + (nc,)))
+
+
+def random_metric_jet(rng, order):
+    """Symmetric jet matrix with a well-conditioned value near 4*I."""
+    A = rng.standard_normal((4, 4, tables(order).ncoef))
+    G = 0.5 * (A + A.transpose(1, 0, 2))
+    G[..., 0] = 4.0 * np.eye(4) + 0.1 * G[..., 0]
+    return G
+
+
+class TestContraction:
+    def test_package_patterns_found(self):
+        assert {"ik,kj->ij", "jk,il->ijkl", "ijab,abij->"} <= set(PACKAGE_PATTERNS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(PACKAGE_PATTERNS),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_jeinsum_matches_broadcast_reference(self, subscripts, order, seed):
+        a, b = random_jets(np.random.default_rng(seed), subscripts, order)
+        got = jeinsum(subscripts, a, b, order)
+        ref = broadcast_reference(subscripts, a, b, order)
+        # summation order differs; bound the error by the sum of |terms|
+        bound = broadcast_reference(subscripts, np.abs(a), np.abs(b), order)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-13 * bound + 1e-300)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_inverse_times_matrix_is_identity(self, order, seed):
+        G = random_metric_jet(np.random.default_rng(seed), order)
+        prod = jmatmul(jmatinv(G, order), G, order)
+        assert np.abs(prod - jconst(np.eye(4), order)).max() < 1e-11
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
+    def test_batched_det_matches_leibniz_loop(self, order, seed):
+        G = np.random.default_rng(seed).standard_normal((4, 4, tables(order).ncoef))
+        ref = np.zeros(tables(order).ncoef)
+        for perm in itertools.permutations(range(4)):
+            inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+            sign = (-1) ** inversions
+            term = G[0, perm[0]]
+            for i in range(1, 4):
+                term = jmul(term, G[i, perm[i]], order)
+            ref = ref + sign * term
+        got = jdet4(G, order)
+        assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+        assert got[0] == pytest.approx(np.linalg.det(G[..., 0]), rel=1e-12, abs=1e-12)
