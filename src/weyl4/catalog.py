@@ -318,10 +318,11 @@ def builtin_manifolds() -> list[ManifoldSpec]:
 
 
 def get_manifold(name: str) -> ManifoldSpec:
-    for spec in builtin_manifolds():
+    specs = builtin_manifolds()
+    for spec in specs:
         if spec.id == name:
             return spec
-    raise CatalogError(f"unknown manifold '{name}'")
+    raise CatalogError(f"unknown manifold '{name}' (known: {', '.join(s.id for s in specs)})")
 
 
 def conformally_rescaled(spec: ManifoldSpec, f_text: str, new_id: Optional[str] = None) -> ManifoldSpec:

@@ -16,6 +16,7 @@ from .catalog import (
     CatalogError,
     ManifoldSpec,
     builtin_manifolds,
+    get_manifold,
     load_manifold_config,
     normalize_tag,
 )
@@ -54,11 +55,7 @@ def _resolve_manifold(args) -> ManifoldSpec:
     name = getattr(args, "manifold", None)
     if not name:
         raise UsageError("a manifold id (or --config PATH) is required")
-    for spec in builtin_manifolds():
-        if spec.id == name:
-            return spec
-    known = ", ".join(s.id for s in builtin_manifolds())
-    raise UsageError(f"unknown manifold '{name}' (known: {known})")
+    return get_manifold(name)
 
 
 class UsageError(Exception):
@@ -211,17 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.add_argument("--out")
     p_list.set_defaults(func=cmd_list)
 
-    def common(p, default_points):
+    def common(p):
         p.add_argument("manifold", nargs="?", help="builtin manifold id")
         p.add_argument("--config", help="manifold config file instead of a builtin id")
-        p.add_argument("--points", type=int, default=default_points)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-pass", type=float, default=1e-8, dest="tol_pass")
-        p.add_argument("--tol-fail", type=float, default=1e-4, dest="tol_fail")
         p.add_argument("--out")
 
+    def sampling(p):
+        common(p)
+        p.add_argument("--points", type=int, default=25)
+        p.add_argument("--tol-pass", type=float, default=1e-8, dest="tol_pass")
+        p.add_argument("--tol-fail", type=float, default=1e-4, dest="tol_fail")
+
     p_check = sub.add_parser("check", help="run the identity suite")
-    common(p_check, 25)
+    sampling(p_check)
     p_check.add_argument("--identities", help="comma-separated identity filter (e.g. EQ01,EQ42)")
     p_check.add_argument("--rotations", type=int, default=0,
                          help="extra random quaternionic-supplement rotations per point")
@@ -229,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_cls = sub.add_parser("classify", help="Kahler / almost-Kahler / Hermitian / generic verdict")
-    common(p_cls, 25)
+    sampling(p_cls)
     p_cls.add_argument("--format", choices=("json", "text"), default="text")
     p_cls.set_defaults(func=cmd_classify)
 
     p_int = sub.add_parser("integrate", help="compact-domain integrals")
-    common(p_int, 20)
+    common(p_int)
     p_int.add_argument("--density", help=f"density name ({', '.join(DENSITIES)})")
     p_int.add_argument("--formula", choices=("eq117", "eq118", "both"))
     p_int.add_argument("--format", choices=("json", "text"), default="json")

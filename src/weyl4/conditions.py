@@ -40,7 +40,6 @@ from .hermitian import (
 )
 from .pointgeom import SelfDualFrame, build_j_frame, rotate_supplement
 from .selfdual import (
-    delta_w_full,
     delta_wpm,
     interior_product,
     lambda2_split,
@@ -216,15 +215,19 @@ def _scalar_res(lhs: float, rhs: float, *extra_terms):
     return _res(lhs, rhs, abs(lhs - rhs), max(terms))
 
 
-def _eq01(c):  # |W+|^2 = S^2/6
+# A relation stated at two anchors (EQ01/82, EQ02/80, EQ03/87, EQ04/88,
+# EQ06/77) has one evaluator; each record keeps its own id, anchor and gate.
+
+
+def _eq01_82(c):  # |W+|^2 = S^2/6
     return _scalar_res(c.wplus.norm2, c.S**2 / 6.0)
 
 
-def _eq02(c):  # det^2 = |W+|^6/54
+def _eq02_80(c):  # det^2 = |W+|^6/54
     return _scalar_res(c.wplus.det**2, c.wplus.norm2**3 / 54.0)
 
 
-def _eq03(c):
+def _eq03_87(c):  # |nabla W+|^2 = |nabla S|^2/6
     return _scalar_res(c.nabla_wplus_norm2(), c.grad_norm2(c.bundle.require("dS")) / 6.0)
 
 
@@ -233,18 +236,26 @@ def _grad_abs_w(c):
     return c.grad_norm2(w2.gradient()) / (4.0 * w2.value)
 
 
-def _eq04(c):  # |nabla W+|^2 = |nabla |W+||^2
+def _eq04_88(c):  # |nabla W+|^2 = |nabla |W+||^2
     return _scalar_res(c.nabla_wplus_norm2(), _grad_abs_w(c))
 
 
-def _eq05(c):  # delta W+ + grad log|W+| .| W+ = 0
+def _wplus_interior(c, u):
+    """u .| W+ as a (4, 4, 4) array, W+ taken as a (0,4)-tensor."""
     Wp04, _ = weyl_pm_04(c.bundle, c.frame)
-    u = c.mp.g_inv @ c.w2jet.gradient() / (2.0 * c.w2jet.value)
-    ip = interior_product(u, Wp04, c.mp)
+    return interior_product(u, Wp04, c.mp)
+
+
+def _grad_log_abs_w(c):
+    return c.mp.g_inv @ c.w2jet.gradient() / (2.0 * c.w2jet.value)
+
+
+def _eq05(c):  # delta W+ + grad log|W+| .| W+ = 0
+    ip = _wplus_interior(c, _grad_log_abs_w(c))
     return _tensor_res(c.dwp + ip, np.zeros_like(ip), c.dwp, ip)
 
 
-def _eq06(c):  # |W+|^2 = (3/8)(S* - S/3)^2
+def _eq06_77(c):  # |W+|^2 = (3/8)(S* - S/3)^2 = 6 lambda^2
     return _scalar_res(c.wplus.norm2, 6.0 * c.star.lam**2)
 
 
@@ -320,18 +331,6 @@ def _eq75(c):
     return _res(c.proj.p1_pairing, c.proj.two_lambda, max(a, b), scale)
 
 
-def _eq77(c):
-    return _scalar_res(c.wplus.norm2, 6.0 * c.star.lam**2)
-
-
-def _eq80(c):
-    return _scalar_res(c.wplus.det**2, c.wplus.norm2**3 / 54.0)
-
-
-def _eq82(c):
-    return _scalar_res(c.wplus.norm2, c.S**2 / 6.0)
-
-
 def _eq83(c):
     return _scalar_res(c.wplus.det, c.S**3 / 108.0)
 
@@ -354,14 +353,6 @@ def _eq86(c):  # nabla W+ = dS/6 (x) (2 P1 - P2)
     return _tensor_res(c.nabla_sd, target)
 
 
-def _eq87(c):
-    return _scalar_res(c.nabla_wplus_norm2(), c.grad_norm2(c.bundle.require("dS")) / 6.0)
-
-
-def _eq88(c):
-    return _scalar_res(c.nabla_wplus_norm2(), _grad_abs_w(c))
-
-
 def _nabla_jx_j(c, i):
     return np.einsum("m,mab->ab", c.frame.J @ np.eye(4)[i], c.nj.nabla_j)
 
@@ -382,9 +373,7 @@ def _eq104(c):
 
 
 def _eq112(c):
-    Wp04, _ = weyl_pm_04(c.bundle, c.frame)
-    u = c.mp.g_inv @ c.w2jet.gradient() / (2.0 * c.w2jet.value)
-    ip = interior_product(u, Wp04, c.mp)
+    ip = _wplus_interior(c, _grad_log_abs_w(c))
     rhs = np.zeros((4, 4, 4))
     for i in range(4):
         rhs[i] = -0.75 * c.star.lam * (c.nj.delta_omega[i] * c.frame.J + _nabla_jx_j(c, i)) - ip[i]
@@ -392,9 +381,7 @@ def _eq112(c):
 
 
 def _eq114(c):  # delta W+ + grad log|S| .| W+ = 0
-    Wp04, _ = weyl_pm_04(c.bundle, c.frame)
-    u = c.mp.g_inv @ c.bundle.require("dS") / c.S
-    ip = interior_product(u, Wp04, c.mp)
+    ip = _wplus_interior(c, c.mp.g_inv @ c.bundle.require("dS") / c.S)
     return _tensor_res(c.dwp + ip, np.zeros((4, 4, 4)), c.dwp, ip)
 
 
@@ -440,12 +427,12 @@ def _eq133(c):  # 2|nabla W+|^2 + lap |W+|^2 = 18 det - S |W+|^2
 
 def build_registry() -> dict:
     records = [
-        IdentityRecord("EQ01", "gl-neu1", "|W+|^2 = S^2/6", "almost-kahler", 2, _eq01),
-        IdentityRecord("EQ02", "gl-neu2", "det(W+)^2 = |W+|^6/54", "almost-kahler", 2, _eq02),
-        IdentityRecord("EQ03", "gl-neu3", "|nabla W+|^2 = |nabla S|^2/6", "kahler", 3, _eq03),
-        IdentityRecord("EQ04", "gl-neu4", "|nabla W+| = |nabla |W+||", "kahler", 3, _eq04, needs_w_support=True),
+        IdentityRecord("EQ01", "gl-neu1", "|W+|^2 = S^2/6", "almost-kahler", 2, _eq01_82),
+        IdentityRecord("EQ02", "gl-neu2", "det(W+)^2 = |W+|^6/54", "almost-kahler", 2, _eq02_80),
+        IdentityRecord("EQ03", "gl-neu3", "|nabla W+|^2 = |nabla S|^2/6", "kahler", 3, _eq03_87),
+        IdentityRecord("EQ04", "gl-neu4", "|nabla W+| = |nabla |W+||", "kahler", 3, _eq04_88, needs_w_support=True),
         IdentityRecord("EQ05", "gl-neu5", "delta W+ + grad log|W+| .| W+ = 0", "kahler", 3, _eq05, needs_w_support=True),
-        IdentityRecord("EQ06", "gl-neu6", "|W+|^2 = (3/8)(S* - S/3)^2", "almost-kahler", 2, _eq06),
+        IdentityRecord("EQ06", "gl-neu6", "|W+|^2 = (3/8)(S* - S/3)^2", "almost-kahler", 2, _eq06_77),
         IdentityRecord("EQ42", "gl-42", "Ric_tri + Ric_box + Ric* = Ric", "all", 2, _eq42),
         IdentityRecord("EQ46", "gl-46", "S_tri + S_box + S* = S", "all", 2, _eq46),
         IdentityRecord("EQ48", "gl-48", "W(J) = (S* - S/3)J/2 + 2 Ric*- J", "all", 2, _eq48),
@@ -458,15 +445,15 @@ def build_registry() -> dict:
         IdentityRecord("EQ72", "gl-72", "|W+|^2 = 3/8 (S*-S/3)^2 + 8|Ric*-|^2 + |Rt-|^2", "all", 2, _eq72),
         IdentityRecord("EQ73", "gl-73", "|W+|^2 = 6 lambda^2 + |G|^2", "all", 2, _eq73),
         IdentityRecord("EQ75", "gl-75", "<W+,P1> = 2 lambda = -<W+,P2>", "all", 2, _eq75),
-        IdentityRecord("EQ77", "gl-77", "|W+|^2 = 6 lambda^2", "kahler", 2, _eq77),
-        IdentityRecord("EQ80", "gl-80", "det(W+)^2 = |W+|^6/54", "requires-gl77", 2, _eq80),
-        IdentityRecord("EQ82", "gl-82", "|W+|^2 = S^2/6", "kahler", 2, _eq82),
+        IdentityRecord("EQ77", "gl-77", "|W+|^2 = 6 lambda^2", "kahler", 2, _eq06_77),
+        IdentityRecord("EQ80", "gl-80", "det(W+)^2 = |W+|^6/54", "requires-gl77", 2, _eq02_80),
+        IdentityRecord("EQ82", "gl-82", "|W+|^2 = S^2/6", "kahler", 2, _eq01_82),
         IdentityRecord("EQ83", "gl-83", "det(W+) = S^3/108", "kahler", 2, _eq83),
         IdentityRecord("EQ84", "gl-84", "spec(W+) = (S/3, -S/6, -S/6)", "kahler", 2, _eq84),
         IdentityRecord("EQ85", "gl-85", "W+ = (S/6) diag(2,-1,-1)", "kahler", 2, _eq85),
         IdentityRecord("EQ86", "gl-86", "nabla W+ = dS/6 (x) (2P1 - P2)", "kahler", 3, _eq86),
-        IdentityRecord("EQ87", "gl-87", "|nabla W+|^2 = |nabla S|^2/6", "kahler", 3, _eq87),
-        IdentityRecord("EQ88", "gl-88", "|nabla W+|^2 = |nabla |W+||^2", "kahler", 3, _eq88, needs_w_support=True),
+        IdentityRecord("EQ87", "gl-87", "|nabla W+|^2 = |nabla S|^2/6", "kahler", 3, _eq03_87),
+        IdentityRecord("EQ88", "gl-88", "|nabla W+|^2 = |nabla |W+||^2", "kahler", 3, _eq04_88, needs_w_support=True),
         IdentityRecord("EQ104", "gl-104", "delta W+ via lambda, delta Omega, nabla J", "requires-gl77", 3, _eq104),
         IdentityRecord("EQ112", "gl-112", "delta W+ + interior term via lambda", "requires-gl77", 3, _eq112, needs_w_support=True),
         IdentityRecord("EQ114", "gl-114", "delta W+ + grad log|S| .| W+ = 0", "kahler", 3, _eq114, needs_s_support=True),
@@ -868,89 +855,69 @@ class IntegralResult:
     volume: float
 
 
-# keyed by the whole frozen spec: two configs may share an id and a domain
-# but not a metric
-_VOLUME_CACHE: dict = {}
-
-
-def _volume(spec: ManifoldSpec, n: int) -> float:
-    key = (spec, n)
-    if key in _VOLUME_CACHE:
-        return _VOLUME_CACHE[key]
+def _gauss_grid(spec: ManifoldSpec, n: int) -> tuple:
+    """Tensor Gauss-Legendre nodes of the domain, shape (n**4, 4), first
+    coordinate slowest, and their weights times the volume density."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
     axes, waxes = [], []
     for lo, hi in spec.domain:
         axes.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
         waxes.append(0.5 * (hi - lo) * weights)
-    grid = np.meshgrid(*axes, indexing="ij")
-    w = np.einsum("i,j,k,l->ijkl", *waxes)
-    dens = spec.volume_density(grid)
-    _VOLUME_CACHE[key] = float(np.sum(w * dens))
-    return _VOLUME_CACHE[key]
+    points = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    with np.errstate(all="ignore"):  # a bad density is reported below, by node
+        dens = spec.volume_density(points.T)
+    bad = np.flatnonzero(~(np.isfinite(dens) & (dens > 0.0)))
+    if bad.size:
+        raise QuadratureError(
+            f"volume density of '{spec.id}' is {float(dens[bad[0]])!r} at node {points[bad[0]].tolist()}"
+        )
+    return points, np.einsum("i,j,k,l->ijkl", *waxes).ravel() * dens
+
+
+def _node_values(spec: ManifoldSpec, density, points: np.ndarray) -> np.ndarray:
+    """density at each point, the point axis last."""
+    vals = np.stack([np.asarray(density(p), dtype=float) for p in points], axis=-1)
+    bad = np.flatnonzero(~np.isfinite(vals).reshape(-1, len(points)).all(axis=0))
+    if bad.size:
+        raise QuadratureError(f"density on '{spec.id}' is not finite at point {points[bad[0]].tolist()}")
+    return vals
 
 
 def integrate_density(
     spec: ManifoldSpec,
-    density: Callable[[np.ndarray], float],
+    density: Callable[[np.ndarray], object],
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> IntegralResult:
     """Gauss-Legendre integral of density * volume form over the fundamental domain.
 
-    The constancy shortcut (value * volume) is taken only after an explicit
-    constancy check at ``constancy_samples`` random points.
+    ``density`` returns a scalar or an array; every component is integrated
+    in one pass over the nodes, and value and error have its shape.  The
+    constancy shortcut (value * volume) is taken only after an explicit
+    constancy check at ``constancy_samples`` random points, and only when
+    every component passes it.
     """
     if not spec.compact:
         raise ConditionsError(f"manifold '{spec.id}' is not compact; cannot integrate")
-    vol_coarse = _volume(spec, quad.n)
-    vol_fine = _volume(spec, quad.n_refine)
-    vol_err = abs(vol_fine - vol_coarse)
+    levels = sorted({max(2, quad.n // 2), quad.n, quad.n_refine})
+    grids = {n: _gauss_grid(spec, n) for n in levels}
+    vol_fine = grids[quad.n_refine][1].sum()
 
     if quad.allow_constancy:
         rng = np.random.default_rng(quad.seed)
-        pts = spec.sample_points(quad.constancy_samples, rng, margin=0.0)
-        vals = np.array([density(p) for p in pts])
-        spread = float(vals.max() - vals.min())
-        scale = max(float(np.abs(vals).max()), 1.0)
-        if spread <= quad.constancy_tol * scale:
-            mean = float(vals.mean())
-            return IntegralResult(
-                value=mean * vol_fine,
-                error=spread * vol_fine + abs(mean) * vol_err,
-                used_constancy_shortcut=True,
-                volume=vol_fine,
-            )
+        vals = _node_values(spec, density, spec.sample_points(quad.constancy_samples, rng, margin=0.0))
+        spread = vals.max(axis=-1) - vals.min(axis=-1)
+        if np.all(spread <= quad.constancy_tol * np.maximum(np.abs(vals).max(axis=-1), 1.0)):
+            mean = vals.mean(axis=-1)
+            vol_err = abs(vol_fine - grids[quad.n][1].sum())
+            return IntegralResult(mean * vol_fine, spread * vol_fine + abs(mean) * vol_err, True, vol_fine)
 
-    levels = sorted({max(2, quad.n // 2), quad.n, quad.n_refine})
-    results = [_tensor_quadrature(spec, density, n) for n in levels]
+    results = [_node_values(spec, density, grids[n][0]) @ grids[n][1] for n in levels]
     errors = [abs(b - a) for a, b in zip(results, results[1:])]
-    if len(errors) >= 2 and errors[-1] > errors[0] and errors[-1] > 1e-12 * max(abs(results[-1]), 1.0):
-        raise QuadratureError(
-            f"quadrature refinement not converging on '{spec.id}': errors {errors}"
-        )
-    return IntegralResult(
-        value=results[-1],
-        error=errors[-1] if errors else 0.0,
-        used_constancy_shortcut=False,
-        volume=vol_fine,
-    )
-
-
-def _tensor_quadrature(spec: ManifoldSpec, density, n: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    axes, waxes = [], []
-    for lo, hi in spec.domain:
-        axes.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
-        waxes.append(0.5 * (hi - lo) * weights)
-    total = 0.0
-    dens_grid = spec.volume_density(np.meshgrid(*axes, indexing="ij"))
-    for i0 in range(n):
-        for i1 in range(n):
-            for i2 in range(n):
-                for i3 in range(n):
-                    p = np.array([axes[0][i0], axes[1][i1], axes[2][i2], axes[3][i3]])
-                    w = waxes[0][i0] * waxes[1][i1] * waxes[2][i2] * waxes[3][i3]
-                    total += w * density(p) * dens_grid[i0, i1, i2, i3]
-    return total
+    if len(errors) >= 2 and np.any(
+        (errors[-1] > errors[0]) & (errors[-1] > 1e-12 * np.maximum(abs(results[-1]), 1.0))
+    ):
+        raise QuadratureError(f"quadrature refinement not converging on '{spec.id}': errors {errors}")
+    return IntegralResult(results[-1], errors[-1] if errors else 0.0 * results[-1], False, vol_fine)
 
 
 INTEGRAND_KEYS = ("q_j", "rt2", "ric_star_minus2", "nabla_j2", "nabla_j4", "s", "wplus2", "s2")
@@ -983,43 +950,25 @@ def check_integral_formulas(spec: ManifoldSpec, quad: QuadratureSpec = Quadratur
     if not spec.compact:
         raise ConditionsError(f"manifold '{spec.id}' is not compact")
 
-    cache: dict = {}
-
-    def at(p) -> dict:
-        key = tuple(np.round(np.asarray(p, float), 15))
-        if key not in cache:
-            d = evaluate_integrand(spec, p)
-            d["s_nabla_j2"] = d["s"] * d["nabla_j2"]
-            cache[key] = d
-        return cache[key]
+    def densities(p) -> list:
+        d = evaluate_integrand(spec, p)
+        return [d[k] for k in INTEGRAND_KEYS] + [d["s"] * d["nabla_j2"]]
 
     keys = INTEGRAND_KEYS + ("s_nabla_j2",)
-    integrals = {
-        k: integrate_density(spec, lambda p, kk=k: at(p)[kk], quad) for k in keys
-    }
-    vol = integrals["q_j"].volume
-    Q = integrals["q_j"].value
-    i117 = Q + (
-        integrals["rt2"].value
-        + 4.0 * integrals["ric_star_minus2"].value
-        + 0.5 * integrals["s_nabla_j2"].value
-        + integrals["nabla_j4"].value
-    )
-    i118 = Q + 0.5 * (
-        integrals["rt2"].value
-        + integrals["nabla_j4"].value
-        + integrals["wplus2"].value
-        - integrals["s2"].value / 6.0
-    )
-    err = sum(integrals[k].error for k in keys)
+    result = integrate_density(spec, densities, quad)
+    ints = dict(zip(keys, map(float, result.value)))
+    errors = dict(zip(keys, map(float, result.error)))
+    Q = ints["q_j"]
+    i117 = Q + (ints["rt2"] + 4.0 * ints["ric_star_minus2"] + 0.5 * ints["s_nabla_j2"] + ints["nabla_j4"])
+    i118 = Q + 0.5 * (ints["rt2"] + ints["nabla_j4"] + ints["wplus2"] - ints["s2"] / 6.0)
     return {
         "manifold": spec.id,
-        "volume": vol,
+        "volume": float(result.volume),
         "Q": Q,
         "i117": i117,
         "i118": i118,
         "eq116_integrated": i118 - i117,
-        "error_estimate": err,
-        "errors": {k: integrals[k].error for k in keys},
-        "used_constancy_shortcut": all(integrals[k].used_constancy_shortcut for k in keys),
+        "error_estimate": sum(errors.values()),
+        "errors": errors,
+        "used_constancy_shortcut": result.used_constancy_shortcut,
     }

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,11 @@ class TestIntegrate:
         code, _, err = run(capsys, "integrate", "flat_torus")
         assert code == 2
 
+    def test_sampling_flags_rejected(self, capsys):
+        # integrate samples only its own quadrature nodes
+        code, out, err = run(capsys, "integrate", "flat_torus", "--density", "qJ", "--points", "5")
+        assert code == 2 and out == ""
+
 
 class TestPointFailures:
     DIP = (
@@ -180,6 +186,26 @@ class TestPointFailures:
         assert err.count("\n") == 1
         point = json.loads(err.rsplit("at point ", 1)[1])
         assert abs(point[0] - 0.4) < 0.007
+
+    @pytest.mark.parametrize("what", [("--density", "S"), ("--formula", "both")])
+    def test_volume_density_failing_at_a_node_exit_2(self, capsys, tmp_path, what):
+        # the 20 constancy samples miss the slab; the 24-per-axis node at
+        # x = 0.4044 lies in it, where det g < 0
+        path = tmp_path / "dip.cfg"
+        path.write_text(
+            self.DIP.replace("domain", "compact = true\ndomain")
+            + "[structure]\nJ_1_2 = -1/sqrt(1 - 1.1*exp(-2000*(x - 0.4)^2))\n"
+            "J_2_1 = sqrt(1 - 1.1*exp(-2000*(x - 0.4)^2))\nJ_3_4 = -1\nJ_4_3 = 1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "integrate", "--config", str(path), *what, "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: volume density")
+        assert err.count("\n") == 1
+        node = json.loads(err.rsplit("at node ", 1)[1])
+        assert abs(node[0] - 0.4) < 0.007
 
 
 class TestUsage:

@@ -289,6 +289,50 @@ class TestQuadrature:
                 QuadratureSpec(n=4, n_refine=6),
             )
 
+    @pytest.mark.parametrize("name", ["flat_torus", "kodaira_thurston"])
+    def test_vector_density_matches_scalar_integrals_on_shortcut(self, name):
+        spec = get_manifold(name)
+        keys = ("q_j", "s", "wplus2")
+
+        def vec(p):
+            d = evaluate_integrand(spec, p)
+            return [d[k] for k in keys]
+
+        res = integrate_density(spec, vec)
+        assert res.used_constancy_shortcut
+        for k, value, error in zip(keys, res.value, res.error):
+            one = integrate_density(spec, lambda p, k=k: evaluate_integrand(spec, p)[k])
+            assert (value, error) == (one.value, one.error)
+
+    def test_vector_density_matches_scalar_integrals_on_ladder(self):
+        spec = get_manifold("flat_torus")
+        quad = QuadratureSpec(n=8, n_refine=12)
+        funcs = (lambda p: np.sin(p[0]) ** 2, lambda p: np.cos(p[1]) ** 2)
+        res = integrate_density(spec, lambda p: [f(p) for f in funcs], quad)
+        assert not res.used_constancy_shortcut
+        assert res.value.shape == res.error.shape == (2,)
+        for f, value, error in zip(funcs, res.value, res.error):
+            one = integrate_density(spec, f, quad)
+            assert value == pytest.approx(one.value, rel=1e-14)
+            assert error == pytest.approx(one.error, rel=1e-6, abs=1e-12 * abs(one.value))
+
+    def test_one_diverging_component_raises(self):
+        spec = get_manifold("flat_torus")
+        with pytest.raises(QuadratureError):
+            integrate_density(
+                spec,
+                lambda p: [np.sin(p[0]) ** 2, 1.0 / (1.001 - np.sin(8.0 * p[0]))],
+                QuadratureSpec(n=4, n_refine=6),
+            )
+
+
+    def test_non_finite_node_value_raises(self):
+        spec = get_manifold("flat_torus")
+        with pytest.raises(QuadratureError, match="not finite at point"):
+            integrate_density(
+                spec, lambda p: [1.0, np.inf if p[0] > np.pi else 0.0], QuadratureSpec(n=4, n_refine=6)
+            )
+
 
 class TestIntegralFormulas:
     def test_flat_torus_exact(self):
