@@ -15,6 +15,7 @@ the nabla-J = 0 invariant.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 import unicodedata
 from dataclasses import dataclass, replace
@@ -137,7 +138,14 @@ def _diag_metric(diag: Sequence[str], coords):
 
 def builtin_manifolds() -> list[ManifoldSpec]:
     """The catalog: flat baselines, Kahler potentials, and the strictly
-    almost Kahler nilmanifold, plus conformal and perturbed-J foils."""
+    almost Kahler nilmanifold, plus conformal and perturbed-J foils.
+
+    The specs are parsed once per process; each call returns a fresh list."""
+    return list(_parsed_catalog())
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed_catalog() -> tuple[ManifoldSpec, ...]:
     xyzt = ("x", "y", "z", "t")
     uvpq = ("u", "v", "p", "q")
     specs = []
@@ -314,7 +322,7 @@ def builtin_manifolds() -> list[ManifoldSpec]:
             notes="generic almost Hermitian: d Omega != 0 and N_J != 0",
         )
     )
-    return specs
+    return tuple(specs)
 
 
 def get_manifold(name: str) -> ManifoldSpec:
@@ -399,7 +407,7 @@ def load_manifold_config(path: str) -> ManifoldSpec:
 
     metric_entries: dict[tuple[int, int], Expr] = {}
     for key, text in parser["metric"].items():
-        idx = _metric_key(key)
+        idx = _index_key(key, ("g_",))
         if idx is None:
             raise CatalogError(f"[metric] unrecognized key '{key}' (expected g_11 .. g_44)")
         metric_entries[idx] = parse_entry("metric", key, text)
@@ -425,7 +433,7 @@ def load_manifold_config(path: str) -> ManifoldSpec:
     if "structure" in parser and list(parser["structure"].keys()):
         j_entries: dict[tuple[int, int], Expr] = {}
         for key, text in parser["structure"].items():
-            idx = _structure_key(key)
+            idx = _index_key(key, ("J_", "j_"))
             if idx is None:
                 raise CatalogError(f"[structure] unrecognized key '{key}' (expected J_1_1 .. J_4_4)")
             j_entries[idx] = parse_entry("structure", key, text)
@@ -463,21 +471,12 @@ def load_manifold_config(path: str) -> ManifoldSpec:
     return spec
 
 
-def _metric_key(key: str):
+def _index_key(key: str, prefixes: tuple):
+    """(i, j) of a matrix entry key such as ``g_12``, ``g_1_2`` or ``J_3_4``; None if malformed."""
     key = key.strip()
-    if key.startswith("g_"):
-        digits = key[2:].replace("_", "")
-        if len(digits) == 2 and digits.isdigit():
-            i, j = int(digits[0]) - 1, int(digits[1]) - 1
-            if 0 <= i < 4 and 0 <= j < 4:
-                return (i, j)
-    return None
-
-
-def _structure_key(key: str):
-    key = key.strip()
-    if key.startswith("J_") or key.startswith("j_"):
-        digits = key[2:].replace("_", "")
+    prefix = next((p for p in prefixes if key.startswith(p)), None)
+    if prefix is not None:
+        digits = key[len(prefix):].replace("_", "")
         if len(digits) == 2 and digits.isdigit():
             i, j = int(digits[0]) - 1, int(digits[1]) - 1
             if 0 <= i < 4 and 0 <= j < 4:

@@ -615,6 +615,8 @@ def _verdict(record: IdentityRecord, rels: list, margins: list, tol_pass: float,
              tags: frozenset) -> str:
     if not rels:
         return "not applicable"
+    if not (np.isfinite(rels).all() and np.isfinite(margins).all()):
+        return "non-finite"
     if record.signed:
         worst = min(margins)
         if worst >= -tol_pass:
@@ -684,19 +686,25 @@ def run_suite(
     rows = []
     for record in records:
         st = stats[record.id]
-        rels = st["rels"]
+        rels, margins = st["rels"], st["margins"]
+        # aggregates cover the finite values; the non-finite ones are counted
+        finite_rels = [r for r in rels if np.isfinite(r)]
+        finite_margins = [m for m in margins if np.isfinite(m)]
         row = {
             "id": record.id,
             "anchor": record.anchor,
             "description": record.description,
             "applicability": record.applicability,
             "applicable_points": st["applicable"],
-            "max_rel_residual": max(rels) if rels else 0.0,
-            "mean_rel_residual": float(np.mean(rels)) if rels else 0.0,
-            "verdict": _verdict(record, rels, st["margins"], tol_pass, tol_fail, spec.tags),
+            "max_rel_residual": max(finite_rels, default=0.0),
+            "mean_rel_residual": float(np.mean(finite_rels)) if finite_rels else 0.0,
+            "verdict": _verdict(record, rels, margins, tol_pass, tol_fail, spec.tags),
         }
-        if record.signed and st["margins"]:
-            row["min_signed_margin"] = min(st["margins"])
+        if finite_margins:
+            row["min_signed_margin"] = min(finite_margins)
+        non_finite = max(len(rels) - len(finite_rels), len(margins) - len(finite_margins))
+        if non_finite:
+            row["non_finite_points"] = non_finite
         rows.append(row)
 
     return ConditionReport(
@@ -722,6 +730,7 @@ class _TagAccumulator:
     def __init__(self, spec: ManifoldSpec):
         self.spec = spec
         self.res = {tag: 0.0 for tag in spec.tags}
+        self.non_finite = {tag: 0 for tag in spec.tags}
 
     def add(self, ctx: PointContext) -> None:
         b = ctx.bundle
@@ -740,30 +749,35 @@ class _TagAccumulator:
                 r = np.abs(b.weyl_v).max() / max(1.0, np.abs(b.riem_v).max(), abs(b.S_v))
             else:
                 r = 0.0
-            self.res[tag] = max(self.res[tag], float(r))
+            if np.isfinite(r):
+                self.res[tag] = max(self.res[tag], float(r))
+            else:
+                self.non_finite[tag] += 1
 
     def result(self, tol_pass: float) -> dict:
-        return {
-            tag: {"residual": r, "confirmed": bool(r <= tol_pass)}
-            for tag, r in sorted(self.res.items())
-        }
+        out = {}
+        for tag, r in sorted(self.res.items()):
+            out[tag] = {"residual": r, "confirmed": bool(r <= tol_pass and not self.non_finite[tag])}
+            if self.non_finite[tag]:
+                out[tag]["non_finite_points"] = self.non_finite[tag]
+        return out
 
 
 class _ClassifyAccumulator:
     def __init__(self):
-        self.r_nj = 0.0
-        self.r_dom = 0.0
-        self.r_nij = 0.0
+        self.r = np.zeros(3)  # largest nabla J, d Omega and N_J residuals so far
+        self.non_finite = False
 
     def add(self, ctx: PointContext) -> None:
         nj = ctx.nj
-        scale = max(1.0, nj.nabla_j_norm)
-        self.r_nj = max(self.r_nj, nj.nabla_j_norm / scale)
-        self.r_dom = max(self.r_dom, nj.d_omega_norm / scale)
-        self.r_nij = max(self.r_nij, nj.nijenhuis_norm / scale)
+        r = np.array([nj.nabla_j_norm, nj.d_omega_norm, nj.nijenhuis_norm]) / max(1.0, nj.nabla_j_norm)
+        if np.isfinite(r).all():
+            self.r = np.maximum(self.r, r)
+        else:
+            self.non_finite = True
 
     def residuals(self) -> dict:
-        return {"nabla_j": self.r_nj, "d_omega": self.r_dom, "nijenhuis": self.r_nij}
+        return dict(zip(("nabla_j", "d_omega", "nijenhuis"), map(float, self.r)))
 
     def verdict(self, tol_pass: float, tol_fail: float) -> str:
         def state(r):
@@ -773,7 +787,9 @@ class _ClassifyAccumulator:
                 return "nonzero"
             return "indeterminate"
 
-        s_nj, s_dom, s_nij = state(self.r_nj), state(self.r_dom), state(self.r_nij)
+        if self.non_finite:
+            return "indeterminate"
+        s_nj, s_dom, s_nij = map(state, self.r)
         if s_nj == "zero":
             return "Kähler"
         if "indeterminate" in (s_nj, s_dom):

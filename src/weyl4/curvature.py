@@ -95,7 +95,7 @@ def christoffel(mp: MetricPoint) -> np.ndarray:
     dg = np.stack([jderiv(mp.jets, v, d) for v in range(4)])  # [v,i,j] = d_v g_{ij}
     # T[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     T = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
-    ginv = jtruncate(mp.inv_jets, d, d - 1)
+    ginv = jtruncate(mp.inv_jets, d - 1, d - 1)
     return 0.5 * jeinsum("kl,lij->kij", ginv, T, d - 1)
 
 
@@ -117,7 +117,7 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         - gg.transpose(0, 2, 1, 3, 4)
     )
     g2 = jtruncate(mp.jets, d, o2)
-    ginv2 = jtruncate(mp.inv_jets, d, o2)
+    ginv2 = jtruncate(mp.inv_jets, d - 1, o2)
     riem = jeinsum("mijk,ml->ijkl", rup, g2, o2)  # R_{ijkl} = g_{lm} rup[m,i,j,k]
     ric = jeinsum("aijk,jk->ai", rup, ginv2, o2)
     ric_form = jeinsum("ai,aj->ij", ric, g2, o2)

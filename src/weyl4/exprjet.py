@@ -84,6 +84,7 @@ class JetTables:
         scatter = np.zeros((len(iout), self.ncoef))
         scatter[np.arange(len(iout)), iout] = 1.0
         self.mul_scatter = scatter
+        self.scatter_t = np.ascontiguousarray(scatter.T)
 
         # d/dx_v: coefficient of beta in the derivative is (beta_v+1)*c[beta+e_v]
         self.diff_src: list[np.ndarray] = []
@@ -129,18 +130,45 @@ def jeinsum(subscripts: str, a: np.ndarray, b: np.ndarray, order: int) -> np.nda
     """Truncated product of two jet tensors, contracted as ``np.einsum(subscripts)``.
 
     ``subscripts`` names only the tensor axes (``"ik,kj->ij"``); the trailing
-    coefficient axis is implicit.  Coefficient pairs are gathered, the tensor
-    indices contracted for all pairs at once, and only then scattered.
+    coefficient axis is implicit.  Every index must occur in exactly two of
+    the three terms, so the product is one batched matmul over the coefficient
+    pairs, ``(P, free_a, K) @ (P, K, free_b)``, followed by the scatter of the
+    pairs onto their output coefficients.
     """
     t = tables(order)
-    pa, pb = a[..., t.mul_ia], b[..., t.mul_ib]
-    equation = subscripts.replace(",", "...,").replace("->", "...->") + "..."
-    return np.einsum(equation, pa, pb, optimize=_einsum_path(equation, pa.shape, pb.shape)) @ t.mul_scatter
+    perm_a, shape_a, perm_b, shape_b, shape_out, perm_out = _contraction_plan(
+        subscripts, a.shape, b.shape, t.ncoef
+    )
+    pa = a.transpose(perm_a).reshape(shape_a)[t.mul_ia]
+    pb = b.transpose(perm_b).reshape(shape_b)[t.mul_ib]
+    prod = np.matmul(pa, pb).reshape(len(t.mul_ia), -1)
+    return (t.scatter_t @ prod).reshape(shape_out).transpose(perm_out)
 
 
 @functools.lru_cache(maxsize=1024)
-def _einsum_path(equation: str, shape_a: tuple, shape_b: tuple) -> list:
-    return np.einsum_path(equation, np.empty(shape_a), np.empty(shape_b), optimize="optimal")[0]
+def _contraction_plan(subscripts: str, shape_a: tuple, shape_b: tuple, ncoef: int) -> tuple:
+    """Axis permutations and sizes that move both operands to (coefficient,
+    free, contracted) layout, and the coefficient-first output back."""
+    inputs, arrow, out = subscripts.partition("->")
+    left, comma, right = inputs.partition(",")
+    terms = (left, right, out)
+    pure = arrow and comma and all(c.isalpha() and sum(c in t for t in terms) == 2 for c in set(left + right + out))
+    if not pure or any(len(set(t)) != len(t) for t in terms):
+        raise ValueError(f"{subscripts!r} is not a pure two-operand contraction")
+    size = dict(zip(left + right, shape_a[:-1] + shape_b[:-1]))
+    contracted = [c for c in left if c in right]
+    free_a = [c for c in left if c not in right]
+    free_b = [c for c in right if c not in left]
+    free = free_a + free_b
+    n_free_a, n_contracted, n_free_b = (math.prod(size[c] for c in i) for i in (free_a, contracted, free_b))
+    return (
+        (len(left),) + tuple(left.index(c) for c in free_a + contracted),
+        (shape_a[-1], n_free_a, n_contracted),
+        (len(right),) + tuple(right.index(c) for c in contracted + free_b),
+        (shape_b[-1], n_contracted, n_free_b),
+        (ncoef,) + tuple(size[c] for c in free),
+        tuple(1 + free.index(c) for c in out) + (0,),
+    )
 
 
 def jderiv(a: np.ndarray, v: int, order: int) -> np.ndarray:

@@ -23,11 +23,12 @@ from .pointgeom import (
     FrameError,
     MetricPoint,
     SelfDualFrame,
-    adjoint_endo,
     chart_orientation,
+    check_acs,
     endo_to_form,
     hodge_star,
     inner_endo,
+    inner_endos,
     norm_endo,
 )
 from .selfdual import (
@@ -52,12 +53,7 @@ class AcsPoint:
     def from_jets(j_jets: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> "AcsPoint":
         order = jet_order(j_jets)
         J = jvalue(j_jets)
-        r1 = np.abs(J @ J + np.eye(4)).max()
-        r2 = np.abs(adjoint_endo(J, mp) + J).max()
-        if max(r1, r2) > tol:
-            raise FrameError(
-                f"not a compatible almost complex structure (J^2 residual {r1:.2e}, adjoint {r2:.2e})"
-            )
+        check_acs(J, mp, tol)
         omega = endo_to_form(J, mp, check=False)
         sigma = chart_orientation(J, mp)
         r3 = np.abs(hodge_star(omega, mp, sigma) - omega).max()
@@ -105,14 +101,6 @@ def _r_op(bundle: CurvatureBundle) -> np.ndarray:
     return np.einsum("an,pmbn->pmab", bundle.mp.g_inv, bundle.riem_v)
 
 
-def star_ricci_endo(A: np.ndarray, bundle: CurvatureBundle, r_op: np.ndarray | None = None) -> np.ndarray:
-    """Star Ricci of the structure A: X -> R(AX, A X_k) X^k."""
-    if r_op is None:
-        r_op = _r_op(bundle)
-    gi = bundle.mp.g_inv
-    return np.einsum("mi,nk,kl,mnal->ai", A, A, gi, r_op)
-
-
 def rtilde_table(bundle: CurvatureBundle, J: np.ndarray, r_op: np.ndarray | None = None) -> np.ndarray:
     """Rt(d_p, d_m) = [R(d_p,d_m) - R(J d_p, J d_m), J] J / 4 as [p,m,a,b]."""
     if r_op is None:
@@ -123,34 +111,11 @@ def rtilde_table(bundle: CurvatureBundle, J: np.ndarray, r_op: np.ndarray | None
     return 0.25 * np.einsum("pmac,cb->pmab", comm, J)
 
 
-def rtilde_operator(A: np.ndarray, bundle: CurvatureBundle, J: np.ndarray, rt: np.ndarray | None = None) -> np.ndarray:
-    """Rt(A) = Rt(A X_k, X^k) (defined for any endomorphism by contraction)."""
-    if rt is None:
-        rt = rtilde_table(bundle, J)
-    return np.einsum("pk,km,pmab->ab", A, bundle.mp.g_inv, rt)
-
-
 def rictilde_endo(bundle: CurvatureBundle, J: np.ndarray, rt: np.ndarray | None = None) -> np.ndarray:
     """Rtic(X) = Rt(X, X_k) X^k from the definition."""
     if rt is None:
         rt = rtilde_table(bundle, J)
     return np.einsum("km,ikam->ai", bundle.mp.g_inv, rt)
-
-
-def triangle_box_ricci(bundle: CurvatureBundle, frame: SelfDualFrame, r_op: np.ndarray | None = None):
-    """Star Ricci tensors of the local structures (g, I) and (g, K) with their
-    symmetric/skew parts; returns (ric_tri, ric_box, s_tri, s_box, parts)."""
-    if r_op is None:
-        r_op = _r_op(bundle)
-    mp = bundle.mp
-    ric_tri = star_ricci_endo(frame.I, bundle, r_op)
-    ric_box = star_ricci_endo(frame.K, bundle, r_op)
-    parts = {}
-    for name, R in (("tri", ric_tri), ("box", ric_box)):
-        Rs = adjoint_endo(R, mp)
-        parts[name + "_plus"] = 0.5 * (R + Rs)
-        parts[name + "_minus"] = 0.5 * (R - Rs)
-    return ric_tri, ric_box, float(np.trace(ric_tri)), float(np.trace(ric_box)), parts
 
 
 def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFrame) -> StarCurvature:
@@ -159,59 +124,53 @@ def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFra
     r_op = _r_op(bundle)
     ric = bundle.ric_v
 
-    ric_star = star_ricci_endo(J, bundle, r_op)
-    ric_star_adj = adjoint_endo(ric_star, mp)
+    # star Ricci of A = J, I, K at once: Ric_A(X) = R(AX, A X_k) X^k
+    jik = np.stack([J, frame.I, frame.K])
+    stars = np.einsum("smi,snl,mnal->sai", jik, jik @ mp.g_inv, r_op)
+    stars_adj = mp.g_inv @ stars.transpose(0, 2, 1) @ mp.g
+    plus, minus = 0.5 * (stars + stars_adj), 0.5 * (stars - stars_adj)
+    s_star, s_tri, s_box = (float(x) for x in np.trace(stars, axis1=1, axis2=2))
     ric_plus = 0.5 * (ric - J @ ric @ J)
-    ric_minus = 0.5 * (ric + J @ ric @ J)
-    ric_star_plus = 0.5 * (ric_star + ric_star_adj)
-    ric_star_minus = 0.5 * (ric_star - ric_star_adj)
-    s_star = float(np.trace(ric_star))
     lam = 0.25 * (s_star - bundle.S_v / 3.0)
 
-    ric_tri, ric_box, s_tri, s_box, parts = triangle_box_ricci(bundle, frame, r_op)
-
+    # Rt(A) = Rt(A X_k, X^k) for A = I, K, JI, JK
     rt = rtilde_table(bundle, J, r_op)
-    rt_I = rtilde_operator(frame.I, bundle, J, rt)
-    rt_K = rtilde_operator(frame.K, bundle, J, rt)
-    rt_JI = rtilde_operator(J @ frame.I, bundle, J, rt)
-    rt_JK = rtilde_operator(J @ frame.K, bundle, J, rt)
-    rtp_I = 0.5 * (rt_I + rt_JI @ J)
-    rtp_K = 0.5 * (rt_K + rt_JK @ J)
-    rtm_I = rt_I - rtp_I
-    rtm_K = rt_K - rtp_K
-
-    def n2(A):
-        return inner_endo(A, A, mp)
+    supp = np.stack([frame.I, frame.K, J @ frame.I, J @ frame.K])
+    rts = np.einsum("spm,pmab->sab", supp @ mp.g_inv, rt)
+    rtp = 0.5 * (rts[:2] + rts[2:] @ J)
+    rtm = rts[:2] - rtp
+    squares = np.concatenate([rts[:2], rtp, rtm, minus])[:, None]
+    n2 = inner_endos(squares, squares, mp)[:, 0, 0]
 
     return StarCurvature(
-        ric_star=ric_star,
+        ric_star=stars[0],
         ric_plus=ric_plus,
-        ric_minus=ric_minus,
-        ric_star_plus=ric_star_plus,
-        ric_star_minus=ric_star_minus,
+        ric_minus=0.5 * (ric + J @ ric @ J),
+        ric_star_plus=plus[0],
+        ric_star_minus=minus[0],
         s_star=s_star,
-        ric_tri=ric_tri,
-        ric_box=ric_box,
-        ric_tri_plus=parts["tri_plus"],
-        ric_tri_minus=parts["tri_minus"],
-        ric_box_plus=parts["box_plus"],
-        ric_box_minus=parts["box_minus"],
+        ric_tri=stars[1],
+        ric_box=stars[2],
+        ric_tri_plus=plus[1],
+        ric_tri_minus=minus[1],
+        ric_box_plus=plus[2],
+        ric_box_minus=minus[2],
         s_tri=s_tri,
         s_box=s_box,
         lam=lam,
-        rtilde_I=rt_I,
-        rtilde_K=rt_K,
-        rt2=n2(rt_I) + n2(rt_K),
-        rtp2=n2(rtp_I) + n2(rtp_K),
-        rtm2=n2(rtm_I) + n2(rtm_K),
-        ric_star_minus2=n2(ric_star_minus),
-        ric_tri_minus2=n2(parts["tri_minus"]),
-        ric_box_minus2=n2(parts["box_minus"]),
-        j_dot_tri_minus=inner_endo(J, parts["tri_minus"], mp),
+        rtilde_I=rts[0],
+        rtilde_K=rts[1],
+        rt2=float(n2[0] + n2[1]),
+        rtp2=float(n2[2] + n2[3]),
+        rtm2=float(n2[4] + n2[5]),
+        ric_star_minus2=float(n2[6]),
+        ric_tri_minus2=float(n2[7]),
+        ric_box_minus2=float(n2[8]),
+        j_dot_tri_minus=inner_endo(J, minus[1], mp),
         rho=endo_to_form(ric_plus @ J, mp, check=False),
-        rho_star=endo_to_form(ric_star @ J, mp, check=False),
-        rho_star_plus=endo_to_form(ric_star_plus @ J, mp, check=False),
-        rho_star_minus=endo_to_form(ric_star_minus @ J, mp, check=False),
+        rho_star=endo_to_form(stars[0] @ J, mp, check=False),
+        rho_star_plus=endo_to_form(plus[0] @ J, mp, check=False),
+        rho_star_minus=endo_to_form(minus[0] @ J, mp, check=False),
     )
 
 
@@ -256,8 +215,7 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     dJ = np.stack([jvalue(jderiv(acs.jets, m, acs.order)) for m in range(4)])  # [m,a,b]
     nabla_j = dJ + np.einsum("amc,cb->mab", gv, J) - np.einsum("cmb,ac->mab", gv, J)
 
-    xi_form = np.array([inner_endo(frame.I, nabla_j[m], mp) for m in range(4)])
-    eta_form = np.array([inner_endo(frame.K, nabla_j[m], mp) for m in range(4)])
+    xi_form, eta_form = inner_endos(np.stack([frame.I, frame.K]), nabla_j, mp)
     xi = mp.g_inv @ xi_form
     eta = mp.g_inv @ eta_form
     recon = nabla_j - np.einsum("m,ab->mab", xi_form, frame.I) - np.einsum("m,ab->mab", eta_form, frame.K)
@@ -288,10 +246,7 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     nijenhuis = t1 - t1.transpose(0, 2, 1) + t2 - t2.transpose(0, 2, 1)
 
     # |nabla J|^2 = g^{km} <nabla_k J, nabla_m J> with the weighted product
-    inner = np.array(
-        [[inner_endo(nabla_j[k], nabla_j[m], mp) for m in range(4)] for k in range(4)]
-    )
-    norm2 = float(np.einsum("km,km->", mp.g_inv, inner))
+    norm2 = float(np.einsum("km,km->", mp.g_inv, inner_endos(nabla_j, nabla_j, mp)))
 
     qk = np.einsum("pm,pab->mab", J, nabla_j) - np.einsum("mac,cb->mab", nabla_j, J)
 
@@ -393,9 +348,10 @@ def q_j_integrand(bundle: CurvatureBundle, acs: AcsPoint) -> float:
     n2r = bundle.require("nabla2_ric")
     mp = bundle.mp
     J = acs.J
-    return float(
-        np.einsum("ka,lb,ca,db,ed,klec->", mp.g_inv, mp.g_inv, J, J, mp.g, n2r)
-    )
+    # q = U[k,c] V[l,e] (nabla^2_{k,l} Ric)^e_c with U = g^-1 J^T, V = g^-1 (g J)^T
+    U = mp.g_inv @ J.T
+    V = mp.g_inv @ (mp.g @ J).T
+    return float(np.einsum("kc,le,klec->", U, V, n2r))
 
 
 def ric_derivative_vector(A: np.ndarray, bundle: CurvatureBundle) -> np.ndarray:
@@ -469,7 +425,7 @@ def s_star_jet(bundle: CurvatureBundle, acs: AcsPoint) -> Jet:
     d = min(bundle.order - 2, acs.order)
     mp = bundle.mp
     riem = jtruncate(bundle.riem, bundle.order - 2, d)
-    gi = jtruncate(mp.inv_jets, mp.order, d)
+    gi = jtruncate(mp.inv_jets, mp.order - 1, d)
     C = jmatmul(jtruncate(acs.jets, acs.order, d), gi, d)
     rc = jeinsum("mnly,nl->my", riem, C, d)
     return Jet(jeinsum("my,my->", rc, C, d), d)

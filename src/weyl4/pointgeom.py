@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exprjet import PERM_SIGNS4, PERMUTATIONS4, jmatinv, jvalue
+from .exprjet import PERM_SIGNS4, PERMUTATIONS4, jmatinv, jtruncate, jvalue
 
 N = 4
 
@@ -58,7 +58,7 @@ class MetricPoint:
     g: np.ndarray
     g_inv: np.ndarray
     jets: np.ndarray       # (4, 4, ncoef)
-    inv_jets: np.ndarray   # (4, 4, ncoef)
+    inv_jets: np.ndarray   # (4, 4, ncoef of order - 1): every reader truncates to order - 1 or lower
     order: int
 
     @staticmethod
@@ -72,7 +72,8 @@ class MetricPoint:
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
         if eig[0] <= 1e-12 * eig[-1]:
             raise MetricError(f"metric not positive definite (eigenvalues {eig.tolist()})", point)
-        inv_jets = jmatinv(jets, order)
+        inv_order = max(order - 1, 0)
+        inv_jets = jmatinv(jtruncate(jets, order, inv_order), inv_order)
         return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)
 
     @property
@@ -105,6 +106,11 @@ def is_skew(A: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> bool:
 def inner_endo(A: np.ndarray, B: np.ndarray, mp: MetricPoint) -> float:
     """Weighted inner product tr(A* B)/4 (differs from Frobenius by 1/n)."""
     return float(np.trace(adjoint_endo(A, mp) @ B)) / N
+
+
+def inner_endos(As: np.ndarray, Bs: np.ndarray, mp: MetricPoint) -> np.ndarray:
+    """Matrix [..., a, b] of tr(A_a* B_b)/4 over stacks As[..., a, :, :] and Bs[..., b, :, :]."""
+    return np.einsum("...akj,...bkj->...ab", As, mp.g @ Bs @ mp.g_inv) / N
 
 
 def norm_endo(A: np.ndarray, mp: MetricPoint) -> float:
@@ -187,7 +193,9 @@ def check_acs(J: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> None:
     r1 = np.abs(J @ J + np.eye(N)).max()
     r2 = np.abs(adjoint_endo(J, mp) + J).max()
     if max(r1, r2) > tol:
-        raise FrameError(f"not a compatible almost complex structure (residuals {r1:.2e}, {r2:.2e})")
+        raise FrameError(
+            f"not a compatible almost complex structure (J^2 residual {r1:.2e}, adjoint {r2:.2e})"
+        )
 
 
 def build_j_frame(mp: MetricPoint, J: np.ndarray, seed: np.ndarray) -> SelfDualFrame:

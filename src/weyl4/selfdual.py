@@ -27,8 +27,7 @@ from .pointgeom import (
     MetricPoint,
     SelfDualFrame,
     endo_to_form,
-    form_to_endo,
-    inner_endo,
+    inner_endos,
 )
 
 
@@ -99,10 +98,14 @@ class Lambda2Basis:
         return self.endos[3:]
 
     def project_plus(self, A: np.ndarray) -> np.ndarray:
-        return sum(inner_endo(B, A, self.mp) * B for B in self.sd)
+        return self._project(self.sd, A)
 
     def project_minus(self, A: np.ndarray) -> np.ndarray:
-        return sum(inner_endo(B, A, self.mp) * B for B in self.asd)
+        return self._project(self.asd, A)
+
+    def _project(self, endos: tuple, A: np.ndarray) -> np.ndarray:
+        Bs = np.stack(endos)
+        return np.einsum("s,sab->ab", inner_endos(Bs, A[None], self.mp)[:, 0], Bs)
 
 
 def lambda2_split(frame: SelfDualFrame, mp: MetricPoint) -> Lambda2Basis:
@@ -141,31 +144,22 @@ class WplusMatrix:
         )
 
 
-def _operator_matrix_on(endos, op, mp) -> np.ndarray:
-    k = len(endos)
-    m = np.empty((k, k))
-    for b, B in enumerate(endos):
-        image = op(B)
-        for a, A in enumerate(endos):
-            m[a, b] = inner_endo(A, image, mp)
-    return m
+def _weyl_on(bundle: CurvatureBundle, endos: tuple, mp: MetricPoint) -> WplusMatrix:
+    """Matrix [a, b] = <A_a, W(A_b)> of the Weyl operator on an orthonormal triple."""
+    Bs = np.stack(endos)
+    # W(B)^a_b = B^p_k W_p^k{}_b{}^a: raise W once, then take all images in one contraction
+    raised = np.einsum("km,an,pmbn->pkab", mp.g_inv, mp.g_inv, bundle.weyl_v)
+    images = np.einsum("spk,pkab->sab", Bs, raised)
+    return WplusMatrix.from_matrix(inner_endos(Bs, images, mp))
 
 
 def wplus_matrix(bundle: CurvatureBundle, basis: Lambda2Basis) -> WplusMatrix:
     """W+ in the orthonormal self-dual basis, via the weighted pairing."""
-    from .curvature import tensor_operator
-
-    mp = basis.mp
-    op = lambda A: tensor_operator(bundle.weyl_v, A, mp)
-    return WplusMatrix.from_matrix(_operator_matrix_on(basis.sd, op, mp))
+    return _weyl_on(bundle, basis.sd, basis.mp)
 
 
 def wminus_matrix(bundle: CurvatureBundle, basis: Lambda2Basis) -> WplusMatrix:
-    from .curvature import tensor_operator
-
-    mp = basis.mp
-    op = lambda A: tensor_operator(bundle.weyl_v, A, mp)
-    return WplusMatrix.from_matrix(_operator_matrix_on(basis.asd, op, mp))
+    return _weyl_on(bundle, basis.asd, basis.mp)
 
 
 def wplus_invariants(w: WplusMatrix) -> dict:
@@ -202,16 +196,14 @@ def delta_w_full(bundle: CurvatureBundle) -> np.ndarray:
 
 def delta_wpm(bundle: CurvatureBundle, frame: SelfDualFrame) -> tuple[np.ndarray, np.ndarray]:
     """(delta W+, delta W-) from the local divergence formula applied to the
-    projected derivative tensors (nabla_k W) P_pm."""
+    projected derivative tensors C_k = (nabla_k W) P_pm."""
     nw = bundle.require("nabla_weyl")
     mp = bundle.mp
-    Pp, Pm = pm_projectors(mp, frame.orientation)
-    out = []
-    for P in (Pp, Pm):
-        C = np.stack(
-            [operator_to_04(compose(form_operator(nw[k], mp), P), mp) for k in range(4)]
-        )
-        out.append(np.einsum("km,an,kimbn->iab", mp.g_inv, mp.g_inv, C))
+    # as 16x16 matrices on index pairs, C_k = nabla_k W (g^-1 (x) g^-1) P_pm (g (x) g)
+    raise2, lower2 = np.kron(mp.g_inv, mp.g_inv), np.kron(mp.g, mp.g)
+    P = np.stack(pm_projectors(mp, frame.orientation)).reshape(2, 16, 16)
+    C = (nw.reshape(64, 16) @ (raise2 @ P @ lower2)).reshape(2, 4, 4, 4, 4, 4)
+    out = np.einsum("km,an,skimbn->siab", mp.g_inv, mp.g_inv, C)
     return out[0], out[1]
 
 
@@ -219,15 +211,12 @@ def nabla_w_sd_matrices(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.nda
     """3x3 matrices of nabla_p W+ in the (J, I, K) basis, one per direction."""
     nw = bundle.require("nabla_weyl")
     mp = bundle.mp
-    basis = frame.sd_endos()
-    out = np.empty((4, 3, 3))
-    for p in range(4):
-        M = form_operator(nw[p], mp)
-        for b, B in enumerate(basis):
-            image = form_to_endo(apply_form_operator(M, endo_to_form(B, mp, check=False)), mp, check=False)
-            for a, A in enumerate(basis):
-                out[p, a, b] = inner_endo(A, image, mp)
-    return out
+    Bs = np.stack(frame.sd_endos())
+    # the operator of nabla_p W maps the form of B to the endo g^-1 (nabla_p W)_{..ab} Omega_B^{ab},
+    # with the raised form Omega_B^{ab} = (g^-1 B^T)^{ab}
+    forms_up = mp.g_inv @ Bs.transpose(0, 2, 1)
+    images = mp.g_inv @ np.einsum("pijab,sab->psij", nw, forms_up)
+    return inner_endos(Bs, images, mp)
 
 
 def nabla_wplus_norm2(bundle: CurvatureBundle, frame: SelfDualFrame) -> float:
@@ -247,7 +236,7 @@ def wplus_norm2_jet(bundle: CurvatureBundle, orientation: float) -> Jet:
         raise ValueError("bundle lacks Weyl jets")
     mp = bundle.mp
     g = jtruncate(mp.jets, bundle.order, d)
-    gi = jtruncate(mp.inv_jets, bundle.order, d)
+    gi = jtruncate(mp.inv_jets, bundle.order - 1, d)
     # M = -W_{ij}^{kl}, the form-operator matrix of W
     M = -jeinsum("ijbk,bl->ijkl", jeinsum("ijab,ak->ijbk", bundle.weyl, gi, d), gi, d)
     T2 = jeinsum("ijab,abkl->ijkl", M, M, d)

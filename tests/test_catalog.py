@@ -3,6 +3,7 @@ import pytest
 
 from weyl4.catalog import (
     CatalogError,
+    _index_key,
     builtin_manifolds,
     conformally_rescaled,
     get_manifold,
@@ -205,3 +206,35 @@ class TestTags:
         assert normalize_tag("Kähler") == "kahler"
         assert normalize_tag(" almost-Kähler ") == "almost-kahler"
         assert normalize_tag("constant-S") == "constant-s"
+
+
+class TestCatalogParsedOnce:
+    def test_fresh_list_of_shared_specs(self):
+        first, second = builtin_manifolds(), builtin_manifolds()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert {s.id for s in builtin_manifolds()} == EXPECTED_IDS
+        assert get_manifold("flat_torus") is second[1]
+
+
+@pytest.mark.parametrize(
+    "key, prefixes, expected",
+    [
+        ("g_11", ("g_",), (0, 0)),
+        ("g_1_1", ("g_",), (0, 0)),
+        (" g_34 ", ("g_",), (2, 3)),
+        ("J_1_2", ("J_", "j_"), (0, 1)),
+        ("j_12", ("J_", "j_"), (0, 1)),
+        ("g_15", ("g_",), None),
+        ("g_05", ("g_",), None),
+        ("g_1", ("g_",), None),
+        ("g_111", ("g_",), None),
+        ("h_11", ("g_",), None),
+        ("G_11", ("g_",), None),
+        ("J_12", ("g_",), None),
+        ("g_12", ("J_", "j_"), None),
+    ],
+)
+def test_index_key_spellings(key, prefixes, expected):
+    assert _index_key(key, prefixes) == expected

@@ -214,3 +214,26 @@ class TestUsage:
 
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
+
+
+class TestNonFiniteReport:
+    def test_nan_residual_exits_1_without_nan_tokens(self, capsys, monkeypatch):
+        import dataclasses
+        import math
+
+        from weyl4.conditions import REGISTRY
+
+        record = REGISTRY["EQ42"]
+        calls = []
+
+        def evaluator(ctx):
+            calls.append(1)
+            lhs, rhs, abs_res, scale = record.evaluator(ctx)
+            return (math.nan, rhs, math.nan, scale) if len(calls) == 2 else (lhs, rhs, abs_res, scale)
+
+        monkeypatch.setitem(REGISTRY, "EQ42", dataclasses.replace(record, evaluator=evaluator))
+        code, out, _ = run(capsys, "check", "flat_torus", "--identities", "EQ42", "--points", "3")
+        assert code == 1
+        report = json.loads(out, parse_constant=lambda name: pytest.fail(f"report contains {name}"))
+        assert report["identities"][0]["verdict"] == "non-finite"
+        assert not report["passed"]

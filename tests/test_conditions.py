@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from weyl4.conditions import (
     prop21_equivalence,
     run_suite,
 )
+from weyl4.conditions import _ClassifyAccumulator, _TagAccumulator, _verdict
 
 SPEC_REGISTRY_IDS = {
     "EQ01", "EQ02", "EQ03", "EQ04", "EQ05", "EQ06",
@@ -362,3 +366,66 @@ class TestGates:
         defaults = QuadratureSpec()
         assert defaults.n == 16 and defaults.n_refine == 24
         assert defaults.constancy_samples == 20
+
+
+def nan_at_second_call(record):
+    """The record with its evaluator returning NaN at the second point only."""
+    calls = []
+
+    def evaluator(ctx):
+        calls.append(1)
+        lhs, rhs, abs_res, scale = record.evaluator(ctx)
+        return (math.nan, rhs, math.nan, scale) if len(calls) == 2 else (lhs, rhs, abs_res, scale)
+
+    return dataclasses.replace(record, evaluator=evaluator)
+
+
+def reject_constant(name):
+    raise ValueError(f"report contains {name}")
+
+
+class TestNonFinite:
+    def test_nan_after_a_finite_residual_is_non_finite(self):
+        none = frozenset()
+        assert _verdict(REGISTRY["EQ42"], [1e-12, math.nan], [], 1e-8, 1e-4, none) == "non-finite"
+        assert _verdict(REGISTRY["EQ42"], [math.nan, 1e-12], [], 1e-8, 1e-4, none) == "non-finite"
+        assert _verdict(REGISTRY["EQ42"], [1e-12, math.inf], [], 1e-8, 1e-4, none) == "non-finite"
+        assert _verdict(REGISTRY["EQ131"], [0.0, 0.0], [0.0, math.nan], 1e-8, 1e-4, none) == "non-finite"
+        assert _verdict(REGISTRY["EQ42"], [1e-12, 1e-13], [], 1e-8, 1e-4, none) == "pass"
+
+    @pytest.mark.parametrize("rid", ["EQ42", "EQ131"])
+    def test_run_suite_row_with_nan_at_second_point(self, monkeypatch, rid):
+        monkeypatch.setitem(REGISTRY, rid, nan_at_second_call(REGISTRY[rid]))
+        rep = run_suite(get_manifold("flat_torus"), 3, seed=1, identities=[rid])
+        (row,) = rep.identities
+        assert row["verdict"] == "non-finite"
+        assert row["non_finite_points"] == 1
+        assert row["applicable_points"] == 3
+        assert math.isfinite(row["max_rel_residual"]) and math.isfinite(row["mean_rel_residual"])
+        assert not rep.passed
+        json.loads(rep.to_json(), parse_constant=reject_constant)
+        for text in (rep.to_csv(), rep.to_text()):
+            assert not re.search(r"\b(nan|inf|infinity)\b", text, re.IGNORECASE), text
+
+    def test_non_finite_tag_residual_is_unconfirmed(self):
+        spec = get_manifold("flat_torus")
+        ctx = point_context(spec, [0.3, 0.4, 0.5, 0.6], 3)
+        acc = _TagAccumulator(spec)
+        acc.add(ctx)
+        assert acc.result(1e-8)["flat"]["confirmed"]
+        nan_riem = dataclasses.replace(ctx.bundle, riem=np.full_like(ctx.bundle.riem, np.nan))
+        acc.add(dataclasses.replace(ctx, bundle=nan_riem))
+        flat = acc.result(1e-8)["flat"]
+        assert not flat["confirmed"] and flat["non_finite_points"] == 1
+        assert math.isfinite(flat["residual"])
+
+    def test_non_finite_classify_residual_is_indeterminate(self):
+        spec = get_manifold("kodaira_thurston")
+        ctx = point_context(spec, [0.3, 0.4, 0.5, 0.6], 2)
+        acc = _ClassifyAccumulator()
+        acc.add(ctx)
+        assert acc.verdict(1e-8, 1e-4) == "almost-Kähler non-Kähler"
+        nan_nj = dataclasses.replace(ctx.nj, nijenhuis=np.full_like(ctx.nj.nijenhuis, np.nan))
+        acc.add(dataclasses.replace(ctx, nj=nan_nj))
+        assert acc.verdict(1e-8, 1e-4) == "indeterminate"
+        assert all(math.isfinite(r) for r in acc.residuals().values())

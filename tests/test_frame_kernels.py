@@ -1,0 +1,183 @@
+"""Stacked-basis frame kernels against the per-element formulas they replace.
+
+Each oracle below is the element-by-element definition (one operator image
+and one weighted pairing at a time), kept here the way ``broadcast_reference``
+in test_exprjet.py serves ``jeinsum``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from weyl4.catalog import builtin_manifolds, load_manifold_config
+from weyl4.conditions import point_context
+from weyl4.curvature import tensor_operator
+from weyl4.exprjet import jeinsum, jmatinv, tables
+from weyl4.hermitian import _r_op, q_j_integrand, rtilde_table
+from weyl4.pointgeom import adjoint_endo, form_to_endo, endo_to_form, inner_endo, inner_endos
+from weyl4.selfdual import (
+    apply_form_operator,
+    compose,
+    delta_wpm,
+    form_operator,
+    nabla_w_sd_matrices,
+    operator_to_04,
+    pm_projectors,
+    wminus_matrix,
+)
+
+TWO_PI = repr(2.0 * math.pi)
+
+# strictly almost-Kahler, non-homogeneous torus: g = diag(e^{-2a}, e^{2a}, 1, 1),
+# a = 0.3 sin 2 pi z, J = -g^{-1} omega_0 with omega_0 = dx^dy + dz^dt
+SAK_TORUS = f"""[manifold]
+id = sak_torus_test
+coords = x, y, z, t
+compact = true
+domain = 0..1, 0..1, 0..1, 0..1
+
+[metric]
+g_11 = exp(-0.6*sin({TWO_PI}*z))
+g_22 = exp(0.6*sin({TWO_PI}*z))
+g_33 = 1
+g_44 = 1
+
+[structure]
+J_1_2 = -exp(0.6*sin({TWO_PI}*z))
+J_2_1 = exp(-0.6*sin({TWO_PI}*z))
+J_3_4 = -1
+J_4_3 = 1
+"""
+
+J_IDS = [s.id for s in builtin_manifolds() if s.has_j]
+
+
+@pytest.fixture(scope="module")
+def sak_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sak") / "sak_torus.cfg"
+    path.write_text(SAK_TORUS)
+    return load_manifold_config(str(path))
+
+
+@pytest.fixture(scope="module")
+def contexts(sak_spec):
+    """Two order-4 point contexts per catalog entry with a J, and on the test torus."""
+    specs = [s for s in builtin_manifolds() if s.has_j] + [sak_spec]
+    rng = np.random.default_rng(17)
+    return {s.id: [point_context(s, p, 4) for p in s.sample_points(2, rng)] for s in specs}
+
+
+def assert_close(got, ref, ctx):
+    scale = max(ctx.curvature_scale, float(np.abs(ref).max()))
+    assert np.shape(got) == np.shape(ref)
+    assert np.abs(np.asarray(got) - ref).max() <= 1e-13 * scale
+
+
+IDS = J_IDS + ["sak_torus_test"]
+
+
+def pairing_oracle(endos, image, mp):
+    return np.array([[inner_endo(A, image(B), mp) for B in endos] for A in endos])
+
+
+@pytest.mark.parametrize("sid", IDS)
+class TestFrameKernels:
+    def test_weyl_matrices(self, contexts, sid):
+        for c in contexts[sid]:
+            image = lambda B: tensor_operator(c.bundle.weyl_v, B, c.mp)
+            assert_close(c.wplus.m, pairing_oracle(c.basis.sd, image, c.mp), c)
+            assert_close(wminus_matrix(c.bundle, c.basis).m, pairing_oracle(c.basis.asd, image, c.mp), c)
+
+    def test_nabla_wplus_matrices(self, contexts, sid):
+        for c in contexts[sid]:
+            mp = c.mp
+            ref = np.empty((4, 3, 3))
+            for p in range(4):
+                M = form_operator(c.bundle.nabla_weyl[p], mp)
+                image = lambda B: form_to_endo(
+                    apply_form_operator(M, endo_to_form(B, mp, check=False)), mp, check=False
+                )
+                ref[p] = pairing_oracle(c.frame.sd_endos(), image, mp)
+            assert_close(nabla_w_sd_matrices(c.bundle, c.frame), ref, c)
+
+    def test_delta_wpm(self, contexts, sid):
+        for c in contexts[sid]:
+            mp, nw = c.mp, c.bundle.nabla_weyl
+            for got, P in zip(delta_wpm(c.bundle, c.frame), pm_projectors(mp, c.frame.orientation)):
+                C = np.stack([operator_to_04(compose(form_operator(nw[k], mp), P), mp) for k in range(4)])
+                assert_close(got, np.einsum("km,an,kimbn->iab", mp.g_inv, mp.g_inv, C), c)
+
+    def test_star_ricci_family(self, contexts, sid):
+        for c in contexts[sid]:
+            mp, J, I, K, star = c.mp, c.acs.J, c.frame.I, c.frame.K, c.star
+            r_op = _r_op(c.bundle)
+
+            def star_ricci(A):
+                return np.einsum("mi,nk,kl,mnal->ai", A, A, mp.g_inv, r_op)
+
+            def skew(A):
+                return 0.5 * (A - adjoint_endo(A, mp))
+
+            rt = rtilde_table(c.bundle, J, r_op)
+
+            def rtilde(A):
+                return np.einsum("pk,km,pmab->ab", A, mp.g_inv, rt)
+
+            assert_close(star.ric_star, star_ricci(J), c)
+            assert_close(star.ric_tri, star_ricci(I), c)
+            assert_close(star.ric_box, star_ricci(K), c)
+            assert_close(star.rtilde_I, rtilde(I), c)
+            assert_close(star.rtilde_K, rtilde(K), c)
+            rtp = [0.5 * (rtilde(A) + rtilde(J @ A) @ J) for A in (I, K)]
+            rtm = [rtilde(A) - p for A, p in zip((I, K), rtp)]
+            n2 = lambda ms: sum(inner_endo(A, A, mp) for A in ms)
+            curv2 = c.curvature_scale**2
+            for got, ref in (
+                (star.rt2, n2([rtilde(I), rtilde(K)])),
+                (star.rtp2, n2(rtp)),
+                (star.rtm2, n2(rtm)),
+                (star.ric_star_minus2, n2([skew(star_ricci(J))])),
+                (star.ric_tri_minus2, n2([skew(star_ricci(I))])),
+                (star.ric_box_minus2, n2([skew(star_ricci(K))])),
+            ):
+                assert abs(got - ref) <= 1e-13 * max(curv2, abs(ref))
+
+    def test_nabla_j_pairings(self, contexts, sid):
+        for c in contexts[sid]:
+            mp, nj = c.mp, c.nj
+            xi = [inner_endo(c.frame.I, nj.nabla_j[m], mp) for m in range(4)]
+            eta = [inner_endo(c.frame.K, nj.nabla_j[m], mp) for m in range(4)]
+            inner = [[inner_endo(nj.nabla_j[k], nj.nabla_j[m], mp) for m in range(4)] for k in range(4)]
+            scale = max(1.0, float(np.abs(nj.nabla_j).max()))
+            assert np.abs(nj.xi_form - xi).max() <= 1e-13 * scale
+            assert np.abs(nj.eta_form - eta).max() <= 1e-13 * scale
+            assert abs(nj.norm2 - np.einsum("km,km->", mp.g_inv, inner)) <= 1e-13 * scale**2
+
+    def test_q_j_integrand(self, contexts, sid):
+        for c in contexts[sid]:
+            mp, J = c.mp, c.acs.J
+            ref = np.einsum("ka,lb,ca,db,ed,klec->", mp.g_inv, mp.g_inv, J, J, mp.g, c.bundle.nabla2_ric)
+            scale = max(c.curvature_scale, float(np.abs(c.bundle.nabla2_ric).max()))
+            assert abs(q_j_integrand(c.bundle, c.acs) - ref) <= 1e-13 * scale
+
+    def test_inverse_jets_stop_at_order_minus_one(self, contexts, sid):
+        for c in contexts[sid]:
+            mp = c.mp
+            assert mp.inv_jets.shape == (4, 4, tables(mp.order - 1).ncoef)
+            full = jmatinv(mp.jets, mp.order)[..., : tables(mp.order - 1).ncoef]
+            assert np.abs(mp.inv_jets - full).max() <= 1e-14 * max(1.0, float(np.abs(full).max()))
+
+
+def test_inner_endos_is_the_pairing_matrix(contexts):
+    c = contexts["kodaira_thurston"][0]
+    As = np.stack(c.basis.endos)
+    ref = np.array([[inner_endo(A, B, c.mp) for B in As] for A in As])
+    assert np.abs(inner_endos(As, As, c.mp) - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("subscripts", ["ij,ij->ij", "ii,ij->j", "ij,jk->ik,", "ij,jk", "ij,jk->il", "ij->j"])
+def test_jeinsum_rejects_non_contractions(subscripts):
+    a = np.zeros((4, 4, tables(2).ncoef))
+    with pytest.raises(ValueError):
+        jeinsum(subscripts, a, a, 2)
