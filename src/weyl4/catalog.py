@@ -18,13 +18,13 @@ import configparser
 import functools
 import io
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import exprjet
-from .exprjet import Expr, eval_values, expr_to_string, parse_expression
+from .exprjet import Expr, Tape, compile_tape, eval_values, expr_to_string, parse_expression
 from .pointgeom import MetricPoint, adjoint_endo
 
 KNOWN_TAGS = ("flat", "einstein", "kahler", "almost-kahler", "constant-s", "conformally-flat")
@@ -49,47 +49,36 @@ class ManifoldSpec:
     compact: bool
     tags: frozenset
     notes: str = ""
+    # compiled once per spec: the metric from its upper triangle, and J
+    metric_tape: Tape = field(init=False, repr=False, compare=False)
+    j_tape: Optional[Tape] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        upper = [[self.metric_exprs[min(i, j)][max(i, j)] for j in range(4)] for i in range(4)]
+        object.__setattr__(self, "metric_tape", compile_tape(upper))
+        object.__setattr__(self, "j_tape", None if self.j_exprs is None else compile_tape(self.j_exprs))
 
     @property
     def has_j(self) -> bool:
         return self.j_exprs is not None
 
     def metric_point(self, point: Sequence[float], order: int) -> MetricPoint:
-        nc = exprjet.tables(order).ncoef
-        jets = np.zeros((4, 4, nc))
-        for i in range(4):
-            for j in range(i, 4):
-                jets[i, j] = exprjet.eval_jet(self.metric_exprs[i][j], point, order).coeffs
-                jets[j, i] = jets[i, j]
-        return MetricPoint.from_jets(point, jets, order)
+        return MetricPoint.from_jets(point, exprjet.eval_jet(self.metric_tape, point, order), order)
 
     def j_jets(self, point: Sequence[float], order: int = 2) -> np.ndarray:
-        if self.j_exprs is None:
-            raise CatalogError(f"manifold '{self.id}' carries no almost complex structure")
-        nc = exprjet.tables(order).ncoef
-        jets = np.zeros((4, 4, nc))
-        for i in range(4):
-            for j in range(4):
-                jets[i, j] = exprjet.eval_jet(self.j_exprs[i][j], point, order).coeffs
-        return jets
+        return exprjet.eval_jet(self._checked_j_tape(), point, order)
 
     def j_matrix(self, point: Sequence[float]) -> np.ndarray:
-        if self.j_exprs is None:
+        return eval_values(self._checked_j_tape(), list(point))
+
+    def _checked_j_tape(self) -> Tape:
+        if self.j_tape is None:
             raise CatalogError(f"manifold '{self.id}' carries no almost complex structure")
-        return np.array(
-            [[float(eval_values(self.j_exprs[i][j], list(point))) for j in range(4)] for i in range(4)]
-        )
+        return self.j_tape
 
     def metric_values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized metric matrices; trailing axes are (4, 4)."""
-        shape = np.broadcast(*[np.asarray(c) for c in coords]).shape
-        out = np.zeros(shape + (4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                vals = eval_values(self.metric_exprs[i][j], list(coords))
-                out[..., i, j] = vals
-                out[..., j, i] = vals
-        return out
+        return np.moveaxis(eval_values(self.metric_tape, coords), (0, 1), (-2, -1))
 
     def volume_density(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         g = self.metric_values(coords)
@@ -485,10 +474,8 @@ def _index_key(key: str, prefixes: tuple):
 
 
 def _numerically_equal(a: Expr, b: Expr, spec: ManifoldSpec, n: int = 20) -> bool:
-    rng = np.random.default_rng(0)
-    pts = spec.sample_points(n, rng)
-    va = np.array([eval_values(a, list(p)) for p in pts], dtype=float)
-    vb = np.array([eval_values(b, list(p)) for p in pts], dtype=float)
+    pts = spec.sample_points(n, np.random.default_rng(0))
+    va, vb = eval_values(compile_tape([a, b]), list(pts.T))
     scale = max(np.abs(va).max(), np.abs(vb).max(), 1.0)
     return bool(np.abs(va - vb).max() <= 1e-10 * scale)
 
@@ -501,14 +488,10 @@ def validate_spec(spec: ManifoldSpec, n_samples: int = 20, seed: int = 0) -> lis
 
     worst_sym, worst_sym_pt = 0.0, None
     worst_spd_pt = None
+    full = compile_tape(spec.metric_exprs)  # every entry, so asymmetric grids show
     for p in pts:
         try:
-            g = np.array(
-                [
-                    [float(eval_values(spec.metric_exprs[i][j], list(p))) for j in range(4)]
-                    for i in range(4)
-                ]
-            )
+            g = eval_values(full, list(p))
         except exprjet.ExpressionError as exc:
             violations.append(f"metric evaluation failed at {p.tolist()}: {exc}")
             return violations

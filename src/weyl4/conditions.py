@@ -15,6 +15,7 @@ different magnitude stay comparable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -107,12 +108,12 @@ class PointContext:
     def S(self) -> float:
         return self.bundle.S_v
 
-    @property
+    @functools.cached_property
     def curvature_scale(self) -> float:
         """Characteristic curvature magnitude; residual denominators never
         drop below it, so identities whose sides vanish only up to rounding
         (flat or Einstein points) normalize against the size of the
-        quantities they cancel from."""
+        quantities they cancel from.  Computed once per context."""
         return max(1.0, float(np.abs(self.bundle.riem_v).max()), abs(self.bundle.S_v))
 
     def nabla_wplus_norm2(self) -> float:

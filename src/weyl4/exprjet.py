@@ -1,9 +1,12 @@
 """Coordinate expressions and truncated multivariate Taylor (jet) arithmetic.
 
 An :class:`Expr` is a parsed scalar expression over four chart coordinates.
-``eval_jet`` evaluates it together with all mixed partial derivatives up to a
-requested order (0..4) at a point, by propagating truncated Taylor series
-rather than by finite differencing or nested dual numbers.
+``compile_tape`` lowers an expression, or a grid of them, into one
+straight-line :class:`Tape`; ``eval_jet`` evaluates it together with all
+mixed partial derivatives up to a requested order (0..4) at a point, by
+propagating truncated Taylor series rather than by finite differencing or
+nested dual numbers, and ``eval_values`` runs the same tape at order 0 on
+arrays.
 
 Jets are stored as dense vectors of Taylor coefficients ``c_alpha =
 d^alpha f / alpha!`` indexed by the multi-indices of degree <= order in four
@@ -182,6 +185,8 @@ def jderiv(a: np.ndarray, v: int, order: int) -> np.ndarray:
 def jtruncate(a: np.ndarray, order_from: int, order_to: int) -> np.ndarray:
     if order_to > order_from:
         raise ValueError("cannot raise jet order by truncation")
+    if a.shape[-1] != tables(order_from).ncoef:
+        raise ValueError(f"{a.shape[-1]} coefficients are not a jet of order {order_from}")
     return a[..., : tables(order_to).ncoef]
 
 
@@ -254,19 +259,6 @@ class Jet:
     coeffs: np.ndarray
     order: int
 
-    @staticmethod
-    def constant(value: float, order: int) -> "Jet":
-        return Jet(jconst(float(value), order), order)
-
-    @staticmethod
-    def coordinate(value: float, index: int, order: int) -> "Jet":
-        c = jconst(float(value), order)
-        if order >= 1:
-            e = [0] * NCOORDS
-            e[index] = 1
-            c[tables(order).pos[tuple(e)]] = 1.0
-        return Jet(c, order)
-
     @property
     def value(self) -> float:
         return float(self.coeffs[0])
@@ -293,80 +285,6 @@ class Jet:
                 H[i, j] = self.partial(a)
         return H
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            if other.order != self.order:
-                raise ValueError("jet order mismatch")
-            return other
-        return Jet.constant(float(other), self.order)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.coeffs + o.coeffs, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.coeffs, self.order)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.coeffs - o.coeffs, self.order)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return Jet(o.coeffs - self.coeffs, self.order)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Jet(jmul(self.coeffs, o.coeffs, self.order), self.order)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.reciprocal()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o * self.reciprocal()
-
-    def reciprocal(self) -> "Jet":
-        a = self.value
-        if a == 0.0:
-            raise DomainError("division by a jet with zero value")
-        derivs = [(-1.0) ** k * math.factorial(k) / a ** (k + 1) for k in range(self.order + 1)]
-        return self._compose(derivs)
-
-    def ipow(self, n: int) -> "Jet":
-        if n == 0:
-            return Jet.constant(1.0, self.order)
-        base = self if n > 0 else self.reciprocal()
-        n = abs(n)
-        result = None
-        acc = base
-        while n:
-            if n & 1:
-                result = acc if result is None else result * acc
-            n >>= 1
-            if n:
-                acc = acc * acc
-        return result
-
-    def _compose(self, derivs: Sequence[float]) -> "Jet":
-        """Compose the univariate series with given derivatives at self.value."""
-        h = self.coeffs.copy()
-        h[0] = 0.0
-        t = tables(self.order)
-        out = np.zeros(t.ncoef)
-        out[0] = derivs[self.order] / math.factorial(self.order)
-        for k in range(self.order - 1, -1, -1):
-            out = jmul(out, h, self.order)
-            out[0] += derivs[k] / math.factorial(k)
-        return Jet(out, self.order)
-
 
 def unit_index(v: int) -> tuple[int, ...]:
     """Multi-index of the first derivative d/dx_v."""
@@ -375,39 +293,44 @@ def unit_index(v: int) -> tuple[int, ...]:
     return tuple(e)
 
 
-def _cyclic(fs: Sequence[Callable[[float], float]]) -> Callable[[float, int], list[float]]:
-    def derivs(a: float, n: int) -> list[float]:
-        return [fs[k % len(fs)](a) for k in range(n + 1)]
-
-    return derivs
-
-
-def _sin_derivs(a, n):
-    return _cyclic([math.sin, math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x)])(a, n)
-
-
-def _cos_derivs(a, n):
-    return _cyclic([math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x), math.sin])(a, n)
-
-
-def _exp_derivs(a, n):
-    v = math.exp(a)
-    return [v] * (n + 1)
-
-
-def _log_derivs(a, n):
-    if a <= 0.0:
-        raise DomainError(f"log of non-positive value {a}")
-    out = [math.log(a)]
-    for k in range(1, n + 1):
-        out.append((-1.0) ** (k - 1) * math.factorial(k - 1) / a**k)
+def _compose(a: np.ndarray, derivs: Sequence, order: int) -> np.ndarray:
+    """Compose the univariate series with derivatives ``derivs`` at the value of ``a``."""
+    h = a.copy()
+    h[..., 0] = 0.0
+    out = jconst(derivs[order] / math.factorial(order), order)
+    for k in range(order - 1, -1, -1):
+        out = jmul(out, h, order)
+        out[..., 0] += derivs[k] / math.factorial(k)
     return out
 
 
+# Derivative tables [f(a), f'(a), ..., f^(n)(a)]; ``a`` is a float or an array.
+
+
+def _sin_derivs(a, n):
+    s, c = np.sin(a), np.cos(a)
+    return [s, c, -s, -c, s][: n + 1]
+
+
+def _cos_derivs(a, n):
+    s, c = np.sin(a), np.cos(a)
+    return [c, -s, -c, s, c][: n + 1]
+
+
+def _exp_derivs(a, n):
+    return [np.exp(a)] * (n + 1)
+
+
+def _log_derivs(a, n):
+    if np.any(a <= 0.0):
+        raise DomainError(f"log of non-positive value {float(np.min(a))}")
+    return [np.log(a)] + [(-1.0) ** (k - 1) * math.factorial(k - 1) / a**k for k in range(1, n + 1)]
+
+
 def _sqrt_derivs(a, n):
-    if a < 0.0 or (a == 0.0 and n >= 1):
-        raise DomainError(f"sqrt domain error at {a}")
-    out = [math.sqrt(a)]
+    if np.any(a < 0.0) or (n >= 1 and np.any(a == 0.0)):
+        raise DomainError(f"sqrt domain error at {float(np.min(a))}")
+    out = [np.sqrt(a)]
     coef = 0.5
     for k in range(1, n + 1):
         out.append(coef * a ** (0.5 - k))
@@ -416,22 +339,24 @@ def _sqrt_derivs(a, n):
 
 
 def _sinh_derivs(a, n):
-    return _cyclic([math.sinh, math.cosh])(a, n)
+    s, c = np.sinh(a), np.cosh(a)
+    return [s, c, s, c, s][: n + 1]
 
 
 def _cosh_derivs(a, n):
-    return _cyclic([math.cosh, math.sinh])(a, n)
+    s, c = np.sinh(a), np.cosh(a)
+    return [c, s, c, s, c][: n + 1]
 
 
 def _tan_derivs(a, n):
-    f = math.tan(a)
+    f = np.tan(a)
     u = 1.0 + f * f
     out = [f, u, 2 * f * u, u * (2 + 6 * f * f), u * (16 * f + 24 * f**3)]
     return out[: n + 1]
 
 
 def _tanh_derivs(a, n):
-    f = math.tanh(a)
+    f = np.tanh(a)
     u = 1.0 - f * f
     out = [f, u, -2 * f * u, u * (6 * f * f - 2), u * (16 * f - 24 * f**3)]
     return out[: n + 1]
@@ -439,35 +364,26 @@ def _tanh_derivs(a, n):
 
 def _atan_derivs(a, n):
     d = 1.0 + a * a
-    out = [math.atan(a), 1 / d, -2 * a / d**2, (6 * a * a - 2) / d**3, -24 * a * (a * a - 1) / d**4]
+    out = [np.arctan(a), 1 / d, -2 * a / d**2, (6 * a * a - 2) / d**3, -24 * a * (a * a - 1) / d**4]
     return out[: n + 1]
 
 
-FUNCTIONS: dict[str, tuple[Callable, Callable]] = {
-    # name -> (float/ufunc evaluation, derivative table for jets)
-    "sin": (np.sin, _sin_derivs),
-    "cos": (np.cos, _cos_derivs),
-    "tan": (np.tan, _tan_derivs),
-    "exp": (np.exp, _exp_derivs),
-    "log": (np.log, _log_derivs),
-    "sqrt": (np.sqrt, _sqrt_derivs),
-    "sinh": (np.sinh, _sinh_derivs),
-    "cosh": (np.cosh, _cosh_derivs),
-    "tanh": (np.tanh, _tanh_derivs),
-    "atan": (np.arctan, _atan_derivs),
+FUNCTIONS: dict[str, Callable] = {
+    "sin": _sin_derivs,
+    "cos": _cos_derivs,
+    "tan": _tan_derivs,
+    "exp": _exp_derivs,
+    "log": _log_derivs,
+    "sqrt": _sqrt_derivs,
+    "sinh": _sinh_derivs,
+    "cosh": _cosh_derivs,
+    "tanh": _tanh_derivs,
+    "atan": _atan_derivs,
 }
 
 
 def jet_sqrt(j: Jet) -> Jet:
-    return j._compose(_sqrt_derivs(j.value, j.order))
-
-
-def jet_log(j: Jet) -> Jet:
-    return j._compose(_log_derivs(j.value, j.order))
-
-
-def jet_exp(j: Jet) -> Jet:
-    return j._compose(_exp_derivs(j.value, j.order))
+    return Jet(_compose(j.coeffs, _sqrt_derivs(j.value, j.order), j.order), j.order)
 
 
 # ---------------------------------------------------------------------------
@@ -714,98 +630,161 @@ def expr_to_string(e: Expr) -> str:
 Number = Union[float, np.ndarray]
 
 
-def eval_jet(expr: Expr, point: Sequence[float], order: int) -> Jet:
+@dataclass(frozen=True, eq=False)
+class Tape:
+    """A grid of expressions lowered into one straight-line program.
+
+    Op ``k`` of ``ops`` is ``(kind, inputs, param)`` and computes slot ``k``
+    from earlier slots; ``out`` holds the slot of each grid entry, and
+    ``dead[k]`` the slots last read by op ``k``, dropped after it so that
+    order-0 runs over large grids hold few arrays.  Equal subtrees share one
+    slot, constant operands are folded into ``affine`` ops (``s * a + c``),
+    and a number exponent is fixed when the tape is compiled.  Every op runs
+    on coefficient arrays ``(..., ncoef)``, so order 0 is the same program
+    on plain values.
+    """
+
+    ops: tuple
+    out: np.ndarray
+    dead: tuple
+
+
+def compile_tape(grid) -> Tape:
+    """Lower an expression, or a nested sequence of them, into one tape."""
+    ops: list = []
+    slots: dict = {}
+
+    def emit(kind: str, inputs: tuple, param=None) -> int:
+        op = (kind, inputs, param)
+        if op not in slots:
+            slots[op] = len(ops)
+            ops.append(op)
+        return slots[op]
+
+    def slot(x) -> int:  # a folded constant (float) becomes a slot where an op needs one
+        return emit("const", (), x) if isinstance(x, float) else x
+
+    def lower(e: Expr):
+        if isinstance(e, Num):
+            return float(e.value)
+        if isinstance(e, Sym):
+            return emit("coord", (), e.index)
+        if isinstance(e, Neg):
+            a = lower(e.operand)
+            return -a if isinstance(a, float) else emit("affine", (a,), (-1.0, 0.0))
+        if isinstance(e, Call):
+            return emit("call", (slot(lower(e.arg)),), e.func)
+        if not isinstance(e, BinOp):
+            raise TypeError(f"not an expression node: {e!r}")
+        a, b, op = lower(e.left), lower(e.right), e.op
+        if op == "^":
+            return emit("pow", (slot(a),), b) if isinstance(b, float) else emit("powv", (slot(a), b))
+        if op == "/":
+            if isinstance(b, float) and b != 0.0:
+                return emit("affine", (slot(a),), (1.0 / b, 0.0))
+            op, b = "*", emit("pow", (slot(b),), -1.0)
+        if isinstance(b, float):  # a op c
+            return emit("affine", (slot(a),), {"+": (1.0, b), "-": (1.0, -b), "*": (b, 0.0)}[op])
+        if isinstance(a, float):  # c op b
+            return emit("affine", (b,), {"+": (1.0, a), "-": (-1.0, a), "*": (a, 0.0)}[op])
+        return emit({"+": "add", "-": "sub", "*": "mul"}[op], (a, b))
+
+    def outputs(g):
+        return slot(lower(g)) if isinstance(g, Expr) else [outputs(x) for x in g]
+
+    out = np.array(outputs(grid), dtype=np.intp)
+    last = {k: i for i, (_, inputs, _) in enumerate(ops) for k in inputs}
+    for k in out.flat:
+        last.pop(k, None)
+    dead = [[] for _ in ops]
+    for k, i in last.items():
+        dead[i].append(k)
+    return Tape(tuple(ops), out, tuple(map(tuple, dead)))
+
+
+def _run(tape: Tape, coords: Sequence[Number], order: int) -> list:
+    """Slot values of ``tape`` (None once dead): jets of ``order`` at
+    ``coords``, which are floats or broadcastable arrays."""
+    vals: list = []
+    for (kind, inputs, param), dead in zip(tape.ops, tape.dead):
+        a = vals[inputs[0]] if inputs else None
+        if kind == "mul":
+            x = jmul(a, vals[inputs[1]], order)
+        elif kind == "affine":
+            x = a * param[0]
+            x[..., 0] += param[1]
+        elif kind == "coord":
+            x = jconst(coords[param], order)
+            if order:
+                x[..., tables(order).pos[unit_index(param)]] = 1.0
+        elif kind == "const":
+            x = jconst(param, order)
+        elif kind == "call":
+            x = _compose(a, FUNCTIONS[param](a[..., 0], order), order)
+        elif kind == "pow":
+            x = _jpow(a, param, order)
+        elif kind == "powv":
+            e = vals[inputs[1]]
+            if np.any(e[..., 1:] != 0.0) or np.ptp(e[..., 0]) != 0.0:
+                raise DomainError("exponents must be constant expressions")
+            x = _jpow(a, float(e.flat[0]), order)
+        else:
+            x = a + vals[inputs[1]] if kind == "add" else a - vals[inputs[1]]
+        vals.append(x)
+        for k in dead:
+            vals[k] = None
+    return vals
+
+
+def _jpow(a: np.ndarray, p: float, order: int) -> np.ndarray:
+    """``a^p`` for a constant ``p``: integer powers by repeated squaring, others as exp(p log a)."""
+    v = a[..., 0]
+    if p != int(p):
+        if np.any(v <= 0.0):
+            raise DomainError(f"real power of non-positive base {float(np.min(v))}")
+        lg = _compose(a, _log_derivs(v, order), order) * p
+        return _compose(lg, _exp_derivs(lg[..., 0], order), order)
+    n = int(p)
+    if n < 0:
+        if np.any(v == 0.0):
+            raise DomainError("division by a jet with zero value")
+        a = _compose(a, [(-1.0) ** k * math.factorial(k) / v ** (k + 1) for k in range(order + 1)], order)
+    result = jconst(1.0, order) if n == 0 else None
+    n = abs(n)
+    while n:
+        if n & 1:
+            result = a if result is None else jmul(result, a, order)
+        n >>= 1
+        if n:
+            a = jmul(a, a, order)
+    return result
+
+
+def eval_jet(expr: Expr | Tape, point: Sequence[float], order: int) -> Jet | np.ndarray:
     """Evaluate ``expr`` and all partials up to ``order`` at ``point``.
 
     Derivatives are exact to machine rounding (jet propagation), not finite
-    differences.
+    differences.  An :class:`Expr` gives a :class:`Jet`; a :class:`Tape`
+    gives the coefficients of its grid, shape ``tape.out.shape + (ncoef,)``.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
     if len(point) != NCOORDS:
         raise ValueError("point must have 4 coordinates")
-    return _eval_jet(expr, [float(p) for p in point], order)
+    tape = expr if isinstance(expr, Tape) else compile_tape(expr)
+    vals = _run(tape, [float(p) for p in point], order)
+    coeffs = np.array([vals[k] for k in tape.out.flat]).reshape(tape.out.shape + (-1,))
+    return coeffs if tape is expr else Jet(coeffs, order)
 
 
-def _eval_jet(e: Expr, point: list[float], order: int) -> Jet:
-    if isinstance(e, Num):
-        return Jet.constant(e.value, order)
-    if isinstance(e, Sym):
-        return Jet.coordinate(point[e.index], e.index, order)
-    if isinstance(e, Neg):
-        return -_eval_jet(e.operand, point, order)
-    if isinstance(e, Call):
-        arg = _eval_jet(e.arg, point, order)
-        return arg._compose(FUNCTIONS[e.func][1](arg.value, order))
-    if isinstance(e, BinOp):
-        a = _eval_jet(e.left, point, order)
-        if e.op == "^":
-            return _eval_pow(a, e.right, point, order)
-        b = _eval_jet(e.right, point, order)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        return a / b
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _eval_pow(base: Jet, exp_node: Expr, point: list[float], order: int) -> Jet:
-    exp = _eval_jet(exp_node, point, order)
-    if np.any(exp.coeffs[1:] != 0.0):
-        raise DomainError("exponents must be constant expressions")
-    p = exp.value
-    if p == int(p):
-        return base.ipow(int(p))
-    if base.value <= 0.0:
-        raise DomainError(f"real power of non-positive base {base.value}")
-    return jet_exp(jet_log(base) * p)
-
-
-def eval_values(expr: Expr, coords: Sequence[Number]) -> Number:
-    """Plain (order-0) evaluation; accepts numpy arrays for vectorized use."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Sym):
-        return coords[expr.index]
-    if isinstance(expr, Neg):
-        return -eval_values(expr.operand, coords)
-    if isinstance(expr, Call):
-        arg = eval_values(expr.arg, coords)
-        if expr.func == "log" and np.any(np.asarray(arg) <= 0.0):
-            raise DomainError("log of non-positive value")
-        if expr.func == "sqrt" and np.any(np.asarray(arg) < 0.0):
-            raise DomainError("sqrt of negative value")
-        return FUNCTIONS[expr.func][0](arg)
-    if isinstance(expr, BinOp):
-        a = eval_values(expr.left, coords)
-        b = eval_values(expr.right, coords)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        if expr.op == "/":
-            return a / b
-        bf = float(np.asarray(b).reshape(-1)[0]) if np.ndim(b) else float(b)
-        if bf == int(bf):
-            return np.power(a, int(bf)) if np.ndim(a) else a ** int(bf)
-        if np.any(np.asarray(a) <= 0.0):
-            raise DomainError("real power of non-positive base")
-        return np.power(a, b)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-def expr_symbols(e: Expr) -> set[str]:
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, BinOp):
-        return expr_symbols(e.left) | expr_symbols(e.right)
-    if isinstance(e, Neg):
-        return expr_symbols(e.operand)
-    if isinstance(e, Call):
-        return expr_symbols(e.arg)
-    return set()
+def eval_values(expr: Expr | Tape, coords: Sequence[Number]) -> Number:
+    """Plain (order-0) values, the same tape at order 0; ``coords`` may be
+    broadcastable arrays.  A tape gives its grid axes first, then the
+    broadcast shape of ``coords``."""
+    tape = expr if isinstance(expr, Tape) else compile_tape(expr)
+    lead = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    vals = _run(tape, coords, 0)
+    out = np.empty(tape.out.shape + lead)
+    for i, k in np.ndenumerate(tape.out):
+        out[i] = vals[k][..., 0]
+    return out[()]

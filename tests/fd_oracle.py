@@ -7,12 +7,53 @@ machinery, so it can serve as an oracle for the main pipeline.
 
 import numpy as np
 
-from weyl4.exprjet import eval_values
+from weyl4.exprjet import BinOp, Call, DomainError, Neg, Num, Sym
+
+UFUNCS = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh, "atan": np.arctan,
+}
+
+
+def values(expr, coords):
+    """Plain value of an expression tree by a recursive walk; ``coords`` may
+    be numpy arrays.  Shares no code with the evaluation tape."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Sym):
+        return coords[expr.index]
+    if isinstance(expr, Neg):
+        return -values(expr.operand, coords)
+    if isinstance(expr, Call):
+        arg = values(expr.arg, coords)
+        if expr.func == "log" and np.any(np.asarray(arg) <= 0.0):
+            raise DomainError("log of non-positive value")
+        if expr.func == "sqrt" and np.any(np.asarray(arg) < 0.0):
+            raise DomainError("sqrt of negative value")
+        return UFUNCS[expr.func](arg)
+    if isinstance(expr, BinOp):
+        a = values(expr.left, coords)
+        b = values(expr.right, coords)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if expr.op == "/":
+            return a / b
+        bf = float(np.asarray(b).reshape(-1)[0]) if np.ndim(b) else float(b)
+        if bf == int(bf):
+            return np.power(a, int(bf)) if np.ndim(a) else a ** int(bf)
+        if np.any(np.asarray(a) <= 0.0):
+            raise DomainError("real power of non-positive base")
+        return np.power(a, b)
+    raise TypeError(f"not an expression node: {expr!r}")
 
 
 def metric_at(spec, x):
     return np.array(
-        [[float(eval_values(spec.metric_exprs[i][j], list(x))) for j in range(4)] for i in range(4)]
+        [[float(values(spec.metric_exprs[i][j], list(x))) for j in range(4)] for i in range(4)]
     )
 
 

@@ -20,9 +20,10 @@ from weyl4.conditions import (
     integrate_density,
     point_context,
     prop21_equivalence,
+    rotated_context,
     run_suite,
 )
-from weyl4.conditions import _ClassifyAccumulator, _TagAccumulator, _verdict
+from weyl4.conditions import PointContext, _ClassifyAccumulator, _TagAccumulator, _verdict
 
 SPEC_REGISTRY_IDS = {
     "EQ01", "EQ02", "EQ03", "EQ04", "EQ05", "EQ06",
@@ -382,6 +383,30 @@ def nan_at_second_call(record):
 
 def reject_constant(name):
     raise ValueError(f"report contains {name}")
+
+
+class TestCurvatureScale:
+    @pytest.mark.parametrize("name", ["fubini_study_cp2", "kodaira_thurston", "round_conformal"])
+    def test_value_is_the_largest_curvature_magnitude(self, name):
+        spec = get_manifold(name)
+        ctx = point_context(spec, spec.sample_points(1, np.random.default_rng(4))[0], 3)
+        b = ctx.bundle
+        expected = max(1.0, float(np.abs(b.riem_v).max()), abs(b.S_v))
+        assert ctx.curvature_scale == expected
+        assert rotated_context(ctx, 0.7).curvature_scale == expected
+        scaled = dataclasses.replace(ctx, bundle=dataclasses.replace(b, riem=3.0 * b.riem))
+        assert scaled.curvature_scale == max(1.0, 3.0 * float(np.abs(b.riem_v).max()), abs(b.S_v))
+
+    def test_computed_once_per_context(self, monkeypatch):
+        prop = PointContext.__dict__["curvature_scale"]
+        computed, contexts = [], []
+        counted = type(prop)(lambda ctx: computed.append(ctx) or prop.func(ctx))
+        counted.__set_name__(PointContext, "curvature_scale")
+        monkeypatch.setattr(PointContext, "curvature_scale", counted)
+        real_init = PointContext.__init__
+        monkeypatch.setattr(PointContext, "__init__", lambda ctx, **kw: contexts.append(ctx) or real_init(ctx, **kw))
+        run_suite(get_manifold("kodaira_thurston"), 4, seed=2, rotations=2)
+        assert 0 < len(computed) == len({id(c) for c in computed}) <= len(contexts) == 12
 
 
 class TestNonFinite:

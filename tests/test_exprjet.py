@@ -5,14 +5,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from fd_oracle import values
+from test_frame_kernels import SAK_TORUS
 from weyl4 import exprjet
+from weyl4.catalog import builtin_manifolds, load_manifold_config
 from weyl4.exprjet import (
+    FUNCTIONS,
     BinOp,
+    Call,
     DomainError,
     ExpressionSyntaxError,
+    Neg,
+    Num,
+    Sym,
     UnknownSymbolError,
+    compile_tape,
     eval_jet,
     eval_values,
     expr_to_string,
@@ -22,8 +31,10 @@ from weyl4.exprjet import (
     jmatinv,
     jmatmul,
     jmul,
+    jtruncate,
     parse_expression,
     tables,
+    unit_index,
 )
 
 XYZT = ("x", "y", "z", "t")
@@ -78,13 +89,17 @@ class TestParser:
 
 
 # random expression trees built through the folding constructors
-def _exprs(coords):
-    leaves = st.one_of(
+def _leaves(coords):
+    return st.one_of(
         st.sampled_from([exprjet.Sym(c, i) for i, c in enumerate(coords)]),
         st.floats(min_value=-4, max_value=4, allow_nan=False).map(
             lambda v: exprjet.Num(float(np.round(v, 3)))
         ),
     )
+
+
+def _exprs(coords):
+    leaves = _leaves(coords)
 
     def extend(children):
         ops = st.sampled_from(["+", "-", "*"])
@@ -129,7 +144,7 @@ class TestEvalJet:
         e = parse_expression("exp(x*y)", XYZT)
         pt = [0.3, 0.7, 0.0, 0.0]
         j = eval_jet(e, pt, 2)
-        f = lambda p: eval_values(e, list(p))
+        f = lambda p: values(e, list(p))
         for i in range(2):
             fd = richardson(f, pt, i, 1e-4)
             assert j.partial(tuple(int(i == k) for k in range(4))) == pytest.approx(fd, rel=1e-6)
@@ -171,7 +186,7 @@ class TestEvalJet:
             e = parse_expression(f"{fn}(x)", XYZT)
             pt = [0.37, 0, 0, 0]
             j = eval_jet(e, pt, 4)
-            f = lambda p: eval_values(e, list(p))
+            f = lambda p: values(e, list(p))
             fd = richardson(f, pt, 0, 1e-4)
             assert j.partial((1, 0, 0, 0)) == pytest.approx(fd, rel=1e-7), fn
 
@@ -224,7 +239,7 @@ class TestJetAlgebra:
                     for j in range(i, 4):
                         e = spec.metric_exprs[i][j]
                         jet = eval_jet(e, pt, 2)
-                        f = lambda p: float(eval_values(e, list(p)))
+                        f = lambda p: float(values(e, list(p)))
                         for v in range(4):
                             fd = richardson(f, pt, v, 1e-3)
                             got = jet.partial(tuple(int(v == k) for k in range(4)))
@@ -325,3 +340,259 @@ class TestContraction:
         got = jdet4(G, order)
         assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
         assert got[0] == pytest.approx(np.linalg.det(G[..., 0]), rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The expression tape against the recursive tree walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def oracle_jet(e, point, order):
+    """Coefficients of ``e`` at ``point`` by the recursive walk the tape
+    replaced: one fresh jet per tree node, no sharing, constants as jets.
+    Values enter the derivative tables as 0-d arrays, as on the tape, so
+    that both round alike."""
+    if isinstance(e, Num):
+        return jconst(e.value, order)
+    if isinstance(e, Sym):
+        c = jconst(float(point[e.index]), order)
+        if order:
+            c[tables(order).pos[unit_index(e.index)]] = 1.0
+        return c
+    if isinstance(e, Neg):
+        return -oracle_jet(e.operand, point, order)
+    if isinstance(e, Call):
+        a = oracle_jet(e.arg, point, order)
+        return oracle_compose(a, FUNCTIONS[e.func](a[..., 0], order), order)
+    a = oracle_jet(e.left, point, order)
+    if e.op == "^":
+        exp = oracle_jet(e.right, point, order)
+        if np.any(exp[1:] != 0.0):
+            raise DomainError("exponents must be constant expressions")
+        p = float(exp[0])
+        if p == int(p):
+            return oracle_ipow(a, int(p), order)
+        if a[0] <= 0.0:
+            raise DomainError("real power of non-positive base")
+        lg = oracle_compose(a, FUNCTIONS["log"](a[..., 0], order), order)
+        lg = jmul(lg, jconst(p, order), order)
+        return oracle_compose(lg, FUNCTIONS["exp"](lg[..., 0], order), order)
+    b = oracle_jet(e.right, point, order)
+    if e.op == "+":
+        return a + b
+    if e.op == "-":
+        return a - b
+    if e.op == "*":
+        return jmul(a, b, order)
+    return jmul(a, oracle_reciprocal(b, order), order)
+
+
+def oracle_compose(a, derivs, order):
+    h = a.copy()
+    h[0] = 0.0
+    out = np.zeros(tables(order).ncoef)
+    out[0] = derivs[order] / math.factorial(order)
+    for k in range(order - 1, -1, -1):
+        out = jmul(out, h, order)
+        out[0] += derivs[k] / math.factorial(k)
+    return out
+
+
+def oracle_reciprocal(a, order):
+    v = a[..., 0]
+    if v == 0.0:
+        raise DomainError("division by a jet with zero value")
+    return oracle_compose(a, [(-1.0) ** k * math.factorial(k) / v ** (k + 1) for k in range(order + 1)], order)
+
+
+def oracle_ipow(a, n, order):
+    if n == 0:
+        return jconst(1.0, order)
+    base = a if n > 0 else oracle_reciprocal(a, order)
+    n = abs(n)
+    result, acc = None, base
+    while n:
+        if n & 1:
+            result = acc if result is None else jmul(result, acc, order)
+        n >>= 1
+        if n:
+            acc = jmul(acc, acc, order)
+    return result
+
+
+def oracle_or_error(e, point, order):
+    try:
+        return oracle_jet(e, point, order)
+    except DomainError:
+        return DomainError
+
+
+def tape_or_error(e, point, order):
+    try:
+        return eval_jet(e, point, order).coeffs
+    except DomainError:
+        return DomainError
+
+
+def assert_close(got, ref, rel=1e-14):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max(initial=0.0) <= rel * np.abs(ref).max(initial=0.0)
+
+
+# the round-trip grammar plus division, constant exponents and subtrees used twice
+POWERS = [0.0, 1.0, 2.0, 3.0, 5.0, -1.0, -2.0, 0.5, 1.5, 2.25]
+
+
+def _tape_exprs(coords):
+    leaves = _leaves(coords)
+    ops = st.sampled_from(["+", "-", "*", "/"])
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(ops, children, children).map(lambda t: exprjet._fold_binop(*t)),
+            st.tuples(ops, children, leaves).map(lambda t: exprjet._fold_binop(*t)),
+            st.tuples(ops, leaves, children).map(lambda t: exprjet._fold_binop(*t)),
+            st.tuples(children, st.sampled_from(POWERS)).map(lambda t: BinOp("^", t[0], Num(t[1]))),
+            st.tuples(st.sampled_from(["+", "*", "/"]), children).map(lambda t: BinOp(t[0], t[1], t[1])),
+            st.tuples(children, children).map(lambda t: BinOp("-", Call("sin", t[0]), BinOp("*", t[1], t[0]))),
+            children.map(exprjet._fold_neg),
+            st.tuples(st.sampled_from(["sin", "cos", "exp", "tanh", "atan"]), children).map(
+                lambda t: Call(t[0], t[1])
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=14)
+
+
+POINTS = st.lists(st.floats(min_value=-2, max_value=2).map(lambda v: round(v, 3)), min_size=4, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def tape_specs(tmp_path_factory):
+    """Every catalog entry and the strictly almost-Kahler torus config."""
+    path = tmp_path_factory.mktemp("tape") / "sak_torus.cfg"
+    path.write_text(SAK_TORUS)
+    return builtin_manifolds() + [load_manifold_config(str(path))]
+
+
+class TestTape:
+    @settings(max_examples=200, deadline=None)
+    @given(_tape_exprs(XYZT), POINTS, st.integers(min_value=0, max_value=4))
+    def test_matches_recursive_walk(self, e, point, order):
+        with np.errstate(all="ignore"):
+            ref = oracle_or_error(e, point, order)
+            got = tape_or_error(e, point, order)
+        if ref is DomainError:
+            assert got is DomainError
+            return
+        assume(np.all(np.isfinite(ref)))
+        assert got is not DomainError
+        assert_close(got, ref)
+
+    @pytest.mark.parametrize(
+        "text, point",
+        [
+            ("log(x)", [-1.0, 0, 0, 0]),
+            ("log(x - y)", [0.5, 0.5, 0, 0]),
+            ("sqrt(x)", [-0.5, 0, 0, 0]),
+            ("1/x", [0.0, 0, 0, 0]),
+            ("y/(x - x)", [0.3, 1.0, 0, 0]),
+            ("x/0", [1.0, 0, 0, 0]),
+            ("x^-2", [0.0, 0, 0, 0]),
+            ("x^0.5", [-1.0, 0, 0, 0]),
+            ("(x - 1)^1.5", [1.0, 0, 0, 0]),
+            ("x^y", [1.5, 2.0, 0, 0]),
+            ("2^x", [1.0, 0, 0, 0]),
+            ("x^(y*z)", [1.5, 2.0, 1.0, 0]),
+            ("log(x)^0", [-1.0, 0, 0, 0]),
+        ],
+    )
+    def test_domain_errors_where_the_walk_raises(self, text, point):
+        e = parse_expression(text, XYZT)
+        for order in range(1, 5):
+            assert oracle_or_error(e, point, order) is DomainError
+            assert tape_or_error(e, point, order) is DomainError
+
+    def test_constant_operands_fold_into_affine_ops(self):
+        point = [0.7, -0.3, 1.1, 0.4]
+        for text in ["x/4", "4/x", "3 - x", "x - 3", "2*x", "x*2", "x + 0.5", "0.5 + x", "-x", "-(x*y)/0.25"]:
+            e = parse_expression(text, XYZT)
+            assert "const" not in {op[0] for op in compile_tape(e).ops}, text
+            for order in range(5):
+                assert np.array_equal(eval_jet(e, point, order).coeffs, oracle_jet(e, point, order)), text
+
+    def test_symbolic_exponent_with_zero_derivatives(self):
+        e = parse_expression("x^(y - y) + (x + 1)^(2 + z - z)", XYZT)
+        for order in range(5):
+            assert_close(eval_jet(e, [0.7, 0.2, -0.4, 1.0], order).coeffs, oracle_jet(e, [0.7, 0.2, -0.4, 1.0], order))
+        assert [op[0] for op in compile_tape(e).ops].count("powv") == 2
+        assert "powv" not in {op[0] for op in compile_tape(parse_expression("x^2 + y^-1.5", XYZT)).ops}
+
+    def test_shared_subtrees_lower_once(self, catalog):
+        tape = catalog["fubini_study_cp2"].metric_tape
+        # (1 + u^2 + v^2 + p^2 + q^2)^-2 is one reciprocal for all eight nonzero entries
+        assert [(kind, param) for kind, _, param in tape.ops].count(("pow", -1.0)) == 1
+        assert sum(op[0] == "coord" for op in tape.ops) == 4
+        # constant factors fold into affine ops; the only constant slot is the zero entry
+        assert [op for op in tape.ops if op[0] == "const"] == [("const", (), 0.0)]
+
+    def test_catalog_and_sak_tapes_match_walk(self, tape_specs):
+        rng = np.random.default_rng(6)
+        for spec in tape_specs:
+            for point in spec.sample_points(3, rng):
+                for order in range(5):
+                    g = eval_jet(spec.metric_tape, point, order)
+                    for i in range(4):
+                        for j in range(4):
+                            ref = oracle_jet(spec.metric_exprs[min(i, j)][max(i, j)], point, order)
+                            assert_close(g[i, j], ref)
+                    J = eval_jet(spec.j_tape, point, order)
+                    for i in range(4):
+                        for j in range(4):
+                            assert_close(J[i, j], oracle_jet(spec.j_exprs[i][j], point, order))
+
+    def test_order_zero_values_match_walk_on_grid(self, tape_specs):
+        for spec in tape_specs:
+            axes = [np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 6) for lo, hi in spec.domain]
+            grid = np.meshgrid(*axes, indexing="ij")
+            g = spec.metric_values(grid)
+            J = eval_values(spec.j_tape, grid)
+            assert g.shape == (6, 6, 6, 6, 4, 4) and J.shape == (4, 4, 6, 6, 6, 6)
+            for i in range(4):
+                for j in range(4):
+                    ref = np.broadcast_to(values(spec.metric_exprs[min(i, j)][max(i, j)], grid), grid[0].shape)
+                    assert_close(g[..., i, j], ref)
+                    ref = np.broadcast_to(values(spec.j_exprs[i][j], grid), grid[0].shape)
+                    assert_close(J[i, j], ref)
+
+    def test_scalar_values_and_j_matrix(self, catalog):
+        spec = catalog["perturbed_j"]
+        point = [0.4, -0.2, 0.1, 0.3]
+        J = spec.j_matrix(point)
+        assert J.shape == (4, 4)
+        assert J[1, 0] == pytest.approx(np.cos(0.3 * np.sin(0.4)), rel=1e-15)
+        assert np.array_equal(J, spec.j_jets(point, 0)[..., 0])
+
+    def test_tape_fields_stay_out_of_eq_hash_repr(self, catalog):
+        from dataclasses import replace
+
+        spec = catalog["fubini_study_cp2"]
+        twin = replace(spec)
+        assert twin == spec and hash(twin) == hash(spec)
+        assert twin.metric_tape is not spec.metric_tape
+        assert "Tape" not in repr(spec)
+
+
+class TestTruncate:
+    def test_truncates_coefficients(self):
+        a = np.arange(2 * tables(3).ncoef, dtype=float).reshape(2, -1)
+        assert np.array_equal(jtruncate(a, 3, 1), a[:, : tables(1).ncoef])
+
+    @pytest.mark.parametrize("stale", [2, 4])
+    def test_stale_order_from_raises(self, stale):
+        with pytest.raises(ValueError, match="not a jet of order"):
+            jtruncate(np.zeros((4, 4, tables(3).ncoef)), stale, 1)
+
+    def test_cannot_raise_order(self):
+        with pytest.raises(ValueError, match="cannot raise"):
+            jtruncate(np.zeros(tables(1).ncoef), 1, 2)
