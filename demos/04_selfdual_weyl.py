@@ -9,17 +9,16 @@ import numpy as np
 
 from weyl4.catalog import builtin_manifolds
 from weyl4.conditions import point_context
-from weyl4.selfdual import wplus_invariants
 
 rng = np.random.default_rng(1)
 print(f"{'manifold':26s} {'|W+|^2':>10s} {'det W+':>10s} {'S^2/6':>10s}  eigenvalues")
 for spec in builtin_manifolds():
     pt = spec.sample_points(1, rng)[0]
     ctx = point_context(spec, pt, order=2)
-    inv = wplus_invariants(ctx.wplus)
-    eig = ", ".join(f"{v: .4f}" for v in inv["eigenvalues"])
+    w = ctx.wplus
+    eig = ", ".join(f"{v: .4f}" for v in w.eigenvalues)
     print(
-        f"{spec.id:26s} {inv['norm2']:10.4f} {inv['det']:10.4f} "
+        f"{spec.id:26s} {w.norm2:10.4f} {w.det:10.4f} "
         f"{ctx.S**2 / 6:10.4f}  ({eig})"
     )
 

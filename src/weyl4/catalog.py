@@ -23,14 +23,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import exprjet
+from . import Weyl4Error, exprjet
 from .exprjet import Expr, Tape, compile_tape, eval_values, expr_to_string, parse_expression
 from .pointgeom import MetricPoint, adjoint_endo
 
 KNOWN_TAGS = ("flat", "einstein", "kahler", "almost-kahler", "constant-s", "conformally-flat")
 
 
-class CatalogError(Exception):
+class CatalogError(Weyl4Error):
     """Config parsing or manifold validation failure."""
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: list manifolds, run identity suites, classify, integrate.
 
 Exit codes are a stable CI contract: 0 all checks pass, 1 identity violation
-(or unconfirmed truth tag), 2 usage or configuration errors.  Reports embed
+(or unconfirmed truth tag), 2 usage or configuration errors and any other
+``Weyl4Error``, such as a metric that fails at a sampled point.  Reports embed
 full convention metadata and are byte-identical for identical flags and seed.
 """
 
@@ -12,8 +13,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from . import Weyl4Error
 from .catalog import (
-    CatalogError,
     ManifoldSpec,
     builtin_manifolds,
     get_manifold,
@@ -22,7 +23,6 @@ from .catalog import (
 )
 from .conditions import (
     CONVENTIONS,
-    ConditionsError,
     QuadratureSpec,
     check_integral_formulas,
     classify_structure,
@@ -30,8 +30,6 @@ from .conditions import (
     integrate_density,
     run_suite,
 )
-from .exprjet import DomainError
-from .pointgeom import FrameError, MetricError
 
 DENSITIES = {
     "qJ": "q_j",
@@ -58,7 +56,7 @@ def _resolve_manifold(args) -> ManifoldSpec:
     return get_manifold(name)
 
 
-class UsageError(Exception):
+class UsageError(Weyl4Error):
     pass
 
 
@@ -252,11 +250,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (CatalogError, ConditionsError, MetricError, FrameError, DomainError) as exc:
-        # a manifold that fails at a point the config validation did not sample
+    except Weyl4Error as exc:
+        # usage errors, bad configs, and manifolds that fail at a point the
+        # config validation did not sample
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
 from .curvature import curvature_bundle, laplacian_scalar
 from .exprjet import Jet
@@ -68,7 +68,7 @@ CONVENTIONS = {
 }
 
 
-class ConditionsError(Exception):
+class ConditionsError(Weyl4Error):
     pass
 
 
@@ -504,10 +504,18 @@ def applicable(record: IdentityRecord, ctx: PointContext) -> bool:
     return True
 
 
-def _evaluate(record: IdentityRecord, ctx: PointContext):
-    """Run an evaluator and widen its scale by the point's curvature scale."""
+def _residual(record: IdentityRecord, ctx: PointContext) -> Optional[tuple]:
+    """(lhs, rhs, abs, scale, rel, signed margin) of one record at one
+    context, or None where the record does not apply.  The evaluator's scale
+    is widened by the point's curvature scale; the margin is None unless the
+    record is an inequality."""
+    if not applicable(record, ctx):
+        return None
     lhs, rhs, abs_res, scale = record.evaluator(ctx)
-    return lhs, rhs, abs_res, max(scale, ctx.curvature_scale)
+    scale = max(scale, ctx.curvature_scale)
+    denom = max(scale, RESIDUAL_FLOOR)
+    margin = (lhs - rhs) / denom if record.signed else None
+    return lhs, rhs, abs_res, scale, abs_res / denom, margin
 
 
 def evaluate_identity(
@@ -524,13 +532,10 @@ def evaluate_identity(
         raise ConditionsError(f"{record_id} is an integral identity; use check_integral_formulas")
     if ctx is None:
         ctx = point_context(spec, point, record.min_order)
-    if not applicable(record, ctx):
+    res = _residual(record, ctx)
+    if res is None:
         return IdentityResidual(record.id, tuple(np.asarray(point, float)), 0.0, 0.0, 0.0, 0.0, False, 0.0)
-    lhs, rhs, abs_res, scale = _evaluate(record, ctx)
-    rel = abs_res / max(scale, RESIDUAL_FLOOR)
-    margin = None
-    if record.signed:
-        margin = (lhs - rhs) / max(scale, RESIDUAL_FLOOR)
+    lhs, rhs, abs_res, scale, rel, margin = res
     return IdentityResidual(
         record.id, tuple(np.asarray(point, float)), lhs, rhs, abs_res, rel, True, scale, margin
     )
@@ -674,15 +679,14 @@ def run_suite(
         tag_state.add(base)
         for ctx in ctxs:
             for record in records:
-                if not applicable(record, ctx):
+                res = _residual(record, ctx)
+                if res is None:
                     continue
-                lhs, rhs, abs_res, scale = _evaluate(record, ctx)
-                rel = abs_res / max(scale, RESIDUAL_FLOOR)
                 st = stats[record.id]
                 st["applicable"] += 1
-                st["rels"].append(rel)
+                st["rels"].append(res[4])
                 if record.signed:
-                    st["margins"].append((lhs - rhs) / max(scale, RESIDUAL_FLOOR))
+                    st["margins"].append(res[5])
 
     rows = []
     for record in records:
@@ -814,39 +818,6 @@ def classify_structure(spec: ManifoldSpec, n_points: int, seed: int = 0,
     for pt in spec.sample_points(n_points, rng):
         acc.add(point_context(spec, pt, 2))
     return acc.verdict(tol_pass, tol_fail), acc.residuals()
-
-
-def prop21_equivalence(spec: ManifoldSpec, n_points: int, seed: int = 0) -> dict:
-    """The four equivalent two-eigenvalue conditions, evaluated independently.
-
-    Per point: (i) spectrum matches (2 lam, -lam, -lam); (ii) |W+|^2 = 6 lam^2;
-    (iii) W+ = lam (2P1 - P2); (iv) |Ric*-|^2 + |Rt-|^2 = 0.  All four are
-    normalized by a common quadratic scale.
-    """
-    rng = np.random.default_rng(seed)
-    rows = []
-    for pt in spec.sample_points(n_points, rng):
-        ctx = point_context(spec, pt, 2)
-        lam = ctx.star.lam
-        w = ctx.wplus
-        scale = max(w.norm2, 6.0 * lam**2, 1.0)
-        target = np.sort(np.array([2.0 * lam, -lam, -lam]))[::-1]
-        r1 = float(np.sum((w.eigenvalues - target) ** 2)) / scale
-        r2 = abs(w.norm2 - 6.0 * lam**2) / scale
-        F = lam * np.diag([2.0, -1.0, -1.0])
-        r3 = float(np.sum((w.m - F) ** 2)) / scale
-        r4 = (ctx.star.ric_star_minus2 + ctx.star.rtm2) / scale
-        rs = (r1, r2, r3, r4)
-        coherent = "small" if max(rs) <= 1e-8 else ("large" if min(rs) >= 1e-4 else "incoherent")
-        rows.append({"point": list(map(float, pt)), "residuals": [float(r) for r in rs],
-                     "coherence": coherent})
-    return {
-        "manifold": spec.id,
-        "points": rows,
-        "max_residual": max(max(r["residuals"]) for r in rows),
-        "min_residual": min(min(r["residuals"]) for r in rows),
-        "all_coherent": all(r["coherence"] != "incoherent" for r in rows),
-    }
 
 
 # ---------------------------------------------------------------------------

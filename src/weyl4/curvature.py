@@ -24,11 +24,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import Weyl4Error
 from .exprjet import Jet, jderiv, jeinsum, jet_order, jmul, jtruncate, jvalue, tables, unit_index
 from .pointgeom import MetricPoint, is_skew
 
 
-class InsufficientJetOrder(ValueError):
+class InsufficientJetOrder(Weyl4Error, ValueError):
     """A derivative of curvature was requested beyond the metric jet order."""
 
 
@@ -65,10 +66,6 @@ class CurvatureBundle:
     @property
     def ric_v(self) -> np.ndarray:
         return jvalue(self.ric)
-
-    @property
-    def ric_form_v(self) -> np.ndarray:
-        return jvalue(self.ric_form)
 
     @property
     def S_v(self) -> float:
@@ -206,13 +203,6 @@ def tensor_operator(C: np.ndarray, A: np.ndarray, mp: MetricPoint) -> np.ndarray
     return np.einsum("pk,km,an,pmbn->ab", A, mp.g_inv, mp.g_inv, C)
 
 
-def curvature_operator(A: np.ndarray, bundle: CurvatureBundle) -> np.ndarray:
-    """R(A) = R(A X_k, X^k) for skew A."""
-    if not is_skew(A, bundle.mp):
-        raise ValueError("curvature operator expects a skew endomorphism")
-    return tensor_operator(bundle.riem_v, A, bundle.mp)
-
-
 def weyl_operator(A: np.ndarray, bundle: CurvatureBundle) -> np.ndarray:
     """W(A) = R(A) - ({Ric, A} - (S/3) A)."""
     if not is_skew(A, bundle.mp):
@@ -220,15 +210,6 @@ def weyl_operator(A: np.ndarray, bundle: CurvatureBundle) -> np.ndarray:
     RA = tensor_operator(bundle.riem_v, A, bundle.mp)
     ric = bundle.ric_v
     return RA - (ric @ A + A @ ric) + (bundle.S_v / 3.0) * A
-
-
-def covariant_derivatives(bundle: CurvatureBundle):
-    """(nabla Ric, nabla^2 Ric, nabla W) values; errors if the jet order is short."""
-    return (
-        bundle.require("nabla_ric"),
-        bundle.require("nabla2_ric"),
-        bundle.require("nabla_weyl"),
-    )
 
 
 def laplacian_scalar(f: Jet | np.ndarray, bundle: CurvatureBundle) -> float:

@@ -28,11 +28,13 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from . import Weyl4Error
+
 NCOORDS = 4
 MAX_ORDER = 4
 
 
-class ExpressionError(Exception):
+class ExpressionError(Weyl4Error):
     """Base class for expression parsing/evaluation failures."""
 
 
@@ -275,16 +277,6 @@ class Jet:
     def gradient(self) -> np.ndarray:
         return np.array([self.partial(unit_index(v)) for v in range(NCOORDS)])
 
-    def hessian(self) -> np.ndarray:
-        H = np.empty((NCOORDS, NCOORDS))
-        for i in range(NCOORDS):
-            for j in range(NCOORDS):
-                a = [0] * NCOORDS
-                a[i] += 1
-                a[j] += 1
-                H[i, j] = self.partial(a)
-        return H
-
 
 def unit_index(v: int) -> tuple[int, ...]:
     """Multi-index of the first derivative d/dx_v."""
@@ -448,9 +440,14 @@ def _fold_binop(op: str, a: Expr, b: Expr) -> Expr:
             return Num(x * y)
         if op == "/" and y != 0.0:
             return Num(x / y)
-        if op == "^":
-            if y == int(y) or x > 0.0:
-                return Num(float(x**y))
+        if op == "^" and (x > 0.0 or float(y).is_integer()):
+            try:
+                value = float(x**y)
+            except (ZeroDivisionError, OverflowError):
+                value = math.inf
+            if not math.isfinite(value):
+                raise ExpressionError(f"constant power {x!r}^{y!r} is not a finite number")
+            return Num(value)
     return BinOp(op, a, b)
 
 
@@ -610,7 +607,7 @@ def expr_to_string(e: Expr) -> str:
         lhs, rhs = expr_to_string(e.left), expr_to_string(e.right)
         p = e.precedence()
         if e.op == "^":
-            if e.left.precedence() < ATOM_PREC:
+            if e.left.precedence() < ATOM_PREC or lhs.startswith("-"):  # -2.0^y reads as -(2.0^y)
                 lhs = f"({lhs})"
             if e.right.precedence() < POW_PREC:
                 rhs = f"({rhs})"

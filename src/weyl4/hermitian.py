@@ -1,11 +1,11 @@
 """Curvature quantities that involve the almost complex structure.
 
 Star Ricci tensor and its triangle/box companions for the quaternionic
-supplement, their symmetric/skew splittings, the tensor Rt with
+supplement, their skew parts, the tensor Rt with
 ``Rt(X,Y) = [R(X,Y) - R(JX,JY), J] J / 4``, nabla J with its (xi, eta)
-frame coefficients, the Nijenhuis tensor, the algebraic 1-form Theta, the
-scalar q(J) built from the second covariant derivative of Ricci, and the
-phi/psi pairing that obstructs the Kahler property on compact manifolds.
+frame coefficients, the Nijenhuis tensor, the scalar q(J) built from the
+second covariant derivative of Ricci, and the phi/psi pairing that
+obstructs the Kahler property on compact manifolds.
 
 All endomorphisms are chart-basis matrices; ``frame`` supplies (I, K).
 """
@@ -29,13 +29,6 @@ from .pointgeom import (
     hodge_star,
     inner_endo,
     inner_endos,
-    norm_endo,
-)
-from .selfdual import (
-    identity_operator,
-    interior_product,
-    operator_to_04,
-    star_operator,
 )
 
 
@@ -67,16 +60,11 @@ class StarCurvature:
     """The J-dependent curvature family at a point, for one supplement (I, K)."""
 
     ric_star: np.ndarray
-    ric_plus: np.ndarray
-    ric_minus: np.ndarray
-    ric_star_plus: np.ndarray
-    ric_star_minus: np.ndarray
+    ric_star_minus: np.ndarray      # skew part of Ric*
     s_star: float
     ric_tri: np.ndarray
     ric_box: np.ndarray
-    ric_tri_plus: np.ndarray
     ric_tri_minus: np.ndarray
-    ric_box_plus: np.ndarray
     ric_box_minus: np.ndarray
     s_tri: float
     s_box: float
@@ -90,10 +78,6 @@ class StarCurvature:
     ric_tri_minus2: float
     ric_box_minus2: float
     j_dot_tri_minus: float          # <J, Ric_tri^->
-    rho: np.ndarray                 # Ricci form of Ric^+ J
-    rho_star: np.ndarray
-    rho_star_plus: np.ndarray
-    rho_star_minus: np.ndarray
 
 
 def _r_op(bundle: CurvatureBundle) -> np.ndarray:
@@ -111,26 +95,16 @@ def rtilde_table(bundle: CurvatureBundle, J: np.ndarray, r_op: np.ndarray | None
     return 0.25 * np.einsum("pmac,cb->pmab", comm, J)
 
 
-def rictilde_endo(bundle: CurvatureBundle, J: np.ndarray, rt: np.ndarray | None = None) -> np.ndarray:
-    """Rtic(X) = Rt(X, X_k) X^k from the definition."""
-    if rt is None:
-        rt = rtilde_table(bundle, J)
-    return np.einsum("km,ikam->ai", bundle.mp.g_inv, rt)
-
-
 def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFrame) -> StarCurvature:
     mp = bundle.mp
     J = acs.J
     r_op = _r_op(bundle)
-    ric = bundle.ric_v
 
     # star Ricci of A = J, I, K at once: Ric_A(X) = R(AX, A X_k) X^k
     jik = np.stack([J, frame.I, frame.K])
     stars = np.einsum("smi,snl,mnal->sai", jik, jik @ mp.g_inv, r_op)
-    stars_adj = mp.g_inv @ stars.transpose(0, 2, 1) @ mp.g
-    plus, minus = 0.5 * (stars + stars_adj), 0.5 * (stars - stars_adj)
+    minus = 0.5 * (stars - mp.g_inv @ stars.transpose(0, 2, 1) @ mp.g)
     s_star, s_tri, s_box = (float(x) for x in np.trace(stars, axis1=1, axis2=2))
-    ric_plus = 0.5 * (ric - J @ ric @ J)
     lam = 0.25 * (s_star - bundle.S_v / 3.0)
 
     # Rt(A) = Rt(A X_k, X^k) for A = I, K, JI, JK
@@ -144,16 +118,11 @@ def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFra
 
     return StarCurvature(
         ric_star=stars[0],
-        ric_plus=ric_plus,
-        ric_minus=0.5 * (ric + J @ ric @ J),
-        ric_star_plus=plus[0],
         ric_star_minus=minus[0],
         s_star=s_star,
         ric_tri=stars[1],
         ric_box=stars[2],
-        ric_tri_plus=plus[1],
         ric_tri_minus=minus[1],
-        ric_box_plus=plus[2],
         ric_box_minus=minus[2],
         s_tri=s_tri,
         s_box=s_box,
@@ -167,10 +136,6 @@ def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFra
         ric_tri_minus2=float(n2[7]),
         ric_box_minus2=float(n2[8]),
         j_dot_tri_minus=inner_endo(J, minus[1], mp),
-        rho=endo_to_form(ric_plus @ J, mp, check=False),
-        rho_star=endo_to_form(stars[0] @ J, mp, check=False),
-        rho_star_plus=endo_to_form(plus[0] @ J, mp, check=False),
-        rho_star_minus=endo_to_form(minus[0] @ J, mp, check=False),
     )
 
 
@@ -190,7 +155,6 @@ class NablaJData:
     delta_omega: np.ndarray    # co-differential, (4,)
     nijenhuis: np.ndarray      # [a,i,j] = N(d_i, d_j)^a
     norm2: float               # |nabla J|^2 (weighted)
-    quasi_kahler_residual: float
     reconstruction_residual: float
 
     @property
@@ -248,8 +212,6 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     # |nabla J|^2 = g^{km} <nabla_k J, nabla_m J> with the weighted product
     norm2 = float(np.einsum("km,km->", mp.g_inv, inner_endos(nabla_j, nabla_j, mp)))
 
-    qk = np.einsum("pm,pab->mab", J, nabla_j) - np.einsum("mac,cb->mab", nabla_j, J)
-
     return NablaJData(
         nabla_j=nabla_j,
         xi=xi,
@@ -260,35 +222,12 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
         delta_omega=delta_omega,
         nijenhuis=nijenhuis,
         norm2=norm2,
-        quasi_kahler_residual=float(np.abs(qk).max()),
         reconstruction_residual=float(np.abs(recon).max()),
     )
 
 
-def rictilde_ak_check(
-    nabla_j: NablaJData,
-    star: StarCurvature,
-    bundle: CurvatureBundle,
-    gate: float = 1e-8,
-):
-    """Almost-Kahler identities: Rtic = -(1/4) nabla_{X_k} J nabla_{X^k} J and
-    S_star - S = 2 |nabla J|^2.  Returns (applicable, residual_30, residual_31)."""
-    mp = bundle.mp
-    scale = max(np.abs(nabla_j.nabla_j).max(), 1.0)
-    if nabla_j.d_omega_norm > gate * scale:
-        return False, None, None
-    curv = max(abs(bundle.S_v), float(np.abs(bundle.ric_v).max()), 1.0)
-    lhs = 0.5 * (star.ric_star_plus - star.ric_plus)
-    rhs = -0.25 * np.einsum("km,kac,mcb->ab", mp.g_inv, nabla_j.nabla_j, nabla_j.nabla_j)
-    denom = max(norm_endo(lhs, mp), norm_endo(rhs, mp), curv)
-    r30 = norm_endo(lhs - rhs, mp) / denom
-    lhs31 = 0.5 * (star.s_star - bundle.S_v)
-    r31 = abs(lhs31 - nabla_j.norm2) / max(abs(lhs31), abs(nabla_j.norm2), curv)
-    return True, r30, r31
-
-
 # ---------------------------------------------------------------------------
-# Projections, Theta, q(J), pairings
+# Projections, q(J), pairings
 # ---------------------------------------------------------------------------
 
 
@@ -313,34 +252,6 @@ def projections_p1p2(star: StarCurvature, wplus_m: np.ndarray) -> ProjectionData
         G=G,
         g_norm2=float(np.sum(G * G)),
     )
-
-
-def theta_form(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.ndarray:
-    """Theta(X) = (2 dS(JX) J - dS(IX) I - dS(KX) K)/24 as [i,a,b]."""
-    dS = bundle.require("dS")
-    out = np.zeros((4, 4, 4))
-    for A, coef in ((frame.J, 2.0), (frame.I, -1.0), (frame.K, -1.0)):
-        out += coef * np.einsum("i,ab->iab", A.T @ dS, A) / 24.0
-    return out
-
-
-def p1_p2_operators(frame: SelfDualFrame, mp: MetricPoint):
-    """Form-operator matrices of P_1 (projection on the Omega_J axis) and
-    P_2 = P_+ - P_1."""
-    w = frame.omega_J
-    w_up = mp.g_inv @ w @ mp.g_inv.T
-    P1 = 0.25 * np.einsum("ij,kl->ijkl", w, w_up)
-    Pp = 0.5 * (identity_operator() + star_operator(mp, frame.orientation))
-    return P1, Pp - P1
-
-
-def theta_form_interior(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.ndarray:
-    """Theta = (1/6) grad S .| (2 P_1 - P_2) through the 2-form correspondence."""
-    mp = bundle.mp
-    dS = bundle.require("dS")
-    P1, P2 = p1_p2_operators(frame, mp)
-    C = operator_to_04(2.0 * P1 - P2, mp)
-    return interior_product(mp.g_inv @ dS, C, mp) / 6.0
 
 
 def q_j_integrand(bundle: CurvatureBundle, acs: AcsPoint) -> float:
@@ -391,27 +302,6 @@ def phi_psi_pairing(bundle: CurvatureBundle, nabla_j: NablaJData, frame: SelfDua
     vI = ric_derivative_vector(frame.I, bundle)
     via130 = 0.5 * float(vK @ mp.g @ nabla_j.xi) - 0.5 * float(vI @ mp.g @ nabla_j.eta)
     return True, float(via126), float(via130)
-
-
-def conformal_nabla_j(nabla_j: NablaJData, frame: SelfDualFrame, f_jet: Jet) -> np.ndarray:
-    """Predicted nabla J under gbar = exp(f) g:
-    (nabla-bar_X J) = nabla_X J + df(KX) I / 2 - df(IX) K / 2."""
-    df = f_jet.gradient()
-    return (
-        nabla_j.nabla_j
-        + 0.5 * np.einsum("m,ab->mab", frame.K.T @ df, frame.I)
-        - 0.5 * np.einsum("m,ab->mab", frame.I.T @ df, frame.K)
-    )
-
-
-def conformal_bracket(f_grad: np.ndarray, X: np.ndarray, frame: SelfDualFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of [df (x) X - g(X) (x) grad f, J] = df(KX) I - df(IX) K."""
-    mp = frame.mp
-    grad = mp.g_inv @ f_grad
-    B = np.einsum("b,a->ab", f_grad, X) - np.einsum("b,a->ab", mp.g @ X, grad)
-    lhs = B @ frame.J - frame.J @ B
-    rhs = float(f_grad @ (frame.K @ X)) * frame.I - float(f_grad @ (frame.I @ X)) * frame.K
-    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------

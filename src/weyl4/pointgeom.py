@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import Weyl4Error
 from .exprjet import PERM_SIGNS4, PERMUTATIONS4, jmatinv, jtruncate, jvalue
 
 N = 4
@@ -38,11 +39,11 @@ EPS4 = np.zeros((N, N, N, N))
 EPS4[tuple(PERMUTATIONS4.T)] = PERM_SIGNS4
 
 
-class FrameError(ValueError):
+class FrameError(Weyl4Error, ValueError):
     """Raised for degenerate seeds or incompatible almost complex structures."""
 
 
-class MetricError(ValueError):
+class MetricError(Weyl4Error, ValueError):
     """The metric matrix at ``point`` is not symmetric positive definite."""
 
     def __init__(self, message: str, point):
@@ -76,11 +77,6 @@ class MetricPoint:
         inv_jets = jmatinv(jtruncate(jets, order, inv_order), inv_order)
         return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)
 
-    @property
-    def scale(self) -> float:
-        """Largest metric eigenvalue; tolerances are taken relative to it."""
-        return float(np.linalg.eigvalsh(self.g)[-1])
-
     def dot(self, x: np.ndarray, y: np.ndarray) -> float:
         return float(x @ self.g @ y)
 
@@ -113,26 +109,11 @@ def inner_endos(As: np.ndarray, Bs: np.ndarray, mp: MetricPoint) -> np.ndarray:
     return np.einsum("...akj,...bkj->...ab", As, mp.g @ Bs @ mp.g_inv) / N
 
 
-def norm_endo(A: np.ndarray, mp: MetricPoint) -> float:
-    return float(np.sqrt(max(inner_endo(A, A, mp), 0.0)))
-
-
 def endo_to_form(A: np.ndarray, mp: MetricPoint, check: bool = True) -> np.ndarray:
     """2-form of a skew endomorphism: Omega_A(X,Y) = g(AX, Y)."""
     if check and not is_skew(A, mp):
         raise ValueError("endomorphism is not skew with respect to g")
     return A.T @ mp.g
-
-
-def form_to_endo(w: np.ndarray, mp: MetricPoint, check: bool = True) -> np.ndarray:
-    if check and np.abs(w + w.T).max() > 1e-10 * max(np.abs(w).max(), 1.0):
-        raise ValueError("2-form matrix is not antisymmetric")
-    return -mp.g_inv @ w
-
-
-def inner_form(w1: np.ndarray, w2: np.ndarray, mp: MetricPoint) -> float:
-    """Form inner product matching <Omega_A, Omega_B> = <A, B>."""
-    return float(np.einsum("ij,ik,jl,kl->", w1, mp.g_inv, mp.g_inv, w2)) / N
 
 
 def hodge_star(w: np.ndarray, mp: MetricPoint, orientation: float) -> np.ndarray:
@@ -158,7 +139,7 @@ def chart_orientation(J: np.ndarray, mp: MetricPoint) -> float:
 
 @dataclass(frozen=True)
 class SelfDualFrame:
-    """Orthonormal J-frame plus quaternionic supplement and its 2-forms.
+    """Orthonormal J-frame plus quaternionic supplement.
 
     ``E`` holds the frame vectors e1..e4 as columns (chart components), with
     J e1 = e2 and J e3 = e4.  (I, K) complete J to a quaternionic triple with
@@ -170,15 +151,8 @@ class SelfDualFrame:
     J: np.ndarray
     I: np.ndarray
     K: np.ndarray
-    omega_J: np.ndarray
-    omega_I: np.ndarray
-    omega_K: np.ndarray
     orientation: float  # chart orientation sign under vol = Omega_J^2/2
     mp: MetricPoint
-
-    @property
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.E[:, k] for k in range(N))
 
     def sd_endos(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.J, self.I, self.K
@@ -227,29 +201,10 @@ def build_j_frame(mp: MetricPoint, J: np.ndarray, seed: np.ndarray) -> SelfDualF
     Einv = np.linalg.inv(E)
     I = E @ I_STD @ Einv
     K = E @ K_STD @ Einv
-    sigma = chart_orientation(J, mp)
-    return SelfDualFrame(
-        E=E,
-        J=J,
-        I=I,
-        K=K,
-        omega_J=endo_to_form(J, mp, check=False),
-        omega_I=endo_to_form(I, mp, check=False),
-        omega_K=endo_to_form(K, mp, check=False),
-        orientation=sigma,
-        mp=mp,
-    )
+    return SelfDualFrame(E=E, J=J, I=I, K=K, orientation=chart_orientation(J, mp), mp=mp)
 
 
 def rotate_supplement(frame: SelfDualFrame, alpha: float) -> SelfDualFrame:
     """Rotate the quaternionic supplement: I' = cos a I - sin a K, K' = sin a I + cos a K."""
     c, s = np.cos(alpha), np.sin(alpha)
-    I2 = c * frame.I - s * frame.K
-    K2 = s * frame.I + c * frame.K
-    return replace(
-        frame,
-        I=I2,
-        K=K2,
-        omega_I=endo_to_form(I2, frame.mp, check=False),
-        omega_K=endo_to_form(K2, frame.mp, check=False),
-    )
+    return replace(frame, I=c * frame.I - s * frame.K, K=s * frame.I + c * frame.K)

@@ -22,13 +22,7 @@ import numpy as np
 
 from .curvature import CurvatureBundle
 from .exprjet import Jet, jeinsum, jmul, jtruncate, jdet4, jet_sqrt
-from .pointgeom import (
-    EPS4,
-    MetricPoint,
-    SelfDualFrame,
-    endo_to_form,
-    inner_endos,
-)
+from .pointgeom import EPS4, MetricPoint, SelfDualFrame, inner_endos
 
 
 # ---------------------------------------------------------------------------
@@ -59,10 +53,6 @@ def compose(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
     return np.einsum("ijmk,mkab->ijab", M1, M2)
 
 
-def apply_form_operator(M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("ijkl,kl->ij", M, w)
-
-
 def pm_projectors(mp: MetricPoint, orientation: float) -> tuple[np.ndarray, np.ndarray]:
     ident = identity_operator()
     star = star_operator(mp, orientation)
@@ -81,43 +71,19 @@ def interior_product(U: np.ndarray, C04: np.ndarray, mp: MetricPoint) -> np.ndar
 
 @dataclass(frozen=True)
 class Lambda2Basis:
-    """Six orthonormal 2-forms, the first three spanning the self-dual part."""
+    """Six orthonormal skew endomorphisms (2-forms through Omega_A = g(A., .)),
+    the first three spanning the self-dual part."""
 
-    endos: tuple        # (J, I, K, J-, I-, K-) endomorphisms
-    forms: tuple        # corresponding 2-forms
-    star_signs: tuple   # (+1,+1,+1,-1,-1,-1)
-    frame: SelfDualFrame
+    endos: tuple        # (J, I, K, J-, I-, K-)
     mp: MetricPoint
 
     @property
     def sd(self) -> tuple:
         return self.endos[:3]
 
-    @property
-    def asd(self) -> tuple:
-        return self.endos[3:]
-
-    def project_plus(self, A: np.ndarray) -> np.ndarray:
-        return self._project(self.sd, A)
-
-    def project_minus(self, A: np.ndarray) -> np.ndarray:
-        return self._project(self.asd, A)
-
-    def _project(self, endos: tuple, A: np.ndarray) -> np.ndarray:
-        Bs = np.stack(endos)
-        return np.einsum("s,sab->ab", inner_endos(Bs, A[None], self.mp)[:, 0], Bs)
-
 
 def lambda2_split(frame: SelfDualFrame, mp: MetricPoint) -> Lambda2Basis:
-    endos = frame.sd_endos() + frame.asd_endos()
-    forms = tuple(endo_to_form(A, mp, check=False) for A in endos)
-    return Lambda2Basis(
-        endos=endos,
-        forms=forms,
-        star_signs=(1.0, 1.0, 1.0, -1.0, -1.0, -1.0),
-        frame=frame,
-        mp=mp,
-    )
+    return Lambda2Basis(endos=frame.sd_endos() + frame.asd_endos(), mp=mp)
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +124,6 @@ def wplus_matrix(bundle: CurvatureBundle, basis: Lambda2Basis) -> WplusMatrix:
     return _weyl_on(bundle, basis.sd, basis.mp)
 
 
-def wminus_matrix(bundle: CurvatureBundle, basis: Lambda2Basis) -> WplusMatrix:
-    return _weyl_on(bundle, basis.asd, basis.mp)
-
-
-def wplus_invariants(w: WplusMatrix) -> dict:
-    """Spectral invariants and the two-eigenvalue predicate of the char poly
-    chi(t) = t^3 - |W+|^2/2 t - det(W+)."""
-    return {
-        "norm2": w.norm2,
-        "det": w.det,
-        "char_poly": (1.0, 0.0, -0.5 * w.norm2, -w.det),
-        "eigenvalues": w.eigenvalues,
-        "two_eigenvalue_residual": w.det**2 - w.norm2**3 / 54.0,
-    }
-
-
 def weyl_pm_04(bundle: CurvatureBundle, frame: SelfDualFrame) -> tuple[np.ndarray, np.ndarray]:
     """(0,4) components of W+ and W- (operator composed with the projections)."""
     mp = bundle.mp
@@ -185,13 +135,6 @@ def weyl_pm_04(bundle: CurvatureBundle, frame: SelfDualFrame) -> tuple[np.ndarra
 # ---------------------------------------------------------------------------
 # Divergence and derivative norms
 # ---------------------------------------------------------------------------
-
-
-def delta_w_full(bundle: CurvatureBundle) -> np.ndarray:
-    """delta W(X) = (nabla_{X_k} W)(X, X^k) as an endo table [i,a,b]."""
-    nw = bundle.require("nabla_weyl")
-    gi = bundle.mp.g_inv
-    return np.einsum("km,an,kimbn->iab", gi, gi, nw)
 
 
 def delta_wpm(bundle: CurvatureBundle, frame: SelfDualFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -217,12 +160,6 @@ def nabla_w_sd_matrices(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.nda
     forms_up = mp.g_inv @ Bs.transpose(0, 2, 1)
     images = mp.g_inv @ np.einsum("pijab,sab->psij", nw, forms_up)
     return inner_endos(Bs, images, mp)
-
-
-def nabla_wplus_norm2(bundle: CurvatureBundle, frame: SelfDualFrame) -> float:
-    """|nabla W+|^2 = g^{pq} tr(nabla_p W+ o nabla_q W+) (full 3x3 trace)."""
-    n = nabla_w_sd_matrices(bundle, frame)
-    return float(np.einsum("pq,pab,qba->", bundle.mp.g_inv, n, n))
 
 
 def wplus_norm2_jet(bundle: CurvatureBundle, orientation: float) -> Jet:

@@ -16,16 +16,17 @@ from weyl4.cli import main as cli_main
 from weyl4.conditions import (
     check_integral_formulas,
     point_context,
-    prop21_equivalence,
     run_suite,
 )
 from weyl4.curvature import curvature_bundle
 from weyl4.exprjet import eval_jet, eval_values
-from weyl4.hermitian import AcsPoint, conformal_nabla_j, gl121_delta_wplus, nabla_j_data
+from weyl4.hermitian import AcsPoint, gl121_delta_wplus, nabla_j_data
 from weyl4.pointgeom import build_j_frame
 from weyl4.selfdual import delta_wpm
 
 from weyl4.exprjet import parse_expression
+
+from paper_oracles import conformal_nabla_j, prop21_equivalence
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -106,6 +106,20 @@ class TestCheck:
         code, _, err = run(capsys, "check", "--config", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("power", ["0^-1", "10^400"])
+    def test_constant_power_that_is_not_finite_exit_2(self, capsys, tmp_path, power):
+        path = tmp_path / "pow.cfg"
+        path.write_text(
+            "[manifold]\nid = pow\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+            f"[metric]\ng_11 = 1 + {power}*x\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+        )
+        code, out, err = run(capsys, "check", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "g_11" in err and "constant power" in err
+
     def test_tolerance_flags(self, capsys):
         # a huge tol-pass turns the Kodaira-Thurston violation into a pass
         code, out, _ = run(

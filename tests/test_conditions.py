@@ -19,11 +19,12 @@ from weyl4.conditions import (
     evaluate_integrand,
     integrate_density,
     point_context,
-    prop21_equivalence,
     rotated_context,
     run_suite,
 )
 from weyl4.conditions import PointContext, _ClassifyAccumulator, _TagAccumulator, _verdict
+
+from paper_oracles import prop21_equivalence
 
 SPEC_REGISTRY_IDS = {
     "EQ01", "EQ02", "EQ03", "EQ04", "EQ05", "EQ06",

@@ -2,29 +2,28 @@ import numpy as np
 import pytest
 
 from weyl4.catalog import get_manifold
+from weyl4.conditions import point_context
 from weyl4.curvature import curvature_bundle
-from weyl4.pointgeom import adjoint_endo, build_j_frame, inner_endo, rotate_supplement
+from weyl4.pointgeom import adjoint_endo, build_j_frame, endo_to_form, inner_endo, rotate_supplement
 from weyl4.selfdual import (
-    Lambda2Basis,
     WplusMatrix,
-    apply_form_operator,
     compose,
-    delta_w_full,
     delta_wpm,
     form_operator,
     identity_operator,
     interior_product,
     lambda2_split,
-    nabla_wplus_norm2,
     operator_to_04,
     pm_projectors,
     star_operator,
     weyl_pm_04,
-    wminus_matrix,
-    wplus_invariants,
     wplus_matrix,
     wplus_norm2_jet,
 )
+
+from paper_oracles import apply_form_operator, delta_w_full, project_minus, project_plus, wminus_matrix
+
+STAR_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, -1.0)  # Lambda2Basis.endos: three self-dual, three anti-self-dual
 
 
 def make(name, pt, order=4):
@@ -39,12 +38,13 @@ class TestLambda2Split:
     def test_euclidean_classical_basis(self):
         _, mp, b, fr = make("euclidean_flat", [0, 0, 0, 0], 2)
         basis = lambda2_split(fr, mp)
+        forms = [endo_to_form(A, mp, check=False) for A in basis.endos]
         e = np.zeros((4, 4))
         e[0, 1], e[1, 0] = 1.0, -1.0
         e34 = np.zeros((4, 4))
         e34[2, 3], e34[3, 2] = 1.0, -1.0
-        assert np.abs(basis.forms[0] - (e + e34)).max() == 0.0  # e12 + e34
-        assert np.abs(basis.forms[3] - (e - e34)).max() == 0.0  # e12 - e34
+        assert np.abs(forms[0] - (e + e34)).max() == 0.0  # e12 + e34
+        assert np.abs(forms[3] - (e - e34)).max() == 0.0  # e12 - e34
 
     def test_projections_complementary(self):
         _, mp, b, fr = make("kodaira_thurston", [0.3, 0.4, 0.1, 0.7], 2)
@@ -61,7 +61,7 @@ class TestLambda2Split:
             M1, M2 = rng.normal(size=(2, 4, 4))
             A = M1 - adjoint_endo(M1, mp)
             B = M2 - adjoint_endo(M2, mp)
-            assert abs(inner_endo(basis.project_plus(A), basis.project_minus(B), mp)) < 1e-11
+            assert abs(inner_endo(project_plus(basis, A), project_minus(basis, B), mp)) < 1e-11
 
     def test_gram_and_star_signs(self):
         from weyl4.pointgeom import hodge_star
@@ -70,8 +70,18 @@ class TestLambda2Split:
         basis = lambda2_split(fr, mp)
         gram = np.array([[inner_endo(a, c, mp) for c in basis.endos] for a in basis.endos])
         assert np.abs(gram - np.eye(6)).max() < 1e-10
-        for w, s in zip(basis.forms, basis.star_signs):
+        forms = [endo_to_form(A, mp, check=False) for A in basis.endos]
+        for w, s in zip(forms, STAR_SIGNS):
             assert np.abs(hodge_star(w, mp, fr.orientation) - s * w).max() < 1e-10
+
+
+def char_poly(w):
+    """Coefficients of chi(t) = t^3 - |W+|^2/2 t - det(W+)."""
+    return (1.0, 0.0, -0.5 * w.norm2, -w.det)
+
+
+def two_eigenvalue_residual(w):
+    return w.det**2 - w.norm2**3 / 54.0
 
 
 class TestWplusMatrix:
@@ -105,23 +115,21 @@ class TestWplusMatrix:
     def test_eigenvalues_vs_char_poly(self):
         _, mp, b, fr = make("kodaira_thurston", [0.4, 0.2, 0.6, 0.1], 2)
         w = wplus_matrix(b, lambda2_split(fr, mp))
-        inv = wplus_invariants(w)
         # each eigenvalue is a root of t^3 - (|W+|^2/2) t - det
         for lam in w.eigenvalues:
-            chi = lam**3 - 0.5 * inv["norm2"] * lam - inv["det"]
-            assert abs(chi) < 1e-9 * max(inv["norm2"] ** 1.5, 1.0)
+            chi = lam**3 - 0.5 * w.norm2 * lam - w.det
+            assert abs(chi) < 1e-9 * max(w.norm2 ** 1.5, 1.0)
         # elementary symmetric functions of the (well-conditioned) spectrum
         e = w.eigenvalues
         assert abs(e.sum()) < 1e-9
-        assert e[0] * e[1] + e[0] * e[2] + e[1] * e[2] == pytest.approx(-0.5 * inv["norm2"], rel=1e-9)
-        assert np.prod(e) == pytest.approx(inv["det"], rel=1e-9)
+        assert e[0] * e[1] + e[0] * e[2] + e[1] * e[2] == pytest.approx(-0.5 * w.norm2, rel=1e-9)
+        assert np.prod(e) == pytest.approx(w.det, rel=1e-9)
 
     def test_char_poly_roots_distinct_spectrum(self):
         # away from double roots np.roots recovers the spectrum tightly
         m = np.diag([0.5, -0.2, -0.3])
         w = WplusMatrix.from_matrix(m)
-        inv = wplus_invariants(w)
-        roots = np.sort(np.roots(inv["char_poly"]).real)[::-1]
+        roots = np.sort(np.roots(char_poly(w)).real)[::-1]
         assert np.abs(roots - w.eigenvalues).max() < 1e-9
 
     def test_w_splits_as_direct_sum(self):
@@ -138,24 +146,24 @@ class TestWplusMatrix:
 class TestWplusInvariants:
     def test_kahler_values(self):
         _, mp, b, fr = make("fubini_study_cp2", [0.1, 0.2, 0.3, -0.2], 2)
-        inv = wplus_invariants(wplus_matrix(b, lambda2_split(fr, mp)))
+        w = wplus_matrix(b, lambda2_split(fr, mp))
         S = b.S_v
-        assert inv["norm2"] == pytest.approx(S**2 / 6.0, rel=1e-10)
-        assert inv["det"] == pytest.approx(S**3 / 108.0, rel=1e-10)
+        assert w.norm2 == pytest.approx(S**2 / 6.0, rel=1e-10)
+        assert w.det == pytest.approx(S**3 / 108.0, rel=1e-10)
         np.testing.assert_allclose(
-            inv["eigenvalues"], sorted([S / 3.0, -S / 6.0, -S / 6.0], reverse=True), rtol=1e-10
+            w.eigenvalues, sorted([S / 3.0, -S / 6.0, -S / 6.0], reverse=True), rtol=1e-10
         )
-        assert abs(inv["two_eigenvalue_residual"]) < 1e-9 * inv["norm2"] ** 3
+        assert abs(two_eigenvalue_residual(w)) < 1e-9 * w.norm2**3
 
     def test_zero_matrix(self):
-        inv = wplus_invariants(WplusMatrix.from_matrix(np.zeros((3, 3))))
-        assert inv["norm2"] == 0.0 and inv["det"] == 0.0
-        assert inv["two_eigenvalue_residual"] == 0.0
+        w = WplusMatrix.from_matrix(np.zeros((3, 3)))
+        assert w.norm2 == 0.0 and w.det == 0.0
+        assert two_eigenvalue_residual(w) == 0.0
 
     def test_two_eigenvalue_family_exact(self):
         lam = 0.37
-        inv = wplus_invariants(WplusMatrix.from_matrix(lam * np.diag([2.0, -1.0, -1.0])))
-        assert inv["det"] ** 2 == pytest.approx(inv["norm2"] ** 3 / 54.0, rel=1e-12)
+        w = WplusMatrix.from_matrix(lam * np.diag([2.0, -1.0, -1.0]))
+        assert w.det**2 == pytest.approx(w.norm2**3 / 54.0, rel=1e-12)
 
     def test_char_poly_coefficients(self):
         rng = np.random.default_rng(2)
@@ -163,10 +171,9 @@ class TestWplusInvariants:
         M = M + M.T
         M -= np.trace(M) / 3.0 * np.eye(3)
         w = WplusMatrix.from_matrix(M)
-        inv = wplus_invariants(w)
         # chi(t) = t^3 - (|W+|^2/2) t - det
         for t in (0.3, -1.2, 2.5):
-            chi = t**3 - 0.5 * w.norm2 * t - w.det
+            chi = np.polyval(char_poly(w), t)
             direct = float(np.linalg.det(t * np.eye(3) - M))
             assert chi == pytest.approx(direct, rel=1e-10)
 
@@ -210,7 +217,7 @@ class TestDeltaW:
         basis = lambda2_split(fr, mp)
         dwp, _ = delta_wpm(b, fr)
         for i in range(4):
-            proj = basis.project_plus(dwp[i])
+            proj = project_plus(basis, dwp[i])
             assert np.abs(dwp[i] - proj).max() < 1e-9 * max(np.abs(dwp).max(), 1.0)
 
     def test_gl121_cross_check_all_catalog(self, catalog):
@@ -243,15 +250,17 @@ class TestBasisIndependence:
 
 class TestNablaWplusNorms:
     def test_constant_s_kahler_both_zero(self):
-        _, mp, b, fr = make("fubini_study_cp2", [0.25, -0.15, 0.3, 0.1], 3)
-        n2 = nabla_wplus_norm2(b, fr)
+        ctx = point_context(get_manifold("fubini_study_cp2"), [0.25, -0.15, 0.3, 0.1], 3)
+        b, fr = ctx.bundle, ctx.frame
+        n2 = ctx.nabla_wplus_norm2()
         assert abs(n2) < 1e-8 * b.S_v**2
         w2 = wplus_norm2_jet(b, fr.orientation)
         assert np.abs(w2.gradient()).max() < 1e-8 * b.S_v**2
 
     def test_generic_kahler_gradient_identities(self):
-        _, mp, b, fr = make("kahler_potential_generic", [0.3, 0.2, -0.4, 0.6], 3)
-        n2 = nabla_wplus_norm2(b, fr)
+        ctx = point_context(get_manifold("kahler_potential_generic"), [0.3, 0.2, -0.4, 0.6], 3)
+        mp, b, fr = ctx.mp, ctx.bundle, ctx.frame
+        n2 = ctx.nabla_wplus_norm2()
         grad_s2 = float(b.dS @ mp.g_inv @ b.dS)
         assert n2 == pytest.approx(grad_s2 / 6.0, rel=1e-7)
         w2 = wplus_norm2_jet(b, fr.orientation)
@@ -287,5 +296,5 @@ class TestOperatorHelpers:
     def test_apply_form_operator(self):
         _, mp, b, fr = make("euclidean_flat", [0, 0, 0, 0], 2)
         Pp, _ = pm_projectors(mp, fr.orientation)
-        w = fr.omega_J
+        w = endo_to_form(fr.J, mp)
         assert np.abs(apply_form_operator(Pp, w) - w).max() < 1e-12
