@@ -486,7 +486,9 @@ def validate_spec(spec: ManifoldSpec, n_samples: int = 20, seed: int = 0) -> lis
     pts = spec.sample_points(n_samples, rng)
     violations = []
 
-    worst_sym, worst_sym_pt = 0.0, None
+    # residuals are compared with "not <=", and np.argmax picks the first NaN,
+    # so a non-finite metric or J is a violation rather than a pass
+    asyms = []
     worst_spd_pt = None
     full = compile_tape(spec.metric_exprs)  # every entry, so asymmetric grids show
     for p in pts:
@@ -495,41 +497,31 @@ def validate_spec(spec: ManifoldSpec, n_samples: int = 20, seed: int = 0) -> lis
         except exprjet.ExpressionError as exc:
             violations.append(f"metric evaluation failed at {p.tolist()}: {exc}")
             return violations
-        scale = max(np.abs(g).max(), 1.0)
-        asym = np.abs(g - g.T).max() / scale
-        if asym > worst_sym:
-            worst_sym, worst_sym_pt = asym, p
+        asyms.append(np.abs(g - g.T).max() / max(np.abs(g).max(), 1.0))
+        if np.isnan(asyms[-1]):
+            continue  # not finite: no spectrum to check
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if eig[0] <= 1e-12 * max(eig[-1], 1e-300) and worst_spd_pt is None:
+        if not eig[0] > 1e-12 * max(eig[-1], 1e-300) and worst_spd_pt is None:
             worst_spd_pt = (p, eig)
-    if worst_sym > 1e-10:
-        violations.append(
-            f"metric not symmetric: residual {worst_sym:.3e} at {np.asarray(worst_sym_pt).tolist()}"
-        )
+    k = int(np.argmax(asyms))
+    if not asyms[k] <= 1e-10:
+        what = "not finite" if np.isnan(asyms[k]) else f"not symmetric: residual {asyms[k]:.3e}"
+        violations.append(f"metric {what} at {pts[k].tolist()}")
     if worst_spd_pt is not None:
         p, eig = worst_spd_pt
         violations.append(f"metric not positive definite at {p.tolist()}: eigenvalues {eig}")
 
-    if spec.has_j and worst_spd_pt is None:
-        worst_sq, worst_sq_pt = 0.0, None
-        worst_ad, worst_ad_pt = 0.0, None
+    if spec.has_j and not violations:
+        r_sq, r_ad = [], []
         for p in pts:
             mp = spec.metric_point(p, order=0)
             J = spec.j_matrix(p)
-            r_sq = np.abs(J @ J + np.eye(4)).max()
-            r_ad = np.abs(adjoint_endo(J, mp) + J).max()
-            if r_sq > worst_sq:
-                worst_sq, worst_sq_pt = r_sq, p
-            if r_ad > worst_ad:
-                worst_ad, worst_ad_pt = r_ad, p
-        if worst_sq > 1e-10:
-            violations.append(
-                f"J^2 != -1: residual {worst_sq:.3e} at {np.asarray(worst_sq_pt).tolist()}"
-            )
-        if worst_ad > 1e-10:
-            violations.append(
-                f"J not g-skew: residual {worst_ad:.3e} at {np.asarray(worst_ad_pt).tolist()}"
-            )
+            r_sq.append(np.abs(J @ J + np.eye(4)).max())
+            r_ad.append(np.abs(adjoint_endo(J, mp) + J).max())
+        for what, r in (("J^2 != -1", r_sq), ("J not g-skew", r_ad)):
+            k = int(np.argmax(r))
+            if not r[k] <= 1e-10:
+                violations.append(f"{what}: residual {r[k]:.3e} at {pts[k].tolist()}")
     return violations
 
 

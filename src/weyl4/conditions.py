@@ -1,11 +1,14 @@
 """Identity registry, residual suites, classification and integral checks.
 
 Each numbered relation from the source material is an :class:`IdentityRecord`:
-an evaluator producing (lhs, rhs, absolute residual, scale) at a point
-context, an applicability predicate evaluated numerically (Kahler /
-almost-Kahler / two-eigenvalue / divergence-free gates), and the minimum
-metric jet order it needs.  ``run_suite`` samples points, evaluates every
-applicable record and aggregates into a deterministic report.
+an evaluator, a numeric applicability gate (Kahler / almost-Kahler /
+two-eigenvalue / divergence-free, support on |W+| or S) and the minimum
+metric jet order it needs.  ``run_suite`` builds each point's context (jets
+stay per point), copies what the gates and evaluators read into one row of
+a :class:`Rows` stack, and drops the context.  Each gate is then one mask
+over the rows, and each evaluator is called once per run on the rows its
+gate admits: stacked rows in, arrays of (lhs, rhs, abs residual, scale)
+out.  ``evaluate_identity`` is the same step on a stack of one row.
 
 Relative residuals are ``abs / max(scale, 1e-14)`` where the scale is the
 largest absolute term on either side, so identities mixing quantities of
@@ -18,18 +21,19 @@ import csv
 import functools
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
-from .curvature import curvature_bundle, laplacian_scalar
+from .curvature import curvature_bundle, laplacian_scalar, weyl_operator
 from .exprjet import Jet
 from .hermitian import (
     AcsPoint,
     NablaJData,
+    ProjectionData,
     StarCurvature,
     gl121_delta_wplus,
     lambda_jet,
@@ -41,6 +45,7 @@ from .hermitian import (
 )
 from .pointgeom import SelfDualFrame, build_j_frame, rotate_supplement
 from .selfdual import (
+    WplusMatrix,
     delta_wpm,
     interior_product,
     lambda2_split,
@@ -102,7 +107,6 @@ class PointContext:
     dwp: Optional[np.ndarray] = None
     dwm: Optional[np.ndarray] = None
     nabla_sd: Optional[np.ndarray] = None   # 3x3 matrices of nabla_p W+
-    rotation: float = 0.0
 
     @property
     def S(self) -> float:
@@ -116,42 +120,26 @@ class PointContext:
         quantities they cancel from.  Computed once per context."""
         return max(1.0, float(np.abs(self.bundle.riem_v).max()), abs(self.bundle.S_v))
 
-    def nabla_wplus_norm2(self) -> float:
-        n = self.nabla_sd
-        return float(np.einsum("pq,pab,qba->", self.mp.g_inv, n, n))
-
-    def grad_norm2(self, dv: np.ndarray) -> float:
-        return float(dv @ self.mp.g_inv @ dv)
-
 
 def point_context(
     spec: ManifoldSpec,
     point: Sequence[float],
     order: int,
-    rotation: float = 0.0,
-    frame_seed: Optional[np.ndarray] = None,
 ) -> PointContext:
     point = np.asarray(point, dtype=float)
     mp = spec.metric_point(point, order)
     bundle = curvature_bundle(mp)
-    ctx = PointContext(spec=spec, point=point, order=order, mp=mp, bundle=bundle, rotation=rotation)
+    ctx = PointContext(spec=spec, point=point, order=order, mp=mp, bundle=bundle)
     if spec.has_j:
         acs = AcsPoint.from_jets(spec.j_jets(point, 2), mp)
-        seed = frame_seed if frame_seed is not None else np.eye(4)[0]
-        frame = build_j_frame(mp, acs.J, seed)
-        if rotation:
-            frame = rotate_supplement(frame, rotation)
         ctx.acs = acs
-        _fill_frame_data(ctx, frame)
+        _fill_frame_data(ctx, build_j_frame(mp, acs.J, np.eye(4)[0]))
     return ctx
 
 
 def rotated_context(ctx: PointContext, alpha: float) -> PointContext:
     """Same point and bundle, quaternionic supplement rotated by alpha."""
-    out = PointContext(
-        spec=ctx.spec, point=ctx.point, order=ctx.order, mp=ctx.mp, bundle=ctx.bundle,
-        acs=ctx.acs, rotation=ctx.rotation + alpha,
-    )
+    out = PointContext(spec=ctx.spec, point=ctx.point, order=ctx.order, mp=ctx.mp, bundle=ctx.bundle, acs=ctx.acs)
     _fill_frame_data(out, rotate_supplement(ctx.frame, alpha))
     return out
 
@@ -171,6 +159,92 @@ def _fill_frame_data(ctx: PointContext, frame: SelfDualFrame) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Stacked rows
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Rows:
+    """Order-0 quantities of many contexts of one jet order; axis 0 has one
+    row per context.  ``star``, ``nj``, ``wplus`` and ``proj`` are stacked
+    field by field (their per-point properties do not apply).  The rows serve
+    the operator helpers as metric (g, g_inv) and frame (J, I, K,
+    orientation).  ``dS`` to ``nabla_weyl_max`` need jet order 3; the fields
+    from ``J`` on need an almost complex structure, and from ``w2_grad`` on
+    order 3 as well (``w2_lap`` order 4)."""
+
+    S: np.ndarray
+    riem_v: np.ndarray
+    ric_v: np.ndarray                 # Ricci endomorphism
+    weyl_v: np.ndarray
+    g: np.ndarray
+    g_inv: np.ndarray
+    curvature_scale: np.ndarray
+    dS: Optional[np.ndarray] = None
+    nabla_ric: Optional[np.ndarray] = None
+    nabla_weyl_max: Optional[np.ndarray] = None  # max |nabla W|
+    J: Optional[np.ndarray] = None
+    I: Optional[np.ndarray] = None
+    K: Optional[np.ndarray] = None
+    orientation: Optional[np.ndarray] = None
+    star: Optional[StarCurvature] = None
+    nj: Optional[NablaJData] = None
+    wplus: Optional[WplusMatrix] = None
+    proj: Optional[ProjectionData] = None
+    w2: Optional[np.ndarray] = None   # |W+|^2 from its jet
+    w2_grad: Optional[np.ndarray] = None
+    lam_grad: Optional[np.ndarray] = None
+    dwp: Optional[np.ndarray] = None
+    nabla_sd: Optional[np.ndarray] = None
+    wplus04: Optional[np.ndarray] = None  # W+ as a (0,4) tensor, built once per stack
+    w2_lap: Optional[np.ndarray] = None
+
+
+def _row(ctx: PointContext) -> Rows:
+    """One context as an unstacked row.  Values that view the context's jets
+    are copied, so nothing keeps the context alive once its row is taken."""
+    b, fr = ctx.bundle, ctx.frame
+    kw = dict(
+        S=b.S_v, riem_v=b.riem_v.copy(), ric_v=b.ric_v.copy(), weyl_v=b.weyl_v.copy(),
+        g=ctx.mp.g.copy(), g_inv=ctx.mp.g_inv.copy(), curvature_scale=ctx.curvature_scale,
+    )
+    if ctx.order >= 3:
+        kw.update(dS=b.dS, nabla_ric=b.nabla_ric.copy(), nabla_weyl_max=float(np.abs(b.nabla_weyl).max()))
+    if fr is None:
+        return Rows(**kw)
+    kw.update(
+        J=fr.J.copy(), I=fr.I, K=fr.K, orientation=fr.orientation,
+        star=ctx.star, nj=ctx.nj, wplus=ctx.wplus, proj=ctx.proj, w2=ctx.w2jet.value,
+    )
+    if ctx.order >= 3:
+        kw.update(w2_grad=ctx.w2jet.gradient(), lam_grad=ctx.lam_jet.gradient(), dwp=ctx.dwp, nabla_sd=ctx.nabla_sd)
+    if ctx.order >= 4:
+        kw["w2_lap"] = laplacian_scalar(ctx.w2jet, b.gamma_v, ctx.mp)
+    return Rows(**kw)
+
+
+def _leafwise(fn, values: list):
+    """``fn`` of the list of like leaves of ``values``: dataclasses recurse
+    field by field, and None stays None."""
+    first = values[0]
+    if first is None:
+        return None
+    if is_dataclass(first):
+        return type(first)(**{f.name: _leafwise(fn, [getattr(v, f.name) for v in values]) for f in fields(first)})
+    return fn(values)
+
+
+def _stack_rows(contexts: Iterable[PointContext]) -> Rows:
+    """The rows of ``contexts``, consumed one at a time so that each context
+    is dropped once its row is taken."""
+    rows = _leafwise(np.array, [_row(ctx) for ctx in contexts])
+    if rows.dwp is None:
+        return rows
+    # W+ as a (0,4) tensor, for EQ05, EQ112 and EQ114
+    return replace(rows, wplus04=weyl_pm_04(rows.weyl_v, rows, rows.orientation)[0])
+
+
+# ---------------------------------------------------------------------------
 # Identity records
 # ---------------------------------------------------------------------------
 
@@ -182,7 +256,8 @@ class IdentityRecord:
     description: str
     applicability: str  # all | kahler | almost-kahler | requires-gl77 | requires-deltawplus0 | compact-integral
     min_order: int
-    evaluator: Optional[Callable[[PointContext], tuple]] = None
+    # rows where the record applies -> (lhs, rhs, abs residual, scale), each of shape (rows,)
+    evaluator: Optional[Callable[[Rows], tuple]] = None
     needs_w_support: bool = False  # evaluate only where |W+| is not negligible
     needs_s_support: bool = False
     signed: bool = False           # inequality: lhs - rhs >= 0 up to tolerance
@@ -201,229 +276,228 @@ class IdentityResidual:
     signed_margin: Optional[float] = None
 
 
-def _res(lhs: float, rhs: float, abs_residual: float, scale: float):
-    return float(lhs), float(rhs), float(abs_residual), float(scale)
+def _amax(x: np.ndarray) -> np.ndarray:
+    """max |x| over every axis but the leading row axis."""
+    return np.abs(x).reshape(len(x), -1).max(axis=1)
 
 
 def _tensor_res(lhs: np.ndarray, rhs: np.ndarray, *scale_terms):
-    a = float(np.abs(lhs - rhs).max())
-    terms = [float(np.abs(t).max()) for t in (lhs, rhs, *scale_terms)]
-    return float(np.abs(lhs).max()), float(np.abs(rhs).max()), a, max(terms)
+    terms = [_amax(t) for t in (lhs, rhs, *scale_terms)]
+    return terms[0], terms[1], _amax(lhs - rhs), np.max(terms, axis=0)
 
 
-def _scalar_res(lhs: float, rhs: float, *extra_terms):
-    terms = [abs(lhs), abs(rhs)] + [abs(t) for t in extra_terms]
-    return _res(lhs, rhs, abs(lhs - rhs), max(terms))
+def _scalar_res(lhs: np.ndarray, rhs: np.ndarray, *extra_terms):
+    terms = [np.abs(t) for t in (lhs, rhs, *extra_terms)]
+    return lhs, rhs, np.abs(lhs - rhs), np.max(terms, axis=0)
 
 
-# A relation stated at two anchors (EQ01/82, EQ02/80, EQ03/87, EQ04/88,
-# EQ06/77) has one evaluator; each record keeps its own id, anchor and gate.
+def _outer(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """[row, i, a, b] = v[row, i] A[row, a, b]."""
+    return np.einsum("ri,rab->riab", v, A)
 
 
-def _eq01_82(c):  # |W+|^2 = S^2/6
-    return _scalar_res(c.wplus.norm2, c.S**2 / 6.0)
+# Evaluators take the rows where their record applies.  A relation stated at
+# two anchors (EQ01/82, EQ02/80, EQ03/87, EQ04/88, EQ06/77) has one
+# evaluator; each record keeps its own id, anchor and gate.
 
 
-def _eq02_80(c):  # det^2 = |W+|^6/54
-    return _scalar_res(c.wplus.det**2, c.wplus.norm2**3 / 54.0)
+def _eq01_82(r):  # |W+|^2 = S^2/6
+    return _scalar_res(r.wplus.norm2, r.S**2 / 6.0)
 
 
-def _eq03_87(c):  # |nabla W+|^2 = |nabla S|^2/6
-    return _scalar_res(c.nabla_wplus_norm2(), c.grad_norm2(c.bundle.require("dS")) / 6.0)
+def _eq02_80(r):  # det^2 = |W+|^6/54
+    return _scalar_res(r.wplus.det**2, r.wplus.norm2**3 / 54.0)
 
 
-def _grad_abs_w(c):
-    w2 = c.w2jet
-    return c.grad_norm2(w2.gradient()) / (4.0 * w2.value)
+def _nabla_wplus_norm2(r):
+    return np.einsum("rpq,rpab,rqba->r", r.g_inv, r.nabla_sd, r.nabla_sd)
 
 
-def _eq04_88(c):  # |nabla W+|^2 = |nabla |W+||^2
-    return _scalar_res(c.nabla_wplus_norm2(), _grad_abs_w(c))
+def _grad_norm2(r, dv):
+    return np.einsum("ri,rij,rj->r", dv, r.g_inv, dv)
 
 
-def _wplus_interior(c, u):
-    """u .| W+ as a (4, 4, 4) array, W+ taken as a (0,4)-tensor."""
-    Wp04, _ = weyl_pm_04(c.bundle, c.frame)
-    return interior_product(u, Wp04, c.mp)
+def _eq03_87(r):  # |nabla W+|^2 = |nabla S|^2/6
+    return _scalar_res(_nabla_wplus_norm2(r), _grad_norm2(r, r.dS) / 6.0)
 
 
-def _grad_log_abs_w(c):
-    return c.mp.g_inv @ c.w2jet.gradient() / (2.0 * c.w2jet.value)
+def _eq04_88(r):  # |nabla W+|^2 = |nabla |W+||^2
+    return _scalar_res(_nabla_wplus_norm2(r), _grad_norm2(r, r.w2_grad) / (4.0 * r.w2))
 
 
-def _eq05(c):  # delta W+ + grad log|W+| .| W+ = 0
-    ip = _wplus_interior(c, _grad_log_abs_w(c))
-    return _tensor_res(c.dwp + ip, np.zeros_like(ip), c.dwp, ip)
+def _wplus_interior(r, u):
+    """u .| W+ as [row, 4, 4, 4], W+ taken as a (0,4)-tensor."""
+    return interior_product(u, r.wplus04, r)
 
 
-def _eq06_77(c):  # |W+|^2 = (3/8)(S* - S/3)^2 = 6 lambda^2
-    return _scalar_res(c.wplus.norm2, 6.0 * c.star.lam**2)
+def _dwp_plus_interior(r, u):  # delta W+ + u .| W+ = 0
+    ip = _wplus_interior(r, u)
+    return _tensor_res(r.dwp + ip, np.zeros_like(ip), r.dwp, ip)
 
 
-def _eq42(c):
-    lhs = c.star.ric_tri + c.star.ric_box + c.star.ric_star
-    return _tensor_res(lhs, c.bundle.ric_v, c.star.ric_tri, c.star.ric_box, c.star.ric_star)
+def _grad_log_abs_w(r):
+    return np.einsum("rij,rj->ri", r.g_inv, r.w2_grad) / (2.0 * r.w2)[:, None]
 
 
-def _eq46(c):
-    return _scalar_res(c.star.s_tri + c.star.s_box + c.star.s_star, c.S,
-                       c.star.s_tri, c.star.s_box, c.star.s_star)
+def _eq05(r):  # delta W+ + grad log|W+| .| W+ = 0
+    return _dwp_plus_interior(r, _grad_log_abs_w(r))
 
 
-def _eq48(c):  # W(J) = (S* - S/3) J / 2 + 2 Ric*- J
-    from .curvature import weyl_operator
+def _eq06_77(r):  # |W+|^2 = (3/8)(S* - S/3)^2 = 6 lambda^2
+    return _scalar_res(r.wplus.norm2, 6.0 * r.star.lam**2)
 
-    J = c.acs.J
-    lhs = weyl_operator(J, c.bundle)
-    rhs = 0.5 * (c.star.s_star - c.S / 3.0) * J + 2.0 * c.star.ric_star_minus @ J
+
+def _eq42(r):
+    s = r.star
+    return _tensor_res(s.ric_tri + s.ric_box + s.ric_star, r.ric_v, s.ric_tri, s.ric_box, s.ric_star)
+
+
+def _eq46(r):
+    s = r.star
+    return _scalar_res(s.s_tri + s.s_box + s.s_star, r.S, s.s_tri, s.s_box, s.s_star)
+
+
+def _eq48(r):  # W(J) = (S* - S/3) J / 2 + 2 Ric*- J
+    lhs = weyl_operator(r.J, r.riem_v, r.ric_v, r.S, r)
+    rhs = 0.5 * (r.star.s_star - r.S / 3.0)[:, None, None] * r.J + 2.0 * r.star.ric_star_minus @ r.J
     return _tensor_res(lhs, rhs)
 
 
-def _eq54(c):
-    s = c.star
-    rhs = 0.25 * (s.s_star**2 + s.s_tri**2 + s.s_box**2 - c.S**2 / 3.0) + 4.0 * (
+def _eq54(r):
+    s = r.star
+    rhs = 0.25 * (s.s_star**2 + s.s_tri**2 + s.s_box**2 - r.S**2 / 3.0) + 4.0 * (
         s.ric_star_minus2 + s.ric_tri_minus2 + s.ric_box_minus2
     )
-    return _scalar_res(c.wplus.norm2, rhs, s.s_star**2 / 4, s.s_tri**2 / 4, s.s_box**2 / 4, c.S**2 / 12)
+    return _scalar_res(r.wplus.norm2, rhs, s.s_star**2 / 4, s.s_tri**2 / 4, s.s_box**2 / 4, r.S**2 / 12)
 
 
-def _eq63(c):
-    s = c.star
+def _eq63(r):
+    s = r.star
     lhs = s.ric_tri_minus2 + s.ric_box_minus2 - s.ric_star_minus2
     return _scalar_res(lhs, 2.0 * s.j_dot_tri_minus**2, s.ric_tri_minus2, s.ric_box_minus2, s.ric_star_minus2)
 
 
-def _eq65(c):
-    s = c.star
+def _eq65(r):
+    s = r.star
     rhs = 0.25 * (s.s_tri**2 + s.s_box**2) + 4.0 * (s.ric_tri_minus2 + s.ric_box_minus2 - s.ric_star_minus2)
     return _scalar_res(s.rt2, rhs, s.s_tri**2 / 4, s.s_box**2 / 4)
 
 
-def _eq69(c):
-    s = c.star
+def _eq69(r):
+    s = r.star
     rhs = 0.125 * (s.s_tri - s.s_box) ** 2 + 4.0 * (s.ric_tri_minus2 + s.ric_box_minus2 - s.ric_star_minus2)
     return _scalar_res(s.rtm2, rhs, s.s_tri**2 / 8, s.s_box**2 / 8)
 
 
-def _eq70(c):
-    s = c.star
+def _eq70(r):
+    s = r.star
     return _scalar_res(s.rt2, s.rtp2 + s.rtm2)
 
 
-def _eq71(c):
-    s = c.star
-    return _scalar_res(s.rtp2, 0.125 * (s.s_star - c.S) ** 2)
+def _eq71(r):
+    s = r.star
+    return _scalar_res(s.rtp2, 0.125 * (s.s_star - r.S) ** 2)
 
 
-def _eq72(c):
-    s = c.star
-    rhs = 0.375 * (s.s_star - c.S / 3.0) ** 2 + 8.0 * s.ric_star_minus2 + s.rtm2
-    return _scalar_res(c.wplus.norm2, rhs, 6 * s.lam**2, s.rtm2)
+def _eq72(r):
+    s = r.star
+    rhs = 0.375 * (s.s_star - r.S / 3.0) ** 2 + 8.0 * s.ric_star_minus2 + s.rtm2
+    return _scalar_res(r.wplus.norm2, rhs, 6 * s.lam**2, s.rtm2)
 
 
-def _eq73(c):
-    return _scalar_res(c.wplus.norm2, 6.0 * c.star.lam**2 + c.proj.g_norm2)
+def _eq73(r):
+    return _scalar_res(r.wplus.norm2, 6.0 * r.star.lam**2 + r.proj.g_norm2)
 
 
-def _eq75(c):
-    a = abs(c.proj.p1_pairing - c.proj.two_lambda)
-    b = abs(c.proj.p2_pairing + c.proj.two_lambda)
-    scale = max(abs(c.proj.p1_pairing), abs(c.proj.p2_pairing), abs(c.proj.two_lambda))
-    return _res(c.proj.p1_pairing, c.proj.two_lambda, max(a, b), scale)
+def _eq75(r):
+    p = r.proj
+    a = np.abs(p.p1_pairing - p.two_lambda)
+    b = np.abs(p.p2_pairing + p.two_lambda)
+    scale = np.max([np.abs(p.p1_pairing), np.abs(p.p2_pairing), np.abs(p.two_lambda)], axis=0)
+    return p.p1_pairing, p.two_lambda, np.maximum(a, b), scale
 
 
-def _eq83(c):
-    return _scalar_res(c.wplus.det, c.S**3 / 108.0)
+def _eq83(r):
+    return _scalar_res(r.wplus.det, r.S**3 / 108.0)
 
 
-def _eq84(c):
-    target = np.sort(np.array([c.S / 3.0, -c.S / 6.0, -c.S / 6.0]))[::-1]
-    a = float(np.abs(c.wplus.eigenvalues - target).max())
-    scale = max(float(np.abs(target).max()), float(np.abs(c.wplus.eigenvalues).max()), RESIDUAL_FLOOR)
-    return _res(float(c.wplus.eigenvalues[0]), float(target[0]), a, scale)
+def _eq84(r):
+    eig = r.wplus.eigenvalues
+    target = np.sort(np.stack([r.S / 3.0, -r.S / 6.0, -r.S / 6.0], axis=1), axis=1)[:, ::-1]
+    scale = np.maximum(np.maximum(_amax(target), _amax(eig)), RESIDUAL_FLOOR)
+    return eig[:, 0], target[:, 0], _amax(eig - target), scale
 
 
-def _eq85(c):
-    target = (c.S / 6.0) * np.diag([2.0, -1.0, -1.0])
-    return _tensor_res(c.wplus.m, target)
+def _eq85(r):
+    return _tensor_res(r.wplus.m, (r.S / 6.0)[:, None, None] * np.diag([2.0, -1.0, -1.0]))
 
 
-def _eq86(c):  # nabla W+ = dS/6 (x) (2 P1 - P2)
-    dS = c.bundle.require("dS")
-    target = np.einsum("p,ab->pab", dS / 6.0, np.diag([2.0, -1.0, -1.0]))
-    return _tensor_res(c.nabla_sd, target)
+def _eq86(r):  # nabla W+ = dS/6 (x) (2 P1 - P2)
+    return _tensor_res(r.nabla_sd, np.einsum("rp,ab->rpab", r.dS / 6.0, np.diag([2.0, -1.0, -1.0])))
 
 
-def _nabla_jx_j(c, i):
-    return np.einsum("m,mab->ab", c.frame.J @ np.eye(4)[i], c.nj.nabla_j)
+def _nabla_jx_j(r):
+    """[row, i] = nabla_{J e_i} J for each chart direction e_i."""
+    return np.einsum("rmi,rmab->riab", r.J, r.nj.nabla_j)
 
 
-def _eq104(c):
-    dlam = c.lam_jet.gradient()
-    fr, nj, lam = c.frame, c.nj, c.star.lam
-    rhs = np.zeros((4, 4, 4))
-    for i in range(4):
-        X = np.eye(4)[i]
-        rhs[i] = -0.25 * (
-            (3.0 * lam * nj.delta_omega[i] + 2.0 * float(dlam @ (fr.J @ X))) * fr.J
-            + 3.0 * lam * _nabla_jx_j(c, i)
-            - float(dlam @ (fr.I @ X)) * fr.I
-            - float(dlam @ (fr.K @ X)) * fr.K
-        )
-    return _tensor_res(c.dwp, rhs)
+def _eq104(r):
+    lam = r.star.lam[:, None]
+    # dlam(A e_i) for A = J, I, K and each chart direction e_i
+    d_J, d_I, d_K = (np.einsum("rm,rmi->ri", r.lam_grad, A) for A in (r.J, r.I, r.K))
+    rhs = -0.25 * (
+        _outer(3.0 * lam * r.nj.delta_omega + 2.0 * d_J, r.J)
+        + 3.0 * lam[:, :, None, None] * _nabla_jx_j(r)
+        - _outer(d_I, r.I)
+        - _outer(d_K, r.K)
+    )
+    return _tensor_res(r.dwp, rhs)
 
 
-def _eq112(c):
-    ip = _wplus_interior(c, _grad_log_abs_w(c))
-    rhs = np.zeros((4, 4, 4))
-    for i in range(4):
-        rhs[i] = -0.75 * c.star.lam * (c.nj.delta_omega[i] * c.frame.J + _nabla_jx_j(c, i)) - ip[i]
-    return _tensor_res(c.dwp, rhs, ip)
+def _eq112(r):
+    ip = _wplus_interior(r, _grad_log_abs_w(r))
+    rhs = -0.75 * r.star.lam[:, None, None, None] * (_outer(r.nj.delta_omega, r.J) + _nabla_jx_j(r)) - ip
+    return _tensor_res(r.dwp, rhs, ip)
 
 
-def _eq114(c):  # delta W+ + grad log|S| .| W+ = 0
-    ip = _wplus_interior(c, c.mp.g_inv @ c.bundle.require("dS") / c.S)
-    return _tensor_res(c.dwp + ip, np.zeros((4, 4, 4)), c.dwp, ip)
+def _eq114(r):  # delta W+ + grad log|S| .| W+ = 0
+    return _dwp_plus_interior(r, np.einsum("rij,rj->ri", r.g_inv, r.dS) / r.S[:, None])
 
 
-def _eq116(c):
-    s = c.star
-    lhs = c.wplus.norm2 - c.S**2 / 6.0
-    rhs = c.S * c.nj.norm2 + c.nj.norm2**2 + 8.0 * s.ric_star_minus2 + s.rt2
-    return _scalar_res(lhs, rhs, c.wplus.norm2, c.S**2 / 6.0, s.rt2)
+def _eq116(r):
+    s = r.star
+    lhs = r.wplus.norm2 - r.S**2 / 6.0
+    rhs = r.S * r.nj.norm2 + r.nj.norm2**2 + 8.0 * s.ric_star_minus2 + s.rt2
+    return _scalar_res(lhs, rhs, r.wplus.norm2, r.S**2 / 6.0, s.rt2)
 
 
-def _eq121(c):
-    rhs = gl121_delta_wplus(c.bundle, c.frame)
-    return _tensor_res(c.dwp, rhs)
+def _eq121(r):
+    return _tensor_res(r.dwp, gl121_delta_wplus(r.nabla_ric, r.dS, r, r))
 
 
-def _eq126(c):
-    ok, v1, v2 = phi_psi_pairing(c.bundle, c.nj, c.frame)
-    if not ok:
-        raise ConditionsError("EQ126 evaluated on a non-almost-Kahler point")
-    return _scalar_res(v1, v2)
+def _eq126(r):  # both evaluations hold where d Omega = 0, which the record's gate ensures
+    return _scalar_res(*phi_psi_pairing(r.nabla_ric, r.nj, r, r))
 
 
-def _eq128(c):
-    nj = c.nj
+def _eq128(r):
+    nj = r.nj
     r1 = nj.reconstruction_residual
-    r2 = float(np.abs(nj.eta - c.acs.J @ nj.xi).max())
-    scale = max(np.abs(nj.nabla_j).max(), np.abs(nj.xi).max(), np.abs(nj.eta).max(), 1.0)
-    return _res(r1, 0.0, max(r1, r2), scale)
+    r2 = _amax(nj.eta - np.einsum("rab,rb->ra", r.J, nj.xi))
+    scale = np.max([_amax(nj.nabla_j), _amax(nj.xi), _amax(nj.eta), np.ones_like(r1)], axis=0)
+    return r1, np.zeros_like(r1), np.maximum(r1, r2), scale
 
 
-def _eq131(c):  # |W+|^2 >= (3/8)(S* - S/3)^2, signed
-    lhs = c.wplus.norm2
-    rhs = 6.0 * c.star.lam**2
-    return _res(lhs, rhs, max(rhs - lhs, 0.0), max(lhs, rhs, RESIDUAL_FLOOR))
+def _eq131(r):  # |W+|^2 >= (3/8)(S* - S/3)^2, signed
+    lhs = r.wplus.norm2
+    rhs = 6.0 * r.star.lam**2
+    return lhs, rhs, np.maximum(rhs - lhs, 0.0), np.maximum(np.maximum(lhs, rhs), RESIDUAL_FLOOR)
 
 
-def _eq133(c):  # 2|nabla W+|^2 + lap |W+|^2 = 18 det - S |W+|^2
-    lap = laplacian_scalar(c.w2jet, c.bundle)
-    lhs = 2.0 * c.nabla_wplus_norm2() + lap
-    rhs = 18.0 * c.wplus.det - c.S * c.wplus.norm2
-    return _scalar_res(lhs, rhs, lap, 18 * c.wplus.det, c.S * c.wplus.norm2)
+def _eq133(r):  # 2|nabla W+|^2 + lap |W+|^2 = 18 det - S |W+|^2
+    lap, det, norm2 = r.w2_lap, r.wplus.det, r.wplus.norm2
+    lhs = 2.0 * _nabla_wplus_norm2(r) + lap
+    rhs = 18.0 * det - r.S * norm2
+    return _scalar_res(lhs, rhs, lap, 18 * det, r.S * norm2)
 
 
 def build_registry() -> dict:
@@ -472,48 +546,45 @@ def build_registry() -> dict:
 REGISTRY = build_registry()
 
 
-def applicable(record: IdentityRecord, ctx: PointContext) -> bool:
-    if ctx.acs is None or record.evaluator is None:
-        return False
-    if record.applicability == "compact-integral":
-        return False
-    if ctx.order < record.min_order:
-        raise ConditionsError(
-            f"{record.id} needs metric jet order {record.min_order}, context has {ctx.order}"
-        )
-    nj = ctx.nj
-    scale = max(1.0, np.abs(nj.nabla_j).max())
-    if record.applicability == "kahler" and nj.nabla_j_norm > GATE * scale:
-        return False
-    if record.applicability == "almost-kahler" and nj.d_omega_norm > GATE * scale:
-        return False
-    if record.applicability == "requires-gl77":
-        s77 = max(ctx.wplus.norm2, 6.0 * ctx.star.lam**2, 1.0)
-        if abs(ctx.wplus.norm2 - 6.0 * ctx.star.lam**2) > GATE * s77:
-            return False
-    if record.applicability == "requires-deltawplus0":
-        sdw = max(1.0, float(np.abs(ctx.bundle.require("nabla_weyl")).max()))
-        if float(np.abs(ctx.dwp).max()) > GATE * sdw:
-            return False
-    if record.needs_w_support:
-        wscale = max(1.0, abs(ctx.S))
-        if np.sqrt(max(ctx.wplus.norm2, 0.0)) <= GATE * wscale:
-            return False
-    if record.needs_s_support and abs(ctx.S) <= GATE:
-        return False
-    return True
+def _gate_masks(r: Rows) -> dict:
+    """Applicability masks over the rows, one per gate, each computed once.
+    A gate excludes a row where a "value > threshold" test holds, so a NaN
+    gate value keeps the row applicable and its residual shows in the report."""
+    if r.nj is None:  # no almost complex structure: no record applies
+        return {}
+    nj_max = _amax(r.nj.nabla_j)
+    scale = np.fmax(1.0, nj_max)  # like max(1.0, x): 1 where x is NaN
+    w2, lam2 = r.wplus.norm2, 6.0 * r.star.lam**2
+    masks = {
+        "all": np.ones(len(r.S), dtype=bool),
+        "kahler": ~(nj_max > GATE * scale),
+        "almost-kahler": ~(_amax(r.nj.d_omega) > GATE * scale),
+        "requires-gl77": ~(np.abs(w2 - lam2) > GATE * np.maximum(np.maximum(w2, lam2), 1.0)),
+        "w-support": ~(np.sqrt(np.maximum(w2, 0.0)) <= GATE * np.fmax(1.0, np.abs(r.S))),
+        "s-support": ~(np.abs(r.S) <= GATE),
+    }
+    if r.dwp is not None:
+        masks["requires-deltawplus0"] = ~(_amax(r.dwp) > GATE * np.fmax(1.0, r.nabla_weyl_max))
+    return masks
 
 
-def _residual(record: IdentityRecord, ctx: PointContext) -> Optional[tuple]:
-    """(lhs, rhs, abs, scale, rel, signed margin) of one record at one
-    context, or None where the record does not apply.  The evaluator's scale
-    is widened by the point's curvature scale; the margin is None unless the
-    record is an inequality."""
-    if not applicable(record, ctx):
+def _residual(record: IdentityRecord, rows: Rows, masks: dict) -> Optional[tuple]:
+    """(lhs, rhs, abs, scale, rel, signed margin) over the rows where the record
+    applies, from one evaluator call on just those rows (None if there are
+    none).  Scales are widened by the curvature scale; margins are None
+    unless the record is an inequality."""
+    if not masks:
         return None
-    lhs, rhs, abs_res, scale = record.evaluator(ctx)
-    scale = max(scale, ctx.curvature_scale)
-    denom = max(scale, RESIDUAL_FLOOR)
+    mask = masks[record.applicability]
+    if record.needs_w_support:
+        mask = mask & masks["w-support"]
+    if record.needs_s_support:
+        mask = mask & masks["s-support"]
+    if not mask.any():
+        return None
+    lhs, rhs, abs_res, scale = record.evaluator(rows if mask.all() else _leafwise(lambda v: v[0][mask], [rows]))
+    scale = np.maximum(scale, rows.curvature_scale[mask])
+    denom = np.maximum(scale, RESIDUAL_FLOOR)
     margin = (lhs - rhs) / denom if record.signed else None
     return lhs, rhs, abs_res, scale, abs_res / denom, margin
 
@@ -524,7 +595,8 @@ def evaluate_identity(
     point: Sequence[float],
     ctx: Optional[PointContext] = None,
 ) -> IdentityResidual:
-    """Evaluate one registry identity at one point."""
+    """Evaluate one registry identity at one point: a stack of one row
+    through the residual step ``run_suite`` uses."""
     if record_id not in REGISTRY:
         raise ConditionsError(f"unknown identity '{record_id}'")
     record = REGISTRY[record_id]
@@ -532,13 +604,17 @@ def evaluate_identity(
         raise ConditionsError(f"{record_id} is an integral identity; use check_integral_formulas")
     if ctx is None:
         ctx = point_context(spec, point, record.min_order)
-    res = _residual(record, ctx)
+    if ctx.order < record.min_order:
+        raise ConditionsError(
+            f"{record.id} needs metric jet order {record.min_order}, context has {ctx.order}"
+        )
+    rows = _stack_rows([ctx])
+    res = _residual(record, rows, _gate_masks(rows))
+    pt = tuple(np.asarray(point, float))
     if res is None:
-        return IdentityResidual(record.id, tuple(np.asarray(point, float)), 0.0, 0.0, 0.0, 0.0, False, 0.0)
-    lhs, rhs, abs_res, scale, rel, margin = res
-    return IdentityResidual(
-        record.id, tuple(np.asarray(point, float)), lhs, rhs, abs_res, rel, True, scale, margin
-    )
+        return IdentityResidual(record.id, pt, 0.0, 0.0, 0.0, 0.0, False, 0.0)
+    lhs, rhs, abs_res, scale, rel, margin = (None if v is None else float(v[0]) for v in res)
+    return IdentityResidual(record.id, pt, lhs, rhs, abs_res, rel, True, scale, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +693,9 @@ class ConditionReport:
         return "\n".join(lines) + "\n"
 
 
-def _verdict(record: IdentityRecord, rels: list, margins: list, tol_pass: float, tol_fail: float,
+def _verdict(record: IdentityRecord, rels: Sequence, margins: Sequence, tol_pass: float, tol_fail: float,
              tags: frozenset) -> str:
-    if not rels:
+    if len(rels) == 0:
         return "not applicable"
     if not (np.isfinite(rels).all() and np.isfinite(margins).all()):
         return "non-finite"
@@ -665,52 +741,39 @@ def run_suite(
     pts = spec.sample_points(n_points, rng)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, rotations)) if rotations else None
 
-    stats = {r.id: {"rels": [], "margins": [], "applicable": 0} for r in records}
-    tag_state = _TagAccumulator(spec)
-    classify_acc = _ClassifyAccumulator()
+    def contexts():
+        for k, pt in enumerate(pts):
+            base = point_context(spec, pt, order)
+            yield base
+            for alpha in angles[k] if rotations and spec.has_j else ():
+                yield rotated_context(base, alpha)
 
-    for k, pt in enumerate(pts):
-        base = point_context(spec, pt, order)
-        ctxs = [base]
-        if rotations:
-            ctxs += [rotated_context(base, a) for a in angles[k]]
-        if base.acs is not None:
-            classify_acc.add(base)
-        tag_state.add(base)
-        for ctx in ctxs:
-            for record in records:
-                res = _residual(record, ctx)
-                if res is None:
-                    continue
-                st = stats[record.id]
-                st["applicable"] += 1
-                st["rels"].append(res[4])
-                if record.signed:
-                    st["margins"].append(res[5])
-
-    rows = []
+    rows = _stack_rows(contexts())
+    masks = _gate_masks(rows)
+    # tags and classification read each point once, not its rotations
+    base = _leafwise(lambda v: v[0][:: 1 + rotations], [rows]) if rotations and spec.has_j else rows
+    report_rows = []
     for record in records:
-        st = stats[record.id]
-        rels, margins = st["rels"], st["margins"]
+        res = _residual(record, rows, masks)
+        rel = res[4] if res is not None else np.zeros(0)
+        margin = res[5] if res is not None and record.signed else None
         # aggregates cover the finite values; the non-finite ones are counted
-        finite_rels = [r for r in rels if np.isfinite(r)]
-        finite_margins = [m for m in margins if np.isfinite(m)]
+        finite = np.isfinite(rel) if margin is None else np.isfinite(rel) & np.isfinite(margin)
         row = {
             "id": record.id,
             "anchor": record.anchor,
             "description": record.description,
             "applicability": record.applicability,
-            "applicable_points": st["applicable"],
-            "max_rel_residual": max(finite_rels, default=0.0),
-            "mean_rel_residual": float(np.mean(finite_rels)) if finite_rels else 0.0,
-            "verdict": _verdict(record, rels, margins, tol_pass, tol_fail, spec.tags),
+            "applicable_points": len(rel),
+            "max_rel_residual": float(rel[finite].max(initial=0.0)),
+            "mean_rel_residual": float(rel[finite].mean()) if finite.any() else 0.0,
+            "verdict": _verdict(record, rel, [] if margin is None else margin, tol_pass, tol_fail, spec.tags),
         }
-        if finite_margins:
-            row["min_signed_margin"] = min(finite_margins)
-        non_finite = max(len(rels) - len(finite_rels), len(margins) - len(finite_margins))
-        if non_finite:
-            row["non_finite_points"] = non_finite
-        rows.append(row)
+        if margin is not None and finite.any():
+            row["min_signed_margin"] = float(margin[finite].min())
+        if not finite.all():
+            row["non_finite_points"] = int(np.count_nonzero(~finite))
+        report_rows.append(row)
 
     return ConditionReport(
         manifold=spec.id,
@@ -720,9 +783,9 @@ def run_suite(
         tol_pass=tol_pass,
         tol_fail=tol_fail,
         rotations=rotations,
-        identities=rows,
-        classification=classify_acc.verdict(tol_pass, tol_fail) if spec.has_j else None,
-        tags=tag_state.result(tol_pass),
+        identities=report_rows,
+        classification=_classify(base.nj, tol_pass, tol_fail)[0] if spec.has_j else None,
+        tags=_tag_report(spec.tags, base, tol_pass),
     )
 
 
@@ -731,81 +794,64 @@ def run_suite(
 # ---------------------------------------------------------------------------
 
 
-class _TagAccumulator:
-    def __init__(self, spec: ManifoldSpec):
-        self.spec = spec
-        self.res = {tag: 0.0 for tag in spec.tags}
-        self.non_finite = {tag: 0 for tag in spec.tags}
-
-    def add(self, ctx: PointContext) -> None:
-        b = ctx.bundle
-        for tag in self.res:
-            if tag == "flat":
-                r = np.abs(b.riem_v).max() / max(1.0, np.abs(ctx.mp.g).max() ** 2)
-            elif tag == "einstein":
-                r = np.abs(b.ric_v - (b.S_v / 4.0) * np.eye(4)).max() / max(1.0, abs(b.S_v) / 4.0)
-            elif tag == "kahler":
-                r = ctx.nj.nabla_j_norm if ctx.nj else np.inf
-            elif tag == "almost-kahler":
-                r = ctx.nj.d_omega_norm if ctx.nj else np.inf
-            elif tag == "constant-s":
-                r = np.abs(b.dS).max() / max(1.0, abs(b.S_v)) if b.dS is not None else np.inf
-            elif tag == "conformally-flat":
-                r = np.abs(b.weyl_v).max() / max(1.0, np.abs(b.riem_v).max(), abs(b.S_v))
-            else:
-                r = 0.0
-            if np.isfinite(r):
-                self.res[tag] = max(self.res[tag], float(r))
-            else:
-                self.non_finite[tag] += 1
-
-    def result(self, tol_pass: float) -> dict:
-        out = {}
-        for tag, r in sorted(self.res.items()):
-            out[tag] = {"residual": r, "confirmed": bool(r <= tol_pass and not self.non_finite[tag])}
-            if self.non_finite[tag]:
-                out[tag]["non_finite_points"] = self.non_finite[tag]
-        return out
-
-
-class _ClassifyAccumulator:
-    def __init__(self):
-        self.r = np.zeros(3)  # largest nabla J, d Omega and N_J residuals so far
-        self.non_finite = False
-
-    def add(self, ctx: PointContext) -> None:
-        nj = ctx.nj
-        r = np.array([nj.nabla_j_norm, nj.d_omega_norm, nj.nijenhuis_norm]) / max(1.0, nj.nabla_j_norm)
-        if np.isfinite(r).all():
-            self.r = np.maximum(self.r, r)
+def _tag_report(tags: frozenset, r: Rows, tol_pass: float) -> dict:
+    """Each claimed tag's largest finite residual over the rows, whether it
+    is confirmed, and how many rows gave a non-finite residual."""
+    absent = np.full(len(r.S), np.inf)  # a quantity the rows lack cannot confirm a tag
+    out = {}
+    for tag in sorted(tags):
+        if tag == "flat":
+            v = _amax(r.riem_v) / np.fmax(1.0, _amax(r.g) ** 2)
+        elif tag == "einstein":
+            v = _amax(r.ric_v - (r.S / 4.0)[:, None, None] * np.eye(4)) / np.fmax(1.0, np.abs(r.S) / 4.0)
+        elif tag == "kahler":
+            v = _amax(r.nj.nabla_j) if r.nj is not None else absent
+        elif tag == "almost-kahler":
+            v = _amax(r.nj.d_omega) if r.nj is not None else absent
+        elif tag == "constant-s":
+            v = _amax(r.dS) / np.fmax(1.0, np.abs(r.S)) if r.dS is not None else absent
+        elif tag == "conformally-flat":
+            v = _amax(r.weyl_v) / np.fmax(np.fmax(1.0, _amax(r.riem_v)), np.abs(r.S))
         else:
-            self.non_finite = True
+            v = np.zeros(len(r.S))
+        finite = np.isfinite(v)
+        worst = float(v[finite].max(initial=0.0))
+        out[tag] = {"residual": worst, "confirmed": bool(worst <= tol_pass and finite.all())}
+        if not finite.all():
+            out[tag]["non_finite_points"] = int(np.count_nonzero(~finite))
+    return out
 
-    def residuals(self) -> dict:
-        return dict(zip(("nabla_j", "d_omega", "nijenhuis"), map(float, self.r)))
 
-    def verdict(self, tol_pass: float, tol_fail: float) -> str:
-        def state(r):
-            if r <= tol_pass:
-                return "zero"
-            if r >= tol_fail:
-                return "nonzero"
-            return "indeterminate"
+def _classify(nj: NablaJData, tol_pass: float, tol_fail: float) -> tuple:
+    """Structure verdict from stacked nabla J data, and the largest finite
+    nabla J, d Omega and N_J residuals (relative to max(1, |nabla J|))."""
+    n = _amax(nj.nabla_j)
+    r = np.stack([n, _amax(nj.d_omega), _amax(nj.nijenhuis)], axis=1) / np.fmax(1.0, n)[:, None]
+    finite = np.isfinite(r).all(axis=1)
+    worst = r[finite].max(axis=0, initial=0.0)
+    residuals = dict(zip(("nabla_j", "d_omega", "nijenhuis"), map(float, worst)))
 
-        if self.non_finite:
-            return "indeterminate"
-        s_nj, s_dom, s_nij = map(state, self.r)
-        if s_nj == "zero":
-            return "Kähler"
-        if "indeterminate" in (s_nj, s_dom):
-            return "indeterminate"
-        if s_dom == "zero":
-            return "almost-Kähler non-Kähler"
-        if s_nij == "zero":
-            return "Hermitian non-Kähler"
-        if s_nij == "nonzero":
-            return "generic almost-Hermitian"
+    def state(x):
+        if x <= tol_pass:
+            return "zero"
+        if x >= tol_fail:
+            return "nonzero"
         return "indeterminate"
+
+    if not finite.all():
+        return "indeterminate", residuals
+    s_nj, s_dom, s_nij = map(state, worst)
+    if s_nj == "zero":
+        return "Kähler", residuals
+    if "indeterminate" in (s_nj, s_dom):
+        return "indeterminate", residuals
+    if s_dom == "zero":
+        return "almost-Kähler non-Kähler", residuals
+    if s_nij == "zero":
+        return "Hermitian non-Kähler", residuals
+    if s_nij == "nonzero":
+        return "generic almost-Hermitian", residuals
+    return "indeterminate", residuals
 
 
 def classify_structure(spec: ManifoldSpec, n_points: int, seed: int = 0,
@@ -813,11 +859,10 @@ def classify_structure(spec: ManifoldSpec, n_points: int, seed: int = 0,
     """Structure verdict from residual gates on nabla J, d Omega and N_J."""
     if not spec.has_j:
         raise ConditionsError(f"manifold '{spec.id}' has no almost complex structure")
-    rng = np.random.default_rng(seed)
-    acc = _ClassifyAccumulator()
-    for pt in spec.sample_points(n_points, rng):
-        acc.add(point_context(spec, pt, 2))
-    return acc.verdict(tol_pass, tol_fail), acc.residuals()
+    if n_points < 1:
+        raise ConditionsError("n_points must be >= 1")
+    pts = spec.sample_points(n_points, np.random.default_rng(seed))
+    return _classify(_leafwise(np.array, [point_context(spec, pt, 2).nj for pt in pts]), tol_pass, tol_fail)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ Conventions (normative throughout the package):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -197,36 +198,40 @@ def _weyl_04(riem, ric_form, S, g2, order):
 # ---------------------------------------------------------------------------
 
 
-def tensor_operator(C: np.ndarray, A: np.ndarray, mp: MetricPoint) -> np.ndarray:
+def tensor_operator(C: np.ndarray, A: np.ndarray, mp) -> np.ndarray:
     """Contract a (0,4) curvature-type tensor against a skew endo:
-    C(A) = C(A X_k, X^k), returned as an endomorphism matrix."""
-    return np.einsum("pk,km,an,pmbn->ab", A, mp.g_inv, mp.g_inv, C)
+    C(A) = C(A X_k, X^k), returned as an endomorphism matrix.  ``mp`` is
+    anything holding ``g_inv``; every argument may carry leading row axes."""
+    X = np.einsum("...pm,...pmbn->...bn", A @ mp.g_inv, C)  # C(A X_k, X^k, d_b, d_n)
+    return mp.g_inv @ np.swapaxes(X, -1, -2)
 
 
-def weyl_operator(A: np.ndarray, bundle: CurvatureBundle) -> np.ndarray:
-    """W(A) = R(A) - ({Ric, A} - (S/3) A)."""
-    if not is_skew(A, bundle.mp):
+def weyl_operator(A: np.ndarray, riem: np.ndarray, ric: np.ndarray, S, mp) -> np.ndarray:
+    """W(A) = R(A) - ({Ric, A} - (S/3) A) from the values of R_{ijkl}, the Ricci
+    endomorphism and S, over leading row axes too."""
+    if not is_skew(A, mp):
         raise ValueError("weyl operator expects a skew endomorphism")
-    RA = tensor_operator(bundle.riem_v, A, bundle.mp)
-    ric = bundle.ric_v
-    return RA - (ric @ A + A @ ric) + (bundle.S_v / 3.0) * A
+    RA = tensor_operator(riem, A, mp)
+    return RA - (ric @ A + A @ ric) + (np.asarray(S) / 3.0)[..., None, None] * A
 
 
-def laplacian_scalar(f: Jet | np.ndarray, bundle: CurvatureBundle) -> float:
-    """lap f = -g^{ij}(d_i d_j f - Gamma^k_{ij} d_k f) (sign: -trace of Hessian)."""
+@functools.lru_cache(maxsize=None)
+def _derivative_positions(order: int) -> tuple:
+    """Coefficient positions of the multi-indices e_v and e_i + e_j in a jet."""
+    t = tables(order)
+    e = [unit_index(v) for v in range(4)]
+    second = [[t.pos[tuple(a + b for a, b in zip(ei, ej))] for ej in e] for ei in e]
+    return np.array([t.pos[ei] for ei in e]), np.array(second)
+
+
+def laplacian_scalar(f: Jet | np.ndarray, gamma: np.ndarray, mp) -> np.ndarray:
+    """lap f = -g^{ij}(d_i d_j f - Gamma^k_{ij} d_k f) (sign: -trace of Hessian),
+    from a jet of ``f`` and the Christoffel values, over leading row axes too."""
     coeffs = f.coeffs if isinstance(f, Jet) else np.asarray(f)
     order = jet_order(coeffs)
     if order < 2:
         raise InsufficientJetOrder("laplacian needs a scalar jet of order >= 2")
-    t = tables(order)
-    grad = np.array([coeffs[t.pos[unit_index(v)]] for v in range(4)])
-    hess = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            alpha = [0, 0, 0, 0]
-            alpha[i] += 1
-            alpha[j] += 1
-            factor = 2.0 if i == j else 1.0
-            hess[i, j] = coeffs[t.pos[tuple(alpha)]] * factor
-    gv = bundle.gamma_v
-    return float(-np.einsum("ij,ij->", bundle.mp.g_inv, hess - np.einsum("kij,k->ij", gv, grad)))
+    first, second = _derivative_positions(order)
+    grad = coeffs[..., first]
+    hess = coeffs[..., second] * (1.0 + np.eye(4))  # d_i d_j f: coefficient of e_i + e_j, doubled for i = j
+    return -np.einsum("...ij,...ij->...", mp.g_inv, hess - np.einsum("...kij,...k->...ij", gamma, grad))

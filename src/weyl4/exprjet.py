@@ -492,6 +492,8 @@ def _tokenize(text: str):
                 value = float(text[i:j])
             except ValueError:
                 raise ExpressionSyntaxError(f"bad number literal '{text[i:j]}'", i)
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(f"number literal '{text[i:j]}' is not finite", i)
             tokens.append(("num", value, i))
             i = j
             continue

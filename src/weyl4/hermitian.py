@@ -165,10 +165,6 @@ class NablaJData:
     def nijenhuis_norm(self) -> float:
         return float(np.abs(self.nijenhuis).max())
 
-    @property
-    def nabla_j_norm(self) -> float:
-        return float(np.abs(self.nabla_j).max())
-
 
 def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -> NablaJData:
     if acs.order < 1:
@@ -265,43 +261,40 @@ def q_j_integrand(bundle: CurvatureBundle, acs: AcsPoint) -> float:
     return float(np.einsum("kc,le,klec->", U, V, n2r))
 
 
-def ric_derivative_vector(A: np.ndarray, bundle: CurvatureBundle) -> np.ndarray:
-    """v_A = (nabla_{X_k} Ric) A X^k as a vector (components v^c)."""
-    nr = bundle.require("nabla_ric")
-    gi = bundle.mp.g_inv
-    return np.einsum("ka,ba,kcb->c", gi, A, nr)
+def ric_derivative_vector(A: np.ndarray, nabla_ric: np.ndarray, mp) -> np.ndarray:
+    """v_A = (nabla_{X_k} Ric) A X^k as a vector (components v^c), from the
+    values (nabla_m Ric)^a_b; ``mp`` is anything holding ``g_inv``."""
+    return np.einsum("...ka,...ba,...kcb->...c", mp.g_inv, A, nabla_ric)
 
 
-def gl121_delta_wplus(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.ndarray:
-    """delta W+ from nabla Ric and dS alone (positively oriented (I, J, K))."""
-    mp = bundle.mp
-    dS = bundle.require("dS")
-    out = np.zeros((4, 4, 4))
+def gl121_delta_wplus(nabla_ric: np.ndarray, dS: np.ndarray, mp, frame) -> np.ndarray:
+    """delta W+ from nabla Ric and dS alone (positively oriented (I, J, K));
+    ``frame`` is anything holding I, J and K.  Leading row axes pass through."""
+    out = np.zeros(np.shape(dS)[:-1] + (4, 4, 4))
     for A in (frame.I, frame.J, frame.K):
-        vA = ric_derivative_vector(A, bundle)
-        out += 0.25 * np.einsum("i,ab->iab", mp.g @ vA, A)
-        out += np.einsum("i,ab->iab", A.T @ dS, A) / 24.0
+        vA = ric_derivative_vector(A, nabla_ric, mp)
+        out += 0.25 * np.einsum("...i,...ab->...iab", np.einsum("...ij,...j->...i", mp.g, vA), A)
+        out += np.einsum("...i,...ab->...iab", np.einsum("...ji,...j->...i", A, dS), A) / 24.0
     return out
 
 
-def phi_psi_pairing(bundle: CurvatureBundle, nabla_j: NablaJData, frame: SelfDualFrame, gate: float = 1e-8):
+def phi_psi_pairing(nabla_ric: np.ndarray, nj, mp, frame) -> tuple:
     """<phi, psi> two ways: the 2-form contraction against antisymmetrized
-    nabla Ric, and the (xi, eta) expression.  Returns (applicable, v1, v2)."""
-    mp = bundle.mp
-    scale = max(np.abs(nabla_j.nabla_j).max(), 1.0)
-    if nabla_j.d_omega_norm > gate * scale:
-        return False, None, None
-    nr = bundle.require("nabla_ric")
-    J = frame.J
-    phi = nabla_j.nabla_j.transpose(1, 0, 2) - nabla_j.nabla_j.transpose(1, 2, 0)  # [e,a,b]
-    jphi = np.einsum("fe,eab->fab", J, phi)
+    nabla Ric, and the (xi, eta) expression; ``nj`` holds nabla_j, xi and eta.
+    Both hold only where d Omega = 0, which the caller gates."""
+    nabla_j = nj.nabla_j
+    phi = np.swapaxes(nabla_j, -3, -2) - np.moveaxis(nabla_j, -3, -1)  # [e,a,b]
+    jphi = np.einsum("...fe,...eab->...fab", frame.J, phi)
     # v[k,n,l] = (nabla_k Ric)^n_l - (nabla_l Ric)^n_k
-    v = nr - nr.transpose(2, 1, 0)
-    via126 = 0.25 * np.einsum("ka,lb,fn,fab,knl->", mp.g_inv, mp.g_inv, mp.g, jphi, v)
-    vK = ric_derivative_vector(frame.K, bundle)
-    vI = ric_derivative_vector(frame.I, bundle)
-    via130 = 0.5 * float(vK @ mp.g @ nabla_j.xi) - 0.5 * float(vI @ mp.g @ nabla_j.eta)
-    return True, float(via126), float(via130)
+    v = nabla_ric - np.swapaxes(nabla_ric, -3, -1)
+    # jphi with its first index lowered and the other two raised: [n, k, l]
+    up = mp.g_inv[..., None, :, :] @ np.einsum("...fn,...fab->...nab", mp.g, jphi) @ mp.g_inv[..., None, :, :]
+    via126 = 0.25 * np.einsum("...nkl,...knl->...", up, v)
+    vK = ric_derivative_vector(frame.K, nabla_ric, mp)
+    vI = ric_derivative_vector(frame.I, nabla_ric, mp)
+    pair = "...i,...ij,...j->..."
+    via130 = 0.5 * np.einsum(pair, vK, mp.g, nj.xi) - 0.5 * np.einsum(pair, vI, mp.g, nj.eta)
+    return via126, via130
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,10 @@ class MetricPoint:
         g = jvalue(jets)
         asym = np.abs(g - g.T).max()
         scale = np.abs(g).max()
-        if asym > 1e-12 * max(scale, 1.0):
+        if not asym <= 1e-12 * max(scale, 1.0):  # a NaN residual is rejected too
             raise MetricError(f"metric matrix not symmetric (residual {asym:.3e})", point)
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if eig[0] <= 1e-12 * eig[-1]:
+        if not eig[0] > 1e-12 * eig[-1]:
             raise MetricError(f"metric not positive definite (eigenvalues {eig.tolist()})", point)
         inv_order = max(order - 1, 0)
         inv_jets = jmatinv(jtruncate(jets, order, inv_order), inv_order)
@@ -91,7 +91,7 @@ class MetricPoint:
 
 def adjoint_endo(A: np.ndarray, mp: MetricPoint) -> np.ndarray:
     """Adjoint A* with g(AX, Y) = g(X, A*Y)."""
-    return mp.g_inv @ A.T @ mp.g
+    return mp.g_inv @ np.swapaxes(A, -1, -2) @ mp.g
 
 
 def is_skew(A: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> bool:
@@ -166,7 +166,7 @@ def check_acs(J: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> None:
     """Validate J^2 = -1 and J* = -J."""
     r1 = np.abs(J @ J + np.eye(N)).max()
     r2 = np.abs(adjoint_endo(J, mp) + J).max()
-    if max(r1, r2) > tol:
+    if not (r1 <= tol and r2 <= tol):
         raise FrameError(
             f"not a compatible almost complex structure (J^2 residual {r1:.2e}, adjoint {r2:.2e})"
         )

@@ -6,6 +6,9 @@ a (0,4) curvature-type tensor C via ``C(A) = C(A X_k, X^k)`` this matrix is
 ``M = -C_{ij}^{kl}``; the trace of such an operator over the 6-dimensional
 space of 2-forms is ``M[i,j,i,j]``.
 
+Operator helpers take ``mp`` as anything holding ``g`` and ``g_inv``, and
+leading row axes on every argument: one call serves a point or a stack.
+
 Norms of operators on the self-dual bundle use the full trace (so the
 squared norm of W+ is the Frobenius norm of its 3x3 matrix in the
 orthonormal basis (Omega_J, Omega_I, Omega_K)); norms of individual
@@ -30,13 +33,23 @@ from .pointgeom import EPS4, MetricPoint, SelfDualFrame, inner_endos
 # ---------------------------------------------------------------------------
 
 
-def form_operator(C04: np.ndarray, mp: MetricPoint) -> np.ndarray:
+def _pairs(T: np.ndarray) -> np.ndarray:
+    """A [..., i, j, k, l] array as [..., (i, j), (k, l)] 16x16 matrices."""
+    return T.reshape(T.shape[:-4] + (16, 16))
+
+
+def _kron2(a: np.ndarray) -> np.ndarray:
+    """a (x) a on index pairs: [(i, j), (k, l)] = a[i, k] a[j, l]."""
+    return _pairs(a[..., :, None, :, None] * a[..., None, :, None, :])
+
+
+def form_operator(C04: np.ndarray, mp) -> np.ndarray:
     """Matrix of the operator induced by a (0,4) tensor: (Cw)_{ij} = M[ijkl] w_{kl}."""
-    return -np.einsum("ijab,ak,bl->ijkl", C04, mp.g_inv, mp.g_inv)
+    return -(_pairs(C04) @ _kron2(mp.g_inv)).reshape(C04.shape)
 
 
-def operator_to_04(M: np.ndarray, mp: MetricPoint) -> np.ndarray:
-    return -np.einsum("ijab,ak,bl->ijkl", M, mp.g, mp.g)
+def operator_to_04(M: np.ndarray, mp) -> np.ndarray:
+    return -(_pairs(M) @ _kron2(mp.g)).reshape(M.shape)
 
 
 def identity_operator() -> np.ndarray:
@@ -44,24 +57,27 @@ def identity_operator() -> np.ndarray:
     return 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
 
 
-def star_operator(mp: MetricPoint, orientation: float) -> np.ndarray:
-    factor = 0.5 * orientation * np.sqrt(np.linalg.det(mp.g))
-    return factor * np.einsum("ijab,ak,bl->ijkl", EPS4, mp.g_inv, mp.g_inv)
+IDENTITY_OPERATOR = identity_operator()
+
+
+def star_operator(mp, orientation) -> np.ndarray:
+    factor = 0.5 * np.asarray(orientation) * np.sqrt(np.linalg.det(mp.g))
+    eps_up = (_pairs(EPS4) @ _kron2(mp.g_inv)).reshape(factor.shape + EPS4.shape)
+    return factor[..., None, None, None, None] * eps_up
 
 
 def compose(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
-    return np.einsum("ijmk,mkab->ijab", M1, M2)
+    return (_pairs(M1) @ _pairs(M2)).reshape(M1.shape)
 
 
-def pm_projectors(mp: MetricPoint, orientation: float) -> tuple[np.ndarray, np.ndarray]:
-    ident = identity_operator()
+def pm_projectors(mp, orientation) -> tuple[np.ndarray, np.ndarray]:
     star = star_operator(mp, orientation)
-    return 0.5 * (ident + star), 0.5 * (ident - star)
+    return 0.5 * (IDENTITY_OPERATOR + star), 0.5 * (IDENTITY_OPERATOR - star)
 
 
-def interior_product(U: np.ndarray, C04: np.ndarray, mp: MetricPoint) -> np.ndarray:
+def interior_product(U: np.ndarray, C04: np.ndarray, mp) -> np.ndarray:
     """(U .| C)(X) = C(U, X) as an endomorphism table [direction, a, b]."""
-    return np.einsum("m,an,mibn->iab", U, mp.g_inv, C04)
+    return np.einsum("...m,...an,...mibn->...iab", U, mp.g_inv, C04)
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +140,11 @@ def wplus_matrix(bundle: CurvatureBundle, basis: Lambda2Basis) -> WplusMatrix:
     return _weyl_on(bundle, basis.sd, basis.mp)
 
 
-def weyl_pm_04(bundle: CurvatureBundle, frame: SelfDualFrame) -> tuple[np.ndarray, np.ndarray]:
-    """(0,4) components of W+ and W- (operator composed with the projections)."""
-    mp = bundle.mp
-    Pp, Pm = pm_projectors(mp, frame.orientation)
-    M = form_operator(bundle.weyl_v, mp)
+def weyl_pm_04(weyl: np.ndarray, mp, orientation) -> tuple[np.ndarray, np.ndarray]:
+    """(0,4) components of W+ and W- (operator composed with the projections),
+    from the values of W_{ijkl}."""
+    Pp, Pm = pm_projectors(mp, orientation)
+    M = form_operator(weyl, mp)
     return operator_to_04(compose(M, Pp), mp), operator_to_04(compose(M, Pm), mp)
 
 
@@ -143,7 +159,7 @@ def delta_wpm(bundle: CurvatureBundle, frame: SelfDualFrame) -> tuple[np.ndarray
     nw = bundle.require("nabla_weyl")
     mp = bundle.mp
     # as 16x16 matrices on index pairs, C_k = nabla_k W (g^-1 (x) g^-1) P_pm (g (x) g)
-    raise2, lower2 = np.kron(mp.g_inv, mp.g_inv), np.kron(mp.g, mp.g)
+    raise2, lower2 = _kron2(mp.g_inv), _kron2(mp.g)
     P = np.stack(pm_projectors(mp, frame.orientation)).reshape(2, 16, 16)
     C = (nw.reshape(64, 16) @ (raise2 @ P @ lower2)).reshape(2, 4, 4, 4, 4, 4)
     out = np.einsum("km,an,skimbn->siab", mp.g_inv, mp.g_inv, C)

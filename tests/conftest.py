@@ -1,29 +1,14 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from weyl4.catalog import builtin_manifolds
-from weyl4.conditions import point_context
 
 
 @pytest.fixture(scope="session")
 def catalog():
     return {spec.id: spec for spec in builtin_manifolds()}
 
-
-@pytest.fixture(scope="session")
-def ctx_cache():
-    """Point contexts are pure; share them across tests for speed."""
-    cache = {}
-
-    def make(spec, point, order=4, rotation=0.0):
-        key = (spec.id, tuple(np.round(point, 12)), order, rotation)
-        if key not in cache:
-            cache[key] = point_context(spec, point, order, rotation)
-        return cache[key]
-
-    return make

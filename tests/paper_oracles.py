@@ -77,6 +77,12 @@ def delta_w_full(bundle):
     return np.einsum("km,an,kimbn->iab", gi, gi, nw)
 
 
+def nabla_wplus_norm2(ctx):
+    """|nabla W+|^2 at one point context, from its 3x3 matrices of nabla_p W+."""
+    n = ctx.nabla_sd
+    return float(np.einsum("pq,pab,qba->", ctx.mp.g_inv, n, n))
+
+
 # ---------------------------------------------------------------------------
 # Paper facts computed a second way
 # ---------------------------------------------------------------------------

@@ -120,6 +120,33 @@ class TestCheck:
         assert "Traceback" not in err
         assert "g_11" in err and "constant power" in err
 
+    @pytest.mark.parametrize("g11", ["1e400", "1 + 1e400*x"])
+    def test_number_literal_that_is_not_finite_exit_2(self, capsys, tmp_path, g11):
+        path = tmp_path / "big.cfg"
+        path.write_text(
+            "[manifold]\nid = big\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+            f"[metric]\ng_11 = {g11}\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+        )
+        code, out, err = run(capsys, "check", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "g_11" in err and "1e400" in err and "not finite" in err
+
+    def test_metric_that_overflows_fails_validation_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "[manifold]\nid = exp\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+            "[metric]\ng_11 = exp(1000*x)\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # exp overflows to inf on purpose
+            code, out, err = run(capsys, "check", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: manifold 'exp' failed validation")
+        assert "metric not finite at" in err
+
     def test_tolerance_flags(self, capsys):
         # a huge tol-pass turns the Kodaira-Thurston violation into a pass
         code, out, _ = run(
@@ -238,12 +265,11 @@ class TestNonFiniteReport:
         from weyl4.conditions import REGISTRY
 
         record = REGISTRY["EQ42"]
-        calls = []
 
-        def evaluator(ctx):
-            calls.append(1)
-            lhs, rhs, abs_res, scale = record.evaluator(ctx)
-            return (math.nan, rhs, math.nan, scale) if len(calls) == 2 else (lhs, rhs, abs_res, scale)
+        def evaluator(rows):  # NaN in row 1 of the batch, the second of the three points
+            lhs, rhs, abs_res, scale = (np.array(v, dtype=float) for v in record.evaluator(rows))
+            lhs[1] = abs_res[1] = math.nan
+            return lhs, rhs, abs_res, scale
 
         monkeypatch.setitem(REGISTRY, "EQ42", dataclasses.replace(record, evaluator=evaluator))
         code, out, _ = run(capsys, "check", "flat_torus", "--identities", "EQ42", "--points", "3")

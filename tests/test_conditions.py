@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from weyl4.catalog import get_manifold, load_manifold_config
+from weyl4.catalog import builtin_manifolds, get_manifold, load_manifold_config
 from weyl4.conditions import (
     GATE,
     REGISTRY,
@@ -22,7 +22,7 @@ from weyl4.conditions import (
     rotated_context,
     run_suite,
 )
-from weyl4.conditions import PointContext, _ClassifyAccumulator, _TagAccumulator, _verdict
+from weyl4.conditions import PointContext, _classify, _stack_rows, _tag_report, _verdict
 
 from paper_oracles import prop21_equivalence
 
@@ -193,6 +193,72 @@ class TestRunSuite:
         assert "max_rel_residual" in csv_text.splitlines()[0]
         text = rep.to_text()
         assert "PASS" in text
+
+
+@pytest.fixture(scope="module")
+def batch_specs(tmp_path_factory):
+    """Every catalog entry, and the non-homogeneous strictly almost-Kahler torus."""
+    from test_frame_kernels import SAK_TORUS
+
+    path = tmp_path_factory.mktemp("sak") / "sak_torus.cfg"
+    path.write_text(SAK_TORUS)
+    return {s.id: s for s in builtin_manifolds() + [load_manifold_config(str(path))]}
+
+
+def one_row_batches(spec, n_points, seed, rotations, ids):
+    """evaluate_identity on every context run_suite builds (same points, same
+    rotation angles), one context at a time."""
+    order = max(REGISTRY[rid].min_order for rid in ids)
+    if "constant-s" in spec.tags:
+        order = max(order, 3)
+    rng = np.random.default_rng(seed)
+    pts = spec.sample_points(n_points, rng)
+    angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, rotations))
+    out = {rid: [] for rid in ids}
+    for pt, alphas in zip(pts, angles):
+        base = point_context(spec, pt, order)
+        for ctx in [base] + [rotated_context(base, a) for a in alphas]:
+            for rid in ids:
+                out[rid].append(evaluate_identity(rid, spec, ctx.point, ctx=ctx))
+    return out
+
+
+def assert_rows_match_one_row_batches(spec, ids=None):
+    rep = run_suite(spec, 12, seed=3, rotations=1, identities=ids)
+    ids = [row["id"] for row in rep.identities]
+    single = one_row_batches(spec, 12, 3, 1, ids)
+    close = dict(rel=1e-15, abs=1e-15)
+    for row in rep.identities:
+        applied = [r for r in single[row["id"]] if r.applicable]
+        assert row["applicable_points"] == len(applied), row
+        rels = [r.rel_residual for r in applied]
+        assert row["max_rel_residual"] == pytest.approx(max(rels, default=0.0), **close), row
+        assert row["mean_rel_residual"] == pytest.approx(float(np.mean(rels)) if rels else 0.0, **close), row
+        if REGISTRY[row["id"]].signed and applied:
+            assert row["min_signed_margin"] == pytest.approx(min(r.signed_margin for r in applied), **close)
+
+
+class TestBatchedRows:
+    @pytest.mark.parametrize("name", [s.id for s in builtin_manifolds()] + ["sak_torus_test"])
+    def test_result_does_not_depend_on_batch_size(self, batch_specs, name):
+        assert_rows_match_one_row_batches(batch_specs[name])
+
+    def test_identity_subset_does_not_depend_on_batch_size(self, batch_specs):
+        assert_rows_match_one_row_batches(batch_specs["kahler_potential_generic"], ["EQ05", "EQ42", "EQ104", "EQ131"])
+
+    def test_each_evaluator_runs_at_most_once_per_run(self, monkeypatch):
+        calls = {}
+        for rid, record in list(REGISTRY.items()):
+            if record.evaluator is not None:
+                def counted(rows, record=record):
+                    calls[record.id] = calls.get(record.id, 0) + 1
+                    return record.evaluator(rows)
+
+                monkeypatch.setitem(REGISTRY, rid, dataclasses.replace(record, evaluator=counted))
+        for name in ("kodaira_thurston", "kahler_potential_generic", "perturbed_j", "flat_torus"):
+            calls.clear()
+            run_suite(get_manifold(name), 6, seed=2, rotations=2)
+            assert calls and max(calls.values()) == 1, (name, calls)
 
 
 class TestClassify:
@@ -370,14 +436,14 @@ class TestGates:
         assert defaults.constancy_samples == 20
 
 
-def nan_at_second_call(record):
-    """The record with its evaluator returning NaN at the second point only."""
-    calls = []
+def nan_in_row_1(record):
+    """The record with its evaluator returning NaN in row 1 (the second
+    point) of the rows it is called on, and the true values elsewhere."""
 
-    def evaluator(ctx):
-        calls.append(1)
-        lhs, rhs, abs_res, scale = record.evaluator(ctx)
-        return (math.nan, rhs, math.nan, scale) if len(calls) == 2 else (lhs, rhs, abs_res, scale)
+    def evaluator(rows):
+        lhs, rhs, abs_res, scale = (np.array(v, dtype=float) for v in record.evaluator(rows))
+        lhs[1] = abs_res[1] = math.nan
+        return lhs, rhs, abs_res, scale
 
     return dataclasses.replace(record, evaluator=evaluator)
 
@@ -421,7 +487,7 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("rid", ["EQ42", "EQ131"])
     def test_run_suite_row_with_nan_at_second_point(self, monkeypatch, rid):
-        monkeypatch.setitem(REGISTRY, rid, nan_at_second_call(REGISTRY[rid]))
+        monkeypatch.setitem(REGISTRY, rid, nan_in_row_1(REGISTRY[rid]))
         rep = run_suite(get_manifold("flat_torus"), 3, seed=1, identities=[rid])
         (row,) = rep.identities
         assert row["verdict"] == "non-finite"
@@ -436,22 +502,18 @@ class TestNonFinite:
     def test_non_finite_tag_residual_is_unconfirmed(self):
         spec = get_manifold("flat_torus")
         ctx = point_context(spec, [0.3, 0.4, 0.5, 0.6], 3)
-        acc = _TagAccumulator(spec)
-        acc.add(ctx)
-        assert acc.result(1e-8)["flat"]["confirmed"]
+        assert _tag_report(spec.tags, _stack_rows([ctx]), 1e-8)["flat"]["confirmed"]
         nan_riem = dataclasses.replace(ctx.bundle, riem=np.full_like(ctx.bundle.riem, np.nan))
-        acc.add(dataclasses.replace(ctx, bundle=nan_riem))
-        flat = acc.result(1e-8)["flat"]
+        rows = _stack_rows([ctx, dataclasses.replace(ctx, bundle=nan_riem)])
+        flat = _tag_report(spec.tags, rows, 1e-8)["flat"]
         assert not flat["confirmed"] and flat["non_finite_points"] == 1
         assert math.isfinite(flat["residual"])
 
     def test_non_finite_classify_residual_is_indeterminate(self):
         spec = get_manifold("kodaira_thurston")
         ctx = point_context(spec, [0.3, 0.4, 0.5, 0.6], 2)
-        acc = _ClassifyAccumulator()
-        acc.add(ctx)
-        assert acc.verdict(1e-8, 1e-4) == "almost-Kähler non-Kähler"
+        assert _classify(_stack_rows([ctx]).nj, 1e-8, 1e-4)[0] == "almost-Kähler non-Kähler"
         nan_nj = dataclasses.replace(ctx.nj, nijenhuis=np.full_like(ctx.nj.nijenhuis, np.nan))
-        acc.add(dataclasses.replace(ctx, nj=nan_nj))
-        assert acc.verdict(1e-8, 1e-4) == "indeterminate"
-        assert all(math.isfinite(r) for r in acc.residuals().values())
+        verdict, residuals = _classify(_stack_rows([ctx, dataclasses.replace(ctx, nj=nan_nj)]).nj, 1e-8, 1e-4)
+        assert verdict == "indeterminate"
+        assert all(math.isfinite(r) for r in residuals.values())

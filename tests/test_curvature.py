@@ -147,8 +147,9 @@ class TestCurvatureOperator:
         # the operator the identity evaluators call checks its argument
         spec = get_manifold("fubini_study_cp2")
         mp = spec.metric_point([0.1, 0.1, 0.1, 0.1], 2)
+        b = curvature_bundle(mp)
         with pytest.raises(ValueError):
-            weyl_operator(np.eye(4), curvature_bundle(mp))
+            weyl_operator(np.eye(4), b.riem_v, b.ric_v, b.S_v, mp)
 
     def test_star_ricci_relation_kahler(self, catalog):
         # Ric* = -R(J X_k, X^k) J / 2 against the direct definition
@@ -176,7 +177,7 @@ class TestWeylOperator:
         M = rng.normal(size=(4, 4))
         A = M - adjoint_endo(M, mp)
         scale = max(np.abs(b.riem_v).max(), 1.0)
-        assert np.abs(weyl_operator(A, b)).max() < 1e-8 * scale
+        assert np.abs(weyl_operator(A, b.riem_v, b.ric_v, b.S_v, mp)).max() < 1e-8 * scale
 
     def test_kahler_wj(self):
         spec = get_manifold("fubini_study_cp2")
@@ -184,7 +185,7 @@ class TestWeylOperator:
         mp = spec.metric_point(pt, 2)
         b = curvature_bundle(mp)
         J = spec.j_matrix(pt)
-        assert np.abs(weyl_operator(J, b) - (b.S_v / 3.0) * J).max() < 1e-9 * abs(b.S_v)
+        assert np.abs(weyl_operator(J, b.riem_v, b.ric_v, b.S_v, mp) - (b.S_v / 3.0) * J).max() < 1e-9 * abs(b.S_v)
 
     def test_operator_vs_tensor_contraction(self, catalog):
         rng = np.random.default_rng(7)
@@ -195,7 +196,7 @@ class TestWeylOperator:
             M = rng.normal(size=(4, 4))
             A = M - adjoint_endo(M, mp)
             scale = max(np.abs(b.riem_v).max(), 1.0)
-            assert np.abs(weyl_operator(A, b) - tensor_operator(b.weyl_v, A, mp)).max() < 1e-9 * scale
+            assert np.abs(weyl_operator(A, b.riem_v, b.ric_v, b.S_v, mp) - tensor_operator(b.weyl_v, A, mp)).max() < 1e-9 * scale
 
 
 class TestCovariantDerivatives:
@@ -274,14 +275,14 @@ class TestLaplacian:
         mp = spec.metric_point([0.1, 0.2, 0.3, 0.4], 2)
         b = curvature_bundle(mp)
         f = eval_jet(parse_expression("3.7", spec.coords), mp.point, 2)
-        assert laplacian_scalar(f, b) == 0.0
+        assert laplacian_scalar(f, b.gamma_v, mp) == 0.0
 
     def test_euclidean_x_squared(self):
         spec = get_manifold("euclidean_flat")
         mp = spec.metric_point([0.5, 0, 0, 0], 2)
         b = curvature_bundle(mp)
         f = eval_jet(parse_expression("x^2", XYZT), mp.point, 2)
-        assert laplacian_scalar(f, b) == pytest.approx(-2.0)
+        assert laplacian_scalar(f, b.gamma_v, mp) == pytest.approx(-2.0)
 
     def test_wplus_norm_constant_s_kahler(self):
         # both sides of the Weitzenboeck pointwise identity vanish when S is
@@ -294,7 +295,7 @@ class TestLaplacian:
         b = curvature_bundle(mp)
         fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
         w2 = wplus_norm2_jet(b, fr.orientation)
-        assert abs(laplacian_scalar(w2, b)) < 1e-8 * abs(b.S_v) ** 2
+        assert abs(laplacian_scalar(w2, b.gamma_v, mp)) < 1e-8 * abs(b.S_v) ** 2
         w = wplus_matrix(b, lambda2_split(fr, mp))
         assert abs(18.0 * w.det - b.S_v * w.norm2) < 1e-8 * abs(b.S_v) ** 3
 
@@ -304,4 +305,4 @@ class TestLaplacian:
         b = curvature_bundle(mp)
         f = eval_jet(parse_expression("x^2", XYZT), mp.point, 1)
         with pytest.raises(InsufficientJetOrder):
-            laplacian_scalar(f, b)
+            laplacian_scalar(f, b.gamma_v, mp)

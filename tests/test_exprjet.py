@@ -87,6 +87,11 @@ class TestParser:
         e = parse_expression("x*1", XYZT)
         assert isinstance(e, BinOp)
 
+    @pytest.mark.parametrize("text", ["1e400", "1 + 1e400*x", "2.5E+999*y"])
+    def test_number_literal_must_be_finite(self, text):
+        with pytest.raises(exprjet.ExpressionSyntaxError, match="is not finite"):
+            parse_expression(text, XYZT)
+
     @pytest.mark.parametrize("text", ["1 + 0^-1*x", "1 + 10^400*x", "(-10)^401"])
     def test_constant_power_must_be_finite(self, text):
         with pytest.raises(exprjet.ExpressionError, match=r"constant power .* is not a finite number"):

@@ -7,9 +7,11 @@ from weyl4.pointgeom import (
     I_STD,
     J_STD,
     K_STD,
+    MetricError,
     MetricPoint,
     adjoint_endo,
     build_j_frame,
+    check_acs,
     chart_orientation,
     endo_to_form,
     hodge_star,
@@ -46,6 +48,13 @@ class TestMetricPoint:
         g = np.eye(4)
         g[0, 1] = 0.5
         with pytest.raises(ValueError):
+            MetricPoint.from_jets(np.zeros(4), jconst(g, 2), 2)
+
+
+    def test_rejects_nan(self):
+        g = np.eye(4)
+        g[2, 2] = np.nan
+        with pytest.raises(MetricError, match="not symmetric"):
             MetricPoint.from_jets(np.zeros(4), jconst(g, 2), 2)
 
 
@@ -133,6 +142,12 @@ class TestJFrame:
         mp = euclidean_mp()
         with pytest.raises(FrameError):
             build_j_frame(mp, np.eye(4), np.eye(4)[0])
+
+    def test_nan_j_rejected(self):
+        J = J_STD.copy()
+        J[0, 1] = np.nan
+        with pytest.raises(FrameError):
+            check_acs(J, euclidean_mp())
 
     def test_rescaled_metric_validates_identically(self):
         # tolerances are relative to the largest eigenvalue

@@ -21,7 +21,14 @@ from weyl4.selfdual import (
     wplus_norm2_jet,
 )
 
-from paper_oracles import apply_form_operator, delta_w_full, project_minus, project_plus, wminus_matrix
+from paper_oracles import (
+    apply_form_operator,
+    delta_w_full,
+    nabla_wplus_norm2,
+    project_minus,
+    project_plus,
+    wminus_matrix,
+)
 
 STAR_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, -1.0)  # Lambda2Basis.endos: three self-dual, three anti-self-dual
 
@@ -195,7 +202,7 @@ class TestDeltaW:
         # delta W+ = -(grad log |S| .| W+) on Kahler manifolds
         _, mp, b, fr = make("kahler_potential_generic", [0.4, 0.3, -0.2, 0.5], 3)
         dwp, _ = delta_wpm(b, fr)
-        Wp04, _ = weyl_pm_04(b, fr)
+        Wp04, _ = weyl_pm_04(b.weyl_v, mp, fr.orientation)
         ip = interior_product(mp.g_inv @ b.dS / b.S_v, Wp04, mp)
         assert np.abs(dwp + ip).max() < 1e-7 * np.abs(dwp).max()
 
@@ -230,7 +237,7 @@ class TestDeltaW:
             b = curvature_bundle(mp)
             fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
             dwp, _ = delta_wpm(b, fr)
-            alt = gl121_delta_wplus(b, fr)
+            alt = gl121_delta_wplus(b.nabla_ric, b.dS, mp, fr)
             scale = max(np.abs(dwp).max(), np.abs(b.riem_v).max(), 1.0)
             assert np.abs(dwp - alt).max() < 1e-7 * scale
 
@@ -252,7 +259,7 @@ class TestNablaWplusNorms:
     def test_constant_s_kahler_both_zero(self):
         ctx = point_context(get_manifold("fubini_study_cp2"), [0.25, -0.15, 0.3, 0.1], 3)
         b, fr = ctx.bundle, ctx.frame
-        n2 = ctx.nabla_wplus_norm2()
+        n2 = nabla_wplus_norm2(ctx)
         assert abs(n2) < 1e-8 * b.S_v**2
         w2 = wplus_norm2_jet(b, fr.orientation)
         assert np.abs(w2.gradient()).max() < 1e-8 * b.S_v**2
@@ -260,7 +267,7 @@ class TestNablaWplusNorms:
     def test_generic_kahler_gradient_identities(self):
         ctx = point_context(get_manifold("kahler_potential_generic"), [0.3, 0.2, -0.4, 0.6], 3)
         mp, b, fr = ctx.mp, ctx.bundle, ctx.frame
-        n2 = ctx.nabla_wplus_norm2()
+        n2 = nabla_wplus_norm2(ctx)
         grad_s2 = float(b.dS @ mp.g_inv @ b.dS)
         assert n2 == pytest.approx(grad_s2 / 6.0, rel=1e-7)
         w2 = wplus_norm2_jet(b, fr.orientation)
