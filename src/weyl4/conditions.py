@@ -3,12 +3,14 @@
 Each numbered relation from the source material is an :class:`IdentityRecord`:
 an evaluator, a numeric applicability gate (Kahler / almost-Kahler /
 two-eigenvalue / divergence-free, support on |W+| or S) and the minimum
-metric jet order it needs.  ``run_suite`` builds each point's context (jets
-stay per point), copies what the gates and evaluators read into one row of
-a :class:`Rows` stack, and drops the context.  Each gate is then one mask
-over the rows, and each evaluator is called once per run on the rows its
-gate admits: stacked rows in, arrays of (lhs, rhs, abs residual, scale)
-out.  ``evaluate_identity`` is the same step on a stack of one row.
+metric jet order it needs.  ``point_context`` is the jet stage, one call
+per point; ``_stack_rows`` copies the order-0 values of many contexts into
+one :class:`Rows` stack, dropping each context, and runs the frame stage
+(J-frames, star-Ricci family, nabla J, W+) once on the stack.  Each gate is
+then one mask over the rows, and each evaluator is called once per run on
+the rows its gate admits: stacked rows in, arrays of (lhs, rhs, abs
+residual, scale) out.  ``evaluate_identity`` is the same step on a stack of
+one row.
 
 Relative residuals are ``abs / max(scale, 1e-14)`` where the scale is the
 largest absolute term on either side, so identities mixing quantities of
@@ -29,7 +31,7 @@ import numpy as np
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
 from .curvature import curvature_bundle, laplacian_scalar, weyl_operator
-from .exprjet import Jet
+from .exprjet import Jet, jvalue
 from .hermitian import (
     AcsPoint,
     NablaJData,
@@ -43,14 +45,14 @@ from .hermitian import (
     q_j_integrand,
     star_ricci_family,
 )
-from .pointgeom import SelfDualFrame, build_j_frame, rotate_supplement
+from .pointgeom import build_j_frame, chart_orientation, rotate_supplement
 from .selfdual import (
     WplusMatrix,
     delta_wpm,
     interior_product,
     lambda2_split,
     nabla_w_sd_matrices,
-    weyl_pm_04,
+    wplus_04,
     wplus_matrix,
     wplus_norm2_jet,
 )
@@ -86,27 +88,28 @@ class QuadratureError(ConditionsError):
 # ---------------------------------------------------------------------------
 
 
+FRAME_SEED = np.eye(4)[0]  # every J-frame starts from the first chart basis vector
+
+
+def _frame_part(build):
+    """Frame data of a single context, built from it alone on first read (None without J)."""
+    return functools.cached_property(lambda ctx: None if ctx.j_jets is None else build(ctx))
+
+
 @dataclass
 class PointContext:
-    """Everything the evaluators need at one point and one frame choice."""
+    """The jet stage at one point: metric and curvature jets, the jets of J
+    and the frame-free |W+|^2 and lambda jets.  A stack of contexts gets its
+    frame data from ``_stack_rows``; a single one reads them below."""
 
     spec: ManifoldSpec
     point: np.ndarray
     order: int
     mp: object
     bundle: object
-    acs: Optional[AcsPoint] = None
-    frame: Optional[SelfDualFrame] = None
-    star: Optional[StarCurvature] = None
-    nj: Optional[NablaJData] = None
-    basis: object = None
-    wplus: object = None
-    proj: object = None
+    j_jets: Optional[np.ndarray] = None  # J to jet order 2
     w2jet: Optional[Jet] = None
     lam_jet: Optional[Jet] = None
-    dwp: Optional[np.ndarray] = None
-    dwm: Optional[np.ndarray] = None
-    nabla_sd: Optional[np.ndarray] = None   # 3x3 matrices of nabla_p W+
 
     @property
     def S(self) -> float:
@@ -120,6 +123,14 @@ class PointContext:
         quantities they cancel from.  Computed once per context."""
         return max(1.0, float(np.abs(self.bundle.riem_v).max()), abs(self.bundle.S_v))
 
+    acs = _frame_part(lambda c: AcsPoint.from_jets(c.j_jets, c.mp))
+    frame = _frame_part(lambda c: build_j_frame(c.mp, c.acs.J, FRAME_SEED, c.acs.orientation))
+    star = _frame_part(lambda c: star_ricci_family(c.bundle, c.acs, c.frame))
+    nj = _frame_part(lambda c: nabla_j_data(c.acs, c.bundle, c.frame))
+    basis = _frame_part(lambda c: lambda2_split(c.frame, c.mp))
+    wplus = _frame_part(lambda c: wplus_matrix(c.bundle, c.basis))
+    nabla_sd = _frame_part(lambda c: nabla_w_sd_matrices(c.bundle, c.frame))  # 3x3 matrices of nabla_p W+
+
 
 def point_context(
     spec: ManifoldSpec,
@@ -131,48 +142,30 @@ def point_context(
     bundle = curvature_bundle(mp)
     ctx = PointContext(spec=spec, point=point, order=order, mp=mp, bundle=bundle)
     if spec.has_j:
-        acs = AcsPoint.from_jets(spec.j_jets(point, 2), mp)
-        ctx.acs = acs
-        _fill_frame_data(ctx, build_j_frame(mp, acs.J, np.eye(4)[0]))
+        ctx.j_jets = spec.j_jets(point, 2)
+        # |W+|^2 needs the orientation J induces, not a frame
+        ctx.w2jet = wplus_norm2_jet(bundle, chart_orientation(jvalue(ctx.j_jets), mp))
+        if order >= 3:
+            ctx.lam_jet = lambda_jet(bundle, ctx.j_jets)
     return ctx
 
 
-def rotated_context(ctx: PointContext, alpha: float) -> PointContext:
-    """Same point and bundle, quaternionic supplement rotated by alpha."""
-    out = PointContext(spec=ctx.spec, point=ctx.point, order=ctx.order, mp=ctx.mp, bundle=ctx.bundle, acs=ctx.acs)
-    _fill_frame_data(out, rotate_supplement(ctx.frame, alpha))
-    return out
-
-
-def _fill_frame_data(ctx: PointContext, frame: SelfDualFrame) -> None:
-    ctx.frame = frame
-    ctx.star = star_ricci_family(ctx.bundle, ctx.acs, frame)
-    ctx.nj = nabla_j_data(ctx.acs, ctx.bundle, frame)
-    ctx.basis = lambda2_split(frame, ctx.mp)
-    ctx.wplus = wplus_matrix(ctx.bundle, ctx.basis)
-    ctx.proj = projections_p1p2(ctx.star, ctx.wplus.m)
-    ctx.w2jet = wplus_norm2_jet(ctx.bundle, frame.orientation)
-    if ctx.order >= 3:
-        ctx.lam_jet = lambda_jet(ctx.bundle, ctx.acs)
-        ctx.dwp, ctx.dwm = delta_wpm(ctx.bundle, frame)
-        ctx.nabla_sd = nabla_w_sd_matrices(ctx.bundle, frame)
-
-
 # ---------------------------------------------------------------------------
-# Stacked rows
+# Stacked rows and the frame stage
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Rows:
     """Order-0 quantities of many contexts of one jet order; axis 0 has one
-    row per context.  ``star``, ``nj``, ``wplus`` and ``proj`` are stacked
-    field by field (their per-point properties do not apply).  The rows serve
-    the operator helpers as metric (g, g_inv) and frame (J, I, K,
-    orientation).  ``dS`` to ``nabla_weyl_max`` need jet order 3; the fields
-    from ``J`` on need an almost complex structure, and from ``w2_grad`` on
-    order 3 as well (``w2_lap`` order 4)."""
+    row per context, or per rotation of its supplement.  ``_row`` gives the
+    fields up to ``nabla2_ric``, the frame stage the rest.  The rows serve
+    the helpers as metric, curvature bundle and frame.  ``dS`` to
+    ``nabla_weyl`` need jet order 3; the fields from ``j_jets`` on need J,
+    and ``w2_grad`` and ``lam_grad`` order 3 as well (``w2_lap`` and
+    ``nabla2_ric`` order 4)."""
 
+    point: np.ndarray
     S: np.ndarray
     riem_v: np.ndarray
     ric_v: np.ndarray                 # Ricci endomorphism
@@ -182,7 +175,15 @@ class Rows:
     curvature_scale: np.ndarray
     dS: Optional[np.ndarray] = None
     nabla_ric: Optional[np.ndarray] = None
-    nabla_weyl_max: Optional[np.ndarray] = None  # max |nabla W|
+    nabla_weyl: Optional[np.ndarray] = None
+    j_jets: Optional[np.ndarray] = None
+    gamma_v: Optional[np.ndarray] = None
+    dg_v: Optional[np.ndarray] = None  # metric first partials [m, i, j]
+    w2: Optional[np.ndarray] = None   # |W+|^2 from its jet
+    w2_grad: Optional[np.ndarray] = None
+    lam_grad: Optional[np.ndarray] = None
+    w2_lap: Optional[np.ndarray] = None
+    nabla2_ric: Optional[np.ndarray] = None
     J: Optional[np.ndarray] = None
     I: Optional[np.ndarray] = None
     K: Optional[np.ndarray] = None
@@ -191,57 +192,84 @@ class Rows:
     nj: Optional[NablaJData] = None
     wplus: Optional[WplusMatrix] = None
     proj: Optional[ProjectionData] = None
-    w2: Optional[np.ndarray] = None   # |W+|^2 from its jet
-    w2_grad: Optional[np.ndarray] = None
-    lam_grad: Optional[np.ndarray] = None
     dwp: Optional[np.ndarray] = None
     nabla_sd: Optional[np.ndarray] = None
-    wplus04: Optional[np.ndarray] = None  # W+ as a (0,4) tensor, built once per stack
-    w2_lap: Optional[np.ndarray] = None
+    wplus04: Optional[np.ndarray] = None  # W+ as a (0,4) tensor, for EQ05, EQ112 and EQ114
+
+    @property
+    def mp(self) -> "Rows":
+        return self
+
+    @property
+    def S_v(self) -> np.ndarray:
+        return self.S
+
+    def require(self, field: str):
+        """A curvature field the frame functions read; the rows carry it whenever their jet order does."""
+        return getattr(self, field)
 
 
-def _row(ctx: PointContext) -> Rows:
-    """One context as an unstacked row.  Values that view the context's jets
-    are copied, so nothing keeps the context alive once its row is taken."""
-    b, fr = ctx.bundle, ctx.frame
-    kw = dict(
-        S=b.S_v, riem_v=b.riem_v.copy(), ric_v=b.ric_v.copy(), weyl_v=b.weyl_v.copy(),
+def _row(ctx: PointContext) -> dict:
+    """The frame-free fields of one context.  Values that view the context's
+    jets are copied, so nothing keeps the context alive once its row is taken."""
+    b = ctx.bundle
+    row = dict(
+        point=ctx.point, S=b.S_v, riem_v=b.riem_v.copy(), ric_v=b.ric_v.copy(), weyl_v=b.weyl_v.copy(),
         g=ctx.mp.g.copy(), g_inv=ctx.mp.g_inv.copy(), curvature_scale=ctx.curvature_scale,
     )
     if ctx.order >= 3:
-        kw.update(dS=b.dS, nabla_ric=b.nabla_ric.copy(), nabla_weyl_max=float(np.abs(b.nabla_weyl).max()))
-    if fr is None:
-        return Rows(**kw)
-    kw.update(
-        J=fr.J.copy(), I=fr.I, K=fr.K, orientation=fr.orientation,
-        star=ctx.star, nj=ctx.nj, wplus=ctx.wplus, proj=ctx.proj, w2=ctx.w2jet.value,
-    )
+        row.update(dS=b.dS, nabla_ric=b.nabla_ric.copy(), nabla_weyl=b.nabla_weyl)
+    if ctx.j_jets is None:
+        return row
+    row.update(j_jets=ctx.j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v, w2=ctx.w2jet.value)
     if ctx.order >= 3:
-        kw.update(w2_grad=ctx.w2jet.gradient(), lam_grad=ctx.lam_jet.gradient(), dwp=ctx.dwp, nabla_sd=ctx.nabla_sd)
+        row.update(w2_grad=ctx.w2jet.gradient(), lam_grad=ctx.lam_jet.gradient())
     if ctx.order >= 4:
-        kw["w2_lap"] = laplacian_scalar(ctx.w2jet, b.gamma_v, ctx.mp)
-    return Rows(**kw)
+        row.update(w2_lap=laplacian_scalar(ctx.w2jet, b.gamma_v, ctx.mp), nabla2_ric=b.nabla2_ric)
+    return row
 
 
-def _leafwise(fn, values: list):
-    """``fn`` of the list of like leaves of ``values``: dataclasses recurse
-    field by field, and None stays None."""
-    first = values[0]
-    if first is None:
-        return None
-    if is_dataclass(first):
-        return type(first)(**{f.name: _leafwise(fn, [getattr(v, f.name) for v in values]) for f in fields(first)})
-    return fn(values)
+def _leafwise(fn, x):
+    """``fn`` of every array of ``x``: dataclasses recurse field by field, and None stays None."""
+    if x is None or not is_dataclass(x):
+        return None if x is None else fn(x)
+    return type(x)(**{f.name: _leafwise(fn, getattr(x, f.name)) for f in fields(x)})
 
 
-def _stack_rows(contexts: Iterable[PointContext]) -> Rows:
+def _take(obj, rows: np.ndarray, mp):
+    """An ``AcsPoint`` or ``SelfDualFrame`` of a stack, on the rows ``rows`` of ``mp``."""
+    arrays = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "mp"}
+    return replace(obj, mp=mp, **{k: v[rows] for k, v in arrays.items() if isinstance(v, np.ndarray)})
+
+
+def _stack_rows(contexts: Iterable[PointContext], angles: Optional[np.ndarray] = None) -> Rows:
     """The rows of ``contexts``, consumed one at a time so that each context
-    is dropped once its row is taken."""
-    rows = _leafwise(np.array, [_row(ctx) for ctx in contexts])
-    if rows.dwp is None:
+    is dropped once its row is taken, and the frame stage run once on them.
+    ``angles`` (one row of rotation angles per context) puts after each
+    context's row one more row per angle, the supplement rotated by it; the
+    frame-free fields, delta W+ included, are repeated onto those rows."""
+    rows = [_row(ctx) for ctx in contexts]
+    rows = Rows(**{k: np.array([r[k] for r in rows]) for k in rows[0]})
+    if rows.j_jets is None:
         return rows
-    # W+ as a (0,4) tensor, for EQ05, EQ112 and EQ114
-    return replace(rows, wplus04=weyl_pm_04(rows.weyl_v, rows, rows.orientation)[0])
+    acs = AcsPoint.from_jets(rows.j_jets, rows)
+    frame = build_j_frame(rows, acs.J, FRAME_SEED, acs.orientation)
+    dwp = None if rows.nabla_weyl is None else delta_wpm(rows, frame)
+    if angles is not None:
+        take = np.repeat(np.arange(len(rows.S)), 1 + angles.shape[1])
+        rows = _leafwise(lambda v: v[take], rows)
+        acs, frame = _take(acs, take, rows), _take(frame, take, rows)
+        frame = rotate_supplement(frame, np.column_stack([np.zeros(len(angles)), angles]).ravel())
+        dwp = None if dwp is None else dwp[take]
+    star = star_ricci_family(rows, acs, frame)
+    wplus = wplus_matrix(rows, lambda2_split(frame, rows))
+    rows = replace(
+        rows, J=acs.J, I=frame.I, K=frame.K, orientation=frame.orientation, star=star,
+        nj=nabla_j_data(acs, rows, frame), wplus=wplus, proj=projections_p1p2(star, wplus.m), dwp=dwp,
+    )
+    if dwp is None:
+        return rows
+    return replace(rows, nabla_sd=nabla_w_sd_matrices(rows, frame), wplus04=wplus_04(rows.weyl_v, rows, rows.orientation))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +592,7 @@ def _gate_masks(r: Rows) -> dict:
         "s-support": ~(np.abs(r.S) <= GATE),
     }
     if r.dwp is not None:
-        masks["requires-deltawplus0"] = ~(_amax(r.dwp) > GATE * np.fmax(1.0, r.nabla_weyl_max))
+        masks["requires-deltawplus0"] = ~(_amax(r.dwp) > GATE * np.fmax(1.0, _amax(r.nabla_weyl)))
     return masks
 
 
@@ -582,7 +610,7 @@ def _residual(record: IdentityRecord, rows: Rows, masks: dict) -> Optional[tuple
         mask = mask & masks["s-support"]
     if not mask.any():
         return None
-    lhs, rhs, abs_res, scale = record.evaluator(rows if mask.all() else _leafwise(lambda v: v[0][mask], [rows]))
+    lhs, rhs, abs_res, scale = record.evaluator(rows if mask.all() else _leafwise(lambda v: v[mask], rows))
     scale = np.maximum(scale, rows.curvature_scale[mask])
     denom = np.maximum(scale, RESIDUAL_FLOOR)
     margin = (lhs - rhs) / denom if record.signed else None
@@ -741,17 +769,10 @@ def run_suite(
     pts = spec.sample_points(n_points, rng)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, rotations)) if rotations else None
 
-    def contexts():
-        for k, pt in enumerate(pts):
-            base = point_context(spec, pt, order)
-            yield base
-            for alpha in angles[k] if rotations and spec.has_j else ():
-                yield rotated_context(base, alpha)
-
-    rows = _stack_rows(contexts())
+    rows = _stack_rows((point_context(spec, pt, order) for pt in pts), angles if spec.has_j else None)
     masks = _gate_masks(rows)
     # tags and classification read each point once, not its rotations
-    base = _leafwise(lambda v: v[0][:: 1 + rotations], [rows]) if rotations and spec.has_j else rows
+    base = _leafwise(lambda v: v[:: 1 + rotations], rows) if rotations and spec.has_j else rows
     report_rows = []
     for record in records:
         res = _residual(record, rows, masks)
@@ -862,7 +883,7 @@ def classify_structure(spec: ManifoldSpec, n_points: int, seed: int = 0,
     if n_points < 1:
         raise ConditionsError("n_points must be >= 1")
     pts = spec.sample_points(n_points, np.random.default_rng(seed))
-    return _classify(_leafwise(np.array, [point_context(spec, pt, 2).nj for pt in pts]), tol_pass, tol_fail)
+    return _classify(_stack_rows(point_context(spec, pt, 2) for pt in pts).nj, tol_pass, tol_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -907,9 +928,16 @@ def _gauss_grid(spec: ManifoldSpec, n: int) -> tuple:
     return points, np.einsum("i,j,k,l->ijkl", *waxes).ravel() * dens
 
 
+NODE_CHUNK = 64  # nodes per density call: one frame stage per chunk, and bounded memory at any level
+
+
 def _node_values(spec: ManifoldSpec, density, points: np.ndarray) -> np.ndarray:
-    """density at each point, the point axis last."""
-    vals = np.stack([np.asarray(density(p), dtype=float) for p in points], axis=-1)
+    """density at each point, the point axis last, from one call per chunk
+    of NODE_CHUNK points."""
+    vals = np.concatenate(
+        [np.asarray(density(points[i:i + NODE_CHUNK]), dtype=float) for i in range(0, len(points), NODE_CHUNK)],
+        axis=-1,
+    )
     bad = np.flatnonzero(~np.isfinite(vals).reshape(-1, len(points)).all(axis=0))
     if bad.size:
         raise QuadratureError(f"density on '{spec.id}' is not finite at point {points[bad[0]].tolist()}")
@@ -923,8 +951,11 @@ def integrate_density(
 ) -> IntegralResult:
     """Gauss-Legendre integral of density * volume form over the fundamental domain.
 
-    ``density`` returns a scalar or an array; every component is integrated
-    in one pass over the nodes, and value and error have its shape.  The
+    ``density`` maps points of shape (n, 4) to values with the point axis
+    last: shape (n,) for a scalar density, (..., n) for an array of them.
+    Nodes go to it in chunks of NODE_CHUNK points; every component is
+    integrated in one pass over the nodes, and value and error have its
+    shape without the point axis.  The
     constancy shortcut (value * volume) is taken only after an explicit
     constancy check at ``constancy_samples`` random points, and only when
     every component passes it.
@@ -956,29 +987,31 @@ def integrate_density(
 INTEGRAND_KEYS = ("q_j", "rt2", "ric_star_minus2", "nabla_j2", "nabla_j4", "s", "wplus2", "s2")
 
 
-def evaluate_integrand(spec: ManifoldSpec, point: np.ndarray) -> dict:
-    """All scalars entering the compact integral formulas, at one point."""
-    ctx = point_context(spec, point, 4)
-    if ctx.acs is None:
+def evaluate_integrand(spec: ManifoldSpec, points: np.ndarray) -> dict:
+    """All scalars entering the compact integral formulas at ``points`` of
+    shape (..., 4): one array of shape (...) per key, from one frame stage."""
+    if not spec.has_j:
         raise ConditionsError("integral formulas need an almost complex structure")
-    return {
-        "q_j": q_j_integrand(ctx.bundle, ctx.acs),
-        "rt2": ctx.star.rt2,
-        "ric_star_minus2": ctx.star.ric_star_minus2,
-        "nabla_j2": ctx.nj.norm2,
-        "nabla_j4": ctx.nj.norm2**2,
-        "s": ctx.S,
-        "wplus2": ctx.wplus.norm2,
-        "s2": ctx.S**2,
+    r = _stack_rows(point_context(spec, p, 4) for p in np.reshape(points, (-1, 4)))
+    values = {
+        "q_j": q_j_integrand(r, r.J),
+        "rt2": r.star.rt2,
+        "ric_star_minus2": r.star.ric_star_minus2,
+        "nabla_j2": r.nj.norm2,
+        "nabla_j4": r.nj.norm2**2,
+        "s": r.S,
+        "wplus2": r.wplus.norm2,
+        "s2": r.S**2,
     }
+    return {k: v.reshape(np.shape(points)[:-1]) for k, v in values.items()}
 
 
 def check_integral_formulas(spec: ManifoldSpec, quad: QuadratureSpec = QuadratureSpec()) -> dict:
     """Both compact Weitzenboeck integrals and their difference (the
     integrated pointwise identity).  Requires a compact almost Kahler entry.
 
-    One pipeline evaluation per quadrature/constancy point feeds all the
-    integrand scalars.
+    One jet stage per quadrature/constancy point and one frame stage per
+    chunk of nodes feed all the integrand scalars.
     """
     if not spec.compact:
         raise ConditionsError(f"manifold '{spec.id}' is not compact")

@@ -76,6 +76,11 @@ class CurvatureBundle:
     def weyl_v(self) -> np.ndarray:
         return jvalue(self.weyl)
 
+    @property
+    def dg_v(self) -> np.ndarray:
+        """Values of the metric's first partials, [m, i, j] = d_m g_ij."""
+        return first_partials(self.mp.jets, self.order)
+
     def require(self, field: str):
         value = getattr(self, field)
         if value is None:
@@ -222,6 +227,12 @@ def _derivative_positions(order: int) -> tuple:
     e = [unit_index(v) for v in range(4)]
     second = [[t.pos[tuple(a + b for a, b in zip(ei, ej))] for ej in e] for ei in e]
     return np.array([t.pos[ei] for ei in e]), np.array(second)
+
+
+def first_partials(a: np.ndarray, order: int) -> np.ndarray:
+    """Values of the first partials of a jet matrix: [..., m, i, j] = d_m a_ij."""
+    d = a[..., _derivative_positions(order)[0]]  # [..., i, j, m]
+    return d.transpose(*range(d.ndim - 3), -1, -3, -2)
 
 
 def laplacian_scalar(f: Jet | np.ndarray, gamma: np.ndarray, mp) -> np.ndarray:

@@ -7,7 +7,9 @@ frame coefficients, the Nijenhuis tensor, the scalar q(J) built from the
 second covariant derivative of Ricci, and the phi/psi pairing that
 obstructs the Kahler property on compact manifolds.
 
-All endomorphisms are chart-basis matrices; ``frame`` supplies (I, K).
+All endomorphisms are chart-basis matrices; ``frame`` supplies (I, K).  The
+frame functions also take stacks (leading row axes; ``bundle`` then anything
+holding ``mp`` and the curvature values they read).
 """
 
 from __future__ import annotations
@@ -16,126 +18,137 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle
-from .exprjet import Jet, jderiv, jeinsum, jet_order, jmatmul, jtruncate, jvalue
+from .curvature import CurvatureBundle, first_partials
+from .exprjet import Jet, jeinsum, jet_order, jmatmul, jtruncate, jvalue
 from .exprjet import jmul  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .pointgeom import (
-    FrameError,
     MetricPoint,
     SelfDualFrame,
     chart_orientation,
     check_acs,
     endo_to_form,
     hodge_star,
-    inner_endo,
     inner_endos,
+    raise_at_first,
 )
+from .selfdual import _kron2, _pairs, _trail
 
 
 @dataclass(frozen=True)
 class AcsPoint:
-    """Almost complex structure at a point: matrix, fundamental form, jets."""
+    """Almost complex structure at a point or a stack of points: matrix,
+    fundamental form, chart orientation, jets."""
 
     J: np.ndarray
     omega: np.ndarray
+    orientation: np.ndarray
     jets: np.ndarray
     order: int
     mp: MetricPoint
 
     @staticmethod
     def from_jets(j_jets: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> "AcsPoint":
-        order = jet_order(j_jets)
+        """Validated J: compatible with g, and Omega_J self-dual, on every row."""
         J = jvalue(j_jets)
         check_acs(J, mp, tol)
         omega = endo_to_form(J, mp, check=False)
         sigma = chart_orientation(J, mp)
-        r3 = np.abs(hodge_star(omega, mp, sigma) - omega).max()
-        if r3 > tol * max(np.abs(omega).max(), 1.0):
-            raise FrameError(f"fundamental form not self-dual (residual {r3:.2e})")
-        return AcsPoint(J=J, omega=omega, jets=j_jets, order=order, mp=mp)
+        r3 = np.abs(hodge_star(omega, mp, sigma) - omega).max(axis=(-2, -1))
+        raise_at_first(~(r3 <= tol * np.fmax(np.abs(omega).max(axis=(-2, -1)), 1.0)), mp, "structure",
+                       lambda k: f"fundamental form not self-dual (residual {r3.flat[k]:.2e})")
+        return AcsPoint(J=J, omega=omega, orientation=sigma, jets=j_jets, order=jet_order(j_jets), mp=mp)
 
 
 @dataclass(frozen=True)
 class StarCurvature:
-    """The J-dependent curvature family at a point, for one supplement (I, K)."""
+    """The J-dependent curvature family for one supplement (I, K), at a point
+    or stacked (every field then has a leading row axis)."""
 
     ric_star: np.ndarray
     ric_star_minus: np.ndarray      # skew part of Ric*
-    s_star: float
+    s_star: np.ndarray
     ric_tri: np.ndarray
     ric_box: np.ndarray
     ric_tri_minus: np.ndarray
     ric_box_minus: np.ndarray
-    s_tri: float
-    s_box: float
-    lam: float                      # (S_star - S/3)/4
+    s_tri: np.ndarray
+    s_box: np.ndarray
+    lam: np.ndarray                 # (S_star - S/3)/4
     rtilde_I: np.ndarray
     rtilde_K: np.ndarray
-    rt2: float                      # |Rt|^2
-    rtp2: float                     # |Rt^+|^2
-    rtm2: float                     # |Rt^-|^2
-    ric_star_minus2: float
-    ric_tri_minus2: float
-    ric_box_minus2: float
-    j_dot_tri_minus: float          # <J, Ric_tri^->
+    rt2: np.ndarray                 # |Rt|^2
+    rtp2: np.ndarray                # |Rt^+|^2
+    rtm2: np.ndarray                # |Rt^-|^2
+    ric_star_minus2: np.ndarray
+    ric_tri_minus2: np.ndarray
+    ric_box_minus2: np.ndarray
+    j_dot_tri_minus: np.ndarray     # <J, Ric_tri^->
 
 
 def _r_op(bundle: CurvatureBundle) -> np.ndarray:
     """Endomorphisms R(d_p, d_m): r_op[p,m,a,b] with R(d_p,d_m) d_b = r_op[p,m,a,b] d_a."""
-    return np.einsum("an,pmbn->pmab", bundle.mp.g_inv, bundle.riem_v)
+    return bundle.mp.g_inv[..., None, None, :, :] @ np.swapaxes(bundle.riem_v, -1, -2)
 
 
 def rtilde_table(bundle: CurvatureBundle, J: np.ndarray, r_op: np.ndarray | None = None) -> np.ndarray:
     """Rt(d_p, d_m) = [R(d_p,d_m) - R(J d_p, J d_m), J] J / 4 as [p,m,a,b]."""
     if r_op is None:
         r_op = _r_op(bundle)
-    rjj = np.einsum("ap,bm,abcd->pmcd", J, J, r_op)
-    D = r_op - rjj
-    comm = np.einsum("pmac,cb->pmab", D, J) - np.einsum("ac,pmcb->pmab", J, D)
-    return 0.25 * np.einsum("pmac,cb->pmab", comm, J)
+    rjj = (np.swapaxes(_kron2(J), -1, -2) @ _pairs(r_op)).reshape(r_op.shape)  # R(J d_p, J d_m)
+    D, J = r_op - rjj, J[..., None, None, :, :]
+    return 0.25 * (D @ J - J @ D) @ J
+
+
+def _flat(stack: np.ndarray) -> np.ndarray:
+    """A stack [..., s, i, j] of 4x4 matrices as rows [..., s, (i, j)]."""
+    return stack.reshape(stack.shape[:-2] + (16,))
 
 
 def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFrame) -> StarCurvature:
     mp = bundle.mp
     J = acs.J
     r_op = _r_op(bundle)
+    g, g_inv = mp.g[..., None, :, :], mp.g_inv[..., None, :, :]
 
     # star Ricci of A = J, I, K at once: Ric_A(X) = R(AX, A X_k) X^k
-    jik = np.stack([J, frame.I, frame.K])
-    stars = np.einsum("smi,snl,mnal->sai", jik, jik @ mp.g_inv, r_op)
-    minus = 0.5 * (stars - mp.g_inv @ stars.transpose(0, 2, 1) @ mp.g)
-    s_star, s_tri, s_box = (float(x) for x in np.trace(stars, axis1=1, axis2=2))
+    jik = np.stack([J, frame.I, frame.K], axis=-3)
+    # T[s,m,a] = (A g^-1)[s,n,l] r_op[m,n,a,l], then Ric_A[s,a,i] = T[s,m,a] A[s,m,i]
+    T = (_flat(jik @ g_inv) @ _pairs(_trail(r_op, 1, 3, 0, 2))).reshape(jik.shape)
+    stars = np.swapaxes(T, -1, -2) @ jik
+    minus = 0.5 * (stars - g_inv @ np.swapaxes(stars, -1, -2) @ g)
+    s_star, s_tri, s_box = np.moveaxis(np.trace(stars, axis1=-2, axis2=-1), -1, 0)
     lam = 0.25 * (s_star - bundle.S_v / 3.0)
 
     # Rt(A) = Rt(A X_k, X^k) for A = I, K, JI, JK
     rt = rtilde_table(bundle, J, r_op)
-    supp = np.stack([frame.I, frame.K, J @ frame.I, J @ frame.K])
-    rts = np.einsum("spm,pmab->sab", supp @ mp.g_inv, rt)
-    rtp = 0.5 * (rts[:2] + rts[2:] @ J)
-    rtm = rts[:2] - rtp
-    squares = np.concatenate([rts[:2], rtp, rtm, minus])[:, None]
-    n2 = inner_endos(squares, squares, mp)[:, 0, 0]
+    supp = np.stack([frame.I, frame.K, J @ frame.I, J @ frame.K], axis=-3)
+    rts = (_flat(supp @ g_inv) @ _pairs(rt)).reshape(supp.shape)
+    rtp = 0.5 * (rts[..., :2, :, :] + rts[..., 2:, :, :] @ J[..., None, :, :])
+    rtm = rts[..., :2, :, :] - rtp
+    squares = np.concatenate([rts[..., :2, :, :], rtp, rtm, minus], axis=-3)
+    n2 = np.moveaxis(np.einsum("...skj,...skj->...s", squares, g @ squares @ g_inv) / 4, -1, 0)
+    j_dot_tri_minus = np.trace(mp.g_inv @ np.swapaxes(J, -1, -2) @ mp.g @ minus[..., 1, :, :], axis1=-2, axis2=-1) / 4
 
     return StarCurvature(
-        ric_star=stars[0],
-        ric_star_minus=minus[0],
+        ric_star=stars[..., 0, :, :],
+        ric_star_minus=minus[..., 0, :, :],
         s_star=s_star,
-        ric_tri=stars[1],
-        ric_box=stars[2],
-        ric_tri_minus=minus[1],
-        ric_box_minus=minus[2],
+        ric_tri=stars[..., 1, :, :],
+        ric_box=stars[..., 2, :, :],
+        ric_tri_minus=minus[..., 1, :, :],
+        ric_box_minus=minus[..., 2, :, :],
         s_tri=s_tri,
         s_box=s_box,
         lam=lam,
-        rtilde_I=rts[0],
-        rtilde_K=rts[1],
-        rt2=float(n2[0] + n2[1]),
-        rtp2=float(n2[2] + n2[3]),
-        rtm2=float(n2[4] + n2[5]),
-        ric_star_minus2=float(n2[6]),
-        ric_tri_minus2=float(n2[7]),
-        ric_box_minus2=float(n2[8]),
-        j_dot_tri_minus=inner_endo(J, minus[1], mp),
+        rtilde_I=rts[..., 0, :, :],
+        rtilde_K=rts[..., 1, :, :],
+        rt2=n2[0] + n2[1],
+        rtp2=n2[2] + n2[3],
+        rtm2=n2[4] + n2[5],
+        ric_star_minus2=n2[6],
+        ric_tri_minus2=n2[7],
+        ric_box_minus2=n2[8],
+        j_dot_tri_minus=j_dot_tri_minus,
     )
 
 
@@ -146,6 +159,8 @@ def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFra
 
 @dataclass(frozen=True)
 class NablaJData:
+    """nabla J and the data read off it, at a point or stacked (leading row axis)."""
+
     nabla_j: np.ndarray        # [m,a,b] = (nabla_m J)^a_b
     xi: np.ndarray             # vector with nabla_X J = g(xi,X) I + g(eta,X) K
     eta: np.ndarray
@@ -154,8 +169,8 @@ class NablaJData:
     d_omega: np.ndarray        # [i,j,k] components of d Omega
     delta_omega: np.ndarray    # co-differential, (4,)
     nijenhuis: np.ndarray      # [a,i,j] = N(d_i, d_j)^a
-    norm2: float               # |nabla J|^2 (weighted)
-    reconstruction_residual: float
+    norm2: np.ndarray          # |nabla J|^2 (weighted)
+    reconstruction_residual: np.ndarray
 
     @property
     def d_omega_norm(self) -> float:
@@ -172,41 +187,32 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     mp = bundle.mp
     gv = bundle.gamma_v
     J = acs.J
-    dJ = np.stack([jvalue(jderiv(acs.jets, m, acs.order)) for m in range(4)])  # [m,a,b]
-    nabla_j = dJ + np.einsum("amc,cb->mab", gv, J) - np.einsum("cmb,ac->mab", gv, J)
+    dJ = first_partials(acs.jets, acs.order)  # [m,a,b]
+    gm = np.swapaxes(gv, -3, -2)  # [m, a, c] = Gamma^a_{mc}
+    nabla_j = dJ + gm @ J[..., None, :, :] - J[..., None, :, :] @ gm
 
-    xi_form, eta_form = inner_endos(np.stack([frame.I, frame.K]), nabla_j, mp)
-    xi = mp.g_inv @ xi_form
-    eta = mp.g_inv @ eta_form
-    recon = nabla_j - np.einsum("m,ab->mab", xi_form, frame.I) - np.einsum("m,ab->mab", eta_form, frame.K)
+    xi_form, eta_form = np.moveaxis(inner_endos(np.stack([frame.I, frame.K], axis=-3), nabla_j, mp), -2, 0)
+    xi = (mp.g_inv @ xi_form[..., None])[..., 0]
+    eta = (mp.g_inv @ eta_form[..., None])[..., 0]
+    I, K = frame.I[..., None, :, :], frame.K[..., None, :, :]
+    recon = nabla_j - xi_form[..., None, None] * I - eta_form[..., None, None] * K
 
-    # Omega as jets (for d Omega), then the covariant pieces from values
-    o = min(acs.order, bundle.order)
-    jj = jtruncate(acs.jets, acs.order, o)
-    gj = jtruncate(mp.jets, mp.order, o)
-    omega_jets = jeinsum("ai,aj->ij", jj, gj, o)  # (J^T g)_{ij}
-    d_omega_partials = np.stack([jvalue(jderiv(omega_jets, m, o)) for m in range(4)])  # [m,i,j]
+    # partials of Omega = J^T g by the product rule, then the covariant pieces
+    g = mp.g[..., None, :, :]
+    d_omega_partials = np.swapaxes(dJ, -1, -2) @ g + np.swapaxes(J, -1, -2)[..., None, :, :] @ bundle.dg_v  # [m,i,j]
     # (d Omega)_{ijk} = d_i O_{jk} - d_j O_{ik} + d_k O_{ij}
-    d_omega = (
-        d_omega_partials
-        - d_omega_partials.transpose(1, 0, 2)
-        + d_omega_partials.transpose(1, 2, 0)
-    )
-    omega = jvalue(omega_jets)
-    nabla_omega = (
-        d_omega_partials
-        - np.einsum("pmi,pj->mij", gv, omega)
-        - np.einsum("pmj,ip->mij", gv, omega)
-    )
-    delta_omega = -np.einsum("mi,mij->j", mp.g_inv, nabla_omega)
+    d_omega = d_omega_partials - np.swapaxes(d_omega_partials, -3, -2) + np.moveaxis(d_omega_partials, -3, -1)
+    omega = acs.omega[..., None, :, :]
+    nabla_omega = d_omega_partials - np.swapaxes(gm, -1, -2) @ omega - omega @ gm
+    delta_omega = -(_flat(mp.g_inv)[..., None, :] @ nabla_omega.reshape(nabla_omega.shape[:-3] + (16, 4)))[..., 0, :]
 
     # N(X,Y) = (nabla_{JX} J)Y - (nabla_{JY} J)X + (nabla_X J)(JY) - (nabla_Y J)(JX)
-    t1 = np.einsum("mi,maj->aij", J, nabla_j)
-    t2 = np.einsum("iac,cj->aij", nabla_j, J)
-    nijenhuis = t1 - t1.transpose(0, 2, 1) + t2 - t2.transpose(0, 2, 1)
+    t1 = np.swapaxes(J, -1, -2)[..., None, :, :] @ np.swapaxes(nabla_j, -3, -2)
+    t2 = np.swapaxes(nabla_j @ J[..., None, :, :], -3, -2)
+    nijenhuis = t1 - np.swapaxes(t1, -1, -2) + t2 - np.swapaxes(t2, -1, -2)
 
     # |nabla J|^2 = g^{km} <nabla_k J, nabla_m J> with the weighted product
-    norm2 = float(np.einsum("km,km->", mp.g_inv, inner_endos(nabla_j, nabla_j, mp)))
+    norm2 = np.einsum("...km,...km->...", mp.g_inv, inner_endos(nabla_j, nabla_j, mp))
 
     return NablaJData(
         nabla_j=nabla_j,
@@ -218,7 +224,7 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
         delta_omega=delta_omega,
         nijenhuis=nijenhuis,
         norm2=norm2,
-        reconstruction_residual=float(np.abs(recon).max()),
+        reconstruction_residual=np.abs(recon).max(axis=(-3, -2, -1)),
     )
 
 
@@ -229,36 +235,35 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
 
 @dataclass(frozen=True)
 class ProjectionData:
-    p1_pairing: float    # <W+, P_1> (full trace)
-    p2_pairing: float
-    two_lambda: float
+    p1_pairing: np.ndarray    # <W+, P_1> (full trace)
+    p2_pairing: np.ndarray
+    two_lambda: np.ndarray
     F: np.ndarray        # 3x3 matrix of lambda (2 P_1 - P_2)
     G: np.ndarray        # W+ - F
-    g_norm2: float       # |G|^2 (full trace)
+    g_norm2: np.ndarray  # |G|^2 (full trace)
 
 
 def projections_p1p2(star: StarCurvature, wplus_m: np.ndarray) -> ProjectionData:
-    F = star.lam * np.diag([2.0, -1.0, -1.0])
+    F = np.asarray(star.lam)[..., None, None] * np.diag([2.0, -1.0, -1.0])
     G = wplus_m - F
     return ProjectionData(
-        p1_pairing=float(wplus_m[0, 0]),
-        p2_pairing=float(wplus_m[1, 1] + wplus_m[2, 2]),
+        p1_pairing=wplus_m[..., 0, 0],
+        p2_pairing=wplus_m[..., 1, 1] + wplus_m[..., 2, 2],
         two_lambda=2.0 * star.lam,
         F=F,
         G=G,
-        g_norm2=float(np.sum(G * G)),
+        g_norm2=np.sum(G * G, axis=(-2, -1)),
     )
 
 
-def q_j_integrand(bundle: CurvatureBundle, acs: AcsPoint) -> float:
+def q_j_integrand(bundle: CurvatureBundle, J: np.ndarray) -> np.ndarray:
     """q(J) = g((nabla^2_{X_k,X_l} Ric) J X^k, J X^l)."""
     n2r = bundle.require("nabla2_ric")
     mp = bundle.mp
-    J = acs.J
     # q = U[k,c] V[l,e] (nabla^2_{k,l} Ric)^e_c with U = g^-1 J^T, V = g^-1 (g J)^T
-    U = mp.g_inv @ J.T
-    V = mp.g_inv @ (mp.g @ J).T
-    return float(np.einsum("kc,le,klec->", U, V, n2r))
+    U = mp.g_inv @ np.swapaxes(J, -1, -2)
+    V = mp.g_inv @ np.swapaxes(mp.g @ J, -1, -2)
+    return np.einsum("...kc,...le,...klec->...", U, V, n2r)
 
 
 def ric_derivative_vector(A: np.ndarray, nabla_ric: np.ndarray, mp) -> np.ndarray:
@@ -302,20 +307,21 @@ def phi_psi_pairing(nabla_ric: np.ndarray, nj, mp, frame) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def s_star_jet(bundle: CurvatureBundle, acs: AcsPoint) -> Jet:
-    """S_star as a scalar jet, from Riemann jets and J jets: with C[n,l] = J^n_k g^{kl},
+def s_star_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> Jet:
+    """S_star as a scalar jet, from Riemann jets and the jets of J: with C[n,l] = J^n_k g^{kl},
     Ric*[i,a] = J^m_i R_{mnly} g^{ya} C[n,l], so S_star = R_{mnly} C[n,l] C[m,y]."""
-    d = min(bundle.order - 2, acs.order)
+    order = jet_order(j_jets)
+    d = min(bundle.order - 2, order)
     mp = bundle.mp
     riem = jtruncate(bundle.riem, bundle.order - 2, d)
     gi = jtruncate(mp.inv_jets, mp.order - 1, d)
-    C = jmatmul(jtruncate(acs.jets, acs.order, d), gi, d)
+    C = jmatmul(jtruncate(j_jets, order, d), gi, d)
     rc = jeinsum("mnly,nl->my", riem, C, d)
     return Jet(jeinsum("my,my->", rc, C, d), d)
 
 
-def lambda_jet(bundle: CurvatureBundle, acs: AcsPoint) -> Jet:
+def lambda_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> Jet:
     """lambda = (S_star - S/3)/4 as a scalar jet."""
-    ss = s_star_jet(bundle, acs)
+    ss = s_star_jet(bundle, j_jets)
     S = jtruncate(bundle.S, bundle.order - 2, ss.order)
     return Jet(0.25 * (ss.coeffs - S / 3.0), ss.order)

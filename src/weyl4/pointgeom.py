@@ -1,6 +1,6 @@
 """Point-local metric linear algebra.
 
-Everything here lives at a single chart point: adjoints with respect to the
+Everything here lives at a chart point: adjoints with respect to the
 metric, the dimension-weighted inner product ``<A,B> = tr(A* B)/4`` on
 endomorphisms, J-adapted orthonormal frames with their quaternionic
 supplements (I, K), the skew-endomorphism / 2-form correspondence
@@ -8,7 +8,9 @@ supplements (I, K), the skew-endomorphism / 2-form correspondence
 fixed by ``vol = Omega_J ^ Omega_J / 2``.
 
 All matrices are in the chart basis unless noted; endomorphisms act on
-column vectors of chart components.
+column vectors of chart components.  The frame functions also take a stack
+of points (leading row axes; ``mp`` holding ``point``, ``g`` and ``g_inv``),
+and a failing check names the first failing row's point.
 """
 
 from __future__ import annotations
@@ -39,16 +41,29 @@ EPS4 = np.zeros((N, N, N, N))
 EPS4[tuple(PERMUTATIONS4.T)] = PERM_SIGNS4
 
 
-class FrameError(Weyl4Error, ValueError):
-    """Raised for degenerate seeds or incompatible almost complex structures."""
+class PointError(Weyl4Error, ValueError):
+    """A check that fails at chart ``point`` in pipeline ``stage``."""
+
+    def __init__(self, message: str, point, stage: str):
+        self.point = np.asarray(point, dtype=float)
+        self.stage = stage
+        super().__init__(f"{message} in the {stage} stage at point {self.point.tolist()}")
 
 
-class MetricError(Weyl4Error, ValueError):
+class FrameError(PointError):
+    """An almost complex structure that is not compatible, or a degenerate frame."""
+
+
+class MetricError(PointError):
     """The metric matrix at ``point`` is not symmetric positive definite."""
 
-    def __init__(self, message: str, point):
-        self.point = np.asarray(point, dtype=float)
-        super().__init__(f"{message} at point {self.point.tolist()}")
+
+def raise_at_first(bad, mp, stage: str, message) -> None:
+    """FrameError at the first row where ``bad`` holds; ``message(k)`` describes row k."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        k = rows[0]
+        raise FrameError(message(k), np.reshape(mp.point, (-1, N))[k], stage)
 
 
 @dataclass(frozen=True)
@@ -69,19 +84,13 @@ class MetricPoint:
         asym = np.abs(g - g.T).max()
         scale = np.abs(g).max()
         if not asym <= 1e-12 * max(scale, 1.0):  # a NaN residual is rejected too
-            raise MetricError(f"metric matrix not symmetric (residual {asym:.3e})", point)
+            raise MetricError(f"metric matrix not symmetric (residual {asym:.3e})", point, "metric")
         eig = np.linalg.eigvalsh(0.5 * (g + g.T))
         if not eig[0] > 1e-12 * eig[-1]:
-            raise MetricError(f"metric not positive definite (eigenvalues {eig.tolist()})", point)
+            raise MetricError(f"metric not positive definite (eigenvalues {eig.tolist()})", point, "metric")
         inv_order = max(order - 1, 0)
         inv_jets = jmatinv(jtruncate(jets, order, inv_order), inv_order)
         return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)
-
-    def dot(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(x @ self.g @ y)
-
-    def norm(self, x: np.ndarray) -> float:
-        return float(np.sqrt(max(self.dot(x, x), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,31 +114,31 @@ def inner_endo(A: np.ndarray, B: np.ndarray, mp: MetricPoint) -> float:
 
 
 def inner_endos(As: np.ndarray, Bs: np.ndarray, mp: MetricPoint) -> np.ndarray:
-    """Matrix [..., a, b] of tr(A_a* B_b)/4 over stacks As[..., a, :, :] and Bs[..., b, :, :]."""
-    return np.einsum("...akj,...bkj->...ab", As, mp.g @ Bs @ mp.g_inv) / N
+    """Matrix [..., a, b] of tr(A_a* B_b)/4 over stacks As[..., a, :, :] and Bs[..., b, :, :],
+    the row axes of ``mp`` leading."""
+    return np.einsum("...akj,...bkj->...ab", As, mp.g[..., None, :, :] @ Bs @ mp.g_inv[..., None, :, :]) / N
 
 
 def endo_to_form(A: np.ndarray, mp: MetricPoint, check: bool = True) -> np.ndarray:
     """2-form of a skew endomorphism: Omega_A(X,Y) = g(AX, Y)."""
     if check and not is_skew(A, mp):
         raise ValueError("endomorphism is not skew with respect to g")
-    return A.T @ mp.g
+    return np.swapaxes(A, -1, -2) @ mp.g
 
 
-def hodge_star(w: np.ndarray, mp: MetricPoint, orientation: float) -> np.ndarray:
+def hodge_star(w: np.ndarray, mp: MetricPoint, orientation) -> np.ndarray:
     """Hodge star on 2-forms for the given chart orientation sign."""
     det = np.linalg.det(mp.g)
-    raised = mp.g_inv @ w @ mp.g_inv.T  # w^{kl}
-    return 0.5 * orientation * np.sqrt(det) * np.einsum("ijkl,kl->ij", EPS4, raised)
+    raised = mp.g_inv @ w @ np.swapaxes(mp.g_inv, -1, -2)  # w^{kl}
+    factor = 0.5 * np.asarray(orientation) * np.sqrt(det)
+    return factor[..., None, None] * np.einsum("ijkl,...kl->...ij", EPS4, raised)
 
 
-def chart_orientation(J: np.ndarray, mp: MetricPoint) -> float:
-    """Sign of the chart basis in the orientation with vol = Omega_J^2 / 2."""
+def chart_orientation(J: np.ndarray, mp: MetricPoint) -> np.ndarray:
+    """Sign of the chart basis in the orientation with vol = Omega_J^2 / 2
+    (0 where Omega_J is degenerate, which the self-duality check rejects)."""
     w = endo_to_form(J, mp, check=False)
-    pf = w[0, 1] * w[2, 3] - w[0, 2] * w[1, 3] + w[0, 3] * w[1, 2]
-    if pf == 0.0:
-        raise FrameError("degenerate fundamental form")
-    return float(np.sign(pf))
+    return np.sign(w[..., 0, 1] * w[..., 2, 3] - w[..., 0, 2] * w[..., 1, 3] + w[..., 0, 3] * w[..., 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,7 @@ class SelfDualFrame:
     J: np.ndarray
     I: np.ndarray
     K: np.ndarray
-    orientation: float  # chart orientation sign under vol = Omega_J^2/2
+    orientation: np.ndarray  # chart orientation sign under vol = Omega_J^2/2
     mp: MetricPoint
 
     def sd_endos(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,48 +172,57 @@ class SelfDualFrame:
 
 
 def check_acs(J: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> None:
-    """Validate J^2 = -1 and J* = -J."""
-    r1 = np.abs(J @ J + np.eye(N)).max()
-    r2 = np.abs(adjoint_endo(J, mp) + J).max()
-    if not (r1 <= tol and r2 <= tol):
-        raise FrameError(
-            f"not a compatible almost complex structure (J^2 residual {r1:.2e}, adjoint {r2:.2e})"
-        )
+    """Validate J^2 = -1 and J* = -J on every row (a NaN residual fails)."""
+    r1 = np.abs(J @ J + np.eye(N)).max(axis=(-2, -1))
+    r2 = np.abs(adjoint_endo(J, mp) + J).max(axis=(-2, -1))
+    raise_at_first(
+        ~((r1 <= tol) & (r2 <= tol)), mp, "structure",
+        lambda k: f"not a compatible almost complex structure "
+                  f"(J^2 residual {r1.flat[k]:.2e}, adjoint {r2.flat[k]:.2e})",
+    )
 
 
-def build_j_frame(mp: MetricPoint, J: np.ndarray, seed: np.ndarray) -> SelfDualFrame:
+def _dot(x: np.ndarray, g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """g(x, y) over broadcast rows, evaluated as (x g) y."""
+    return ((x[..., None, :] @ g) @ y[..., :, None])[..., 0, 0]
+
+
+def build_j_frame(mp: MetricPoint, J: np.ndarray, seed: np.ndarray, orientation=None) -> SelfDualFrame:
     """Build a J-frame from a seed vector with a deterministic completion.
 
     e3 is the Gram-Schmidt remainder of the first chart basis vector whose
-    residual against span(e1, e2) exceeds 1e-6, which makes frames
-    reproducible across runs.
+    residual against span(e1, e2) exceeds 1e-6, chosen row by row, which makes
+    frames reproducible across runs.  ``orientation`` is the chart orientation
+    of an already validated J (``AcsPoint.orientation``); without it, J is
+    validated here.
     """
-    check_acs(J, mp)
-    seed = np.asarray(seed, dtype=float)
-    ns = mp.norm(seed)
-    if ns < 1e-12:
-        raise FrameError("degenerate frame seed")
-    e1 = seed / ns
-    e2 = J @ e1
-    e3 = None
-    for i in range(N):
-        b = np.zeros(N)
-        b[i] = 1.0
-        r = b - mp.dot(b, e1) * e1 - mp.dot(b, e2) * e2
-        if mp.norm(r) > 1e-6:
-            e3 = r / mp.norm(r)
-            break
-    if e3 is None:
-        raise FrameError("no chart basis vector completes the frame")
-    e4 = J @ e3
-    E = np.column_stack([e1, e2, e3, e4])
+    if orientation is None:
+        check_acs(J, mp)
+        orientation = chart_orientation(J, mp)
+    seed = np.broadcast_to(np.asarray(seed, dtype=float), np.shape(J)[:-1])
+    ns = np.sqrt(np.maximum(_dot(seed, mp.g, seed), 0.0))
+    raise_at_first(ns < 1e-12, mp, "frame", lambda k: "degenerate frame seed")
+    e1 = seed / ns[..., None]
+    e2 = (J @ e1[..., None])[..., 0]
+    # remainders of the chart basis vectors b_i against span(e1, e2), as rows [..., i, :]
+    g, u1, u2 = mp.g[..., None, :, :], e1[..., None, :], e2[..., None, :]
+    basis = np.eye(N)
+    r = basis - _dot(basis, g, u1)[..., None] * u1 - _dot(basis, g, u2)[..., None] * u2
+    nr = np.sqrt(np.maximum(_dot(r, g, r), 0.0))
+    ok = nr > 1e-6
+    raise_at_first(~ok.any(axis=-1), mp, "frame", lambda k: "no chart basis vector completes the frame")
+    first = np.argmax(ok, axis=-1)[..., None]
+    e3 = np.take_along_axis(r, first[..., None], axis=-2)[..., 0, :] / np.take_along_axis(nr, first, axis=-1)
+    e4 = (J @ e3[..., None])[..., 0]
+    E = np.stack([e1, e2, e3, e4], axis=-1)
     Einv = np.linalg.inv(E)
     I = E @ I_STD @ Einv
     K = E @ K_STD @ Einv
-    return SelfDualFrame(E=E, J=J, I=I, K=K, orientation=chart_orientation(J, mp), mp=mp)
+    return SelfDualFrame(E=E, J=J, I=I, K=K, orientation=orientation, mp=mp)
 
 
-def rotate_supplement(frame: SelfDualFrame, alpha: float) -> SelfDualFrame:
-    """Rotate the quaternionic supplement: I' = cos a I - sin a K, K' = sin a I + cos a K."""
-    c, s = np.cos(alpha), np.sin(alpha)
+def rotate_supplement(frame: SelfDualFrame, alpha) -> SelfDualFrame:
+    """Rotate the quaternionic supplement: I' = cos a I - sin a K, K' = sin a I + cos a K
+    (``alpha`` a number, or one angle per row)."""
+    c, s = (np.asarray(f(alpha))[..., None, None] for f in (np.cos, np.sin))
     return replace(frame, I=c * frame.I - s * frame.K, K=s * frame.I + c * frame.K)

@@ -6,8 +6,9 @@ a (0,4) curvature-type tensor C via ``C(A) = C(A X_k, X^k)`` this matrix is
 ``M = -C_{ij}^{kl}``; the trace of such an operator over the 6-dimensional
 space of 2-forms is ``M[i,j,i,j]``.
 
-Operator helpers take ``mp`` as anything holding ``g`` and ``g_inv``, and
-leading row axes on every argument: one call serves a point or a stack.
+Operator helpers and frame functions take ``mp`` as anything holding ``g``
+and ``g_inv`` (``bundle`` as anything holding ``mp`` and the values read),
+and leading row axes on every argument: one call serves a point or a stack.
 
 Norms of operators on the self-dual bundle use the full trace (so the
 squared norm of W+ is the Frobenius norm of its 3x3 matrix in the
@@ -36,6 +37,12 @@ from .pointgeom import EPS4, MetricPoint, SelfDualFrame, inner_endos
 def _pairs(T: np.ndarray) -> np.ndarray:
     """A [..., i, j, k, l] array as [..., (i, j), (k, l)] 16x16 matrices."""
     return T.reshape(T.shape[:-4] + (16, 16))
+
+
+def _trail(x: np.ndarray, *order: int) -> np.ndarray:
+    """``x`` with its trailing axes permuted by ``order``, leading row axes kept."""
+    k = x.ndim - len(order)
+    return x.transpose(*range(k), *(k + i for i in order))
 
 
 def _kron2(a: np.ndarray) -> np.ndarray:
@@ -70,9 +77,9 @@ def compose(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
     return (_pairs(M1) @ _pairs(M2)).reshape(M1.shape)
 
 
-def pm_projectors(mp, orientation) -> tuple[np.ndarray, np.ndarray]:
-    star = star_operator(mp, orientation)
-    return 0.5 * (IDENTITY_OPERATOR + star), 0.5 * (IDENTITY_OPERATOR - star)
+def plus_projector(mp, orientation) -> np.ndarray:
+    """Projection onto the self-dual 2-forms, (1 + star)/2."""
+    return 0.5 * (IDENTITY_OPERATOR + star_operator(mp, orientation))
 
 
 def interior_product(U: np.ndarray, C04: np.ndarray, mp) -> np.ndarray:
@@ -110,28 +117,24 @@ def lambda2_split(frame: SelfDualFrame, mp: MetricPoint) -> Lambda2Basis:
 @dataclass(frozen=True)
 class WplusMatrix:
     m: np.ndarray           # symmetric traceless 3x3 in (Omega_J, Omega_I, Omega_K)
-    norm2: float            # full-trace |W+|^2 = Frobenius(m)^2
-    det: float
+    norm2: np.ndarray       # full-trace |W+|^2 = Frobenius(m)^2
+    det: np.ndarray
     eigenvalues: np.ndarray  # sorted descending
 
     @staticmethod
     def from_matrix(m: np.ndarray) -> "WplusMatrix":
-        sym = 0.5 * (m + m.T)
-        eig = np.sort(np.linalg.eigvalsh(sym))[::-1]
-        return WplusMatrix(
-            m=m,
-            norm2=float(np.sum(m * m)),
-            det=float(np.linalg.det(m)),
-            eigenvalues=eig,
-        )
+        """The invariants of a 3x3 matrix, or of each matrix of a stack."""
+        sym = 0.5 * (m + np.swapaxes(m, -1, -2))
+        eig = np.sort(np.linalg.eigvalsh(sym), axis=-1)[..., ::-1]
+        return WplusMatrix(m=m, norm2=np.sum(m * m, axis=(-2, -1)), det=np.linalg.det(m), eigenvalues=eig)
 
 
 def _weyl_on(bundle: CurvatureBundle, endos: tuple, mp: MetricPoint) -> WplusMatrix:
     """Matrix [a, b] = <A_a, W(A_b)> of the Weyl operator on an orthonormal triple."""
-    Bs = np.stack(endos)
+    Bs = np.stack(endos, axis=-3)
     # W(B)^a_b = B^p_k W_p^k{}_b{}^a: raise W once, then take all images in one contraction
-    raised = np.einsum("km,an,pmbn->pkab", mp.g_inv, mp.g_inv, bundle.weyl_v)
-    images = np.einsum("spk,pkab->sab", Bs, raised)
+    raised = np.einsum("...km,...an,...pmbn->...pkab", mp.g_inv, mp.g_inv, bundle.weyl_v)
+    images = np.einsum("...spk,...pkab->...sab", Bs, raised)
     return WplusMatrix.from_matrix(inner_endos(Bs, images, mp))
 
 
@@ -140,12 +143,11 @@ def wplus_matrix(bundle: CurvatureBundle, basis: Lambda2Basis) -> WplusMatrix:
     return _weyl_on(bundle, basis.sd, basis.mp)
 
 
-def weyl_pm_04(weyl: np.ndarray, mp, orientation) -> tuple[np.ndarray, np.ndarray]:
-    """(0,4) components of W+ and W- (operator composed with the projections),
-    from the values of W_{ijkl}."""
-    Pp, Pm = pm_projectors(mp, orientation)
+def wplus_04(weyl: np.ndarray, mp, orientation) -> np.ndarray:
+    """(0,4) components of W+ (the operator composed with the self-dual
+    projection), from the values of W_{ijkl}."""
     M = form_operator(weyl, mp)
-    return operator_to_04(compose(M, Pp), mp), operator_to_04(compose(M, Pm), mp)
+    return operator_to_04(compose(M, plus_projector(mp, orientation)), mp)
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +155,31 @@ def weyl_pm_04(weyl: np.ndarray, mp, orientation) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def delta_wpm(bundle: CurvatureBundle, frame: SelfDualFrame) -> tuple[np.ndarray, np.ndarray]:
-    """(delta W+, delta W-) from the local divergence formula applied to the
-    projected derivative tensors C_k = (nabla_k W) P_pm."""
+def delta_wpm(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.ndarray:
+    """delta W+ from the local divergence formula applied to the projected
+    derivative tensors C_k = (nabla_k W) P_+."""
     nw = bundle.require("nabla_weyl")
     mp = bundle.mp
-    # as 16x16 matrices on index pairs, C_k = nabla_k W (g^-1 (x) g^-1) P_pm (g (x) g)
-    raise2, lower2 = _kron2(mp.g_inv), _kron2(mp.g)
-    P = np.stack(pm_projectors(mp, frame.orientation)).reshape(2, 16, 16)
-    C = (nw.reshape(64, 16) @ (raise2 @ P @ lower2)).reshape(2, 4, 4, 4, 4, 4)
-    out = np.einsum("km,an,skimbn->siab", mp.g_inv, mp.g_inv, C)
-    return out[0], out[1]
+    # as 16x16 matrices on index pairs, C_k = nabla_k W (g^-1 (x) g^-1) P_+ (g (x) g)
+    P = _pairs(plus_projector(mp, frame.orientation))
+    C = (nw.reshape(nw.shape[:-5] + (64, 16)) @ (_kron2(mp.g_inv) @ P @ _kron2(mp.g))).reshape(nw.shape)
+    # E[i,b,n] = g^{km} C[k,i,m,b,n], then delta W+[i,a,b] = E[i,b,n] g^{an}
+    E = _trail(C, 1, 3, 4, 0, 2).reshape(nw.shape[:-5] + (4, 16, 16)) @ mp.g_inv.reshape(nw.shape[:-5] + (1, 16, 1))
+    return np.swapaxes(E.reshape(nw.shape[:-5] + (4, 4, 4)) @ np.swapaxes(mp.g_inv, -1, -2)[..., None, :, :], -1, -2)
 
 
 def nabla_w_sd_matrices(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.ndarray:
     """3x3 matrices of nabla_p W+ in the (J, I, K) basis, one per direction."""
     nw = bundle.require("nabla_weyl")
     mp = bundle.mp
-    Bs = np.stack(frame.sd_endos())
+    Bs = np.stack(frame.sd_endos(), axis=-3)
     # the operator of nabla_p W maps the form of B to the endo g^-1 (nabla_p W)_{..ab} Omega_B^{ab},
-    # with the raised form Omega_B^{ab} = (g^-1 B^T)^{ab}
-    forms_up = mp.g_inv @ Bs.transpose(0, 2, 1)
-    images = mp.g_inv @ np.einsum("pijab,sab->psij", nw, forms_up)
-    return inner_endos(Bs, images, mp)
+    # with the raised form Omega_B^{ab} = (g^-1 B^T)^{ab}; the (p, B) images are paired as one stack
+    forms_up = mp.g_inv[..., None, :, :] @ np.swapaxes(Bs, -1, -2)
+    contracted = nw.reshape(nw.shape[:-5] + (64, 16)) @ np.swapaxes(forms_up.reshape(Bs.shape[:-2] + (16,)), -1, -2)
+    images = mp.g_inv[..., None, None, :, :] @ _trail(contracted.reshape(nw.shape[:-2] + (3,)), 0, 3, 1, 2)
+    pairs = inner_endos(Bs, images.reshape(images.shape[:-4] + (12, 4, 4)), mp)
+    return pairs.reshape(pairs.shape[:-1] + (4, 3)).swapaxes(-3, -2)
 
 
 def wplus_norm2_jet(bundle: CurvatureBundle, orientation: float) -> Jet:

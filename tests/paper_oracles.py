@@ -16,6 +16,8 @@ from weyl4.hermitian import rtilde_table
 from weyl4.pointgeom import endo_to_form, inner_endo, inner_endos
 from weyl4.selfdual import (
     _weyl_on,
+    compose,
+    form_operator,
     identity_operator,
     interior_product,
     operator_to_04,
@@ -68,6 +70,20 @@ def project_minus(basis, A):
 def wminus_matrix(bundle, basis):
     """W- in the orthonormal anti-self-dual basis."""
     return _weyl_on(bundle, basis.endos[3:], basis.mp)
+
+
+def pm_projectors(mp, orientation):
+    """Projections onto the self-dual and the anti-self-dual 2-forms."""
+    star = star_operator(mp, orientation)
+    return 0.5 * (identity_operator() + star), 0.5 * (identity_operator() - star)
+
+
+def delta_wminus(bundle, frame):
+    """delta W- from the divergence formula on C_k = (nabla_k W) P_-, one direction at a time."""
+    mp = bundle.mp
+    P = pm_projectors(mp, frame.orientation)[1]
+    C = np.stack([operator_to_04(compose(form_operator(w, mp), P), mp) for w in bundle.require("nabla_weyl")])
+    return np.einsum("km,an,kimbn->iab", mp.g_inv, mp.g_inv, C)
 
 
 def delta_w_full(bundle):

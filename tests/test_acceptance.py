@@ -306,7 +306,7 @@ def test_criterion_8_differentiation_integrity():
             mp = spec.metric_point(pt, 3)
             bundle = curvature_bundle(mp)
             frame = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-            dwp, _ = delta_wpm(bundle, frame)
+            dwp = delta_wpm(bundle, frame)
             alt = gl121_delta_wplus(bundle.nabla_ric, bundle.dS, mp, frame)
             scale = max(np.abs(dwp).max(), np.abs(bundle.riem_v).max(), 1.0)
             worst_dw = max(worst_dw, float(np.abs(dwp - alt).max() / scale))

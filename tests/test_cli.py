@@ -224,9 +224,32 @@ class TestPointFailures:
         assert code == 2
         assert out == ""
         assert err.startswith("error: metric not positive definite")
+        assert "in the metric stage at point" in err
         assert err.count("\n") == 1
         point = json.loads(err.rsplit("at point ", 1)[1])
         assert abs(point[0] - 0.4) < 0.007
+
+    BEND = (
+        "[manifold]\nid = bend\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+        "[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+        "[structure]\nJ_1_2 = -1\nJ_2_1 = 1\nJ_3_4 = -1 - 1000*exp(-2000000*(x - 0.4)^2)\nJ_4_3 = 1\n"
+    )
+
+    @pytest.mark.parametrize("command", [["check"], ["check", "--rotations", "2"], ["classify"]])
+    def test_structure_failing_at_a_sampled_point_exit_2(self, capsys, tmp_path, command):
+        # J^2 != -1 only in a slab |x - 0.4| < 0.004 that the config validation
+        # and seed 0 miss; the stacked check names the row that seed 1 puts there
+        path = tmp_path / "bend.cfg"
+        path.write_text(self.BEND)
+        assert run(capsys, *command, "--config", str(path), "--points", "25", "--seed", "0")[0] == 0
+        code, out, err = run(capsys, *command, "--config", str(path), "--points", "25", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: not a compatible almost complex structure")
+        assert "in the structure stage at point" in err
+        assert err.count("\n") == 1
+        point = json.loads(err.rsplit("at point ", 1)[1])
+        assert abs(point[0] - 0.4) < 0.004
 
     @pytest.mark.parametrize("what", [("--density", "S"), ("--formula", "both")])
     def test_volume_density_failing_at_a_node_exit_2(self, capsys, tmp_path, what):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import math
@@ -19,10 +20,24 @@ from weyl4.conditions import (
     evaluate_integrand,
     integrate_density,
     point_context,
-    rotated_context,
     run_suite,
 )
-from weyl4.conditions import PointContext, _classify, _stack_rows, _tag_report, _verdict
+from weyl4 import conditions
+from weyl4.conditions import (
+    FRAME_SEED,
+    PointContext,
+    _classify,
+    _gate_masks,
+    _gauss_grid,
+    _leafwise,
+    _residual,
+    _stack_rows,
+    _tag_report,
+    _verdict,
+)
+from weyl4.hermitian import AcsPoint, nabla_j_data, projections_p1p2, q_j_integrand, star_ricci_family
+from weyl4.pointgeom import build_j_frame
+from weyl4.selfdual import delta_wpm, lambda2_split, nabla_w_sd_matrices, wplus_matrix
 
 from paper_oracles import prop21_equivalence
 
@@ -205,9 +220,10 @@ def batch_specs(tmp_path_factory):
     return {s.id: s for s in builtin_manifolds() + [load_manifold_config(str(path))]}
 
 
-def one_row_batches(spec, n_points, seed, rotations, ids):
-    """evaluate_identity on every context run_suite builds (same points, same
-    rotation angles), one context at a time."""
+def per_point_batches(spec, n_points, seed, rotations, ids):
+    """(relative residual, signed margin) of every row run_suite builds (same
+    points, same rotation angles) where the record applies, from stacks of
+    one point and its rotations through the same residual step."""
     order = max(REGISTRY[rid].min_order for rid in ids)
     if "constant-s" in spec.tags:
         order = max(order, 3)
@@ -216,35 +232,118 @@ def one_row_batches(spec, n_points, seed, rotations, ids):
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, rotations))
     out = {rid: [] for rid in ids}
     for pt, alphas in zip(pts, angles):
-        base = point_context(spec, pt, order)
-        for ctx in [base] + [rotated_context(base, a) for a in alphas]:
-            for rid in ids:
-                out[rid].append(evaluate_identity(rid, spec, ctx.point, ctx=ctx))
+        rows = _stack_rows([point_context(spec, pt, order)], alphas[None])
+        masks = _gate_masks(rows)
+        for rid in ids:
+            res = _residual(REGISTRY[rid], rows, masks)
+            if res is not None:
+                out[rid] += list(zip(res[4], res[4] if res[5] is None else res[5]))
     return out
 
 
-def assert_rows_match_one_row_batches(spec, ids=None):
+def assert_rows_match_per_point_batches(spec, ids=None):
     rep = run_suite(spec, 12, seed=3, rotations=1, identities=ids)
     ids = [row["id"] for row in rep.identities]
-    single = one_row_batches(spec, 12, 3, 1, ids)
+    single = per_point_batches(spec, 12, 3, 1, ids)
     close = dict(rel=1e-15, abs=1e-15)
     for row in rep.identities:
-        applied = [r for r in single[row["id"]] if r.applicable]
+        applied = single[row["id"]]
         assert row["applicable_points"] == len(applied), row
-        rels = [r.rel_residual for r in applied]
+        rels = [rel for rel, _ in applied]
         assert row["max_rel_residual"] == pytest.approx(max(rels, default=0.0), **close), row
         assert row["mean_rel_residual"] == pytest.approx(float(np.mean(rels)) if rels else 0.0, **close), row
         if REGISTRY[row["id"]].signed and applied:
-            assert row["min_signed_margin"] == pytest.approx(min(r.signed_margin for r in applied), **close)
+            assert row["min_signed_margin"] == pytest.approx(min(m for _, m in applied), **close)
+
+
+def frame_stage(rows):
+    """The arrays each frame function gives on ``rows`` (order-4 rows with a J), by function."""
+    acs = AcsPoint.from_jets(rows.j_jets, rows)
+    frame = build_j_frame(rows, acs.J, FRAME_SEED, acs.orientation)
+    basis = lambda2_split(frame, rows)
+    star = star_ricci_family(rows, acs, frame)
+    wplus = wplus_matrix(rows, basis)
+    out = {
+        "AcsPoint.from_jets": (acs.J, acs.omega, acs.orientation),
+        "build_j_frame": (frame.E, frame.I, frame.K),
+        "lambda2_split": basis.endos,
+        "star_ricci_family": star,
+        "nabla_j_data": nabla_j_data(acs, rows, frame),
+        "wplus_matrix": wplus,
+        "projections_p1p2": projections_p1p2(star, wplus.m),
+        "delta_wpm": (delta_wpm(rows, frame),),
+        "nabla_w_sd_matrices": (nabla_w_sd_matrices(rows, frame),),
+        "q_j_integrand": (q_j_integrand(rows, acs.J),),
+    }
+    return {k: [getattr(v, f.name) for f in dataclasses.fields(v)] if dataclasses.is_dataclass(v) else list(v)
+            for k, v in out.items()}
+
+
+FRAME_FUNCTIONS = ("build_j_frame", "star_ricci_family", "nabla_j_data", "lambda2_split", "wplus_matrix",
+                   "projections_p1p2", "delta_wpm", "nabla_w_sd_matrices", "q_j_integrand")
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Calls of each frame function and of the per-point |W+|^2 and lambda jets, counted."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in FRAME_FUNCTIONS + ("wplus_norm2_jet", "lambda_jet"):
+        monkeypatch.setattr(conditions, name, counted(name, getattr(conditions, name)))
+    monkeypatch.setattr(AcsPoint, "from_jets", staticmethod(counted("AcsPoint.from_jets", AcsPoint.from_jets)))
+    return calls
 
 
 class TestBatchedRows:
     @pytest.mark.parametrize("name", [s.id for s in builtin_manifolds()] + ["sak_torus_test"])
+    def test_frame_functions_match_one_row_stacks(self, batch_specs, name):
+        spec = batch_specs[name]
+        rows = _stack_rows([point_context(spec, p, 4) for p in spec.sample_points(8, np.random.default_rng(5))])
+        stacked = frame_stage(rows)
+        for k in range(8):
+            one = frame_stage(_leafwise(lambda v: v[k:k + 1], rows))
+            for fn, arrays in stacked.items():
+                for a, b in zip(arrays, one[fn]):
+                    np.testing.assert_allclose(b[0], a[k], rtol=1e-15, atol=1e-15, err_msg=f"{fn}, row {k}")
+
+    def test_frame_functions_run_once_per_stack(self, stage_calls, batch_specs):
+        once = dict.fromkeys(FRAME_FUNCTIONS[:-1] + ("AcsPoint.from_jets",), 1)
+        # rotated rows repeat the frame-free jets and delta W+ of their point
+        run_suite(get_manifold("kodaira_thurston"), 25, seed=7, rotations=2)
+        assert stage_calls == {**once, "wplus_norm2_jet": 25, "lambda_jet": 25}
+        stage_calls.clear()
+        classify_structure(get_manifold("perturbed_j"), 25, seed=7)
+        order2 = {k: v for k, v in once.items() if k not in ("delta_wpm", "nabla_w_sd_matrices")}
+        assert stage_calls == {**order2, "wplus_norm2_jet": 25}
+        stage_calls.clear()
+        spec = batch_specs["sak_torus_test"]
+        evaluate_integrand(spec, spec.sample_points(16, np.random.default_rng(1)))
+        assert stage_calls == {**once, "q_j_integrand": 1, "wplus_norm2_jet": 16, "lambda_jet": 16}
+
+    def test_stacked_density_matches_per_node_loop(self, batch_specs):
+        spec = batch_specs["sak_torus_test"]
+        nodes = _gauss_grid(spec, 3)[0]  # 81 nodes: two chunks of the quadrature feed
+        stacked = evaluate_integrand(spec, nodes)
+        for k, node in enumerate(nodes):
+            for key, value in evaluate_integrand(spec, node).items():
+                assert value == pytest.approx(stacked[key][k], rel=1e-15, abs=1e-15), (key, k)
+        quad = QuadratureSpec(n=2, n_refine=3, allow_constancy=False)
+        batched = integrate_density(spec, lambda p: evaluate_integrand(spec, p)["q_j"], quad)
+        looped = integrate_density(spec, lambda p: np.array([evaluate_integrand(spec, x)["q_j"] for x in p]), quad)
+        assert batched.value == pytest.approx(looped.value, rel=1e-14)
+
+    @pytest.mark.parametrize("name", [s.id for s in builtin_manifolds()] + ["sak_torus_test"])
     def test_result_does_not_depend_on_batch_size(self, batch_specs, name):
-        assert_rows_match_one_row_batches(batch_specs[name])
+        assert_rows_match_per_point_batches(batch_specs[name])
 
     def test_identity_subset_does_not_depend_on_batch_size(self, batch_specs):
-        assert_rows_match_one_row_batches(batch_specs["kahler_potential_generic"], ["EQ05", "EQ42", "EQ104", "EQ131"])
+        assert_rows_match_per_point_batches(batch_specs["kahler_potential_generic"], ["EQ05", "EQ42", "EQ104", "EQ131"])
 
     def test_each_evaluator_runs_at_most_once_per_run(self, monkeypatch):
         calls = {}
@@ -304,7 +403,7 @@ class TestProp21:
 class TestQuadrature:
     def test_constant_on_torus(self):
         spec = get_manifold("flat_torus")
-        res = integrate_density(spec, lambda p: 1.0)
+        res = integrate_density(spec, lambda p: np.ones(len(p)))
         expect = (2.0 * np.pi) ** 4
         assert abs(res.value - expect) < 1e-10 * expect
         assert res.used_constancy_shortcut
@@ -326,7 +425,7 @@ class TestQuadrature:
     def test_full_quadrature_path(self):
         spec = get_manifold("flat_torus")
         res = integrate_density(
-            spec, lambda p: float(np.sin(p[0]) ** 2), QuadratureSpec(n=8, n_refine=12)
+            spec, lambda p: np.sin(p[:, 0]) ** 2, QuadratureSpec(n=8, n_refine=12)
         )
         expect = (2.0 * np.pi) ** 3 * np.pi
         assert not res.used_constancy_shortcut
@@ -336,7 +435,7 @@ class TestQuadrature:
 
     def test_non_compact_rejected(self):
         with pytest.raises(ConditionsError):
-            integrate_density(get_manifold("fubini_study_cp2"), lambda p: 1.0)
+            integrate_density(get_manifold("fubini_study_cp2"), lambda p: np.ones(len(p)))
 
     def test_volume_not_shared_between_specs_with_one_id(self, tmp_path):
         # same id and domain, different metrics: volumes 1 and 2*2 = 4
@@ -349,7 +448,7 @@ class TestQuadrature:
                 f"[metric]\ng_11 = {g11}\ng_22 = {g11}\ng_33 = 1\ng_44 = 1\n"
             )
             spec = load_manifold_config(str(path))
-            volumes.append(integrate_density(spec, lambda p: 1.0).volume)
+            volumes.append(integrate_density(spec, lambda p: np.ones(len(p))).volume)
         assert volumes == [pytest.approx(1.0, rel=1e-12), pytest.approx(4.0, rel=1e-12)]
 
     def test_non_convergent_refinement(self):
@@ -357,7 +456,7 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             integrate_density(
                 spec,
-                lambda p: float(1.0 / (1.001 - np.sin(8.0 * p[0]))),
+                lambda p: 1.0 / (1.001 - np.sin(8.0 * p[:, 0])),
                 QuadratureSpec(n=4, n_refine=6),
             )
 
@@ -379,7 +478,7 @@ class TestQuadrature:
     def test_vector_density_matches_scalar_integrals_on_ladder(self):
         spec = get_manifold("flat_torus")
         quad = QuadratureSpec(n=8, n_refine=12)
-        funcs = (lambda p: np.sin(p[0]) ** 2, lambda p: np.cos(p[1]) ** 2)
+        funcs = (lambda p: np.sin(p[:, 0]) ** 2, lambda p: np.cos(p[:, 1]) ** 2)
         res = integrate_density(spec, lambda p: [f(p) for f in funcs], quad)
         assert not res.used_constancy_shortcut
         assert res.value.shape == res.error.shape == (2,)
@@ -393,7 +492,7 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             integrate_density(
                 spec,
-                lambda p: [np.sin(p[0]) ** 2, 1.0 / (1.001 - np.sin(8.0 * p[0]))],
+                lambda p: [np.sin(p[:, 0]) ** 2, 1.0 / (1.001 - np.sin(8.0 * p[:, 0]))],
                 QuadratureSpec(n=4, n_refine=6),
             )
 
@@ -402,7 +501,7 @@ class TestQuadrature:
         spec = get_manifold("flat_torus")
         with pytest.raises(QuadratureError, match="not finite at point"):
             integrate_density(
-                spec, lambda p: [1.0, np.inf if p[0] > np.pi else 0.0], QuadratureSpec(n=4, n_refine=6)
+                spec, lambda p: [np.ones(len(p)), np.where(p[:, 0] > np.pi, np.inf, 0.0)], QuadratureSpec(n=4, n_refine=6)
             )
 
 
@@ -460,7 +559,7 @@ class TestCurvatureScale:
         b = ctx.bundle
         expected = max(1.0, float(np.abs(b.riem_v).max()), abs(b.S_v))
         assert ctx.curvature_scale == expected
-        assert rotated_context(ctx, 0.7).curvature_scale == expected
+        assert (_stack_rows([ctx], np.array([[0.7]])).curvature_scale == expected).all()
         scaled = dataclasses.replace(ctx, bundle=dataclasses.replace(b, riem=3.0 * b.riem))
         assert scaled.curvature_scale == max(1.0, 3.0 * float(np.abs(b.riem_v).max()), abs(b.S_v))
 
@@ -473,7 +572,7 @@ class TestCurvatureScale:
         real_init = PointContext.__init__
         monkeypatch.setattr(PointContext, "__init__", lambda ctx, **kw: contexts.append(ctx) or real_init(ctx, **kw))
         run_suite(get_manifold("kodaira_thurston"), 4, seed=2, rotations=2)
-        assert 0 < len(computed) == len({id(c) for c in computed}) <= len(contexts) == 12
+        assert 0 < len(computed) == len({id(c) for c in computed}) <= len(contexts) == 4  # rotations are rows
 
 
 class TestNonFinite:
@@ -513,7 +612,8 @@ class TestNonFinite:
         spec = get_manifold("kodaira_thurston")
         ctx = point_context(spec, [0.3, 0.4, 0.5, 0.6], 2)
         assert _classify(_stack_rows([ctx]).nj, 1e-8, 1e-4)[0] == "almost-Kähler non-Kähler"
-        nan_nj = dataclasses.replace(ctx.nj, nijenhuis=np.full_like(ctx.nj.nijenhuis, np.nan))
-        verdict, residuals = _classify(_stack_rows([ctx, dataclasses.replace(ctx, nj=nan_nj)]).nj, 1e-8, 1e-4)
+        nj = _stack_rows([ctx, ctx]).nj
+        nan_nj = dataclasses.replace(nj, nijenhuis=np.stack([nj.nijenhuis[0], np.full_like(nj.nijenhuis[1], np.nan)]))
+        verdict, residuals = _classify(nan_nj, 1e-8, 1e-4)
         assert verdict == "indeterminate"
         assert all(math.isfinite(r) for r in residuals.values())

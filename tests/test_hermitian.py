@@ -292,7 +292,7 @@ class TestTheta:
 
     def test_kahler_case_of_thm43(self):
         _, mp, b, acs, fr = make("kahler_potential_generic", [0.3, 0.2, -0.4, 0.6], 3)
-        dwp, _ = delta_wpm(b, fr)
+        dwp = delta_wpm(b, fr)
         th = theta_form(b, fr)
         assert np.abs(dwp + th).max() < 1e-7 * max(np.abs(dwp).max(), 1e-14)
 
@@ -308,11 +308,11 @@ class TestTheta:
 class TestQJ:
     def test_flat(self):
         _, mp, b, acs, fr = make("flat_torus", [1, 2, 3, 4])
-        assert q_j_integrand(b, acs) == 0.0
+        assert q_j_integrand(b, acs.J) == 0.0
 
     def test_einstein_constant(self):
         _, mp, b, acs, fr = make("fubini_study_cp2", [0.3, -0.1, 0.2, 0.4])
-        assert abs(q_j_integrand(b, acs)) < 1e-7 * b.S_v**2
+        assert abs(q_j_integrand(b, acs.J)) < 1e-7 * b.S_v**2
 
     def test_kodaira_thurston_value_and_constancy(self):
         spec = get_manifold("kodaira_thurston")
@@ -320,7 +320,7 @@ class TestQJ:
         vals = []
         for pt in spec.sample_points(20, rng):
             _, mp, b, acs, fr = make("kodaira_thurston", pt)
-            vals.append(q_j_integrand(b, acs))
+            vals.append(q_j_integrand(b, acs.J))
         vals = np.array(vals)
         assert vals.mean() == pytest.approx(KT["q_j"], abs=1e-9)
         assert (vals.max() - vals.min()) < 1e-7 * abs(vals.mean())
@@ -343,7 +343,7 @@ class TestPhiPsi:
         assert v1 == pytest.approx(KT["phi_psi"], abs=1e-10)
         # consistency with the obstruction integrand: q = 2 <phi,psi> holds
         # pointwise here because all quantities are left-invariant
-        assert q_j_integrand(b, acs) == pytest.approx(2.0 * v1, abs=1e-9)
+        assert q_j_integrand(b, acs.J) == pytest.approx(2.0 * v1, abs=1e-9)
 
     def test_gate(self):
         # the pairing holds only where d Omega = 0; EQ126's almost-Kahler gate
@@ -418,13 +418,13 @@ class TestFrameDependence:
 class TestStarScalarJet:
     def test_kahler_s_star_jet_equals_s_jet(self):
         _, mp, b, acs, fr = make("kahler_potential_generic", [0.3, 0.2, -0.4, 0.6])
-        ss = s_star_jet(b, acs)
+        ss = s_star_jet(b, acs.jets)
         np.testing.assert_allclose(ss.coeffs, b.S[: len(ss.coeffs)], atol=1e-12)
-        lam = lambda_jet(b, acs)
+        lam = lambda_jet(b, acs.jets)
         np.testing.assert_allclose(lam.gradient(), b.dS / 6.0, atol=1e-12)
 
     def test_gl121_on_kodaira_thurston(self):
         _, mp, b, acs, fr = make("kodaira_thurston", KT_POINT, 3)
-        dwp, _ = delta_wpm(b, fr)
+        dwp = delta_wpm(b, fr)
         assert np.abs(dwp).max() > 0.2  # genuinely nonzero here
         assert np.abs(gl121_delta_wplus(b.nabla_ric, b.dS, mp, fr) - dwp).max() < 1e-12

@@ -75,7 +75,7 @@ class TestAdjoint:
         As = adjoint_endo(A, mp)
         for _ in range(20):
             X, Y = rng.normal(size=4), rng.normal(size=4)
-            assert abs(mp.dot(A @ X, Y) - mp.dot(X, As @ Y)) < 1e-12 * np.linalg.eigvalsh(mp.g)[-1]
+            assert abs((A @ X) @ mp.g @ Y - X @ mp.g @ (As @ Y)) < 1e-12 * np.linalg.eigvalsh(mp.g)[-1]
 
     def test_involution(self):
         mp, rng = random_spd_mp(3)

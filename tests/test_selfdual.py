@@ -14,9 +14,8 @@ from weyl4.selfdual import (
     interior_product,
     lambda2_split,
     operator_to_04,
-    pm_projectors,
     star_operator,
-    weyl_pm_04,
+    wplus_04,
     wplus_matrix,
     wplus_norm2_jet,
 )
@@ -24,7 +23,9 @@ from weyl4.selfdual import (
 from paper_oracles import (
     apply_form_operator,
     delta_w_full,
+    delta_wminus,
     nabla_wplus_norm2,
+    pm_projectors,
     project_minus,
     project_plus,
     wminus_matrix,
@@ -188,21 +189,21 @@ class TestWplusInvariants:
 class TestDeltaW:
     def test_flat_zero(self):
         _, mp, b, fr = make("flat_torus", [1.0, 2.0, 3.0, 4.0], 3)
-        dwp, dwm = delta_wpm(b, fr)
+        dwp = delta_wpm(b, fr)
         assert np.abs(dwp).max() == 0.0
-        assert np.abs(dwm).max() == 0.0
+        assert np.abs(delta_wminus(b, fr)).max() == 0.0
 
     def test_constant_s_kahler_divergence_free(self):
         for name in ("fubini_study_cp2", "complex_hyperbolic_ch2"):
             _, mp, b, fr = make(name, [0.15, -0.1, 0.2, 0.05], 3)
-            dwp, _ = delta_wpm(b, fr)
+            dwp = delta_wpm(b, fr)
             assert np.abs(dwp).max() < 1e-8 * abs(b.S_v)
 
     def test_kahler_divergence_identity(self):
         # delta W+ = -(grad log |S| .| W+) on Kahler manifolds
         _, mp, b, fr = make("kahler_potential_generic", [0.4, 0.3, -0.2, 0.5], 3)
-        dwp, _ = delta_wpm(b, fr)
-        Wp04, _ = weyl_pm_04(b.weyl_v, mp, fr.orientation)
+        dwp = delta_wpm(b, fr)
+        Wp04 = wplus_04(b.weyl_v, mp, fr.orientation)
         ip = interior_product(mp.g_inv @ b.dS / b.S_v, Wp04, mp)
         assert np.abs(dwp + ip).max() < 1e-7 * np.abs(dwp).max()
 
@@ -214,7 +215,7 @@ class TestDeltaW:
             mp = spec.metric_point(pt, 3)
             b = curvature_bundle(mp)
             fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-            dwp, dwm = delta_wpm(b, fr)
+            dwp, dwm = delta_wpm(b, fr), delta_wminus(b, fr)
             dw = delta_w_full(b)
             scale = max(np.abs(dw).max(), np.abs(b.riem_v).max(), 1.0)
             assert np.abs(dwp + dwm - dw).max() < 1e-9 * scale
@@ -222,7 +223,7 @@ class TestDeltaW:
     def test_dwp_lies_in_sd_span(self):
         _, mp, b, fr = make("kodaira_thurston", [0.3, 0.5, 0.2, 0.8], 3)
         basis = lambda2_split(fr, mp)
-        dwp, _ = delta_wpm(b, fr)
+        dwp = delta_wpm(b, fr)
         for i in range(4):
             proj = project_plus(basis, dwp[i])
             assert np.abs(dwp[i] - proj).max() < 1e-9 * max(np.abs(dwp).max(), 1.0)
@@ -236,7 +237,7 @@ class TestDeltaW:
             mp = spec.metric_point(pt, 3)
             b = curvature_bundle(mp)
             fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-            dwp, _ = delta_wpm(b, fr)
+            dwp = delta_wpm(b, fr)
             alt = gl121_delta_wplus(b.nabla_ric, b.dS, mp, fr)
             scale = max(np.abs(dwp).max(), np.abs(b.riem_v).max(), 1.0)
             assert np.abs(dwp - alt).max() < 1e-7 * scale
