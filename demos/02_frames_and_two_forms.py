@@ -9,6 +9,7 @@ orthonormal basis of the self-dual forms.
 import numpy as np
 
 from weyl4.catalog import get_manifold
+from weyl4.hermitian import AcsPoint
 from weyl4.pointgeom import (
     build_j_frame,
     endo_to_form,
@@ -20,7 +21,8 @@ from weyl4.pointgeom import (
 spec = get_manifold("fubini_study_cp2")
 point = [0.3, -0.2, 0.5, 0.1]
 mp = spec.metric_point(point, order=2)
-frame = build_j_frame(mp, spec.j_matrix(point), seed=np.eye(4)[0])
+acs = AcsPoint.from_jets(spec.j_jets(point, 1), mp)  # validates J against the metric
+frame = build_j_frame(mp, acs, seed=np.eye(4)[0])
 
 print("frame vectors (columns):")
 print(np.round(frame.E, 6))

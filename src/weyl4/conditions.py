@@ -30,7 +30,7 @@ import numpy as np
 
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
-from .curvature import curvature_bundle, laplacian_scalar, weyl_operator
+from .curvature import InsufficientJetOrder, curvature_bundle, laplacian_scalar, weyl_operator
 from .exprjet import Jet, jvalue
 from .hermitian import (
     AcsPoint,
@@ -124,7 +124,7 @@ class PointContext:
         return max(1.0, float(np.abs(self.bundle.riem_v).max()), abs(self.bundle.S_v))
 
     acs = _frame_part(lambda c: AcsPoint.from_jets(c.j_jets, c.mp))
-    frame = _frame_part(lambda c: build_j_frame(c.mp, c.acs.J, FRAME_SEED, c.acs.orientation))
+    frame = _frame_part(lambda c: build_j_frame(c.mp, c.acs, FRAME_SEED))
     star = _frame_part(lambda c: star_ricci_family(c.bundle, c.acs, c.frame))
     nj = _frame_part(lambda c: nabla_j_data(c.acs, c.bundle, c.frame))
     basis = _frame_part(lambda c: lambda2_split(c.frame, c.mp))
@@ -159,14 +159,14 @@ def point_context(
 class Rows:
     """Order-0 quantities of many contexts of one jet order; axis 0 has one
     row per context, or per rotation of its supplement.  ``_row`` gives the
-    fields up to ``nabla2_ric``, the frame stage the rest.  The rows serve
-    the helpers as metric, curvature bundle and frame.  ``dS`` to
-    ``nabla_weyl`` need jet order 3; the fields from ``j_jets`` on need J,
-    and ``w2_grad`` and ``lam_grad`` order 3 as well (``w2_lap`` and
-    ``nabla2_ric`` order 4)."""
+    fields up to ``nabla2_ric``, the frame stage the rest; that stage reads
+    ``nabla_weyl`` and keeps only its per-row maximum.  The rows serve the
+    helpers as metric, curvature bundle and frame.  ``dS`` and ``nabla_ric`` need
+    jet order 3; the fields from ``j_jets`` on need J, and ``nabla_weyl`` to
+    ``lam_grad`` order 3 as well (``w2_lap`` and ``nabla2_ric`` order 4)."""
 
     point: np.ndarray
-    S: np.ndarray
+    S_v: np.ndarray
     riem_v: np.ndarray
     ric_v: np.ndarray                 # Ricci endomorphism
     weyl_v: np.ndarray
@@ -175,10 +175,11 @@ class Rows:
     curvature_scale: np.ndarray
     dS: Optional[np.ndarray] = None
     nabla_ric: Optional[np.ndarray] = None
-    nabla_weyl: Optional[np.ndarray] = None
     j_jets: Optional[np.ndarray] = None
     gamma_v: Optional[np.ndarray] = None
     dg_v: Optional[np.ndarray] = None  # metric first partials [m, i, j]
+    nabla_weyl: Optional[np.ndarray] = None
+    nabla_weyl_max: Optional[np.ndarray] = None  # max |nabla W|
     w2: Optional[np.ndarray] = None   # |W+|^2 from its jet
     w2_grad: Optional[np.ndarray] = None
     lam_grad: Optional[np.ndarray] = None
@@ -200,12 +201,10 @@ class Rows:
     def mp(self) -> "Rows":
         return self
 
-    @property
-    def S_v(self) -> np.ndarray:
-        return self.S
-
     def require(self, field: str):
-        """A curvature field the frame functions read; the rows carry it whenever their jet order does."""
+        """A curvature field the frame functions read, as ``CurvatureBundle.require`` gives it."""
+        if getattr(self, field) is None:
+            raise InsufficientJetOrder(f"{field} needs a higher metric jet order than these rows have")
         return getattr(self, field)
 
 
@@ -214,32 +213,26 @@ def _row(ctx: PointContext) -> dict:
     jets are copied, so nothing keeps the context alive once its row is taken."""
     b = ctx.bundle
     row = dict(
-        point=ctx.point, S=b.S_v, riem_v=b.riem_v.copy(), ric_v=b.ric_v.copy(), weyl_v=b.weyl_v.copy(),
+        point=ctx.point, S_v=b.S_v, riem_v=b.riem_v.copy(), ric_v=b.ric_v.copy(), weyl_v=b.weyl_v.copy(),
         g=ctx.mp.g.copy(), g_inv=ctx.mp.g_inv.copy(), curvature_scale=ctx.curvature_scale,
     )
     if ctx.order >= 3:
-        row.update(dS=b.dS, nabla_ric=b.nabla_ric.copy(), nabla_weyl=b.nabla_weyl)
+        row.update(dS=b.dS, nabla_ric=b.nabla_ric.copy())
     if ctx.j_jets is None:
         return row
     row.update(j_jets=ctx.j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v, w2=ctx.w2jet.value)
     if ctx.order >= 3:
-        row.update(w2_grad=ctx.w2jet.gradient(), lam_grad=ctx.lam_jet.gradient())
+        row.update(nabla_weyl=b.nabla_weyl, w2_grad=ctx.w2jet.gradient(), lam_grad=ctx.lam_jet.gradient())
     if ctx.order >= 4:
         row.update(w2_lap=laplacian_scalar(ctx.w2jet, b.gamma_v, ctx.mp), nabla2_ric=b.nabla2_ric)
     return row
 
 
 def _leafwise(fn, x):
-    """``fn`` of every array of ``x``: dataclasses recurse field by field, and None stays None."""
-    if x is None or not is_dataclass(x):
-        return None if x is None else fn(x)
-    return type(x)(**{f.name: _leafwise(fn, getattr(x, f.name)) for f in fields(x)})
-
-
-def _take(obj, rows: np.ndarray, mp):
-    """An ``AcsPoint`` or ``SelfDualFrame`` of a stack, on the rows ``rows`` of ``mp``."""
-    arrays = {f.name: getattr(obj, f.name) for f in fields(obj) if f.name != "mp"}
-    return replace(obj, mp=mp, **{k: v[rows] for k, v in arrays.items() if isinstance(v, np.ndarray)})
+    """``fn`` of every array of ``x``: dataclasses recurse field by field, anything else stays."""
+    if is_dataclass(x):
+        return type(x)(**{f.name: _leafwise(fn, getattr(x, f.name)) for f in fields(x)})
+    return fn(x) if isinstance(x, np.ndarray) else x
 
 
 def _stack_rows(contexts: Iterable[PointContext], angles: Optional[np.ndarray] = None) -> Rows:
@@ -253,12 +246,11 @@ def _stack_rows(contexts: Iterable[PointContext], angles: Optional[np.ndarray] =
     if rows.j_jets is None:
         return rows
     acs = AcsPoint.from_jets(rows.j_jets, rows)
-    frame = build_j_frame(rows, acs.J, FRAME_SEED, acs.orientation)
+    frame = build_j_frame(rows, acs, FRAME_SEED)
     dwp = None if rows.nabla_weyl is None else delta_wpm(rows, frame)
     if angles is not None:
-        take = np.repeat(np.arange(len(rows.S)), 1 + angles.shape[1])
-        rows = _leafwise(lambda v: v[take], rows)
-        acs, frame = _take(acs, take, rows), _take(frame, take, rows)
+        take = np.repeat(np.arange(len(rows.S_v)), 1 + angles.shape[1])
+        rows, acs, frame = (_leafwise(lambda v: v[take], x) for x in (rows, acs, frame))
         frame = rotate_supplement(frame, np.column_stack([np.zeros(len(angles)), angles]).ravel())
         dwp = None if dwp is None else dwp[take]
     star = star_ricci_family(rows, acs, frame)
@@ -269,7 +261,10 @@ def _stack_rows(contexts: Iterable[PointContext], angles: Optional[np.ndarray] =
     )
     if dwp is None:
         return rows
-    return replace(rows, nabla_sd=nabla_w_sd_matrices(rows, frame), wplus04=wplus_04(rows.weyl_v, rows, rows.orientation))
+    return replace(
+        rows, nabla_sd=nabla_w_sd_matrices(rows, frame), wplus04=wplus_04(rows.weyl_v, rows, rows.orientation),
+        nabla_weyl=None, nabla_weyl_max=_amax(rows.nabla_weyl),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +325,7 @@ def _outer(v: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _eq01_82(r):  # |W+|^2 = S^2/6
-    return _scalar_res(r.wplus.norm2, r.S**2 / 6.0)
+    return _scalar_res(r.wplus.norm2, r.S_v**2 / 6.0)
 
 
 def _eq02_80(r):  # det^2 = |W+|^6/54
@@ -382,21 +377,21 @@ def _eq42(r):
 
 def _eq46(r):
     s = r.star
-    return _scalar_res(s.s_tri + s.s_box + s.s_star, r.S, s.s_tri, s.s_box, s.s_star)
+    return _scalar_res(s.s_tri + s.s_box + s.s_star, r.S_v, s.s_tri, s.s_box, s.s_star)
 
 
 def _eq48(r):  # W(J) = (S* - S/3) J / 2 + 2 Ric*- J
-    lhs = weyl_operator(r.J, r.riem_v, r.ric_v, r.S, r)
-    rhs = 0.5 * (r.star.s_star - r.S / 3.0)[:, None, None] * r.J + 2.0 * r.star.ric_star_minus @ r.J
+    lhs = weyl_operator(r.J, r.riem_v, r.ric_v, r.S_v, r)
+    rhs = 0.5 * (r.star.s_star - r.S_v / 3.0)[:, None, None] * r.J + 2.0 * r.star.ric_star_minus @ r.J
     return _tensor_res(lhs, rhs)
 
 
 def _eq54(r):
     s = r.star
-    rhs = 0.25 * (s.s_star**2 + s.s_tri**2 + s.s_box**2 - r.S**2 / 3.0) + 4.0 * (
+    rhs = 0.25 * (s.s_star**2 + s.s_tri**2 + s.s_box**2 - r.S_v**2 / 3.0) + 4.0 * (
         s.ric_star_minus2 + s.ric_tri_minus2 + s.ric_box_minus2
     )
-    return _scalar_res(r.wplus.norm2, rhs, s.s_star**2 / 4, s.s_tri**2 / 4, s.s_box**2 / 4, r.S**2 / 12)
+    return _scalar_res(r.wplus.norm2, rhs, s.s_star**2 / 4, s.s_tri**2 / 4, s.s_box**2 / 4, r.S_v**2 / 12)
 
 
 def _eq63(r):
@@ -424,12 +419,12 @@ def _eq70(r):
 
 def _eq71(r):
     s = r.star
-    return _scalar_res(s.rtp2, 0.125 * (s.s_star - r.S) ** 2)
+    return _scalar_res(s.rtp2, 0.125 * (s.s_star - r.S_v) ** 2)
 
 
 def _eq72(r):
     s = r.star
-    rhs = 0.375 * (s.s_star - r.S / 3.0) ** 2 + 8.0 * s.ric_star_minus2 + s.rtm2
+    rhs = 0.375 * (s.s_star - r.S_v / 3.0) ** 2 + 8.0 * s.ric_star_minus2 + s.rtm2
     return _scalar_res(r.wplus.norm2, rhs, 6 * s.lam**2, s.rtm2)
 
 
@@ -446,18 +441,18 @@ def _eq75(r):
 
 
 def _eq83(r):
-    return _scalar_res(r.wplus.det, r.S**3 / 108.0)
+    return _scalar_res(r.wplus.det, r.S_v**3 / 108.0)
 
 
 def _eq84(r):
     eig = r.wplus.eigenvalues
-    target = np.sort(np.stack([r.S / 3.0, -r.S / 6.0, -r.S / 6.0], axis=1), axis=1)[:, ::-1]
+    target = np.sort(np.stack([r.S_v / 3.0, -r.S_v / 6.0, -r.S_v / 6.0], axis=1), axis=1)[:, ::-1]
     scale = np.maximum(np.maximum(_amax(target), _amax(eig)), RESIDUAL_FLOOR)
     return eig[:, 0], target[:, 0], _amax(eig - target), scale
 
 
 def _eq85(r):
-    return _tensor_res(r.wplus.m, (r.S / 6.0)[:, None, None] * np.diag([2.0, -1.0, -1.0]))
+    return _tensor_res(r.wplus.m, (r.S_v / 6.0)[:, None, None] * np.diag([2.0, -1.0, -1.0]))
 
 
 def _eq86(r):  # nabla W+ = dS/6 (x) (2 P1 - P2)
@@ -489,14 +484,14 @@ def _eq112(r):
 
 
 def _eq114(r):  # delta W+ + grad log|S| .| W+ = 0
-    return _dwp_plus_interior(r, np.einsum("rij,rj->ri", r.g_inv, r.dS) / r.S[:, None])
+    return _dwp_plus_interior(r, np.einsum("rij,rj->ri", r.g_inv, r.dS) / r.S_v[:, None])
 
 
 def _eq116(r):
     s = r.star
-    lhs = r.wplus.norm2 - r.S**2 / 6.0
-    rhs = r.S * r.nj.norm2 + r.nj.norm2**2 + 8.0 * s.ric_star_minus2 + s.rt2
-    return _scalar_res(lhs, rhs, r.wplus.norm2, r.S**2 / 6.0, s.rt2)
+    lhs = r.wplus.norm2 - r.S_v**2 / 6.0
+    rhs = r.S_v * r.nj.norm2 + r.nj.norm2**2 + 8.0 * s.ric_star_minus2 + s.rt2
+    return _scalar_res(lhs, rhs, r.wplus.norm2, r.S_v**2 / 6.0, s.rt2)
 
 
 def _eq121(r):
@@ -524,8 +519,8 @@ def _eq131(r):  # |W+|^2 >= (3/8)(S* - S/3)^2, signed
 def _eq133(r):  # 2|nabla W+|^2 + lap |W+|^2 = 18 det - S |W+|^2
     lap, det, norm2 = r.w2_lap, r.wplus.det, r.wplus.norm2
     lhs = 2.0 * _nabla_wplus_norm2(r) + lap
-    rhs = 18.0 * det - r.S * norm2
-    return _scalar_res(lhs, rhs, lap, 18 * det, r.S * norm2)
+    rhs = 18.0 * det - r.S_v * norm2
+    return _scalar_res(lhs, rhs, lap, 18 * det, r.S_v * norm2)
 
 
 def build_registry() -> dict:
@@ -584,15 +579,15 @@ def _gate_masks(r: Rows) -> dict:
     scale = np.fmax(1.0, nj_max)  # like max(1.0, x): 1 where x is NaN
     w2, lam2 = r.wplus.norm2, 6.0 * r.star.lam**2
     masks = {
-        "all": np.ones(len(r.S), dtype=bool),
+        "all": np.ones(len(r.S_v), dtype=bool),
         "kahler": ~(nj_max > GATE * scale),
         "almost-kahler": ~(_amax(r.nj.d_omega) > GATE * scale),
         "requires-gl77": ~(np.abs(w2 - lam2) > GATE * np.maximum(np.maximum(w2, lam2), 1.0)),
-        "w-support": ~(np.sqrt(np.maximum(w2, 0.0)) <= GATE * np.fmax(1.0, np.abs(r.S))),
-        "s-support": ~(np.abs(r.S) <= GATE),
+        "w-support": ~(np.sqrt(np.maximum(w2, 0.0)) <= GATE * np.fmax(1.0, np.abs(r.S_v))),
+        "s-support": ~(np.abs(r.S_v) <= GATE),
     }
     if r.dwp is not None:
-        masks["requires-deltawplus0"] = ~(_amax(r.dwp) > GATE * np.fmax(1.0, _amax(r.nabla_weyl)))
+        masks["requires-deltawplus0"] = ~(_amax(r.dwp) > GATE * np.fmax(1.0, r.nabla_weyl_max))
     return masks
 
 
@@ -818,23 +813,23 @@ def run_suite(
 def _tag_report(tags: frozenset, r: Rows, tol_pass: float) -> dict:
     """Each claimed tag's largest finite residual over the rows, whether it
     is confirmed, and how many rows gave a non-finite residual."""
-    absent = np.full(len(r.S), np.inf)  # a quantity the rows lack cannot confirm a tag
+    absent = np.full(len(r.S_v), np.inf)  # a quantity the rows lack cannot confirm a tag
     out = {}
     for tag in sorted(tags):
         if tag == "flat":
             v = _amax(r.riem_v) / np.fmax(1.0, _amax(r.g) ** 2)
         elif tag == "einstein":
-            v = _amax(r.ric_v - (r.S / 4.0)[:, None, None] * np.eye(4)) / np.fmax(1.0, np.abs(r.S) / 4.0)
+            v = _amax(r.ric_v - (r.S_v / 4.0)[:, None, None] * np.eye(4)) / np.fmax(1.0, np.abs(r.S_v) / 4.0)
         elif tag == "kahler":
             v = _amax(r.nj.nabla_j) if r.nj is not None else absent
         elif tag == "almost-kahler":
             v = _amax(r.nj.d_omega) if r.nj is not None else absent
         elif tag == "constant-s":
-            v = _amax(r.dS) / np.fmax(1.0, np.abs(r.S)) if r.dS is not None else absent
+            v = _amax(r.dS) / np.fmax(1.0, np.abs(r.S_v)) if r.dS is not None else absent
         elif tag == "conformally-flat":
-            v = _amax(r.weyl_v) / np.fmax(np.fmax(1.0, _amax(r.riem_v)), np.abs(r.S))
+            v = _amax(r.weyl_v) / np.fmax(np.fmax(1.0, _amax(r.riem_v)), np.abs(r.S_v))
         else:
-            v = np.zeros(len(r.S))
+            v = np.zeros(len(r.S_v))
         finite = np.isfinite(v)
         worst = float(v[finite].max(initial=0.0))
         out[tag] = {"residual": worst, "confirmed": bool(worst <= tol_pass and finite.all())}
@@ -928,7 +923,7 @@ def _gauss_grid(spec: ManifoldSpec, n: int) -> tuple:
     return points, np.einsum("i,j,k,l->ijkl", *waxes).ravel() * dens
 
 
-NODE_CHUNK = 64  # nodes per density call: one frame stage per chunk, and bounded memory at any level
+NODE_CHUNK = 16  # nodes per density call, one frame stage each: larger chunks gained no time, cost ~70 KB per node
 
 
 def _node_values(spec: ManifoldSpec, density, points: np.ndarray) -> np.ndarray:
@@ -999,9 +994,9 @@ def evaluate_integrand(spec: ManifoldSpec, points: np.ndarray) -> dict:
         "ric_star_minus2": r.star.ric_star_minus2,
         "nabla_j2": r.nj.norm2,
         "nabla_j4": r.nj.norm2**2,
-        "s": r.S,
+        "s": r.S_v,
         "wplus2": r.wplus.norm2,
-        "s2": r.S**2,
+        "s2": r.S_v**2,
     }
     return {k: v.reshape(np.shape(points)[:-1]) for k, v in values.items()}
 

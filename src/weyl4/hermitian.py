@@ -44,7 +44,6 @@ class AcsPoint:
     orientation: np.ndarray
     jets: np.ndarray
     order: int
-    mp: MetricPoint
 
     @staticmethod
     def from_jets(j_jets: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> "AcsPoint":
@@ -56,7 +55,7 @@ class AcsPoint:
         r3 = np.abs(hodge_star(omega, mp, sigma) - omega).max(axis=(-2, -1))
         raise_at_first(~(r3 <= tol * np.fmax(np.abs(omega).max(axis=(-2, -1)), 1.0)), mp, "structure",
                        lambda k: f"fundamental form not self-dual (residual {r3.flat[k]:.2e})")
-        return AcsPoint(J=J, omega=omega, orientation=sigma, jets=j_jets, order=jet_order(j_jets), mp=mp)
+        return AcsPoint(J=J, omega=omega, orientation=sigma, jets=j_jets, order=jet_order(j_jets))
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,6 @@ class SelfDualFrame:
     I: np.ndarray
     K: np.ndarray
     orientation: np.ndarray  # chart orientation sign under vol = Omega_J^2/2
-    mp: MetricPoint
 
     def sd_endos(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.J, self.I, self.K
@@ -187,18 +186,15 @@ def _dot(x: np.ndarray, g: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((x[..., None, :] @ g) @ y[..., :, None])[..., 0, 0]
 
 
-def build_j_frame(mp: MetricPoint, J: np.ndarray, seed: np.ndarray, orientation=None) -> SelfDualFrame:
+def build_j_frame(mp: MetricPoint, acs, seed: np.ndarray) -> SelfDualFrame:
     """Build a J-frame from a seed vector with a deterministic completion.
 
-    e3 is the Gram-Schmidt remainder of the first chart basis vector whose
-    residual against span(e1, e2) exceeds 1e-6, chosen row by row, which makes
-    frames reproducible across runs.  ``orientation`` is the chart orientation
-    of an already validated J (``AcsPoint.orientation``); without it, J is
-    validated here.
+    ``acs`` is a validated structure (``AcsPoint.from_jets``), read for its
+    ``J`` and ``orientation``.  e3 is the Gram-Schmidt remainder of the first
+    chart basis vector whose residual against span(e1, e2) exceeds 1e-6,
+    chosen row by row, which makes frames reproducible across runs.
     """
-    if orientation is None:
-        check_acs(J, mp)
-        orientation = chart_orientation(J, mp)
+    J = acs.J
     seed = np.broadcast_to(np.asarray(seed, dtype=float), np.shape(J)[:-1])
     ns = np.sqrt(np.maximum(_dot(seed, mp.g, seed), 0.0))
     raise_at_first(ns < 1e-12, mp, "frame", lambda k: "degenerate frame seed")
@@ -218,7 +214,7 @@ def build_j_frame(mp: MetricPoint, J: np.ndarray, seed: np.ndarray, orientation=
     Einv = np.linalg.inv(E)
     I = E @ I_STD @ Einv
     K = E @ K_STD @ Einv
-    return SelfDualFrame(E=E, J=J, I=I, K=K, orientation=orientation, mp=mp)
+    return SelfDualFrame(E=E, J=J, I=I, K=K, orientation=acs.orientation)
 
 
 def rotate_supplement(frame: SelfDualFrame, alpha) -> SelfDualFrame:

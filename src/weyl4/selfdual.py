@@ -160,11 +160,12 @@ def delta_wpm(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.ndarray:
     derivative tensors C_k = (nabla_k W) P_+."""
     nw = bundle.require("nabla_weyl")
     mp = bundle.mp
-    # as 16x16 matrices on index pairs, C_k = nabla_k W (g^-1 (x) g^-1) P_+ (g (x) g)
-    P = _pairs(plus_projector(mp, frame.orientation))
-    C = (nw.reshape(nw.shape[:-5] + (64, 16)) @ (_kron2(mp.g_inv) @ P @ _kron2(mp.g))).reshape(nw.shape)
-    # E[i,b,n] = g^{km} C[k,i,m,b,n], then delta W+[i,a,b] = E[i,b,n] g^{an}
-    E = _trail(C, 1, 3, 4, 0, 2).reshape(nw.shape[:-5] + (4, 16, 16)) @ mp.g_inv.reshape(nw.shape[:-5] + (1, 16, 1))
+    # E[i,b,n] = g^{km} C[k,i,m,b,n]; the projection acts on the last index pair only, so the
+    # trace over (k, m) is taken first, on nabla W, and no C is formed
+    T = np.einsum("...km,...kimx->...ix", mp.g_inv, nw.reshape(nw.shape[:-2] + (16,)))
+    # as 16x16 matrices on index pairs, E = T (g^-1 (x) g^-1) P_+ (g (x) g)
+    E = T @ (_kron2(mp.g_inv) @ _pairs(plus_projector(mp, frame.orientation)) @ _kron2(mp.g))
+    # delta W+[i,a,b] = E[i,b,n] g^{an}
     return np.swapaxes(E.reshape(nw.shape[:-5] + (4, 4, 4)) @ np.swapaxes(mp.g_inv, -1, -2)[..., None, :, :], -1, -2)
 
 

@@ -12,8 +12,8 @@ them.  They read only what a point context keeps.
 import numpy as np
 
 from weyl4.conditions import point_context
-from weyl4.hermitian import rtilde_table
-from weyl4.pointgeom import endo_to_form, inner_endo, inner_endos
+from weyl4.hermitian import AcsPoint, rtilde_table
+from weyl4.pointgeom import build_j_frame, endo_to_form, inner_endo, inner_endos
 from weyl4.selfdual import (
     _weyl_on,
     compose,
@@ -23,6 +23,11 @@ from weyl4.selfdual import (
     operator_to_04,
     star_operator,
 )
+
+
+def j_frame(mp, J, seed):
+    """The J-frame of a J matrix, validated as the package validates it (``AcsPoint.from_jets``)."""
+    return build_j_frame(mp, AcsPoint.from_jets(np.asarray(J, dtype=float)[..., None], mp), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +179,8 @@ def conformal_nabla_j(nabla_j, frame, f_jet):
     )
 
 
-def conformal_bracket(f_grad, X, frame):
+def conformal_bracket(f_grad, X, frame, mp):
     """Both sides of [df (x) X - g(X) (x) grad f, J] = df(KX) I - df(IX) K."""
-    mp = frame.mp
     grad = mp.g_inv @ f_grad
     B = np.einsum("b,a->ab", f_grad, X) - np.einsum("b,a->ab", mp.g @ X, grad)
     lhs = B @ frame.J - frame.J @ B

@@ -26,7 +26,7 @@ from weyl4.selfdual import delta_wpm
 
 from weyl4.exprjet import parse_expression
 
-from paper_oracles import conformal_nabla_j, prop21_equivalence
+from paper_oracles import conformal_nabla_j, j_frame, prop21_equivalence
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -194,7 +194,7 @@ def test_criterion_6_conformal_cross_check():
         mp = spec.metric_point(pt, 3)
         bundle = curvature_bundle(mp)
         acs = AcsPoint.from_jets(spec.j_jets(pt, 2), mp)
-        frame = build_j_frame(mp, acs.J, np.eye(4)[0])
+        frame = build_j_frame(mp, acs, np.eye(4)[0])
         nj = nabla_j_data(acs, bundle, frame)
         f_jet = eval_jet(parse_expression(f_text, spec.coords), pt, 1)
         predicted = conformal_nabla_j(nj, frame, f_jet)
@@ -203,7 +203,7 @@ def test_criterion_6_conformal_cross_check():
         mp2 = rescaled.metric_point(pt, 3)
         bundle2 = curvature_bundle(mp2)
         acs2 = AcsPoint.from_jets(spec.j_jets(pt, 2), mp2)
-        frame2 = build_j_frame(mp2, acs2.J, np.eye(4)[0])
+        frame2 = build_j_frame(mp2, acs2, np.eye(4)[0])
         direct = nabla_j_data(acs2, bundle2, frame2).nabla_j
         scale = max(np.abs(direct).max(), 1.0)
         worst = max(worst, float(np.abs(predicted - direct).max() / scale))
@@ -305,7 +305,7 @@ def test_criterion_8_differentiation_integrity():
         for pt in spec.sample_points(3, rng):
             mp = spec.metric_point(pt, 3)
             bundle = curvature_bundle(mp)
-            frame = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            frame = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
             dwp = delta_wpm(bundle, frame)
             alt = gl121_delta_wplus(bundle.nabla_ric, bundle.dS, mp, frame)
             scale = max(np.abs(dwp).max(), np.abs(bundle.riem_v).max(), 1.0)

@@ -26,17 +26,19 @@ from weyl4 import conditions
 from weyl4.conditions import (
     FRAME_SEED,
     PointContext,
+    Rows,
     _classify,
     _gate_masks,
     _gauss_grid,
     _leafwise,
     _residual,
+    _row,
     _stack_rows,
     _tag_report,
     _verdict,
 )
 from weyl4.hermitian import AcsPoint, nabla_j_data, projections_p1p2, q_j_integrand, star_ricci_family
-from weyl4.pointgeom import build_j_frame
+from weyl4.pointgeom import build_j_frame, rotate_supplement
 from weyl4.selfdual import delta_wpm, lambda2_split, nabla_w_sd_matrices, wplus_matrix
 
 from paper_oracles import prop21_equivalence
@@ -220,10 +222,34 @@ def batch_specs(tmp_path_factory):
     return {s.id: s for s in builtin_manifolds() + [load_manifold_config(str(path))]}
 
 
+def one_row(x):
+    """A single point's value, or each field of a dataclass of them, as a stack of one row."""
+    if dataclasses.is_dataclass(x):
+        return type(x)(**{f.name: np.asarray(getattr(x, f.name))[None] for f in dataclasses.fields(x)})
+    return np.asarray(x)[None]
+
+
+def rotated_row(ctx, alpha):
+    """The row of ``ctx`` with its supplement rotated by ``alpha``, assembled from
+    the frame functions on the single context's rotated frame: none of the
+    repeating and per-row rotation of ``_stack_rows`` is used.  The
+    frame-free fields come from the one-row stack of the point itself."""
+    fr = rotate_supplement(ctx.frame, alpha)
+    star = star_ricci_family(ctx.bundle, ctx.acs, fr)
+    wplus = wplus_matrix(ctx.bundle, lambda2_split(fr, ctx.mp))
+    fields = dict(
+        I=fr.I, K=fr.K, star=star, nj=nabla_j_data(ctx.acs, ctx.bundle, fr), wplus=wplus,
+        proj=projections_p1p2(star, wplus.m),
+    )
+    if ctx.order >= 3:
+        fields["nabla_sd"] = nabla_w_sd_matrices(ctx.bundle, fr)
+    return dataclasses.replace(_stack_rows([ctx]), **{k: one_row(v) for k, v in fields.items()})
+
+
 def per_point_batches(spec, n_points, seed, rotations, ids):
     """(relative residual, signed margin) of every row run_suite builds (same
-    points, same rotation angles) where the record applies, from stacks of
-    one point and its rotations through the same residual step."""
+    points, same rotation angles) where the record applies, each row built
+    on its own by ``rotated_row`` and sent through the same residual step."""
     order = max(REGISTRY[rid].min_order for rid in ids)
     if "constant-s" in spec.tags:
         order = max(order, 3)
@@ -232,12 +258,13 @@ def per_point_batches(spec, n_points, seed, rotations, ids):
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, rotations))
     out = {rid: [] for rid in ids}
     for pt, alphas in zip(pts, angles):
-        rows = _stack_rows([point_context(spec, pt, order)], alphas[None])
-        masks = _gate_masks(rows)
-        for rid in ids:
-            res = _residual(REGISTRY[rid], rows, masks)
-            if res is not None:
-                out[rid] += list(zip(res[4], res[4] if res[5] is None else res[5]))
+        ctx = point_context(spec, pt, order)
+        for rows in [rotated_row(ctx, a) for a in (0.0, *alphas)] if spec.has_j else [_stack_rows([ctx])]:
+            masks = _gate_masks(rows)
+            for rid in ids:
+                res = _residual(REGISTRY[rid], rows, masks)
+                if res is not None:
+                    out[rid] += list(zip(res[4], res[4] if res[5] is None else res[5]))
     return out
 
 
@@ -256,10 +283,16 @@ def assert_rows_match_per_point_batches(spec, ids=None):
             assert row["min_signed_margin"] == pytest.approx(min(m for _, m in applied), **close)
 
 
+def jet_rows(spec, points):
+    """The rows of order-4 contexts at ``points`` before the frame stage has run."""
+    rows = [_row(point_context(spec, p, 4)) for p in points]
+    return Rows(**{k: np.array([r[k] for r in rows]) for k in rows[0]})
+
+
 def frame_stage(rows):
     """The arrays each frame function gives on ``rows`` (order-4 rows with a J), by function."""
     acs = AcsPoint.from_jets(rows.j_jets, rows)
-    frame = build_j_frame(rows, acs.J, FRAME_SEED, acs.orientation)
+    frame = build_j_frame(rows, acs, FRAME_SEED)
     basis = lambda2_split(frame, rows)
     star = star_ricci_family(rows, acs, frame)
     wplus = wplus_matrix(rows, basis)
@@ -304,13 +337,37 @@ class TestBatchedRows:
     @pytest.mark.parametrize("name", [s.id for s in builtin_manifolds()] + ["sak_torus_test"])
     def test_frame_functions_match_one_row_stacks(self, batch_specs, name):
         spec = batch_specs[name]
-        rows = _stack_rows([point_context(spec, p, 4) for p in spec.sample_points(8, np.random.default_rng(5))])
+        rows = jet_rows(spec, spec.sample_points(8, np.random.default_rng(5)))
         stacked = frame_stage(rows)
         for k in range(8):
             one = frame_stage(_leafwise(lambda v: v[k:k + 1], rows))
             for fn, arrays in stacked.items():
                 for a, b in zip(arrays, one[fn]):
                     np.testing.assert_allclose(b[0], a[k], rtol=1e-15, atol=1e-15, err_msg=f"{fn}, row {k}")
+
+    @pytest.mark.parametrize("name", [s.id for s in builtin_manifolds() if s.has_j] + ["sak_torus_test"])
+    def test_rotated_rows_match_single_context_rotations(self, batch_specs, name):
+        spec = batch_specs[name]
+        rng = np.random.default_rng(4)
+        pts, angles = spec.sample_points(5, rng), rng.uniform(0.0, 2.0 * np.pi, size=(5, 2))
+        rows = _stack_rows((point_context(spec, p, 4) for p in pts), angles)
+        for k, (pt, alphas) in enumerate(zip(pts, angles)):
+            ctx = point_context(spec, pt, 4)
+            for j, alpha in enumerate((0.0, *alphas)):
+                ref, i = rotated_row(ctx, alpha), 3 * k + j
+                got = _leafwise(lambda v: v[i:i + 1], rows)
+                for field in ("I", "K", "star", "nj", "wplus", "nabla_sd", "dwp", "w2", "lam_grad"):
+                    a, b = getattr(got, field), getattr(ref, field)
+                    pairs = zip(dataclasses.astuple(a), dataclasses.astuple(b)) if dataclasses.is_dataclass(a) else [(a, b)]
+                    for u, v in pairs:
+                        np.testing.assert_allclose(u, v, rtol=1e-15, atol=1e-15, err_msg=f"{field}, row {i}")
+                masks, ref_masks = _gate_masks(got), _gate_masks(ref)
+                for rid, record in REGISTRY.items():
+                    if record.evaluator is not None:
+                        res, ref_res = _residual(record, got, masks), _residual(record, ref, ref_masks)
+                        assert (res is None) == (ref_res is None), (rid, i)
+                        if res is not None:
+                            np.testing.assert_allclose(res[4], ref_res[4], rtol=1e-15, atol=1e-15, err_msg=f"{rid}, row {i}")
 
     def test_frame_functions_run_once_per_stack(self, stage_calls, batch_specs):
         once = dict.fromkeys(FRAME_FUNCTIONS[:-1] + ("AcsPoint.from_jets",), 1)
@@ -328,7 +385,7 @@ class TestBatchedRows:
 
     def test_stacked_density_matches_per_node_loop(self, batch_specs):
         spec = batch_specs["sak_torus_test"]
-        nodes = _gauss_grid(spec, 3)[0]  # 81 nodes: two chunks of the quadrature feed
+        nodes = _gauss_grid(spec, 3)[0]  # 81 nodes: several chunks of the quadrature feed
         stacked = evaluate_integrand(spec, nodes)
         for k, node in enumerate(nodes):
             for key, value in evaluate_integrand(spec, node).items():

@@ -12,7 +12,9 @@ from weyl4.curvature import (
     weyl_operator,
 )
 from weyl4.exprjet import eval_jet, jderiv, jvalue, parse_expression
-from weyl4.pointgeom import adjoint_endo, build_j_frame
+from weyl4.pointgeom import adjoint_endo
+
+from paper_oracles import j_frame
 
 XYZT = ("x", "y", "z", "t")
 
@@ -293,7 +295,7 @@ class TestLaplacian:
         pt = [0.2, -0.3, 0.1, 0.4]
         mp = spec.metric_point(pt, 4)
         b = curvature_bundle(mp)
-        fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+        fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
         w2 = wplus_norm2_jet(b, fr.orientation)
         assert abs(laplacian_scalar(w2, b.gamma_v, mp)) < 1e-8 * abs(b.S_v) ** 2
         w = wplus_matrix(b, lambda2_split(fr, mp))

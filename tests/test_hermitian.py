@@ -37,7 +37,7 @@ def make(name, pt, order=4):
     mp = spec.metric_point(pt, order)
     b = curvature_bundle(mp)
     acs = AcsPoint.from_jets(spec.j_jets(pt, 2), mp)
-    fr = build_j_frame(mp, acs.J, np.eye(4)[0])
+    fr = build_j_frame(mp, acs, np.eye(4)[0])
     return spec, mp, b, acs, fr
 
 
@@ -373,7 +373,7 @@ class TestConformal:
             mp2 = rescaled.metric_point(pt, 3)
             b2 = curvature_bundle(mp2)
             acs2 = AcsPoint.from_jets(spec.j_jets(pt, 2), mp2)
-            fr2 = build_j_frame(mp2, acs2.J, np.eye(4)[0])
+            fr2 = build_j_frame(mp2, acs2, np.eye(4)[0])
             nj2 = nabla_j_data(acs2, b2, fr2)
             scale = max(np.abs(nj2.nabla_j).max(), 1e-14)
             assert np.abs(pred - nj2.nabla_j).max() < 1e-7 * scale
@@ -384,7 +384,7 @@ class TestConformal:
         f_grad = rng.normal(size=4)
         for _ in range(5):
             X = rng.normal(size=4)
-            lhs, rhs = conformal_bracket(f_grad, X, fr)
+            lhs, rhs = conformal_bracket(f_grad, X, fr, mp)
             assert np.abs(lhs - rhs).max() < 1e-9 * max(np.abs(lhs).max(), 1.0)
 
 

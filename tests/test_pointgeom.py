@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weyl4.exprjet import jconst
+from weyl4.hermitian import AcsPoint
 from weyl4.pointgeom import (
     FrameError,
     I_STD,
@@ -10,7 +11,6 @@ from weyl4.pointgeom import (
     MetricError,
     MetricPoint,
     adjoint_endo,
-    build_j_frame,
     check_acs,
     chart_orientation,
     endo_to_form,
@@ -20,7 +20,7 @@ from weyl4.pointgeom import (
     rotate_supplement,
 )
 
-from paper_oracles import form_to_endo, inner_form
+from paper_oracles import form_to_endo, inner_form, j_frame
 
 
 def euclidean_mp(order=2):
@@ -116,32 +116,34 @@ def frame_invariant_residuals(frame, mp):
 class TestJFrame:
     def test_euclidean_standard_seed(self):
         mp = euclidean_mp()
-        fr = build_j_frame(mp, J_STD, np.eye(4)[0])
+        fr = j_frame(mp, J_STD, np.eye(4)[0])
         assert np.abs(fr.E - np.eye(4)).max() == 0.0
         assert np.abs(fr.I - I_STD).max() == 0.0
         assert np.abs(fr.K - K_STD).max() == 0.0
 
     def test_euclidean_third_seed(self):
         mp = euclidean_mp()
-        fr = build_j_frame(mp, J_STD, np.eye(4)[2])
+        fr = j_frame(mp, J_STD, np.eye(4)[2])
         assert frame_invariant_residuals(fr, mp) < 1e-10
 
     def test_fubini_study_chart_point(self, catalog):
         spec = catalog["fubini_study_cp2"]
         pt = [0.3, -0.2, 0.5, 0.1]
         mp = spec.metric_point(pt, 2)
-        fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+        fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
         assert frame_invariant_residuals(fr, mp) < 1e-10
 
     def test_degenerate_seed(self):
         mp = euclidean_mp()
         with pytest.raises(FrameError):
-            build_j_frame(mp, J_STD, np.zeros(4))
+            j_frame(mp, J_STD, np.zeros(4))
 
     def test_incompatible_j(self):
         mp = euclidean_mp()
         with pytest.raises(FrameError):
-            build_j_frame(mp, np.eye(4), np.eye(4)[0])
+            AcsPoint.from_jets(np.eye(4)[..., None], mp)
+        with pytest.raises(FrameError):
+            check_acs(np.eye(4), mp)
 
     def test_nan_j_rejected(self):
         J = J_STD.copy()
@@ -152,20 +154,20 @@ class TestJFrame:
     def test_rescaled_metric_validates_identically(self):
         # tolerances are relative to the largest eigenvalue
         mp = MetricPoint.from_jets(np.zeros(4), jconst(1e6 * np.eye(4), 2), 2)
-        fr = build_j_frame(mp, J_STD, np.eye(4)[0])
+        fr = j_frame(mp, J_STD, np.eye(4)[0])
         assert frame_invariant_residuals(fr, mp) < 1e-9
 
 
 class TestRotateSupplement:
     def test_zero_angle(self):
         mp = euclidean_mp()
-        fr = build_j_frame(mp, J_STD, np.eye(4)[0])
+        fr = j_frame(mp, J_STD, np.eye(4)[0])
         fr0 = rotate_supplement(fr, 0.0)
         assert np.abs(fr0.I - fr.I).max() == 0.0
 
     def test_quarter_turn(self):
         mp = euclidean_mp()
-        fr = rotate_supplement(build_j_frame(mp, J_STD, np.eye(4)[0]), np.pi / 2)
+        fr = rotate_supplement(j_frame(mp, J_STD, np.eye(4)[0]), np.pi / 2)
         assert np.abs(fr.I + K_STD).max() < 1e-15
         assert np.abs(fr.K - I_STD).max() < 1e-15
         assert frame_invariant_residuals(fr, mp) < 1e-12
@@ -174,7 +176,7 @@ class TestRotateSupplement:
         spec = catalog["kodaira_thurston"]
         pt = [0.4, 0.1, 0.7, 0.3]
         mp = spec.metric_point(pt, 2)
-        fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+        fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
         rng = np.random.default_rng(4)
         for alpha in rng.uniform(0, 2 * np.pi, size=6):
             assert frame_invariant_residuals(rotate_supplement(fr, alpha), mp) < 1e-12
@@ -184,7 +186,7 @@ class TestTwoFormCorrespondence:
     def test_j_gives_fundamental_form(self):
         mp, rng = random_spd_mp(5)
         # build a g-compatible J from a frame over a random metric
-        fr = build_j_frame(euclidean_mp(), J_STD, np.eye(4)[0])
+        fr = j_frame(euclidean_mp(), J_STD, np.eye(4)[0])
         w = endo_to_form(J_STD, euclidean_mp())
         for _ in range(10):
             X, Y = rng.normal(size=4), rng.normal(size=4)
@@ -223,7 +225,7 @@ class TestHodgeSplit:
             spec = catalog[name]
             pt = spec.sample_points(1, np.random.default_rng(8))[0]
             mp = spec.metric_point(pt, 2)
-            fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
             omegas = [endo_to_form(A, mp) for A in (fr.J, fr.I, fr.K)]
             for w in omegas:
                 assert np.abs(hodge_star(w, mp, fr.orientation) - w).max() < 1e-10
@@ -233,7 +235,7 @@ class TestHodgeSplit:
     def test_sd_asd_commute(self):
         # Lemma: a self-dual and an anti-self-dual skew endomorphism commute
         mp = euclidean_mp()
-        fr = build_j_frame(mp, J_STD, np.eye(4)[0])
+        fr = j_frame(mp, J_STD, np.eye(4)[0])
         rng = np.random.default_rng(9)
         for _ in range(10):
             A = sum(c * M for c, M in zip(rng.normal(size=3), fr.sd_endos()))

@@ -4,7 +4,7 @@ import pytest
 from weyl4.catalog import get_manifold
 from weyl4.conditions import point_context
 from weyl4.curvature import curvature_bundle
-from weyl4.pointgeom import adjoint_endo, build_j_frame, endo_to_form, inner_endo, rotate_supplement
+from weyl4.pointgeom import adjoint_endo, endo_to_form, inner_endo, rotate_supplement
 from weyl4.selfdual import (
     WplusMatrix,
     compose,
@@ -24,6 +24,7 @@ from paper_oracles import (
     apply_form_operator,
     delta_w_full,
     delta_wminus,
+    j_frame,
     nabla_wplus_norm2,
     pm_projectors,
     project_minus,
@@ -38,7 +39,7 @@ def make(name, pt, order=4):
     spec = get_manifold(name)
     mp = spec.metric_point(pt, order)
     b = curvature_bundle(mp)
-    fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+    fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
     return spec, mp, b, fr
 
 
@@ -114,7 +115,7 @@ class TestWplusMatrix:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 2)
             b = curvature_bundle(mp)
-            fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
             w = wplus_matrix(b, lambda2_split(fr, mp))
             norm = max(np.abs(w.m).max(), 1.0)
             assert abs(np.trace(w.m)) < 1e-9 * norm
@@ -214,7 +215,7 @@ class TestDeltaW:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 3)
             b = curvature_bundle(mp)
-            fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
             dwp, dwm = delta_wpm(b, fr), delta_wminus(b, fr)
             dw = delta_w_full(b)
             scale = max(np.abs(dw).max(), np.abs(b.riem_v).max(), 1.0)
@@ -236,7 +237,7 @@ class TestDeltaW:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 3)
             b = curvature_bundle(mp)
-            fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
             dwp = delta_wpm(b, fr)
             alt = gl121_delta_wplus(b.nabla_ric, b.dS, mp, fr)
             scale = max(np.abs(dwp).max(), np.abs(b.riem_v).max(), 1.0)
@@ -283,7 +284,7 @@ class TestNablaWplusNorms:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 2)
             b = curvature_bundle(mp)
-            fr = build_j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
             w = wplus_matrix(b, lambda2_split(fr, mp))
             w2 = wplus_norm2_jet(b, fr.orientation)
             assert w2.value == pytest.approx(w.norm2, rel=1e-9, abs=1e-9 * max(np.abs(b.riem_v).max(), 1.0) ** 2)
