@@ -36,7 +36,7 @@ for a, A in zip(names, frame.sd_endos()):
 
 print("\nself-duality of the associated 2-forms (star residuals):")
 for name, A in zip(names, frame.sd_endos()):
-    w = endo_to_form(A, mp, check=False)
+    w = endo_to_form(A, mp)
     print(f"  |*Omega_{name} - Omega_{name}| = {np.abs(hodge_star(w, mp, frame.orientation) - w).max():.2e}")
 
 # the supplement is only determined up to a rotation in the (I, K) plane

@@ -8,18 +8,18 @@ proportions, and the gap is exactly what the integrability conditions see.
 import numpy as np
 
 from weyl4.catalog import builtin_manifolds
-from weyl4.conditions import point_context
+from weyl4.conditions import point_context, stack_rows
 
 rng = np.random.default_rng(1)
 print(f"{'manifold':26s} {'|W+|^2':>10s} {'det W+':>10s} {'S^2/6':>10s}  eigenvalues")
 for spec in builtin_manifolds():
     pt = spec.sample_points(1, rng)[0]
-    ctx = point_context(spec, pt, order=2)
-    w = ctx.wplus
-    eig = ", ".join(f"{v: .4f}" for v in w.eigenvalues)
+    r = stack_rows([point_context(spec, pt, order=2)])  # a stack of one row
+    w = r.wplus
+    eig = ", ".join(f"{v: .4f}" for v in w.eigenvalues[0])
     print(
-        f"{spec.id:26s} {w.norm2:10.4f} {w.det:10.4f} "
-        f"{ctx.S**2 / 6:10.4f}  ({eig})"
+        f"{spec.id:26s} {w.norm2[0]:10.4f} {w.det[0]:10.4f} "
+        f"{r.S_v[0]**2 / 6:10.4f}  ({eig})"
     )
 
 print("\ncharacteristic polynomial is t^3 - |W+|^2/2 t - det(W+); on the")

@@ -19,13 +19,14 @@ import functools
 import io
 import unicodedata
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import Weyl4Error, exprjet
 from .exprjet import Expr, Tape, compile_tape, eval_values, expr_to_string, parse_expression
-from .pointgeom import MetricPoint, adjoint_endo
+from .pointgeom import MetricPoint, acs_residuals
 
 KNOWN_TAGS = ("flat", "einstein", "kahler", "almost-kahler", "constant-s", "conformally-flat")
 
@@ -69,6 +70,7 @@ class ManifoldSpec:
         return exprjet.eval_jet(self._checked_j_tape(), point, order)
 
     def j_matrix(self, point: Sequence[float]) -> np.ndarray:
+        """J at a point, or (4, 4, ...) over coordinate arrays as ``metric_values`` takes them."""
         return eval_values(self._checked_j_tape(), list(point))
 
     def _checked_j_tape(self) -> Tape:
@@ -512,13 +514,11 @@ def validate_spec(spec: ManifoldSpec, n_samples: int = 20, seed: int = 0) -> lis
         violations.append(f"metric not positive definite at {p.tolist()}: eigenvalues {eig}")
 
     if spec.has_j and not violations:
-        r_sq, r_ad = [], []
-        for p in pts:
-            mp = spec.metric_point(p, order=0)
-            J = spec.j_matrix(p)
-            r_sq.append(np.abs(J @ J + np.eye(4)).max())
-            r_ad.append(np.abs(adjoint_endo(J, mp) + J).max())
-        for what, r in (("J^2 != -1", r_sq), ("J not g-skew", r_ad)):
+        coords = list(pts.T)
+        g = spec.metric_values(coords)
+        J = np.moveaxis(spec.j_matrix(coords), (0, 1), (-2, -1))
+        residuals = acs_residuals(J, SimpleNamespace(g=g, g_inv=np.linalg.inv(g)))
+        for what, r in zip(("J^2 != -1", "J not g-skew"), residuals):
             k = int(np.argmax(r))
             if not r[k] <= 1e-10:
                 violations.append(f"{what}: residual {r[k]:.3e} at {pts[k].tolist()}")

@@ -4,13 +4,12 @@ Each numbered relation from the source material is an :class:`IdentityRecord`:
 an evaluator, a numeric applicability gate (Kahler / almost-Kahler /
 two-eigenvalue / divergence-free, support on |W+| or S) and the minimum
 metric jet order it needs.  ``point_context`` is the jet stage, one call
-per point; ``_stack_rows`` copies the order-0 values of many contexts into
-one :class:`Rows` stack, dropping each context, and runs the frame stage
-(J-frames, star-Ricci family, nabla J, W+) once on the stack.  Each gate is
-then one mask over the rows, and each evaluator is called once per run on
-the rows its gate admits: stacked rows in, arrays of (lhs, rhs, abs
-residual, scale) out.  ``evaluate_identity`` is the same step on a stack of
-one row.
+per point, and returns the point's frame-free row; ``stack_rows`` stacks
+many rows into one :class:`Rows` and runs the frame stage (J-frames,
+star-Ricci family, nabla J, W+) once on the stack.  Each gate is then one
+mask over the rows, and each evaluator is called once per run on the rows
+its gate admits: stacked rows in, arrays of (lhs, rhs, abs residual,
+scale) out.  ``evaluate_identity`` is the same step on a stack of one row.
 
 Relative residuals are ``abs / max(scale, 1e-14)`` where the scale is the
 largest absolute term on either side, so identities mixing quantities of
@@ -20,7 +19,6 @@ different magnitude stay comparable.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -31,7 +29,7 @@ import numpy as np
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
 from .curvature import InsufficientJetOrder, curvature_bundle, laplacian_scalar, weyl_operator
-from .exprjet import Jet, jvalue
+from .exprjet import jvalue
 from .hermitian import (
     AcsPoint,
     NablaJData,
@@ -84,86 +82,50 @@ class QuadratureError(ConditionsError):
 
 
 # ---------------------------------------------------------------------------
-# Point context
+# The jet stage, the stacked rows and the frame stage
 # ---------------------------------------------------------------------------
 
 
 FRAME_SEED = np.eye(4)[0]  # every J-frame starts from the first chart basis vector
 
 
-def _frame_part(build):
-    """Frame data of a single context, built from it alone on first read (None without J)."""
-    return functools.cached_property(lambda ctx: None if ctx.j_jets is None else build(ctx))
-
-
-@dataclass
-class PointContext:
-    """The jet stage at one point: metric and curvature jets, the jets of J
-    and the frame-free |W+|^2 and lambda jets.  A stack of contexts gets its
-    frame data from ``_stack_rows``; a single one reads them below."""
-
-    spec: ManifoldSpec
-    point: np.ndarray
-    order: int
-    mp: object
-    bundle: object
-    j_jets: Optional[np.ndarray] = None  # J to jet order 2
-    w2jet: Optional[Jet] = None
-    lam_jet: Optional[Jet] = None
-
-    @property
-    def S(self) -> float:
-        return self.bundle.S_v
-
-    @functools.cached_property
-    def curvature_scale(self) -> float:
-        """Characteristic curvature magnitude; residual denominators never
-        drop below it, so identities whose sides vanish only up to rounding
-        (flat or Einstein points) normalize against the size of the
-        quantities they cancel from.  Computed once per context."""
-        return max(1.0, float(np.abs(self.bundle.riem_v).max()), abs(self.bundle.S_v))
-
-    acs = _frame_part(lambda c: AcsPoint.from_jets(c.j_jets, c.mp))
-    frame = _frame_part(lambda c: build_j_frame(c.mp, c.acs, FRAME_SEED))
-    star = _frame_part(lambda c: star_ricci_family(c.bundle, c.acs, c.frame))
-    nj = _frame_part(lambda c: nabla_j_data(c.acs, c.bundle, c.frame))
-    basis = _frame_part(lambda c: lambda2_split(c.frame, c.mp))
-    wplus = _frame_part(lambda c: wplus_matrix(c.bundle, c.basis))
-    nabla_sd = _frame_part(lambda c: nabla_w_sd_matrices(c.bundle, c.frame))  # 3x3 matrices of nabla_p W+
-
-
-def point_context(
-    spec: ManifoldSpec,
-    point: Sequence[float],
-    order: int,
-) -> PointContext:
+def point_context(spec: ManifoldSpec, point: Sequence[float], order: int) -> dict:
+    """The jet stage at one point: the frame-free row of ``stack_rows``,
+    read off the metric and curvature jets, the jets of J and the |W+|^2
+    and lambda jets.  Values that view a jet are copied, so no jet outlives
+    the call."""
     point = np.asarray(point, dtype=float)
     mp = spec.metric_point(point, order)
-    bundle = curvature_bundle(mp)
-    ctx = PointContext(spec=spec, point=point, order=order, mp=mp, bundle=bundle)
-    if spec.has_j:
-        ctx.j_jets = spec.j_jets(point, 2)
-        # |W+|^2 needs the orientation J induces, not a frame
-        ctx.w2jet = wplus_norm2_jet(bundle, chart_orientation(jvalue(ctx.j_jets), mp))
-        if order >= 3:
-            ctx.lam_jet = lambda_jet(bundle, ctx.j_jets)
-    return ctx
-
-
-# ---------------------------------------------------------------------------
-# Stacked rows and the frame stage
-# ---------------------------------------------------------------------------
+    b = curvature_bundle(mp)
+    row = dict(
+        point=point, S_v=b.S_v, riem_v=b.riem_v.copy(), ric_v=b.ric_v.copy(), weyl_v=b.weyl_v.copy(),
+        g=mp.g.copy(), g_inv=mp.g_inv.copy(),
+    )
+    if order >= 3:
+        row.update(dS=b.dS, nabla_ric=b.nabla_ric.copy())
+    if not spec.has_j:
+        return row
+    j_jets = spec.j_jets(point, 2)
+    # |W+|^2 needs the orientation J induces, not a frame
+    w2jet = wplus_norm2_jet(b, chart_orientation(jvalue(j_jets), mp))
+    row.update(j_jets=j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v, w2=w2jet.value)
+    if order >= 3:
+        row.update(nabla_weyl=b.nabla_weyl, w2_grad=w2jet.gradient(), lam_grad=lambda_jet(b, j_jets).gradient())
+    if order >= 4:
+        row.update(w2_lap=laplacian_scalar(w2jet, b.gamma_v, mp), nabla2_ric=b.nabla2_ric)
+    return row
 
 
 @dataclass(frozen=True)
 class Rows:
-    """Order-0 quantities of many contexts of one jet order; axis 0 has one
-    row per context, or per rotation of its supplement.  ``_row`` gives the
-    fields up to ``nabla2_ric``, the frame stage the rest; that stage reads
-    ``nabla_weyl`` and keeps only its per-row maximum.  The rows serve the
-    helpers as metric, curvature bundle and frame.  ``dS`` and ``nabla_ric`` need
-    jet order 3; the fields from ``j_jets`` on need J, and ``nabla_weyl`` to
-    ``lam_grad`` order 3 as well (``w2_lap`` and ``nabla2_ric`` order 4)."""
+    """Order-0 quantities at many points of one jet order; axis 0 has one
+    row per point, or per rotation of its supplement.  ``point_context``
+    gives the fields up to ``nabla2_ric``, ``stack_rows`` the rest; the
+    frame stage reads ``nabla_weyl`` and keeps only its per-row maximum.
+    The rows serve the frame functions as metric and curvature bundle.
+    ``dS`` and ``nabla_ric`` need jet order 3; the fields from ``j_jets`` on
+    need J, and ``nabla_weyl`` to ``lam_grad`` order 3 as well (``w2_lap``
+    and ``nabla2_ric`` order 4)."""
 
     point: np.ndarray
     S_v: np.ndarray
@@ -208,26 +170,6 @@ class Rows:
         return getattr(self, field)
 
 
-def _row(ctx: PointContext) -> dict:
-    """The frame-free fields of one context.  Values that view the context's
-    jets are copied, so nothing keeps the context alive once its row is taken."""
-    b = ctx.bundle
-    row = dict(
-        point=ctx.point, S_v=b.S_v, riem_v=b.riem_v.copy(), ric_v=b.ric_v.copy(), weyl_v=b.weyl_v.copy(),
-        g=ctx.mp.g.copy(), g_inv=ctx.mp.g_inv.copy(), curvature_scale=ctx.curvature_scale,
-    )
-    if ctx.order >= 3:
-        row.update(dS=b.dS, nabla_ric=b.nabla_ric.copy())
-    if ctx.j_jets is None:
-        return row
-    row.update(j_jets=ctx.j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v, w2=ctx.w2jet.value)
-    if ctx.order >= 3:
-        row.update(nabla_weyl=b.nabla_weyl, w2_grad=ctx.w2jet.gradient(), lam_grad=ctx.lam_jet.gradient())
-    if ctx.order >= 4:
-        row.update(w2_lap=laplacian_scalar(ctx.w2jet, b.gamma_v, ctx.mp), nabla2_ric=b.nabla2_ric)
-    return row
-
-
 def _leafwise(fn, x):
     """``fn`` of every array of ``x``: dataclasses recurse field by field, anything else stays."""
     if is_dataclass(x):
@@ -235,14 +177,19 @@ def _leafwise(fn, x):
     return fn(x) if isinstance(x, np.ndarray) else x
 
 
-def _stack_rows(contexts: Iterable[PointContext], angles: Optional[np.ndarray] = None) -> Rows:
-    """The rows of ``contexts``, consumed one at a time so that each context
-    is dropped once its row is taken, and the frame stage run once on them.
-    ``angles`` (one row of rotation angles per context) puts after each
-    context's row one more row per angle, the supplement rotated by it; the
-    frame-free fields, delta W+ included, are repeated onto those rows."""
-    rows = [_row(ctx) for ctx in contexts]
-    rows = Rows(**{k: np.array([r[k] for r in rows]) for k in rows[0]})
+def stack_rows(rows: Iterable[dict], angles: Optional[np.ndarray] = None) -> Rows:
+    """The rows of ``point_context`` as one stack, each row's curvature
+    scale, and the frame stage run once on them.  ``angles`` (one row of
+    rotation angles per point) puts after each point's row one more row
+    per angle, the supplement rotated by it; the frame-free fields, the
+    curvature scale and delta W+ included, are repeated onto those rows."""
+    rows = list(rows)
+    cols = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+    # residual scales never drop below max(1, max |Riem|, |S|), so identities that cancel only
+    # to rounding (flat or Einstein points) normalize against the quantities they cancel;
+    # like Python's max, fmax passes over a NaN term
+    scale = np.fmax(np.fmax(1.0, _amax(cols["riem_v"])), np.abs(cols["S_v"]))
+    rows = Rows(**cols, curvature_scale=scale)
     if rows.j_jets is None:
         return rows
     acs = AcsPoint.from_jets(rows.j_jets, rows)
@@ -612,26 +559,15 @@ def _residual(record: IdentityRecord, rows: Rows, masks: dict) -> Optional[tuple
     return lhs, rhs, abs_res, scale, abs_res / denom, margin
 
 
-def evaluate_identity(
-    record_id: str,
-    spec: ManifoldSpec,
-    point: Sequence[float],
-    ctx: Optional[PointContext] = None,
-) -> IdentityResidual:
-    """Evaluate one registry identity at one point: a stack of one row
-    through the residual step ``run_suite`` uses."""
+def evaluate_identity(record_id: str, spec: ManifoldSpec, point: Sequence[float]) -> IdentityResidual:
+    """Evaluate one registry identity at one point, at the record's jet
+    order: a stack of one row through the residual step ``run_suite`` uses."""
     if record_id not in REGISTRY:
         raise ConditionsError(f"unknown identity '{record_id}'")
     record = REGISTRY[record_id]
     if record.evaluator is None:
         raise ConditionsError(f"{record_id} is an integral identity; use check_integral_formulas")
-    if ctx is None:
-        ctx = point_context(spec, point, record.min_order)
-    if ctx.order < record.min_order:
-        raise ConditionsError(
-            f"{record.id} needs metric jet order {record.min_order}, context has {ctx.order}"
-        )
-    rows = _stack_rows([ctx])
+    rows = stack_rows([point_context(spec, point, record.min_order)])
     res = _residual(record, rows, _gate_masks(rows))
     pt = tuple(np.asarray(point, float))
     if res is None:
@@ -764,7 +700,7 @@ def run_suite(
     pts = spec.sample_points(n_points, rng)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, rotations)) if rotations else None
 
-    rows = _stack_rows((point_context(spec, pt, order) for pt in pts), angles if spec.has_j else None)
+    rows = stack_rows((point_context(spec, pt, order) for pt in pts), angles if spec.has_j else None)
     masks = _gate_masks(rows)
     # tags and classification read each point once, not its rotations
     base = _leafwise(lambda v: v[:: 1 + rotations], rows) if rotations and spec.has_j else rows
@@ -878,7 +814,7 @@ def classify_structure(spec: ManifoldSpec, n_points: int, seed: int = 0,
     if n_points < 1:
         raise ConditionsError("n_points must be >= 1")
     pts = spec.sample_points(n_points, np.random.default_rng(seed))
-    return _classify(_stack_rows(point_context(spec, pt, 2) for pt in pts).nj, tol_pass, tol_fail)
+    return _classify(stack_rows(point_context(spec, pt, 2) for pt in pts).nj, tol_pass, tol_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +923,7 @@ def evaluate_integrand(spec: ManifoldSpec, points: np.ndarray) -> dict:
     shape (..., 4): one array of shape (...) per key, from one frame stage."""
     if not spec.has_j:
         raise ConditionsError("integral formulas need an almost complex structure")
-    r = _stack_rows(point_context(spec, p, 4) for p in np.reshape(points, (-1, 4)))
+    r = stack_rows(point_context(spec, p, 4) for p in np.reshape(points, (-1, 4)))
     values = {
         "q_j": q_j_integrand(r, r.J),
         "rt2": r.star.rt2,

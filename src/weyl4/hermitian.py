@@ -50,7 +50,7 @@ class AcsPoint:
         """Validated J: compatible with g, and Omega_J self-dual, on every row."""
         J = jvalue(j_jets)
         check_acs(J, mp, tol)
-        omega = endo_to_form(J, mp, check=False)
+        omega = endo_to_form(J, mp)
         sigma = chart_orientation(J, mp)
         r3 = np.abs(hodge_star(omega, mp, sigma) - omega).max(axis=(-2, -1))
         raise_at_first(~(r3 <= tol * np.fmax(np.abs(omega).max(axis=(-2, -1)), 1.0)), mp, "structure",

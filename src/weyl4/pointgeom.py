@@ -31,11 +31,6 @@ J_STD = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dty
 I_STD = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
 K_STD = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]], dtype=float)
 
-# Anti-self-dual counterparts (second block of J flipped, etc.)
-JM_STD = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float)
-IM_STD = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
-KM_STD = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
-
 
 EPS4 = np.zeros((N, N, N, N))
 EPS4[tuple(PERMUTATIONS4.T)] = PERM_SIGNS4
@@ -119,10 +114,8 @@ def inner_endos(As: np.ndarray, Bs: np.ndarray, mp: MetricPoint) -> np.ndarray:
     return np.einsum("...akj,...bkj->...ab", As, mp.g[..., None, :, :] @ Bs @ mp.g_inv[..., None, :, :]) / N
 
 
-def endo_to_form(A: np.ndarray, mp: MetricPoint, check: bool = True) -> np.ndarray:
+def endo_to_form(A: np.ndarray, mp: MetricPoint) -> np.ndarray:
     """2-form of a skew endomorphism: Omega_A(X,Y) = g(AX, Y)."""
-    if check and not is_skew(A, mp):
-        raise ValueError("endomorphism is not skew with respect to g")
     return np.swapaxes(A, -1, -2) @ mp.g
 
 
@@ -137,7 +130,7 @@ def hodge_star(w: np.ndarray, mp: MetricPoint, orientation) -> np.ndarray:
 def chart_orientation(J: np.ndarray, mp: MetricPoint) -> np.ndarray:
     """Sign of the chart basis in the orientation with vol = Omega_J^2 / 2
     (0 where Omega_J is degenerate, which the self-duality check rejects)."""
-    w = endo_to_form(J, mp, check=False)
+    w = endo_to_form(J, mp)
     return np.sign(w[..., 0, 1] * w[..., 2, 3] - w[..., 0, 2] * w[..., 1, 3] + w[..., 0, 3] * w[..., 1, 2])
 
 
@@ -165,15 +158,16 @@ class SelfDualFrame:
     def sd_endos(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.J, self.I, self.K
 
-    def asd_endos(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        Einv = np.linalg.inv(self.E)
-        return tuple(self.E @ M @ Einv for M in (JM_STD, IM_STD, KM_STD))
+
+def acs_residuals(J: np.ndarray, mp) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entries of J^2 + 1 and of J* + J, per row: J is compatible
+    with g where both vanish.  ``mp`` is anything holding ``g`` and ``g_inv``."""
+    return np.abs(J @ J + np.eye(N)).max(axis=(-2, -1)), np.abs(adjoint_endo(J, mp) + J).max(axis=(-2, -1))
 
 
 def check_acs(J: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> None:
     """Validate J^2 = -1 and J* = -J on every row (a NaN residual fails)."""
-    r1 = np.abs(J @ J + np.eye(N)).max(axis=(-2, -1))
-    r2 = np.abs(adjoint_endo(J, mp) + J).max(axis=(-2, -1))
+    r1, r2 = acs_residuals(J, mp)
     raise_at_first(
         ~((r1 <= tol) & (r2 <= tol)), mp, "structure",
         lambda k: f"not a compatible almost complex structure "

@@ -1,4 +1,4 @@
-"""Self-dual / anti-self-dual splitting and the W+ apparatus.
+"""The self-dual basis of 2-forms and the W+ apparatus.
 
 Operators on 2-forms are handled through matrices M with
 ``(C w)_{ij} = M[i,j,k,l] w_{kl}`` (full sums).  For the operator induced by
@@ -94,19 +94,15 @@ def interior_product(U: np.ndarray, C04: np.ndarray, mp) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Lambda2Basis:
-    """Six orthonormal skew endomorphisms (2-forms through Omega_A = g(A., .)),
-    the first three spanning the self-dual part."""
+    """Orthonormal self-dual skew endomorphisms (J, I, K), 2-forms through
+    Omega_A = g(A., .)."""
 
-    endos: tuple        # (J, I, K, J-, I-, K-)
+    sd: tuple
     mp: MetricPoint
-
-    @property
-    def sd(self) -> tuple:
-        return self.endos[:3]
 
 
 def lambda2_split(frame: SelfDualFrame, mp: MetricPoint) -> Lambda2Basis:
-    return Lambda2Basis(endos=frame.sd_endos() + frame.asd_endos(), mp=mp)
+    return Lambda2Basis(sd=frame.sd_endos(), mp=mp)
 
 
 # ---------------------------------------------------------------------------

@@ -6,28 +6,65 @@ records.  The helpers here compute further facts of the paper a second way
 nabla J, the almost-Kahler Rtic identity) or spell out a kernel element by
 element (2-form operators, W-, the full divergence of W, the (+)/(-)
 projections), so that tests can hold the package's quantities against
-them.  They read only what a point context keeps.
+them.  ``frame_reference`` builds the frame data of one point from the
+frame functions directly, apart from the stacked rows of the package.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from weyl4.conditions import point_context
-from weyl4.hermitian import AcsPoint, rtilde_table
-from weyl4.pointgeom import build_j_frame, endo_to_form, inner_endo, inner_endos
+from weyl4.conditions import FRAME_SEED
+from weyl4.curvature import curvature_bundle
+from weyl4.hermitian import AcsPoint, nabla_j_data, rtilde_table, star_ricci_family
+from weyl4.pointgeom import build_j_frame, endo_to_form, inner_endo, inner_endos, rotate_supplement
 from weyl4.selfdual import (
     _weyl_on,
     compose,
     form_operator,
     identity_operator,
     interior_product,
+    lambda2_split,
+    nabla_w_sd_matrices,
     operator_to_04,
     star_operator,
+    wplus_matrix,
 )
+
+# Frame-basis matrices of the anti-self-dual counterparts of J_STD, I_STD and
+# K_STD in weyl4.pointgeom (the second block of J flipped, etc.)
+JM_STD = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float)
+IM_STD = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+KM_STD = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
 
 
 def j_frame(mp, J, seed):
     """The J-frame of a J matrix, validated as the package validates it (``AcsPoint.from_jets``)."""
     return build_j_frame(mp, AcsPoint.from_jets(np.asarray(J, dtype=float)[..., None], mp), seed)
+
+
+def frame_reference(spec, point, order, alpha=0.0):
+    """Frame data at one point, each piece from one frame function on the
+    point's own metric and curvature bundle, with the supplement rotated by
+    ``alpha``: a single-point reference that shares no code with the stacked
+    rows of ``weyl4.conditions.stack_rows``."""
+    mp = spec.metric_point(point, order)
+    bundle = curvature_bundle(mp)
+    acs = AcsPoint.from_jets(spec.j_jets(point, 2), mp)
+    frame = rotate_supplement(build_j_frame(mp, acs, FRAME_SEED), alpha)
+    basis = lambda2_split(frame, mp)
+    return SimpleNamespace(
+        mp=mp, bundle=bundle, acs=acs, frame=frame, basis=basis,
+        star=star_ricci_family(bundle, acs, frame), nj=nabla_j_data(acs, bundle, frame),
+        wplus=wplus_matrix(bundle, basis), nabla_sd=nabla_w_sd_matrices(bundle, frame) if order >= 3 else None,
+        curvature_scale=max(1.0, float(np.abs(bundle.riem_v).max()), abs(bundle.S_v)),
+    )
+
+
+def asd_endos(frame):
+    """The anti-self-dual triple (J-, I-, K-) of a J-frame, orthonormal like (J, I, K)."""
+    Einv = np.linalg.inv(frame.E)
+    return tuple(frame.E @ M @ Einv for M in (JM_STD, IM_STD, KM_STD))
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +101,17 @@ def _project(endos, A, mp):
 
 def project_plus(basis, A):
     """Self-dual part of a skew endomorphism, from a ``Lambda2Basis``."""
-    return _project(basis.endos[:3], A, basis.mp)
+    return _project(basis.sd, A, basis.mp)
 
 
-def project_minus(basis, A):
-    """Anti-self-dual part of a skew endomorphism, from a ``Lambda2Basis``."""
-    return _project(basis.endos[3:], A, basis.mp)
+def project_minus(frame, A, mp):
+    """Anti-self-dual part of a skew endomorphism, from a J-frame."""
+    return _project(asd_endos(frame), A, mp)
 
 
-def wminus_matrix(bundle, basis):
-    """W- in the orthonormal anti-self-dual basis."""
-    return _weyl_on(bundle, basis.endos[3:], basis.mp)
+def wminus_matrix(bundle, frame):
+    """W- in the orthonormal anti-self-dual basis of a J-frame."""
+    return _weyl_on(bundle, asd_endos(frame), bundle.mp)
 
 
 def pm_projectors(mp, orientation):
@@ -98,10 +135,10 @@ def delta_w_full(bundle):
     return np.einsum("km,an,kimbn->iab", gi, gi, nw)
 
 
-def nabla_wplus_norm2(ctx):
-    """|nabla W+|^2 at one point context, from its 3x3 matrices of nabla_p W+."""
-    n = ctx.nabla_sd
-    return float(np.einsum("pq,pab,qba->", ctx.mp.g_inv, n, n))
+def nabla_wplus_norm2(ref):
+    """|nabla W+|^2 at one point, from the 3x3 matrices of nabla_p W+ of its ``frame_reference``."""
+    n = ref.nabla_sd
+    return float(np.einsum("pq,pab,qba->", ref.mp.g_inv, n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +189,7 @@ def theta_form(bundle, frame):
 def p1_p2_operators(frame, mp):
     """Form-operator matrices of P_1 (projection on the Omega_J axis) and
     P_2 = P_+ - P_1."""
-    w = endo_to_form(frame.J, mp, check=False)
+    w = endo_to_form(frame.J, mp)
     w_up = mp.g_inv @ w @ mp.g_inv.T
     P1 = 0.25 * np.einsum("ij,kl->ijkl", w, w_up)
     Pp = 0.5 * (identity_operator() + star_operator(mp, frame.orientation))
@@ -198,16 +235,16 @@ def prop21_equivalence(spec, n_points, seed=0):
     rng = np.random.default_rng(seed)
     rows = []
     for pt in spec.sample_points(n_points, rng):
-        ctx = point_context(spec, pt, 2)
-        lam = ctx.star.lam
-        w = ctx.wplus
+        ref = frame_reference(spec, pt, 2)
+        lam = ref.star.lam
+        w = ref.wplus
         scale = max(w.norm2, 6.0 * lam**2, 1.0)
         target = np.sort(np.array([2.0 * lam, -lam, -lam]))[::-1]
         r1 = float(np.sum((w.eigenvalues - target) ** 2)) / scale
         r2 = abs(w.norm2 - 6.0 * lam**2) / scale
         F = lam * np.diag([2.0, -1.0, -1.0])
         r3 = float(np.sum((w.m - F) ** 2)) / scale
-        r4 = (ctx.star.ric_star_minus2 + ctx.star.rtm2) / scale
+        r4 = (ref.star.ric_star_minus2 + ref.star.rtm2) / scale
         rs = (r1, r2, r3, r4)
         coherent = "small" if max(rs) <= 1e-8 else ("large" if min(rs) >= 1e-4 else "incoherent")
         rows.append({"point": list(map(float, pt)), "residuals": [float(r) for r in rs],

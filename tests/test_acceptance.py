@@ -17,6 +17,7 @@ from weyl4.conditions import (
     check_integral_formulas,
     point_context,
     run_suite,
+    stack_rows,
 )
 from weyl4.curvature import curvature_bundle
 from weyl4.exprjet import eval_jet, eval_values
@@ -39,19 +40,18 @@ def test_criterion_1_flat_baseline():
     for name in ("euclidean_flat", "flat_torus"):
         spec = get_manifold(name)
         rng = np.random.default_rng(1)
-        for pt in spec.sample_points(100, rng):
-            ctx = point_context(spec, pt, 2)
-            quantities = [
-                np.abs(ctx.bundle.riem_v).max(),
-                np.abs(ctx.bundle.ric_v).max(),
-                abs(ctx.bundle.S_v),
-                np.abs(ctx.wplus.m).max(),
-                np.abs(ctx.nj.nabla_j).max(),
-                ctx.nj.nijenhuis_norm,
-                np.sqrt(ctx.star.rt2),
-                np.sqrt(ctx.star.ric_star_minus2),
-            ]
-            worst = max(worst, max(quantities))
+        rows = stack_rows(point_context(spec, pt, 2) for pt in spec.sample_points(100, rng))
+        quantities = [
+            np.abs(rows.riem_v).max(),
+            np.abs(rows.ric_v).max(),
+            np.abs(rows.S_v).max(),
+            np.abs(rows.wplus.m).max(),
+            np.abs(rows.nj.nabla_j).max(),
+            rows.nj.nijenhuis_norm,
+            np.sqrt(rows.star.rt2).max(),
+            np.sqrt(rows.star.ric_star_minus2).max(),
+        ]
+        worst = max(worst, max(quantities))
     runtime = time.perf_counter() - t0
     ok = worst < 1e-9 and runtime < 10.0
     report(1, ok, f"flat baseline: worst quantity norm {worst:.2e}, runtime {runtime:.1f}s")
@@ -107,15 +107,11 @@ def test_criterion_3_universal_identities():
 def test_criterion_4_strictly_almost_kahler():
     spec = get_manifold("kodaira_thurston")
     rng = np.random.default_rng(4)
-    worst_domega = worst_eta = 0.0
-    min_nj2 = np.inf
-    min_nijenhuis = np.inf
-    for pt in spec.sample_points(20, rng):
-        ctx = point_context(spec, pt, 2)
-        worst_domega = max(worst_domega, ctx.nj.d_omega_norm)
-        worst_eta = max(worst_eta, float(np.abs(ctx.nj.eta - ctx.acs.J @ ctx.nj.xi).max()))
-        min_nj2 = min(min_nj2, ctx.nj.norm2)
-        min_nijenhuis = min(min_nijenhuis, ctx.nj.nijenhuis_norm)
+    rows = stack_rows(point_context(spec, pt, 2) for pt in spec.sample_points(20, rng))
+    worst_domega = rows.nj.d_omega_norm
+    worst_eta = float(np.abs(rows.nj.eta - (rows.J @ rows.nj.xi[..., None])[..., 0]).max())
+    min_nj2 = float(rows.nj.norm2.min())
+    min_nijenhuis = float(np.abs(rows.nj.nijenhuis).reshape(len(rows.S_v), -1).max(axis=1).min())
 
     from weyl4.conditions import classify_structure
 

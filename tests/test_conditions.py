@@ -21,27 +21,26 @@ from weyl4.conditions import (
     integrate_density,
     point_context,
     run_suite,
+    stack_rows,
 )
 from weyl4 import conditions
 from weyl4.conditions import (
     FRAME_SEED,
-    PointContext,
     Rows,
     _classify,
     _gate_masks,
     _gauss_grid,
     _leafwise,
     _residual,
-    _row,
-    _stack_rows,
     _tag_report,
     _verdict,
 )
+from weyl4.curvature import curvature_bundle
 from weyl4.hermitian import AcsPoint, nabla_j_data, projections_p1p2, q_j_integrand, star_ricci_family
-from weyl4.pointgeom import build_j_frame, rotate_supplement
+from weyl4.pointgeom import build_j_frame
 from weyl4.selfdual import delta_wpm, lambda2_split, nabla_w_sd_matrices, wplus_matrix
 
-from paper_oracles import prop21_equivalence
+from paper_oracles import frame_reference, prop21_equivalence
 
 SPEC_REGISTRY_IDS = {
     "EQ01", "EQ02", "EQ03", "EQ04", "EQ05", "EQ06",
@@ -69,11 +68,10 @@ class TestRegistry:
         with pytest.raises(ConditionsError):
             evaluate_identity("EQ117", get_manifold("flat_torus"), [0, 0, 0, 0])
 
-    def test_insufficient_order_reported(self):
-        spec = get_manifold("fubini_study_cp2")
-        ctx = point_context(spec, [0.1, 0.1, 0.1, 0.1], 2)
-        with pytest.raises(ConditionsError):
-            evaluate_identity("EQ133", spec, ctx.point, ctx=ctx)
+    def test_point_built_at_the_records_jet_order(self):
+        # EQ133 reads the Laplacian of |W+|^2, which needs metric jet order 4
+        res = evaluate_identity("EQ133", get_manifold("fubini_study_cp2"), [0.1, 0.1, 0.1, 0.1])
+        assert res.applicable and res.rel_residual < 1e-8
 
 
 class TestEvaluateIdentity:
@@ -229,21 +227,20 @@ def one_row(x):
     return np.asarray(x)[None]
 
 
-def rotated_row(ctx, alpha):
-    """The row of ``ctx`` with its supplement rotated by ``alpha``, assembled from
-    the frame functions on the single context's rotated frame: none of the
-    repeating and per-row rotation of ``_stack_rows`` is used.  The
-    frame-free fields come from the one-row stack of the point itself."""
-    fr = rotate_supplement(ctx.frame, alpha)
-    star = star_ricci_family(ctx.bundle, ctx.acs, fr)
-    wplus = wplus_matrix(ctx.bundle, lambda2_split(fr, ctx.mp))
+def rotated_row(spec, pt, order, alpha):
+    """The row at ``pt`` with its supplement rotated by ``alpha``, its frame
+    fields from ``frame_reference``: none of the repeating and per-row
+    rotation of ``stack_rows`` is used.  The frame-free fields come from the
+    one-row stack of the point itself."""
+    ref = frame_reference(spec, pt, order, alpha)
     fields = dict(
-        I=fr.I, K=fr.K, star=star, nj=nabla_j_data(ctx.acs, ctx.bundle, fr), wplus=wplus,
-        proj=projections_p1p2(star, wplus.m),
+        I=ref.frame.I, K=ref.frame.K, star=ref.star, nj=ref.nj, wplus=ref.wplus,
+        proj=projections_p1p2(ref.star, ref.wplus.m),
     )
-    if ctx.order >= 3:
-        fields["nabla_sd"] = nabla_w_sd_matrices(ctx.bundle, fr)
-    return dataclasses.replace(_stack_rows([ctx]), **{k: one_row(v) for k, v in fields.items()})
+    if order >= 3:
+        fields["nabla_sd"] = ref.nabla_sd
+    rows = stack_rows([point_context(spec, pt, order)])
+    return dataclasses.replace(rows, **{k: one_row(v) for k, v in fields.items()})
 
 
 def per_point_batches(spec, n_points, seed, rotations, ids):
@@ -258,8 +255,11 @@ def per_point_batches(spec, n_points, seed, rotations, ids):
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, rotations))
     out = {rid: [] for rid in ids}
     for pt, alphas in zip(pts, angles):
-        ctx = point_context(spec, pt, order)
-        for rows in [rotated_row(ctx, a) for a in (0.0, *alphas)] if spec.has_j else [_stack_rows([ctx])]:
+        if spec.has_j:
+            one_point = [rotated_row(spec, pt, order, a) for a in (0.0, *alphas)]
+        else:
+            one_point = [stack_rows([point_context(spec, pt, order)])]
+        for rows in one_point:
             masks = _gate_masks(rows)
             for rid in ids:
                 res = _residual(REGISTRY[rid], rows, masks)
@@ -284,9 +284,9 @@ def assert_rows_match_per_point_batches(spec, ids=None):
 
 
 def jet_rows(spec, points):
-    """The rows of order-4 contexts at ``points`` before the frame stage has run."""
-    rows = [_row(point_context(spec, p, 4)) for p in points]
-    return Rows(**{k: np.array([r[k] for r in rows]) for k in rows[0]})
+    """The stacked order-4 rows at ``points`` before the frame stage has run."""
+    rows = [point_context(spec, p, 4) for p in points]
+    return Rows(**{k: np.array([r[k] for r in rows]) for k in rows[0]}, curvature_scale=None)
 
 
 def frame_stage(rows):
@@ -299,7 +299,7 @@ def frame_stage(rows):
     out = {
         "AcsPoint.from_jets": (acs.J, acs.omega, acs.orientation),
         "build_j_frame": (frame.E, frame.I, frame.K),
-        "lambda2_split": basis.endos,
+        "lambda2_split": basis.sd,
         "star_ricci_family": star,
         "nabla_j_data": nabla_j_data(acs, rows, frame),
         "wplus_matrix": wplus,
@@ -350,11 +350,10 @@ class TestBatchedRows:
         spec = batch_specs[name]
         rng = np.random.default_rng(4)
         pts, angles = spec.sample_points(5, rng), rng.uniform(0.0, 2.0 * np.pi, size=(5, 2))
-        rows = _stack_rows((point_context(spec, p, 4) for p in pts), angles)
+        rows = stack_rows((point_context(spec, p, 4) for p in pts), angles)
         for k, (pt, alphas) in enumerate(zip(pts, angles)):
-            ctx = point_context(spec, pt, 4)
             for j, alpha in enumerate((0.0, *alphas)):
-                ref, i = rotated_row(ctx, alpha), 3 * k + j
+                ref, i = rotated_row(spec, pt, 4, alpha), 3 * k + j
                 got = _leafwise(lambda v: v[i:i + 1], rows)
                 for field in ("I", "K", "star", "nj", "wplus", "nabla_sd", "dwp", "w2", "lam_grad"):
                     a, b = getattr(got, field), getattr(ref, field)
@@ -608,28 +607,42 @@ def reject_constant(name):
     raise ValueError(f"report contains {name}")
 
 
+def curvature_scale(spec, pt, order):
+    """max(1, max |Riem|, |S|) at one point, from its own curvature bundle."""
+    b = curvature_bundle(spec.metric_point(pt, order))
+    return max(1.0, float(np.abs(b.riem_v).max()), abs(b.S_v))
+
+
 class TestCurvatureScale:
     @pytest.mark.parametrize("name", ["fubini_study_cp2", "kodaira_thurston", "round_conformal"])
     def test_value_is_the_largest_curvature_magnitude(self, name):
         spec = get_manifold(name)
-        ctx = point_context(spec, spec.sample_points(1, np.random.default_rng(4))[0], 3)
-        b = ctx.bundle
-        expected = max(1.0, float(np.abs(b.riem_v).max()), abs(b.S_v))
-        assert ctx.curvature_scale == expected
-        assert (_stack_rows([ctx], np.array([[0.7]])).curvature_scale == expected).all()
-        scaled = dataclasses.replace(ctx, bundle=dataclasses.replace(b, riem=3.0 * b.riem))
-        assert scaled.curvature_scale == max(1.0, 3.0 * float(np.abs(b.riem_v).max()), abs(b.S_v))
+        pts = spec.sample_points(3, np.random.default_rng(4))
+        rows = stack_rows(point_context(spec, p, 3) for p in pts)
+        assert rows.curvature_scale.tolist() == [curvature_scale(spec, p, 3) for p in pts]
+        row = point_context(spec, pts[0], 3)
+        scaled = stack_rows([{**row, "riem_v": 3.0 * row["riem_v"]}])
+        assert scaled.curvature_scale[0] == max(1.0, 3.0 * float(np.abs(row["riem_v"]).max()), abs(row["S_v"]))
 
-    def test_computed_once_per_context(self, monkeypatch):
-        prop = PointContext.__dict__["curvature_scale"]
-        computed, contexts = [], []
-        counted = type(prop)(lambda ctx: computed.append(ctx) or prop.func(ctx))
-        counted.__set_name__(PointContext, "curvature_scale")
-        monkeypatch.setattr(PointContext, "curvature_scale", counted)
-        real_init = PointContext.__init__
-        monkeypatch.setattr(PointContext, "__init__", lambda ctx, **kw: contexts.append(ctx) or real_init(ctx, **kw))
-        run_suite(get_manifold("kodaira_thurston"), 4, seed=2, rotations=2)
-        assert 0 < len(computed) == len({id(c) for c in computed}) <= len(contexts) == 4  # rotations are rows
+    def test_nan_terms_are_passed_over_like_max(self):
+        # as max(1.0, nan, |S|) gives max(1, |S|): a NaN term never becomes the scale
+        row = point_context(get_manifold("fubini_study_cp2"), [0.3, 0.4, 0.5, 0.6], 3)  # S = 12 > max |Riem|
+        nan_riem = np.full_like(row["riem_v"], np.nan)
+        rows = stack_rows([
+            {**row, "riem_v": nan_riem},
+            {**row, "riem_v": nan_riem, "S_v": 0.5},
+            {**row, "S_v": np.nan},
+        ])
+        S, riem_max = abs(row["S_v"]), float(np.abs(row["riem_v"]).max())
+        assert rows.curvature_scale.tolist() == [max(1.0, math.nan, S), max(1.0, math.nan, 0.5), max(1.0, riem_max, math.nan)]
+        assert rows.curvature_scale.tolist() == [S, 1.0, max(1.0, riem_max)]
+
+    def test_rotated_rows_carry_their_points_scale(self):
+        spec = get_manifold("kahler_potential_generic")  # S varies from point to point
+        pts = spec.sample_points(4, np.random.default_rng(2))
+        rows = stack_rows((point_context(spec, p, 3) for p in pts), np.full((4, 2), 0.7))
+        assert rows.curvature_scale.tolist() == [curvature_scale(spec, p, 3) for p in pts for _ in range(3)]
+        assert len(set(rows.curvature_scale.tolist())) > 1  # so rows taken in another order would not match
 
 
 class TestNonFinite:
@@ -657,19 +670,18 @@ class TestNonFinite:
 
     def test_non_finite_tag_residual_is_unconfirmed(self):
         spec = get_manifold("flat_torus")
-        ctx = point_context(spec, [0.3, 0.4, 0.5, 0.6], 3)
-        assert _tag_report(spec.tags, _stack_rows([ctx]), 1e-8)["flat"]["confirmed"]
-        nan_riem = dataclasses.replace(ctx.bundle, riem=np.full_like(ctx.bundle.riem, np.nan))
-        rows = _stack_rows([ctx, dataclasses.replace(ctx, bundle=nan_riem)])
+        row = point_context(spec, [0.3, 0.4, 0.5, 0.6], 3)
+        assert _tag_report(spec.tags, stack_rows([row]), 1e-8)["flat"]["confirmed"]
+        rows = stack_rows([row, {**row, "riem_v": np.full_like(row["riem_v"], np.nan)}])
         flat = _tag_report(spec.tags, rows, 1e-8)["flat"]
         assert not flat["confirmed"] and flat["non_finite_points"] == 1
         assert math.isfinite(flat["residual"])
 
     def test_non_finite_classify_residual_is_indeterminate(self):
         spec = get_manifold("kodaira_thurston")
-        ctx = point_context(spec, [0.3, 0.4, 0.5, 0.6], 2)
-        assert _classify(_stack_rows([ctx]).nj, 1e-8, 1e-4)[0] == "almost-Kähler non-Kähler"
-        nj = _stack_rows([ctx, ctx]).nj
+        row = point_context(spec, [0.3, 0.4, 0.5, 0.6], 2)
+        assert _classify(stack_rows([row]).nj, 1e-8, 1e-4)[0] == "almost-Kähler non-Kähler"
+        nj = stack_rows([row, row]).nj
         nan_nj = dataclasses.replace(nj, nijenhuis=np.stack([nj.nijenhuis[0], np.full_like(nj.nijenhuis[1], np.nan)]))
         verdict, residuals = _classify(nan_nj, 1e-8, 1e-4)
         assert verdict == "indeterminate"

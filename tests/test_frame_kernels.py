@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from weyl4.catalog import builtin_manifolds, load_manifold_config
-from weyl4.conditions import point_context
 from weyl4.curvature import tensor_operator
 from weyl4.exprjet import jeinsum, jmatinv, tables
 from weyl4.hermitian import _r_op, q_j_integrand, rtilde_table
@@ -25,7 +24,7 @@ from weyl4.selfdual import (
     plus_projector,
 )
 
-from paper_oracles import apply_form_operator, form_to_endo, wminus_matrix
+from paper_oracles import apply_form_operator, asd_endos, form_to_endo, frame_reference, wminus_matrix
 
 TWO_PI = repr(2.0 * math.pi)
 
@@ -62,14 +61,14 @@ def sak_spec(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def contexts(sak_spec):
-    """Two order-4 point contexts per catalog entry with a J, and on the test torus."""
+    """Order-4 frame data at two points per catalog entry with a J, and on the test torus."""
     specs = [s for s in builtin_manifolds() if s.has_j] + [sak_spec]
     rng = np.random.default_rng(17)
-    return {s.id: [point_context(s, p, 4) for p in s.sample_points(2, rng)] for s in specs}
+    return {s.id: [frame_reference(s, p, 4) for p in s.sample_points(2, rng)] for s in specs}
 
 
-def assert_close(got, ref, ctx):
-    scale = max(ctx.curvature_scale, float(np.abs(ref).max()))
+def assert_close(got, ref, c):
+    scale = max(c.curvature_scale, float(np.abs(ref).max()))
     assert np.shape(got) == np.shape(ref)
     assert np.abs(np.asarray(got) - ref).max() <= 1e-13 * scale
 
@@ -87,7 +86,7 @@ class TestFrameKernels:
         for c in contexts[sid]:
             image = lambda B: tensor_operator(c.bundle.weyl_v, B, c.mp)
             assert_close(c.wplus.m, pairing_oracle(c.basis.sd, image, c.mp), c)
-            assert_close(wminus_matrix(c.bundle, c.basis).m, pairing_oracle(c.basis.endos[3:], image, c.mp), c)
+            assert_close(wminus_matrix(c.bundle, c.frame).m, pairing_oracle(asd_endos(c.frame), image, c.mp), c)
 
     def test_nabla_wplus_matrices(self, contexts, sid):
         for c in contexts[sid]:
@@ -96,7 +95,7 @@ class TestFrameKernels:
             for p in range(4):
                 M = form_operator(c.bundle.nabla_weyl[p], mp)
                 image = lambda B: form_to_endo(
-                    apply_form_operator(M, endo_to_form(B, mp, check=False)), mp, check=False
+                    apply_form_operator(M, endo_to_form(B, mp)), mp, check=False
                 )
                 ref[p] = pairing_oracle(c.frame.sd_endos(), image, mp)
             assert_close(nabla_w_sd_matrices(c.bundle, c.frame), ref, c)
@@ -171,7 +170,7 @@ class TestFrameKernels:
 
 def test_inner_endos_is_the_pairing_matrix(contexts):
     c = contexts["kodaira_thurston"][0]
-    As = np.stack(c.basis.endos)
+    As = np.stack(c.basis.sd + asd_endos(c.frame))
     ref = np.array([[inner_endo(A, B, c.mp) for B in As] for A in As])
     assert np.abs(inner_endos(As, As, c.mp) - ref).max() <= 1e-14
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from weyl4.catalog import get_manifold
-from weyl4.conditions import point_context
 from weyl4.curvature import curvature_bundle
 from weyl4.pointgeom import adjoint_endo, endo_to_form, inner_endo, rotate_supplement
 from weyl4.selfdual import (
@@ -22,8 +21,10 @@ from weyl4.selfdual import (
 
 from paper_oracles import (
     apply_form_operator,
+    asd_endos,
     delta_w_full,
     delta_wminus,
+    frame_reference,
     j_frame,
     nabla_wplus_norm2,
     pm_projectors,
@@ -32,7 +33,7 @@ from paper_oracles import (
     wminus_matrix,
 )
 
-STAR_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, -1.0)  # Lambda2Basis.endos: three self-dual, three anti-self-dual
+STAR_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, -1.0)  # Lambda2Basis.sd, then the anti-self-dual triple
 
 
 def make(name, pt, order=4):
@@ -47,7 +48,7 @@ class TestLambda2Split:
     def test_euclidean_classical_basis(self):
         _, mp, b, fr = make("euclidean_flat", [0, 0, 0, 0], 2)
         basis = lambda2_split(fr, mp)
-        forms = [endo_to_form(A, mp, check=False) for A in basis.endos]
+        forms = [endo_to_form(A, mp) for A in basis.sd + asd_endos(fr)]
         e = np.zeros((4, 4))
         e[0, 1], e[1, 0] = 1.0, -1.0
         e34 = np.zeros((4, 4))
@@ -70,16 +71,16 @@ class TestLambda2Split:
             M1, M2 = rng.normal(size=(2, 4, 4))
             A = M1 - adjoint_endo(M1, mp)
             B = M2 - adjoint_endo(M2, mp)
-            assert abs(inner_endo(project_plus(basis, A), project_minus(basis, B), mp)) < 1e-11
+            assert abs(inner_endo(project_plus(basis, A), project_minus(fr, B, mp), mp)) < 1e-11
 
     def test_gram_and_star_signs(self):
         from weyl4.pointgeom import hodge_star
 
         _, mp, b, fr = make("kahler_potential_generic", [0.3, -0.4, 0.2, 0.6], 2)
-        basis = lambda2_split(fr, mp)
-        gram = np.array([[inner_endo(a, c, mp) for c in basis.endos] for a in basis.endos])
+        endos = lambda2_split(fr, mp).sd + asd_endos(fr)
+        gram = np.array([[inner_endo(a, c, mp) for c in endos] for a in endos])
         assert np.abs(gram - np.eye(6)).max() < 1e-10
-        forms = [endo_to_form(A, mp, check=False) for A in basis.endos]
+        forms = [endo_to_form(A, mp) for A in endos]
         for w, s in zip(forms, STAR_SIGNS):
             assert np.abs(hodge_star(w, mp, fr.orientation) - s * w).max() < 1e-10
 
@@ -103,7 +104,7 @@ class TestWplusMatrix:
     def test_conformally_flat_zero(self):
         _, mp, b, fr = make("round_conformal", [0.3, -0.2, 0.1, 0.4], 2)
         w = wplus_matrix(b, lambda2_split(fr, mp))
-        wm = wminus_matrix(b, lambda2_split(fr, mp))
+        wm = wminus_matrix(b, fr)
         scale = np.abs(b.riem_v).max()
         assert np.abs(w.m).max() < 1e-10 * scale
         assert np.abs(wm.m).max() < 1e-10 * scale
@@ -144,9 +145,8 @@ class TestWplusMatrix:
     def test_w_splits_as_direct_sum(self):
         # full-trace norms: |W|^2 over 2-forms = |W+|^2 + |W-|^2
         _, mp, b, fr = make("kahler_potential_generic", [0.5, 0.2, -0.3, 0.1], 2)
-        basis = lambda2_split(fr, mp)
-        w = wplus_matrix(b, basis)
-        wm = wminus_matrix(b, basis)
+        w = wplus_matrix(b, lambda2_split(fr, mp))
+        wm = wminus_matrix(b, fr)
         M = form_operator(b.weyl_v, mp)
         tr_w2 = float(np.einsum("ijkl,klij->", M, M))
         assert tr_w2 == pytest.approx(w.norm2 + wm.norm2, rel=1e-10)
@@ -259,17 +259,17 @@ class TestBasisIndependence:
 
 class TestNablaWplusNorms:
     def test_constant_s_kahler_both_zero(self):
-        ctx = point_context(get_manifold("fubini_study_cp2"), [0.25, -0.15, 0.3, 0.1], 3)
-        b, fr = ctx.bundle, ctx.frame
-        n2 = nabla_wplus_norm2(ctx)
+        ref = frame_reference(get_manifold("fubini_study_cp2"), [0.25, -0.15, 0.3, 0.1], 3)
+        b, fr = ref.bundle, ref.frame
+        n2 = nabla_wplus_norm2(ref)
         assert abs(n2) < 1e-8 * b.S_v**2
         w2 = wplus_norm2_jet(b, fr.orientation)
         assert np.abs(w2.gradient()).max() < 1e-8 * b.S_v**2
 
     def test_generic_kahler_gradient_identities(self):
-        ctx = point_context(get_manifold("kahler_potential_generic"), [0.3, 0.2, -0.4, 0.6], 3)
-        mp, b, fr = ctx.mp, ctx.bundle, ctx.frame
-        n2 = nabla_wplus_norm2(ctx)
+        ref = frame_reference(get_manifold("kahler_potential_generic"), [0.3, 0.2, -0.4, 0.6], 3)
+        mp, b, fr = ref.mp, ref.bundle, ref.frame
+        n2 = nabla_wplus_norm2(ref)
         grad_s2 = float(b.dS @ mp.g_inv @ b.dS)
         assert n2 == pytest.approx(grad_s2 / 6.0, rel=1e-7)
         w2 = wplus_norm2_jet(b, fr.orientation)
