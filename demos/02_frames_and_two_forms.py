@@ -18,6 +18,14 @@ from weyl4.pointgeom import (
     rotate_supplement,
 )
 
+TOL = 1e-12  # values below it are rounding noise, whose last digits vary with numpy, BLAS and CPU
+
+
+def clean(x):
+    """0 for a value at rounding level, so the printed output does not depend on its last bits."""
+    return 0.0 if abs(x) <= TOL else x
+
+
 spec = get_manifold("fubini_study_cp2")
 point = [0.3, -0.2, 0.5, 0.1]
 mp = spec.metric_point(point, order=2)
@@ -25,22 +33,22 @@ acs = AcsPoint.from_jets(spec.j_jets(point, 1), mp)  # validates J against the m
 frame = build_j_frame(mp, acs, seed=np.eye(4)[0])
 
 print("frame vectors (columns):")
-print(np.round(frame.E, 6))
-print("quaternion residual |IJK + 1|:", np.abs(frame.I @ frame.J @ frame.K + np.eye(4)).max())
+print(np.round(frame.E, 6) + 0.0)  # + 0.0 turns a rounded -0. into 0.
+print("quaternion residual |IJK + 1|:", clean(np.abs(frame.I @ frame.J @ frame.K + np.eye(4)).max()))
 
 names = ("J", "I", "K")
 for a, A in zip(names, frame.sd_endos()):
     for b, B in zip(names, frame.sd_endos()):
-        print(f"<{a},{b}> = {inner_endo(A, B, mp): .3f}", end="  ")
+        print(f"<{a},{b}> = {clean(inner_endo(A, B, mp)): .3f}", end="  ")
     print()
 
 print("\nself-duality of the associated 2-forms (star residuals):")
 for name, A in zip(names, frame.sd_endos()):
     w = endo_to_form(A, mp)
-    print(f"  |*Omega_{name} - Omega_{name}| = {np.abs(hodge_star(w, mp, frame.orientation) - w).max():.2e}")
+    print(f"  |*Omega_{name} - Omega_{name}| = {clean(np.abs(hodge_star(w, mp, frame.orientation) - w).max()):.2e}")
 
 # the supplement is only determined up to a rotation in the (I, K) plane
 rotated = rotate_supplement(frame, 0.7)
 print("\nafter rotating the supplement by 0.7 rad:")
-print("  |I'^2 + 1| =", np.abs(rotated.I @ rotated.I + np.eye(4)).max())
-print("  <I', K'>  =", inner_endo(rotated.I, rotated.K, mp))
+print("  |I'^2 + 1| =", clean(np.abs(rotated.I @ rotated.I + np.eye(4)).max()))
+print("  <I', K'>  =", clean(inner_endo(rotated.I, rotated.K, mp)))

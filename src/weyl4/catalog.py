@@ -1,15 +1,17 @@
-"""Built-in manifold specifications and config-file ingestion.
+"""Manifold specifications: the built-in catalog and config-file ingestion.
 
 A :class:`ManifoldSpec` is a single 4-dimensional chart: metric entries as
 expressions over the chart coordinates, an optional almost complex structure
 J given the same way, a sampling domain, and ground-truth tags that the
 conditions module re-verifies numerically.
 
-Kahler entries are written in real coordinates (u, v, p, q) =
-(Re z1, Im z1, Re z2, Im z2); the metric components were derived offline
-from the potentials and entered as explicit expressions, so the engine never
-differentiates potentials symbolically.  Correctness is caught downstream by
-the nabla-J = 0 invariant.
+There is one way to define one: a config file read by
+:func:`load_manifold_config`, which validates it.  The built-in entries are
+such files, shipped in ``manifolds/``.  Their Kahler entries are written in
+real coordinates (u, v, p, q) = (Re z1, Im z1, Re z2, Im z2); the metric
+components were derived offline from the potentials and entered as explicit
+expressions, so the engine never differentiates potentials symbolically.
+Correctness is caught downstream by the nabla-J = 0 invariant.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import io
 import unicodedata
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
@@ -92,228 +95,21 @@ class ManifoldSpec:
         return rng.uniform(los, his, size=(n, 4))
 
 
-# ---------------------------------------------------------------------------
-# Builtins
-# ---------------------------------------------------------------------------
-
-_J_STANDARD = (
-    ("0", "-1", "0", "0"),
-    ("1", "0", "0", "0"),
-    ("0", "0", "0", "-1"),
-    ("0", "0", "1", "0"),
-)
-
-
-def _parse_grid(entries: dict, coords, default: str = "0"):
-    grid = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            text = entries.get((i, j), entries.get((j, i), default))
-            row.append(parse_expression(text, coords))
-        grid.append(tuple(row))
-    return tuple(grid)
-
-
-def _metric_from_upper(entries: dict, coords):
-    return _parse_grid(entries, coords)
-
-
-def _j_from_rows(rows, coords):
-    return tuple(tuple(parse_expression(t, coords) for t in row) for row in rows)
-
-
-def _diag_metric(diag: Sequence[str], coords):
-    return _metric_from_upper({(i, i): d for i, d in enumerate(diag)}, coords)
+MANIFOLDS = Path(__file__).with_name("manifolds")
 
 
 def builtin_manifolds() -> list[ManifoldSpec]:
     """The catalog: flat baselines, Kahler potentials, and the strictly
     almost Kahler nilmanifold, plus conformal and perturbed-J foils.
 
-    The specs are parsed once per process; each call returns a fresh list."""
+    Each entry is a config file in ``manifolds/``, loaded and validated once
+    per process; each call returns a fresh list."""
     return list(_parsed_catalog())
 
 
 @functools.lru_cache(maxsize=None)
 def _parsed_catalog() -> tuple[ManifoldSpec, ...]:
-    xyzt = ("x", "y", "z", "t")
-    uvpq = ("u", "v", "p", "q")
-    specs = []
-
-    flat_metric = _diag_metric(["1", "1", "1", "1"], xyzt)
-    j_std = _j_from_rows(_J_STANDARD, xyzt)
-
-    specs.append(
-        ManifoldSpec(
-            id="euclidean_flat",
-            coords=xyzt,
-            metric_exprs=flat_metric,
-            j_exprs=j_std,
-            domain=((-1.0, 1.0),) * 4,
-            compact=False,
-            tags=frozenset({"flat", "einstein", "kahler", "constant-s", "conformally-flat"}),
-            notes="flat chart with the standard parallel complex structure",
-        )
-    )
-
-    two_pi = 2.0 * np.pi
-    specs.append(
-        ManifoldSpec(
-            id="flat_torus",
-            coords=xyzt,
-            metric_exprs=flat_metric,
-            j_exprs=j_std,
-            domain=((0.0, two_pi),) * 4,
-            compact=True,
-            tags=frozenset({"flat", "einstein", "kahler", "constant-s", "conformally-flat"}),
-            notes="flat metric on [0, 2pi)^4 with periodic identifications",
-        )
-    )
-
-    # Fubini-Study on the affine chart of CP^2, potential log(1+|z|^2),
-    # realified with g = 2 Re(h_ab dz^a dzbar^b).
-    d2 = "(1 + u^2 + v^2 + p^2 + q^2)^2"
-    fs = {
-        (0, 0): f"2*(1 + p^2 + q^2)/{d2}",
-        (1, 1): f"2*(1 + p^2 + q^2)/{d2}",
-        (2, 2): f"2*(1 + u^2 + v^2)/{d2}",
-        (3, 3): f"2*(1 + u^2 + v^2)/{d2}",
-        (0, 2): f"-2*(u*p + v*q)/{d2}",
-        (1, 3): f"-2*(u*p + v*q)/{d2}",
-        (0, 3): f"-2*(u*q - v*p)/{d2}",
-        (1, 2): f"2*(u*q - v*p)/{d2}",
-    }
-    j_std_uv = _j_from_rows(_J_STANDARD, uvpq)
-    specs.append(
-        ManifoldSpec(
-            id="fubini_study_cp2",
-            coords=uvpq,
-            metric_exprs=_metric_from_upper(fs, uvpq),
-            j_exprs=j_std_uv,
-            domain=((-0.8, 0.8),) * 4,
-            compact=False,
-            tags=frozenset({"einstein", "kahler", "constant-s"}),
-            notes="Kahler-Einstein, S > 0 constant",
-        )
-    )
-
-    # Complex hyperbolic ball, potential -log(1-|z|^2); chart box inside the
-    # ball of radius 0.7.
-    e2 = "(1 - u^2 - v^2 - p^2 - q^2)^2"
-    ch = {
-        (0, 0): f"2*(1 - p^2 - q^2)/{e2}",
-        (1, 1): f"2*(1 - p^2 - q^2)/{e2}",
-        (2, 2): f"2*(1 - u^2 - v^2)/{e2}",
-        (3, 3): f"2*(1 - u^2 - v^2)/{e2}",
-        (0, 2): f"2*(u*p + v*q)/{e2}",
-        (1, 3): f"2*(u*p + v*q)/{e2}",
-        (0, 3): f"2*(u*q - v*p)/{e2}",
-        (1, 2): f"-2*(u*q - v*p)/{e2}",
-    }
-    specs.append(
-        ManifoldSpec(
-            id="complex_hyperbolic_ch2",
-            coords=uvpq,
-            metric_exprs=_metric_from_upper(ch, uvpq),
-            j_exprs=j_std_uv,
-            domain=((-0.34, 0.34),) * 4,
-            compact=False,
-            tags=frozenset({"einstein", "kahler", "constant-s"}),
-            notes="Kahler-Einstein, S < 0 constant",
-        )
-    )
-
-    # Generic Kahler potential (u^2+v^2+p^2+q^2)/2 + 0.1 u^4 + 0.05 uvp;
-    # nonconstant scalar curvature.
-    kp = {
-        (0, 0): "1 + 0.6*u^2",
-        (1, 1): "1 + 0.6*u^2",
-        (2, 2): "1",
-        (3, 3): "1",
-        (0, 2): "0.025*v",
-        (1, 3): "0.025*v",
-        (0, 3): "-0.025*u",
-        (1, 2): "0.025*u",
-    }
-    specs.append(
-        ManifoldSpec(
-            id="kahler_potential_generic",
-            coords=uvpq,
-            metric_exprs=_metric_from_upper(kp, uvpq),
-            j_exprs=j_std_uv,
-            domain=((-0.9, 0.9),) * 4,
-            compact=False,
-            tags=frozenset({"kahler"}),
-            notes="Kahler with nonconstant S",
-        )
-    )
-
-    # Kodaira-Thurston nilmanifold: dx^2 + dy^2 + (dz - x dy)^2 + dt^2 with
-    # J mapping the left-invariant frame e1 -> e3, e2 -> e4.
-    kt_metric = {
-        (0, 0): "1",
-        (1, 1): "1 + x^2",
-        (2, 2): "1",
-        (3, 3): "1",
-        (1, 2): "-x",
-    }
-    kt_j = (
-        ("0", "x", "-1", "0"),
-        ("0", "0", "0", "-1"),
-        ("1", "0", "0", "-x"),
-        ("0", "1", "0", "0"),
-    )
-    specs.append(
-        ManifoldSpec(
-            id="kodaira_thurston",
-            coords=xyzt,
-            metric_exprs=_metric_from_upper(kt_metric, xyzt),
-            j_exprs=_j_from_rows(kt_j, xyzt),
-            domain=((0.0, 1.0),) * 4,
-            compact=True,
-            tags=frozenset({"almost-kahler", "constant-s"}),
-            notes="strictly almost Kahler (d Omega = 0, N_J != 0); left-invariant",
-        )
-    )
-
-    # Round-sphere conformal factor exp(2f) delta with f = log(2/(1+r^2)).
-    rc_diag = "4/(1 + x^2 + y^2 + z^2 + t^2)^2"
-    specs.append(
-        ManifoldSpec(
-            id="round_conformal",
-            coords=xyzt,
-            metric_exprs=_diag_metric([rc_diag] * 4, xyzt),
-            j_exprs=j_std,
-            domain=((-0.8, 0.8),) * 4,
-            compact=False,
-            tags=frozenset({"einstein", "constant-s", "conformally-flat"}),
-            notes="round S^4 in stereographic chart; standard J is Hermitian non-Kahler here",
-        )
-    )
-
-    # Flat metric with a compatible but non-closed, non-integrable J:
-    # rotate the standard J toward I by angle 0.3 sin(x).
-    th = "0.3*sin(x)"
-    pj = (
-        ("0", f"-cos({th})", f"-sin({th})", "0"),
-        (f"cos({th})", "0", "0", f"sin({th})"),
-        (f"sin({th})", "0", "0", f"-cos({th})"),
-        ("0", f"-sin({th})", f"cos({th})", "0"),
-    )
-    specs.append(
-        ManifoldSpec(
-            id="perturbed_j",
-            coords=xyzt,
-            metric_exprs=flat_metric,
-            j_exprs=_j_from_rows(pj, xyzt),
-            domain=((-1.0, 1.0),) * 4,
-            compact=False,
-            tags=frozenset({"flat", "constant-s"}),
-            notes="generic almost Hermitian: d Omega != 0 and N_J != 0",
-        )
-    )
-    return tuple(specs)
+    return tuple(load_manifold_config(str(p)) for p in sorted(MANIFOLDS.glob("*.cfg")))
 
 
 def get_manifold(name: str) -> ManifoldSpec:
@@ -351,7 +147,8 @@ def load_manifold_config(path: str) -> ManifoldSpec:
     Raises :class:`CatalogError` with every violated invariant (and the
     worst sample points) rather than stopping at the first problem.
     """
-    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' is text in a note and a syntax error in an expression
+    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#", ";"), interpolation=None)
     parser.optionxform = str  # keys are case sensitive (coordinate names)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -445,7 +242,7 @@ def load_manifold_config(path: str) -> ManifoldSpec:
         domain=tuple(domain),
         compact=compact,
         tags=tags,
-        notes=f"loaded from {path}",
+        notes=man.get("notes", "").strip() or f"loaded from {path}",
     )
 
     violations = [
@@ -490,28 +287,28 @@ def validate_spec(spec: ManifoldSpec, n_samples: int = 20, seed: int = 0) -> lis
 
     # residuals are compared with "not <=", and np.argmax picks the first NaN,
     # so a non-finite metric or J is a violation rather than a pass
-    asyms = []
-    worst_spd_pt = None
     full = compile_tape(spec.metric_exprs)  # every entry, so asymmetric grids show
-    for p in pts:
-        try:
-            g = eval_values(full, list(p))
-        except exprjet.ExpressionError as exc:
-            violations.append(f"metric evaluation failed at {p.tolist()}: {exc}")
-            return violations
-        asyms.append(np.abs(g - g.T).max() / max(np.abs(g).max(), 1.0))
-        if np.isnan(asyms[-1]):
-            continue  # not finite: no spectrum to check
-        eig = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if not eig[0] > 1e-12 * max(eig[-1], 1e-300) and worst_spd_pt is None:
-            worst_spd_pt = (p, eig)
+    try:
+        g = np.moveaxis(eval_values(full, list(pts.T)), (0, 1), (-2, -1))
+    except exprjet.ExpressionError as exc:
+        for p in pts:  # name the first sample at which the metric fails on its own
+            try:
+                eval_values(full, list(p))
+            except exprjet.ExpressionError as exc_p:
+                return [f"metric evaluation failed at {p.tolist()}: {exc_p}"]
+        return [f"metric evaluation failed: {exc}"]
+    gt = np.swapaxes(g, -1, -2)
+    asyms = np.abs(g - gt).max(axis=(-2, -1)) / np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0)
     k = int(np.argmax(asyms))
     if not asyms[k] <= 1e-10:
         what = "not finite" if np.isnan(asyms[k]) else f"not symmetric: residual {asyms[k]:.3e}"
         violations.append(f"metric {what} at {pts[k].tolist()}")
-    if worst_spd_pt is not None:
-        p, eig = worst_spd_pt
-        violations.append(f"metric not positive definite at {p.tolist()}: eigenvalues {eig}")
+    # a sample that is not finite has no spectrum to check: it stands in as the identity
+    eig = np.linalg.eigvalsh(np.where(np.isnan(asyms)[:, None, None], np.eye(4), 0.5 * (g + gt)))
+    not_spd = np.flatnonzero(~(eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1e-300)))
+    if not_spd.size:
+        k = not_spd[0]
+        violations.append(f"metric not positive definite at {pts[k].tolist()}: eigenvalues {eig[k]}")
 
     if spec.has_j and not violations:
         coords = list(pts.T)
@@ -532,7 +329,8 @@ def spec_to_config(spec: ManifoldSpec) -> str:
     buf.write(f"id = {spec.id}\n")
     buf.write(f"coords = {', '.join(spec.coords)}\n")
     buf.write(f"compact = {str(spec.compact).lower()}\n")
-    buf.write("domain = " + ", ".join(f"{lo}..{hi}" for lo, hi in spec.domain) + "\n\n")
+    buf.write("domain = " + ", ".join(f"{lo}..{hi}" for lo, hi in spec.domain) + "\n")
+    buf.write(f"notes = {spec.notes}\n\n")
     buf.write("[metric]\n")
     for i in range(4):
         for j in range(i, 4):

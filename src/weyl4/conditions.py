@@ -120,9 +120,11 @@ def point_context(spec: ManifoldSpec, point: Sequence[float], order: int) -> dic
 class Rows:
     """Order-0 quantities at many points of one jet order; axis 0 has one
     row per point, or per rotation of its supplement.  ``point_context``
-    gives the fields up to ``nabla2_ric``, ``stack_rows`` the rest; the
-    frame stage reads ``nabla_weyl`` and keeps only its per-row maximum.
-    The rows serve the frame functions as metric and curvature bundle.
+    gives the fields up to ``nabla2_ric``, ``stack_rows`` the rest.  The
+    frame stage reads ``j_jets``, ``gamma_v`` and ``dg_v`` and drops them,
+    and reads ``nabla_weyl`` and keeps only its per-row maximum, so the
+    rows ``stack_rows`` returns hold none of these four.  The rows serve the
+    frame functions as metric and curvature bundle.
     ``dS`` and ``nabla_ric`` need jet order 3; the fields from ``j_jets`` on
     need J, and ``nabla_weyl`` to ``lam_grad`` order 3 as well (``w2_lap``
     and ``nabla2_ric`` order 4)."""
@@ -205,6 +207,7 @@ def stack_rows(rows: Iterable[dict], angles: Optional[np.ndarray] = None) -> Row
     rows = replace(
         rows, J=acs.J, I=frame.I, K=frame.K, orientation=frame.orientation, star=star,
         nj=nabla_j_data(acs, rows, frame), wplus=wplus, proj=projections_p1p2(star, wplus.m), dwp=dwp,
+        j_jets=None, gamma_v=None, dg_v=None,
     )
     if dwp is None:
         return rows

@@ -221,17 +221,21 @@ def weyl_operator(A: np.ndarray, riem: np.ndarray, ric: np.ndarray, S, mp) -> np
 
 
 @functools.lru_cache(maxsize=None)
-def _derivative_positions(order: int) -> tuple:
-    """Coefficient positions of the multi-indices e_v and e_i + e_j in a jet."""
-    t = tables(order)
+def _first_positions(order: int) -> np.ndarray:
+    """Coefficient positions of the multi-indices e_v in a jet of order >= 1."""
+    return np.array([tables(order).pos[unit_index(v)] for v in range(4)])
+
+
+@functools.lru_cache(maxsize=None)
+def _second_positions(order: int) -> np.ndarray:
+    """Coefficient positions of the multi-indices e_i + e_j in a jet of order >= 2."""
     e = [unit_index(v) for v in range(4)]
-    second = [[t.pos[tuple(a + b for a, b in zip(ei, ej))] for ej in e] for ei in e]
-    return np.array([t.pos[ei] for ei in e]), np.array(second)
+    return np.array([[tables(order).pos[tuple(a + b for a, b in zip(ei, ej))] for ej in e] for ei in e])
 
 
 def first_partials(a: np.ndarray, order: int) -> np.ndarray:
     """Values of the first partials of a jet matrix: [..., m, i, j] = d_m a_ij."""
-    d = a[..., _derivative_positions(order)[0]]  # [..., i, j, m]
+    d = a[..., _first_positions(order)]  # [..., i, j, m]
     return d.transpose(*range(d.ndim - 3), -1, -3, -2)
 
 
@@ -242,7 +246,7 @@ def laplacian_scalar(f: Jet | np.ndarray, gamma: np.ndarray, mp) -> np.ndarray:
     order = jet_order(coeffs)
     if order < 2:
         raise InsufficientJetOrder("laplacian needs a scalar jet of order >= 2")
-    first, second = _derivative_positions(order)
-    grad = coeffs[..., first]
-    hess = coeffs[..., second] * (1.0 + np.eye(4))  # d_i d_j f: coefficient of e_i + e_j, doubled for i = j
+    grad = coeffs[..., _first_positions(order)]
+    # d_i d_j f: the coefficient of e_i + e_j, doubled for i = j
+    hess = coeffs[..., _second_positions(order)] * (1.0 + np.eye(4))
     return -np.einsum("...ij,...ij->...", mp.g_inv, hess - np.einsum("...kij,...k->...ij", gamma, grad))

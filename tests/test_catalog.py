@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weyl4.catalog import (
+    MANIFOLDS,
     CatalogError,
     _index_key,
     builtin_manifolds,
@@ -15,7 +16,7 @@ from weyl4.catalog import (
 from weyl4.conditions import point_context, run_suite, stack_rows
 from weyl4.curvature import curvature_bundle
 
-EXPECTED_IDS = {
+CATALOG_ORDER = (
     "euclidean_flat",
     "flat_torus",
     "fubini_study_cp2",
@@ -24,7 +25,8 @@ EXPECTED_IDS = {
     "kodaira_thurston",
     "round_conformal",
     "perturbed_j",
-}
+)
+EXPECTED_IDS = set(CATALOG_ORDER)
 
 
 class TestBuiltins:
@@ -81,6 +83,39 @@ class TestBuiltins:
     def test_unknown_manifold(self):
         with pytest.raises(CatalogError):
             get_manifold("nope")
+
+
+class TestPackagedCatalog:
+    def test_every_file_loads_with_full_validation(self):
+        paths = sorted(MANIFOLDS.glob("*.cfg"))
+        specs = [load_manifold_config(str(p)) for p in paths]
+        assert tuple(s.id for s in specs) == CATALOG_ORDER
+        for n, (path, spec) in enumerate(zip(paths, specs), start=1):
+            assert path.name == f"{n:02d}_{spec.id}.cfg"
+            assert validate_spec(spec) == []
+            assert not spec.notes.startswith("loaded from")
+        assert specs == builtin_manifolds()
+
+    def test_round_trip_keeps_every_field(self, tmp_path):
+        for spec in builtin_manifolds():
+            path = tmp_path / f"{spec.id}.cfg"
+            path.write_text(spec_to_config(spec))
+            assert load_manifold_config(str(path)) == spec
+
+    def test_notes_default_to_the_path(self, tmp_path):
+        text = spec_to_config(get_manifold("euclidean_flat"))
+        path = tmp_path / "plain.cfg"
+        path.write_text("".join(line for line in text.splitlines(True) if not line.startswith("notes")))
+        assert load_manifold_config(str(path)).notes == f"loaded from {path}"
+
+    def test_percent_is_plain_text(self, tmp_path):
+        text = spec_to_config(get_manifold("euclidean_flat")).replace("notes = flat", "notes = 100% flat")
+        path = tmp_path / "pct.cfg"
+        path.write_text(text)
+        assert load_manifold_config(str(path)).notes.startswith("100% flat")
+        path.write_text(text.replace("g_11 = 1.0", "g_11 = 1 + x % 2"))
+        with pytest.raises(CatalogError, match=r"\[metric\] g_11"):
+            load_manifold_config(str(path))
 
 
 class TestConformalRescale:
@@ -186,6 +221,30 @@ class TestConfigFiles:
             "[metric]\ng_11 = 4\ng_22 = 4\ng_33 = 4\ng_44 = 4\ng_12 = 0.5*x\ng_21 = 0.5*y\n"
         )
         with pytest.raises(CatalogError, match="differ"):
+            load_manifold_config(str(path))
+
+    def test_metric_failing_at_a_sample_names_it(self, tmp_path):
+        path = tmp_path / "log.cfg"
+        path.write_text(
+            "[manifold]\nid = log\ncoords = x, y, z, t\ndomain = -1..1, -1..1, -1..1, -1..1\n"
+            "[metric]\ng_11 = log(0.5 - x)\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+        )
+        # validate_spec draws 20 samples with seed 0 from the same box as euclidean_flat
+        pts = get_manifold("euclidean_flat").sample_points(20, np.random.default_rng(0))
+        first_bad = int(np.argmax(pts[:, 0] >= 0.5))
+        assert first_bad > 0 and pts[first_bad, 0] >= 0.5
+        with pytest.raises(CatalogError) as exc:
+            load_manifold_config(str(path))
+        assert f"metric evaluation failed at {pts[first_bad].tolist()}: log of non-positive value" in str(exc.value)
+
+    def test_exponent_varying_over_the_samples_rejected(self, tmp_path):
+        # each sample alone sees a constant exponent; only the stacked samples show it varies
+        path = tmp_path / "pow.cfg"
+        path.write_text(
+            "[manifold]\nid = pow\ncoords = x, y, z, t\ndomain = -1..1, -1..1, -1..1, -1..1\n"
+            "[metric]\ng_11 = 2^x\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+        )
+        with pytest.raises(CatalogError, match="metric evaluation failed: exponents must be constant"):
             load_manifold_config(str(path))
 
     def test_non_spd_rejected(self, tmp_path):

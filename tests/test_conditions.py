@@ -368,6 +368,15 @@ class TestBatchedRows:
                         if res is not None:
                             np.testing.assert_allclose(res[4], ref_res[4], rtol=1e-15, atol=1e-15, err_msg=f"{rid}, row {i}")
 
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_frame_stage_inputs_are_dropped(self, order):
+        spec = get_manifold("kodaira_thurston")
+        pts = spec.sample_points(3, np.random.default_rng(2))
+        for angles in (None, np.full((3, 2), 0.4)):
+            rows = stack_rows((point_context(spec, p, order) for p in pts), angles)
+            assert rows.nj is not None
+            assert [rows.j_jets, rows.gamma_v, rows.dg_v, rows.nabla_weyl] == [None] * 4
+
     def test_frame_functions_run_once_per_stack(self, stage_calls, batch_specs):
         once = dict.fromkeys(FRAME_FUNCTIONS[:-1] + ("AcsPoint.from_jets",), 1)
         # rotated rows repeat the frame-free jets and delta W+ of their point

@@ -20,9 +20,8 @@ XYZT = ("x", "y", "z", "t")
 
 
 def diag_spec(entries, coords=XYZT, domain=((-0.8, 0.8),) * 4):
-    from weyl4.catalog import _diag_metric
-
-    return ManifoldSpec("test", coords, _diag_metric(entries, coords), None, domain, False, frozenset())
+    grid = tuple(tuple(parse_expression(entries[i] if i == j else "0", coords) for j in range(4)) for i in range(4))
+    return ManifoldSpec("test", coords, grid, None, domain, False, frozenset())
 
 
 class TestChristoffel:

@@ -222,6 +222,14 @@ class TestNablaJ:
         assert nj.d_omega_norm > 0.1
         assert nj.nijenhuis_norm < 1e-10
 
+    @pytest.mark.parametrize("name", ["kodaira_thurston", "perturbed_j", "round_conformal"])
+    def test_order_one_j_jets_suffice(self, name):
+        # nabla J reads only the first partials of J, which an order-1 jet holds
+        spec, mp, b, acs, fr = make(name, KT_POINT, 2)
+        acs1 = AcsPoint.from_jets(spec.j_jets(KT_POINT, 1), mp)
+        assert acs1.order == 1
+        np.testing.assert_array_equal(nabla_j_data(acs1, b, fr).nabla_j, nabla_j_data(acs, b, fr).nabla_j)
+
     def test_reconstruction_rotated_frames(self):
         _, mp, b, acs, fr = make("kodaira_thurston", KT_POINT, 2)
         for alpha in (0.3, 1.2, 4.0):
