@@ -16,7 +16,7 @@ from .catalog import (  # noqa: E402,F401
     load_manifold_config,
     spec_to_config,
 )
-from .exprjet import Jet, eval_jet, eval_values, parse_expression  # noqa: E402,F401
+from .exprjet import eval_jet, eval_values, jpartials, parse_expression  # noqa: E402,F401
 
 __all__ = [
     "Weyl4Error",
@@ -26,8 +26,8 @@ __all__ = [
     "get_manifold",
     "load_manifold_config",
     "spec_to_config",
-    "Jet",
     "eval_jet",
     "eval_values",
+    "jpartials",
     "parse_expression",
 ]

@@ -145,6 +145,10 @@ def cmd_integrate(args) -> int:
     spec = _resolve_manifold(args)
     if not spec.compact:
         raise UsageError(f"manifold '{spec.id}' is not compact; integrate needs a fundamental domain")
+    if args.density and args.formula:
+        raise UsageError("give either --density or --formula, not both: each reports its own error estimate")
+    if not args.density and not args.formula:
+        raise UsageError("integrate needs --density NAME or --formula eq117|eq118|both")
     quad = QuadratureSpec(seed=args.seed)
     payload = {
         "schema_version": 1,
@@ -158,11 +162,11 @@ def cmd_integrate(args) -> int:
         key = DENSITIES[args.density]
         result = integrate_density(spec, lambda p: evaluate_integrand(spec, p)[key], quad)
         payload["density"] = args.density
-        payload["value"] = result.value
-        payload["error"] = result.error
-        payload["volume"] = result.volume
+        payload["value"] = float(result.value)
+        payload["error"] = float(result.error)
+        payload["volume"] = float(result.volume)
         payload["used_constancy_shortcut"] = result.used_constancy_shortcut
-    if args.formula:
+    else:
         report = check_integral_formulas(spec, quad)
         if args.formula == "eq117":
             payload["formula"] = {"eq117": report["i117"]}
@@ -178,8 +182,6 @@ def cmd_integrate(args) -> int:
         payload["Q"] = report["Q"]
         payload["error"] = report["error_estimate"]
         payload["used_constancy_shortcut"] = report["used_constancy_shortcut"]
-    if not args.density and not args.formula:
-        raise UsageError("integrate needs --density NAME or --formula eq117|eq118|both")
     if args.format == "json":
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:

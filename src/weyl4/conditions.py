@@ -29,7 +29,7 @@ import numpy as np
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
 from .curvature import InsufficientJetOrder, curvature_bundle, laplacian_scalar, weyl_operator
-from .exprjet import jvalue
+from .exprjet import jpartials, jvalue
 from .hermitian import (
     AcsPoint,
     NablaJData,
@@ -57,6 +57,7 @@ from .selfdual import (
 
 RESIDUAL_FLOOR = 1e-14
 GATE = 1e-8  # applicability gates (scale-relative)
+CONSTANCY_TOL = 1e-8  # the quadrature's constancy shortcut: spread of the sampled values (scale-relative)
 
 TOL_PASS = 1e-8
 TOL_FAIL = 1e-4
@@ -108,9 +109,9 @@ def point_context(spec: ManifoldSpec, point: Sequence[float], order: int) -> dic
     j_jets = spec.j_jets(point, 2)
     # |W+|^2 needs the orientation J induces, not a frame
     w2jet = wplus_norm2_jet(b, chart_orientation(jvalue(j_jets), mp))
-    row.update(j_jets=j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v, w2=w2jet.value)
+    row.update(j_jets=j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v, w2=jvalue(w2jet))
     if order >= 3:
-        row.update(nabla_weyl=b.nabla_weyl, w2_grad=w2jet.gradient(), lam_grad=lambda_jet(b, j_jets).gradient())
+        row.update(nabla_weyl=b.nabla_weyl, w2_grad=jpartials(w2jet, 1), lam_grad=jpartials(lambda_jet(b, j_jets), 1))
     if order >= 4:
         row.update(w2_lap=laplacian_scalar(w2jet, b.gamma_v, mp), nabla2_ric=b.nabla2_ric)
     return row
@@ -690,6 +691,8 @@ def run_suite(
     """Sample points, evaluate all (or selected) applicable identities, aggregate."""
     if n_points < 1:
         raise ConditionsError("n_points must be >= 1")
+    if rotations < 0:
+        raise ConditionsError("rotations must be >= 0")
     ids = list(identities) if identities else [r for r in REGISTRY if REGISTRY[r].evaluator]
     for rid in ids:
         if rid not in REGISTRY:
@@ -830,7 +833,6 @@ class QuadratureSpec:
     n: int = 16
     n_refine: int = 24
     constancy_samples: int = 20
-    constancy_tol: float = 1e-8
     allow_constancy: bool = True
     seed: int = 0
 
@@ -892,7 +894,7 @@ def integrate_density(
     shape without the point axis.  The
     constancy shortcut (value * volume) is taken only after an explicit
     constancy check at ``constancy_samples`` random points, and only when
-    every component passes it.
+    every component's spread there is within CONSTANCY_TOL.
     """
     if not spec.compact:
         raise ConditionsError(f"manifold '{spec.id}' is not compact; cannot integrate")
@@ -904,7 +906,7 @@ def integrate_density(
         rng = np.random.default_rng(quad.seed)
         vals = _node_values(spec, density, spec.sample_points(quad.constancy_samples, rng, margin=0.0))
         spread = vals.max(axis=-1) - vals.min(axis=-1)
-        if np.all(spread <= quad.constancy_tol * np.maximum(np.abs(vals).max(axis=-1), 1.0)):
+        if np.all(spread <= CONSTANCY_TOL * np.maximum(np.abs(vals).max(axis=-1), 1.0)):
             mean = vals.mean(axis=-1)
             vol_err = abs(vol_fine - grids[quad.n][1].sum())
             return IntegralResult(mean * vol_fine, spread * vol_fine + abs(mean) * vol_err, True, vol_fine)

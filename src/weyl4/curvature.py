@@ -19,14 +19,13 @@ Conventions (normative throughout the package):
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import Weyl4Error
-from .exprjet import Jet, jderiv, jeinsum, jet_order, jmul, jtruncate, jvalue, tables, unit_index
+from .exprjet import jderiv, jeinsum, jet_order, jmul, jpartials, jtruncate, jvalue
 from .pointgeom import MetricPoint, is_skew
 
 
@@ -79,7 +78,7 @@ class CurvatureBundle:
     @property
     def dg_v(self) -> np.ndarray:
         """Values of the metric's first partials, [m, i, j] = d_m g_ij."""
-        return first_partials(self.mp.jets, self.order)
+        return first_partials(self.mp.jets)
 
     def require(self, field: str):
         value = getattr(self, field)
@@ -95,11 +94,10 @@ def christoffel(mp: MetricPoint) -> np.ndarray:
     if mp.order < 1:
         raise InsufficientJetOrder("christoffel needs metric jets of order >= 1")
     d = mp.order
-    dg = np.stack([jderiv(mp.jets, v, d) for v in range(4)])  # [v,i,j] = d_v g_{ij}
+    dg = np.stack([jderiv(mp.jets, v) for v in range(4)])  # [v,i,j] = d_v g_{ij}
     # T[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     T = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
-    ginv = jtruncate(mp.inv_jets, d - 1, d - 1)
-    return 0.5 * jeinsum("kl,lij->kij", ginv, T, d - 1)
+    return 0.5 * jeinsum("kl,lij->kij", mp.inv_jets, T, d - 1)
 
 
 def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
@@ -109,8 +107,8 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         raise InsufficientJetOrder("curvature needs metric jets of order >= 2")
     gamma = christoffel(mp)
     o2 = d - 2
-    dgamma = np.stack([jderiv(gamma, v, d - 1) for v in range(4)])  # [m,k,i,j]
-    gam = jtruncate(gamma, d - 1, o2)
+    dgamma = np.stack([jderiv(gamma, v) for v in range(4)])  # [m,k,i,j]
+    gam = jtruncate(gamma, o2)
     gg = jeinsum("abc,cde->abde", gam, gam, o2)
     # R(d_i, d_j) d_k = rup[l,i,j,k] d_l
     rup = (
@@ -119,8 +117,8 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         + gg
         - gg.transpose(0, 2, 1, 3, 4)
     )
-    g2 = jtruncate(mp.jets, d, o2)
-    ginv2 = jtruncate(mp.inv_jets, d - 1, o2)
+    g2 = jtruncate(mp.jets, o2)
+    ginv2 = jtruncate(mp.inv_jets, o2)
     riem = jeinsum("mijk,ml->ijkl", rup, g2, o2)  # R_{ijkl} = g_{lm} rup[m,i,j,k]
     ric = jeinsum("aijk,jk->ai", rup, ginv2, o2)
     ric_form = jeinsum("ai,aj->ij", ric, g2, o2)
@@ -130,20 +128,19 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     dS = None
     nabla_ric = nabla_ric_jets = nabla2_ric = nabla_weyl = None
     if d >= 3:
-        t = tables(o2)
-        dS = np.array([S[t.pos[unit_index(v)]] for v in range(4)])
+        dS = jpartials(S, 1)
         o3 = d - 3
-        ric3 = jtruncate(ric, o2, o3)
-        gam3 = jtruncate(gamma, d - 1, o3)
+        ric3 = jtruncate(ric, o3)
+        gam3 = jtruncate(gamma, o3)
         # (nabla_m Ric)^a_b = d_m Ric^a_b + Gamma^a_{mk} Ric^k_b - Ric^a_k Gamma^k_{mb}
         nabla_ric_jets = (
-            np.stack([jderiv(ric, m, o2) for m in range(4)])
+            np.stack([jderiv(ric, m) for m in range(4)])
             + jeinsum("amk,kb->mab", gam3, ric3, o3)
             - jeinsum("ak,kmb->mab", ric3, gam3, o3)
         )
         nabla_ric = jvalue(nabla_ric_jets)
 
-        dweyl = np.stack([jvalue(jderiv(weyl, v, o2)) for v in range(4)])  # [m,i,j,k,l]
+        dweyl = jpartials(weyl, 1).transpose(4, 0, 1, 2, 3)  # [m,i,j,k,l]
         gv = jvalue(gam3)
         wv = jvalue(weyl)
         corr = (
@@ -155,10 +152,9 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         nabla_weyl = dweyl - corr
 
     if d >= 4:
-        o3 = d - 3
         gv = jvalue(gamma)
         nrv = jvalue(nabla_ric_jets)
-        dnr = np.stack([jvalue(jderiv(nabla_ric_jets, v, o3)) for v in range(4)])  # [m,n,a,b]
+        dnr = jpartials(nabla_ric_jets, 1).transpose(3, 0, 1, 2)  # [m,n,a,b]
         nabla2_ric = (
             dnr
             + np.einsum("amc,ncb->mnab", gv, nrv)
@@ -220,33 +216,16 @@ def weyl_operator(A: np.ndarray, riem: np.ndarray, ric: np.ndarray, S, mp) -> np
     return RA - (ric @ A + A @ ric) + (np.asarray(S) / 3.0)[..., None, None] * A
 
 
-@functools.lru_cache(maxsize=None)
-def _first_positions(order: int) -> np.ndarray:
-    """Coefficient positions of the multi-indices e_v in a jet of order >= 1."""
-    return np.array([tables(order).pos[unit_index(v)] for v in range(4)])
-
-
-@functools.lru_cache(maxsize=None)
-def _second_positions(order: int) -> np.ndarray:
-    """Coefficient positions of the multi-indices e_i + e_j in a jet of order >= 2."""
-    e = [unit_index(v) for v in range(4)]
-    return np.array([[tables(order).pos[tuple(a + b for a, b in zip(ei, ej))] for ej in e] for ei in e])
-
-
-def first_partials(a: np.ndarray, order: int) -> np.ndarray:
+def first_partials(a: np.ndarray) -> np.ndarray:
     """Values of the first partials of a jet matrix: [..., m, i, j] = d_m a_ij."""
-    d = a[..., _first_positions(order)]  # [..., i, j, m]
+    d = jpartials(a, 1)  # [..., i, j, m]
     return d.transpose(*range(d.ndim - 3), -1, -3, -2)
 
 
-def laplacian_scalar(f: Jet | np.ndarray, gamma: np.ndarray, mp) -> np.ndarray:
+def laplacian_scalar(f: np.ndarray, gamma: np.ndarray, mp) -> np.ndarray:
     """lap f = -g^{ij}(d_i d_j f - Gamma^k_{ij} d_k f) (sign: -trace of Hessian),
     from a jet of ``f`` and the Christoffel values, over leading row axes too."""
-    coeffs = f.coeffs if isinstance(f, Jet) else np.asarray(f)
-    order = jet_order(coeffs)
-    if order < 2:
+    if jet_order(f) < 2:
         raise InsufficientJetOrder("laplacian needs a scalar jet of order >= 2")
-    grad = coeffs[..., _first_positions(order)]
-    # d_i d_j f: the coefficient of e_i + e_j, doubled for i = j
-    hess = coeffs[..., _second_positions(order)] * (1.0 + np.eye(4))
+    grad, hess = jpartials(f, 1), jpartials(f, 2)
     return -np.einsum("...ij,...ij->...", mp.g_inv, hess - np.einsum("...kij,...k->...ij", gamma, grad))

@@ -11,11 +11,13 @@ arrays.
 Jets are stored as dense vectors of Taylor coefficients ``c_alpha =
 d^alpha f / alpha!`` indexed by the multi-indices of degree <= order in four
 variables (graded lexicographic order), so symmetry of mixed partials holds
-by construction.  The module also exposes the coefficient-array helpers
-used by the curvature pipeline to run whole tensor fields through the same
-arithmetic: ``jeinsum`` is the one tensor-contracting jet product (every
-index contraction of two jet tensors goes through it), ``jmul`` the
-elementwise product, ``jderiv`` the coordinate derivative.
+by construction.  The coefficient array is the only jet type: the curvature
+pipeline runs whole tensor fields through the same arithmetic, with
+``jeinsum`` the one tensor-contracting jet product (every index contraction
+of two jet tensors goes through it), ``jmul`` the elementwise product,
+``jfunc`` a named function of a jet and ``jderiv`` the coordinate
+derivative.  ``jpartials`` is the one read-out of derivative values; no
+other module reads coefficient positions or factorials.
 """
 
 from __future__ import annotations
@@ -106,8 +108,14 @@ class JetTables:
                 self.diff_src.append(np.asarray(src, dtype=np.intp))
                 self.diff_fac.append(np.asarray(fac, dtype=float))
 
-        fact = [math.prod(math.factorial(k) for k in a) for a in self.multis]
-        self.factorials = np.asarray(fact, dtype=float)
+        # k-th partials: [i1, ..., ik] -> position of e_i1 + ... + e_ik, and its alpha!
+        self.partial_pos: list[np.ndarray] = []
+        self.partial_fac: list[np.ndarray] = []
+        for k in range(order + 1):
+            alphas = [tuple(i.count(v) for v in range(NCOORDS)) for i in itertools.product(range(NCOORDS), repeat=k)]
+            shape = (NCOORDS,) * k
+            self.partial_pos.append(np.reshape([self.pos[a] for a in alphas], shape))
+            self.partial_fac.append(np.reshape([math.prod(map(math.factorial, a)) for a in alphas], shape).astype(float))
 
 
 _TABLES: dict[int, JetTables] = {}
@@ -117,6 +125,17 @@ def tables(order: int) -> JetTables:
     if order not in _TABLES:
         _TABLES[order] = JetTables(order)
     return _TABLES[order]
+
+
+_ORDER_BY_NCOEF = {math.comb(n + NCOORDS, NCOORDS): n for n in range(MAX_ORDER + 1)}
+
+
+def jet_order(a: np.ndarray) -> int:
+    """Truncation order of a coefficient array, from its trailing axis length."""
+    order = _ORDER_BY_NCOEF.get(a.shape[-1])
+    if order is None:
+        raise ValueError(f"{a.shape[-1]} is not a jet coefficient count")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +195,18 @@ def _contraction_plan(subscripts: str, shape_a: tuple, shape_b: tuple, ncoef: in
     )
 
 
-def jderiv(a: np.ndarray, v: int, order: int) -> np.ndarray:
-    """Coordinate derivative d/dx_v; result is a jet of order ``order - 1``."""
+def jderiv(a: np.ndarray, v: int) -> np.ndarray:
+    """Coordinate derivative d/dx_v; the result is a jet of one order less."""
+    order = jet_order(a)
     if order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
     t = tables(order)
     return a[..., t.diff_src[v]] * t.diff_fac[v]
 
 
-def jtruncate(a: np.ndarray, order_from: int, order_to: int) -> np.ndarray:
-    if order_to > order_from:
+def jtruncate(a: np.ndarray, order_to: int) -> np.ndarray:
+    if order_to > jet_order(a):
         raise ValueError("cannot raise jet order by truncation")
-    if a.shape[-1] != tables(order_from).ncoef:
-        raise ValueError(f"{a.shape[-1]} coefficients are not a jet of order {order_from}")
     return a[..., : tables(order_to).ncoef]
 
 
@@ -201,6 +219,15 @@ def jconst(values: np.ndarray | float, order: int) -> np.ndarray:
 
 def jvalue(a: np.ndarray) -> np.ndarray:
     return a[..., 0]
+
+
+def jpartials(a: np.ndarray, k: int) -> np.ndarray:
+    """Values of every k-th partial of a jet, as trailing ``(4,) * k`` axes:
+    ``[..., i1, ..., ik] = d_i1 ... d_ik a``, the coefficient times alpha!."""
+    t = tables(jet_order(a))
+    if not 0 <= k <= t.order:
+        raise ValueError(f"partials of order {k} outside a jet of order {t.order}")
+    return a[..., t.partial_pos[k]] * t.partial_fac[k]
 
 
 def jmatmul(A: np.ndarray, B: np.ndarray, order: int) -> np.ndarray:
@@ -234,55 +261,9 @@ def jdet4(G: np.ndarray, order: int) -> np.ndarray:
     return PERM_SIGNS4 @ jmul(jmul(F[:, 0], F[:, 1], order), jmul(F[:, 2], F[:, 3], order), order)
 
 
-_ORDER_BY_NCOEF = {math.comb(n + NCOORDS, NCOORDS): n for n in range(MAX_ORDER + 1)}
-
-
-def jet_order(a: np.ndarray) -> int:
-    """Truncation order of a coefficient array, from its trailing axis length."""
-    order = _ORDER_BY_NCOEF.get(a.shape[-1])
-    if order is None:
-        raise ValueError(f"{a.shape[-1]} is not a jet coefficient count")
-    return order
-
-
 # ---------------------------------------------------------------------------
-# Scalar jets
+# Functions of jets
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Jet:
-    """Value plus all partial derivatives up to ``order`` at a point.
-
-    Coefficients are Taylor coefficients; use :meth:`partial` for actual
-    derivative values.
-    """
-
-    coeffs: np.ndarray
-    order: int
-
-    @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
-
-    def partial(self, alpha: Sequence[int]) -> float:
-        """Partial derivative d^alpha f for a multi-index ``alpha``."""
-        t = tables(self.order)
-        key = tuple(int(a) for a in alpha)
-        if len(key) != NCOORDS or sum(key) > self.order:
-            raise ValueError(f"multi-index {key} outside jet of order {self.order}")
-        i = t.pos[key]
-        return float(self.coeffs[i] * t.factorials[i])
-
-    def gradient(self) -> np.ndarray:
-        return np.array([self.partial(unit_index(v)) for v in range(NCOORDS)])
-
-
-def unit_index(v: int) -> tuple[int, ...]:
-    """Multi-index of the first derivative d/dx_v."""
-    e = [0] * NCOORDS
-    e[v] = 1
-    return tuple(e)
 
 
 def _compose(a: np.ndarray, derivs: Sequence, order: int) -> np.ndarray:
@@ -374,8 +355,10 @@ FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def jet_sqrt(j: Jet) -> Jet:
-    return Jet(_compose(j.coeffs, _sqrt_derivs(j.value, j.order), j.order), j.order)
+def jfunc(name: str, a: np.ndarray) -> np.ndarray:
+    """The named function of ``FUNCTIONS`` applied to the jet ``a``."""
+    order = jet_order(a)
+    return _compose(a, FUNCTIONS[name](a[..., 0], order), order)
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +698,11 @@ def _run(tape: Tape, coords: Sequence[Number], order: int) -> list:
         elif kind == "coord":
             x = jconst(coords[param], order)
             if order:
-                x[..., tables(order).pos[unit_index(param)]] = 1.0
+                x[..., tables(order).partial_pos[1][param]] = 1.0
         elif kind == "const":
             x = jconst(param, order)
         elif kind == "call":
-            x = _compose(a, FUNCTIONS[param](a[..., 0], order), order)
+            x = jfunc(param, a)
         elif kind == "pow":
             x = _jpow(a, param, order)
         elif kind == "powv":
@@ -741,8 +724,7 @@ def _jpow(a: np.ndarray, p: float, order: int) -> np.ndarray:
     if p != int(p):
         if np.any(v <= 0.0):
             raise DomainError(f"real power of non-positive base {float(np.min(v))}")
-        lg = _compose(a, _log_derivs(v, order), order) * p
-        return _compose(lg, _exp_derivs(lg[..., 0], order), order)
+        return jfunc("exp", jfunc("log", a) * p)
     n = int(p)
     if n < 0:
         if np.any(v == 0.0):
@@ -759,12 +741,13 @@ def _jpow(a: np.ndarray, p: float, order: int) -> np.ndarray:
     return result
 
 
-def eval_jet(expr: Expr | Tape, point: Sequence[float], order: int) -> Jet | np.ndarray:
+def eval_jet(expr: Expr | Tape, point: Sequence[float], order: int) -> np.ndarray:
     """Evaluate ``expr`` and all partials up to ``order`` at ``point``.
 
     Derivatives are exact to machine rounding (jet propagation), not finite
-    differences.  An :class:`Expr` gives a :class:`Jet`; a :class:`Tape`
-    gives the coefficients of its grid, shape ``tape.out.shape + (ncoef,)``.
+    differences.  The result is the jet's coefficient array: shape
+    ``(ncoef,)`` for an :class:`Expr`, ``tape.out.shape + (ncoef,)`` for
+    the grid of a :class:`Tape`.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
@@ -772,8 +755,7 @@ def eval_jet(expr: Expr | Tape, point: Sequence[float], order: int) -> Jet | np.
         raise ValueError("point must have 4 coordinates")
     tape = expr if isinstance(expr, Tape) else compile_tape(expr)
     vals = _run(tape, [float(p) for p in point], order)
-    coeffs = np.array([vals[k] for k in tape.out.flat]).reshape(tape.out.shape + (-1,))
-    return coeffs if tape is expr else Jet(coeffs, order)
+    return np.array([vals[k] for k in tape.out.flat]).reshape(tape.out.shape + (-1,))
 
 
 def eval_values(expr: Expr | Tape, coords: Sequence[Number]) -> Number:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureBundle, first_partials
-from .exprjet import Jet, jeinsum, jet_order, jmatmul, jtruncate, jvalue
+from .exprjet import jeinsum, jet_order, jmatmul, jtruncate, jvalue
 from .exprjet import jmul  # noqa: F401  (perfbench/tracer.py wraps this binding)
 from .pointgeom import (
     MetricPoint,
@@ -186,7 +186,7 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     mp = bundle.mp
     gv = bundle.gamma_v
     J = acs.J
-    dJ = first_partials(acs.jets, acs.order)  # [m,a,b]
+    dJ = first_partials(acs.jets)  # [m,a,b]
     gm = np.swapaxes(gv, -3, -2)  # [m, a, c] = Gamma^a_{mc}
     nabla_j = dJ + gm @ J[..., None, :, :] - J[..., None, :, :] @ gm
 
@@ -306,21 +306,17 @@ def phi_psi_pairing(nabla_ric: np.ndarray, nj, mp, frame) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def s_star_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> Jet:
+def s_star_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:
     """S_star as a scalar jet, from Riemann jets and the jets of J: with C[n,l] = J^n_k g^{kl},
     Ric*[i,a] = J^m_i R_{mnly} g^{ya} C[n,l], so S_star = R_{mnly} C[n,l] C[m,y]."""
-    order = jet_order(j_jets)
-    d = min(bundle.order - 2, order)
-    mp = bundle.mp
-    riem = jtruncate(bundle.riem, bundle.order - 2, d)
-    gi = jtruncate(mp.inv_jets, mp.order - 1, d)
-    C = jmatmul(jtruncate(j_jets, order, d), gi, d)
+    d = min(bundle.order - 2, jet_order(j_jets))
+    riem = jtruncate(bundle.riem, d)
+    C = jmatmul(jtruncate(j_jets, d), jtruncate(bundle.mp.inv_jets, d), d)
     rc = jeinsum("mnly,nl->my", riem, C, d)
-    return Jet(jeinsum("my,my->", rc, C, d), d)
+    return jeinsum("my,my->", rc, C, d)
 
 
-def lambda_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> Jet:
+def lambda_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:
     """lambda = (S_star - S/3)/4 as a scalar jet."""
     ss = s_star_jet(bundle, j_jets)
-    S = jtruncate(bundle.S, bundle.order - 2, ss.order)
-    return Jet(0.25 * (ss.coeffs - S / 3.0), ss.order)
+    return 0.25 * (ss - jtruncate(bundle.S, jet_order(ss)) / 3.0)

@@ -84,7 +84,7 @@ class MetricPoint:
         if not eig[0] > 1e-12 * eig[-1]:
             raise MetricError(f"metric not positive definite (eigenvalues {eig.tolist()})", point, "metric")
         inv_order = max(order - 1, 0)
-        inv_jets = jmatinv(jtruncate(jets, order, inv_order), inv_order)
+        inv_jets = jmatinv(jtruncate(jets, inv_order), inv_order)
         return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)
 
 

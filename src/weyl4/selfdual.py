@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureBundle
-from .exprjet import Jet, jeinsum, jmul, jtruncate, jdet4, jet_sqrt
+from .exprjet import jdet4, jeinsum, jfunc, jmul, jtruncate
 from .pointgeom import EPS4, MetricPoint, SelfDualFrame, inner_endos
 
 
@@ -179,7 +179,7 @@ def nabla_w_sd_matrices(bundle: CurvatureBundle, frame: SelfDualFrame) -> np.nda
     return pairs.reshape(pairs.shape[:-1] + (4, 3)).swapaxes(-3, -2)
 
 
-def wplus_norm2_jet(bundle: CurvatureBundle, orientation: float) -> Jet:
+def wplus_norm2_jet(bundle: CurvatureBundle, orientation: float) -> np.ndarray:
     """|W+|^2 as a scalar jet (frame-free), for gradients and Laplacians.
 
     Uses the trace over 2-forms: |W+|^2 = (tr W^2 + tr(W^2 star))/2, with
@@ -189,8 +189,8 @@ def wplus_norm2_jet(bundle: CurvatureBundle, orientation: float) -> Jet:
     if d < 0:
         raise ValueError("bundle lacks Weyl jets")
     mp = bundle.mp
-    g = jtruncate(mp.jets, bundle.order, d)
-    gi = jtruncate(mp.inv_jets, bundle.order - 1, d)
+    g = jtruncate(mp.jets, d)
+    gi = jtruncate(mp.inv_jets, d)
     # M = -W_{ij}^{kl}, the form-operator matrix of W
     M = -jeinsum("ijbk,bl->ijkl", jeinsum("ijab,ak->ijbk", bundle.weyl, gi, d), gi, d)
     T2 = jeinsum("ijab,abkl->ijkl", M, M, d)
@@ -199,7 +199,7 @@ def wplus_norm2_jet(bundle: CurvatureBundle, orientation: float) -> Jet:
     # star = (orientation/2) sqrt(det g) eps_{ij}^{kl}: EPS4 is constant, so its first
     # raising is a plain contraction, and sqrt(det g) factors out of the trace
     eps_up = jeinsum("ijbk,bl->ijkl", np.einsum("ijab,akc->ijbkc", EPS4, gi), gi, d)
-    sqrt_det = jet_sqrt(Jet(jdet4(g, d), d)).coeffs
+    sqrt_det = jfunc("sqrt", jdet4(g, d))
     tr_w2_eps = jeinsum("ijab,abij->", T2, eps_up, d)
     tr_w2_star = (0.5 * orientation) * jmul(tr_w2_eps, sqrt_det, d)
-    return Jet(0.5 * (tr_w2 + tr_w2_star), d)
+    return 0.5 * (tr_w2 + tr_w2_star)

@@ -16,6 +16,7 @@ import numpy as np
 
 from weyl4.conditions import FRAME_SEED
 from weyl4.curvature import curvature_bundle
+from weyl4.exprjet import jpartials
 from weyl4.hermitian import AcsPoint, nabla_j_data, rtilde_table, star_ricci_family
 from weyl4.pointgeom import build_j_frame, endo_to_form, inner_endo, inner_endos, rotate_supplement
 from weyl4.selfdual import (
@@ -208,7 +209,7 @@ def theta_form_interior(bundle, frame):
 def conformal_nabla_j(nabla_j, frame, f_jet):
     """Predicted nabla J under gbar = exp(f) g:
     (nabla-bar_X J) = nabla_X J + df(KX) I / 2 - df(IX) K / 2."""
-    df = f_jet.gradient()
+    df = jpartials(f_jet, 1)
     return (
         nabla_j.nabla_j
         + 0.5 * np.einsum("m,ab->mab", frame.K.T @ df, frame.I)

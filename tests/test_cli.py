@@ -86,6 +86,12 @@ class TestCheck:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["manifold"] == "flat_torus"
 
+    @pytest.mark.parametrize("flag", [["--rotations", "-1"], ["--points", "0"]])
+    def test_negative_rotations_and_no_points_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, "check", "kodaira_thurston", *flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_manifold_exit_2(self, capsys):
         code, _, err = run(capsys, "check", "atlantis")
         assert code == 2
@@ -117,7 +123,6 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
         assert "g_11" in err and "constant power" in err
 
     @pytest.mark.parametrize("g11", ["1e400", "1 + 1e400*x"])
@@ -206,6 +211,25 @@ class TestIntegrate:
         # integrate samples only its own quadrature nodes
         code, out, err = run(capsys, "integrate", "flat_torus", "--density", "qJ", "--points", "5")
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_density_and_formula_refused(self, capsys, fmt):
+        # one payload has one error estimate, so a density and a formula are not combined
+        code, out, err = run(
+            capsys, "integrate", "kodaira_thurston", "--density", "qJ", "--formula", "both", "--format", fmt
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: give either --density or --formula")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("what", [("--density", "qJ"), ("--formula", "both")])
+    def test_text_output_prints_plain_numbers(self, capsys, what):
+        code, out, _ = run(capsys, "integrate", "kodaira_thurston", *what, "--format", "text")
+        assert code == 0 and "np." not in out
+        payload = json.loads(run(capsys, "integrate", "kodaira_thurston", *what)[1])
+        assert out.startswith(f"kodaira_thurston: volume = {payload['volume']!r}\n")
+        if "value" in payload:
+            assert f"qJ integral = {payload['value']!r} +/- {payload['error']:.3e}" in out
 
 
 class TestPointFailures:

@@ -9,6 +9,7 @@ import pytest
 
 from weyl4.catalog import builtin_manifolds, get_manifold, load_manifold_config
 from weyl4.conditions import (
+    CONSTANCY_TOL,
     GATE,
     REGISTRY,
     ConditionsError,
@@ -598,6 +599,11 @@ class TestGates:
         defaults = QuadratureSpec()
         assert defaults.n == 16 and defaults.n_refine == 24
         assert defaults.constancy_samples == 20
+
+    def test_constancy_tolerance_is_a_module_constant(self):
+        assert CONSTANCY_TOL == 1e-8
+        names = [f.name for f in dataclasses.fields(QuadratureSpec)]
+        assert names == ["n", "n_refine", "constancy_samples", "allow_constancy", "seed"]
 
 
 def nan_in_row_1(record):

@@ -31,10 +31,11 @@ from weyl4.exprjet import (
     jmatinv,
     jmatmul,
     jmul,
+    jpartials,
     jtruncate,
+    jvalue,
     parse_expression,
     tables,
-    unit_index,
 )
 
 XYZT = ("x", "y", "z", "t")
@@ -147,13 +148,13 @@ class TestRoundTrip:
 class TestEvalJet:
     def test_polynomial(self):
         j = eval_jet(parse_expression("x^2", XYZT), [3, 0, 0, 0], 2)
-        assert j.value == 9.0
-        assert j.partial((1, 0, 0, 0)) == 6.0
-        assert j.partial((2, 0, 0, 0)) == 2.0
+        assert jvalue(j) == 9.0
+        assert jpartials(j, 1)[0] == 6.0
+        assert jpartials(j, 2)[0, 0] == 2.0
 
     def test_sin_taylor(self):
         j = eval_jet(parse_expression("sin(x)", XYZT), [0, 0, 0, 0], 3)
-        got = [j.partial((k, 0, 0, 0)) for k in range(4)]
+        got = [jpartials(j, k)[(0,) * k] for k in range(4)]
         assert got == [0.0, 1.0, 0.0, -1.0]
 
     def test_exp_xy_vs_richardson(self):
@@ -165,14 +166,14 @@ class TestEvalJet:
         f = lambda p: values(e, list(p))
         for i in range(2):
             fd = richardson(f, pt, i, 1e-4)
-            assert j.partial(tuple(int(i == k) for k in range(4))) == pytest.approx(fd, rel=1e-6)
+            assert jpartials(j, 1)[i] == pytest.approx(fd, rel=1e-6)
         fd2 = second_richardson(f, pt, 0, 1, 1e-4)
-        assert j.partial((1, 1, 0, 0)) == pytest.approx(fd2, rel=1e-6)
+        assert jpartials(j, 2)[0, 1] == pytest.approx(fd2, rel=1e-6)
 
     def test_coefficient_count(self):
         for order in range(5):
             j = eval_jet(parse_expression("x*y + z", XYZT), [1, 2, 3, 4], order)
-            assert j.coeffs.shape == (math.comb(order + 4, 4),)
+            assert j.shape == (math.comb(order + 4, 4),)
             assert tables(order).ncoef == math.comb(order + 4, 4)
 
     def test_order_out_of_range(self):
@@ -195,7 +196,7 @@ class TestEvalJet:
     def test_real_power_against_exp_log(self):
         j1 = eval_jet(parse_expression("x^2.5", XYZT), [1.7, 0, 0, 0], 3)
         j2 = eval_jet(parse_expression("exp(2.5*log(x))", XYZT), [1.7, 0, 0, 0], 3)
-        np.testing.assert_allclose(j1.coeffs, j2.coeffs, rtol=1e-13)
+        np.testing.assert_allclose(j1, j2, rtol=1e-13)
 
     def test_all_functions_first_derivatives(self):
         from fd_oracle import richardson
@@ -206,7 +207,7 @@ class TestEvalJet:
             j = eval_jet(e, pt, 4)
             f = lambda p: values(e, list(p))
             fd = richardson(f, pt, 0, 1e-4)
-            assert j.partial((1, 0, 0, 0)) == pytest.approx(fd, rel=1e-7), fn
+            assert jpartials(j, 1)[0] == pytest.approx(fd, rel=1e-7), fn
 
 
 FG = [
@@ -229,8 +230,8 @@ class TestJetAlgebra:
         jf = eval_jet(parse_expression(f_text, XYZT), pt, 3)
         jg = eval_jet(parse_expression(g_text, XYZT), pt, 3)
         jc = eval_jet(combo, pt, 3)
-        scale = max(np.abs(jc.coeffs).max(), 1.0)
-        assert np.abs(jc.coeffs - (a * jf.coeffs + b * jg.coeffs)).max() <= 1e-14 * scale
+        scale = max(np.abs(jc).max(), 1.0)
+        assert np.abs(jc - (a * jf + b * jg)).max() <= 1e-14 * scale
 
     def test_leibniz_order_one(self):
         pt = [0.4, -0.3, 0.8, 0.2]
@@ -239,9 +240,9 @@ class TestJetAlgebra:
             jf = eval_jet(parse_expression(f_text, XYZT), pt, 1)
             jg = eval_jet(parse_expression(g_text, XYZT), pt, 1)
             jp = eval_jet(prod, pt, 1)
-            expect = jf.value * jg.coeffs[1:] + jg.value * jf.coeffs[1:]
+            expect = jvalue(jf) * jg[1:] + jvalue(jg) * jf[1:]
             scale = max(np.abs(expect).max(), 1.0)
-            assert np.abs(jp.coeffs[1:] - expect).max() <= 1e-15 * scale
+            assert np.abs(jp[1:] - expect).max() <= 1e-15 * scale
 
     def test_catalog_expressions_vs_richardson(self, catalog):
         # first and second jet coefficients of every metric component match
@@ -260,14 +261,14 @@ class TestJetAlgebra:
                         f = lambda p: float(values(e, list(p)))
                         for v in range(4):
                             fd = richardson(f, pt, v, 1e-3)
-                            got = jet.partial(tuple(int(v == k) for k in range(4)))
+                            got = jpartials(jet, 1)[v]
                             tol = 1e-6 * max(abs(fd), 1e-2)
                             assert abs(got - fd) <= max(tol, 1e-8)
 
     def test_gradient_hessian_helpers(self):
         j = eval_jet(parse_expression("x^2*y + z*t", XYZT), [1.0, 2.0, 3.0, 4.0], 2)
-        np.testing.assert_allclose(j.gradient(), [4.0, 1.0, 4.0, 3.0], atol=1e-14)
-        H = np.array([[j.partial([(k == a) + (k == b) for k in range(4)]) for b in range(4)] for a in range(4)])
+        np.testing.assert_allclose(jpartials(j, 1), [4.0, 1.0, 4.0, 3.0], atol=1e-14)
+        H = np.array([[jpartials(j, 2)[a, b] for b in range(4)] for a in range(4)])
         assert H[0, 0] == pytest.approx(4.0)
         assert H[0, 1] == H[1, 0] == pytest.approx(2.0)
         assert H[2, 3] == pytest.approx(1.0)
@@ -375,7 +376,7 @@ def oracle_jet(e, point, order):
     if isinstance(e, Sym):
         c = jconst(float(point[e.index]), order)
         if order:
-            c[tables(order).pos[unit_index(e.index)]] = 1.0
+            c[tables(order).pos[tuple(int(k == e.index) for k in range(4))]] = 1.0
         return c
     if isinstance(e, Neg):
         return -oracle_jet(e.operand, point, order)
@@ -447,7 +448,7 @@ def oracle_or_error(e, point, order):
 
 def tape_or_error(e, point, order):
     try:
-        return eval_jet(e, point, order).coeffs
+        return eval_jet(e, point, order)
     except DomainError:
         return DomainError
 
@@ -537,12 +538,12 @@ class TestTape:
             e = parse_expression(text, XYZT)
             assert "const" not in {op[0] for op in compile_tape(e).ops}, text
             for order in range(5):
-                assert np.array_equal(eval_jet(e, point, order).coeffs, oracle_jet(e, point, order)), text
+                assert np.array_equal(eval_jet(e, point, order), oracle_jet(e, point, order)), text
 
     def test_symbolic_exponent_with_zero_derivatives(self):
         e = parse_expression("x^(y - y) + (x + 1)^(2 + z - z)", XYZT)
         for order in range(5):
-            assert_close(eval_jet(e, [0.7, 0.2, -0.4, 1.0], order).coeffs, oracle_jet(e, [0.7, 0.2, -0.4, 1.0], order))
+            assert_close(eval_jet(e, [0.7, 0.2, -0.4, 1.0], order), oracle_jet(e, [0.7, 0.2, -0.4, 1.0], order))
         assert [op[0] for op in compile_tape(e).ops].count("powv") == 2
         assert "powv" not in {op[0] for op in compile_tape(parse_expression("x^2 + y^-1.5", XYZT)).ops}
 
@@ -604,13 +605,96 @@ class TestTape:
 class TestTruncate:
     def test_truncates_coefficients(self):
         a = np.arange(2 * tables(3).ncoef, dtype=float).reshape(2, -1)
-        assert np.array_equal(jtruncate(a, 3, 1), a[:, : tables(1).ncoef])
+        assert np.array_equal(jtruncate(a, 1), a[:, : tables(1).ncoef])
 
-    @pytest.mark.parametrize("stale", [2, 4])
-    def test_stale_order_from_raises(self, stale):
-        with pytest.raises(ValueError, match="not a jet of order"):
-            jtruncate(np.zeros((4, 4, tables(3).ncoef)), stale, 1)
+    @pytest.mark.parametrize("extra", [2, 4])
+    def test_non_jet_coefficient_count_raises(self, extra):
+        # the source order is read from the trailing axis, which must be a jet's coefficient count
+        with pytest.raises(ValueError, match="not a jet coefficient count"):
+            jtruncate(np.zeros((4, 4, tables(3).ncoef + extra)), 1)
 
     def test_cannot_raise_order(self):
         with pytest.raises(ValueError, match="cannot raise"):
-            jtruncate(np.zeros(tables(1).ncoef), 1, 2)
+            jtruncate(np.zeros(tables(1).ncoef), 2)
+
+
+# ---------------------------------------------------------------------------
+# jpartials, the one read-out of derivative values
+# ---------------------------------------------------------------------------
+
+
+def poly_partial(poly, directions, point):
+    """d_{i1} ... d_{ik} of a polynomial {exponents: coefficient} at ``point``."""
+    total = 0.0
+    for exps, c in poly.items():
+        e = list(exps)
+        for i in directions:
+            c *= e[i]
+            e[i] -= 1
+        if c:
+            total += c * math.prod(p**n for p, n in zip(point, e))
+    return total
+
+
+def readout(coeffs, order, k):
+    """The k-th partials read off coefficients one multi-index at a time, the
+    way the removed per-partial accessor did: coefficient times alpha!."""
+    t = tables(order)
+    out = np.empty(coeffs.shape[:-1] + (4,) * k)
+    for directions in itertools.product(range(4), repeat=k):
+        alpha = tuple(directions.count(v) for v in range(4))
+        out[(...,) + directions] = coeffs[..., t.pos[alpha]] * math.prod(map(math.factorial, alpha))
+    return out
+
+
+# demo 01's quartic x^4 + 2 x^2 y^2 + t z^3 and a mixed quartic with every variable
+QUARTICS = [
+    ("x^4 + 2*x^2*y^2 + t*z^3", {(4, 0, 0, 0): 1.0, (2, 2, 0, 0): 2.0, (0, 0, 3, 1): 1.0}),
+    ("3*x*y*z*t - y^3*t + 5*z^2 - x", {(1, 1, 1, 1): 3.0, (0, 3, 0, 1): -1.0, (0, 0, 2, 0): 5.0, (1, 0, 0, 0): -1.0}),
+]
+
+
+class TestPartials:
+    @pytest.mark.parametrize("text,poly", QUARTICS)
+    def test_polynomial_partials_exact(self, text, poly):
+        point = [1.0, -1.0, 2.0, 0.5]
+        jet = eval_jet(parse_expression(text, XYZT), point, 4)
+        for k in range(5):
+            got = jpartials(jet, k)
+            assert got.shape == (4,) * k
+            want = np.empty((4,) * k)
+            for directions in itertools.product(range(4), repeat=k):
+                want[directions] = poly_partial(poly, directions, point)
+            assert np.array_equal(got, want), k
+
+    def test_against_the_recursive_walk(self):
+        point = [0.4, -0.3, 0.8, 0.2]
+        for text in [t for pair in FG for t in pair] + ["sqrt(1 + x^2*y) * atan(z - t)", "(1 + x*y)^-2.5"]:
+            e = parse_expression(text, XYZT)
+            for order in range(5):
+                ref = oracle_jet(e, point, order)
+                jet = eval_jet(e, point, order)
+                for k in range(order + 1):
+                    assert np.array_equal(jpartials(ref, k), readout(ref, order, k)), (text, order, k)
+                    assert_close(jpartials(jet, k), readout(ref, order, k))
+
+    def test_symmetric_and_leading_axes_kept(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((2, 3, tables(4).ncoef))
+        for k in range(5):
+            d = jpartials(a, k)
+            assert d.shape == (2, 3) + (4,) * k
+            assert np.array_equal(d, readout(a, 4, k))
+            for perm in itertools.permutations(range(k)):
+                assert np.array_equal(d, d.transpose((0, 1) + tuple(2 + p for p in perm)))
+        assert np.array_equal(jpartials(a, 0), jvalue(a))
+
+    @pytest.mark.parametrize("order", range(5))
+    def test_beyond_the_order_raises(self, order):
+        a = np.zeros(tables(order).ncoef)
+        with pytest.raises(ValueError, match="outside a jet"):
+            jpartials(a, order + 1)
+        with pytest.raises(ValueError, match="outside a jet"):
+            jpartials(a, -1)
+        with pytest.raises(ValueError, match="not a jet coefficient count"):
+            jpartials(np.zeros(tables(order).ncoef + 1), 0)

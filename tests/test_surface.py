@@ -3,8 +3,10 @@
 Every function, class, method and property defined in ``src/weyl4`` must be
 reached from the package itself, from ``demos/`` or from ``weyl4.__all__``;
 code that only tests call belongs in ``tests/`` (see ``paper_oracles.py``).
-Every exception the package defines shares the ``Weyl4Error`` root, which is
-what ``weyl4 ...`` maps to exit code 2.
+Only ``exprjet`` reads the coefficient layout of a jet; every other module
+reads derivative values through ``jpartials``.  Every exception the package
+defines shares the ``Weyl4Error`` root, which is what ``weyl4 ...`` maps to
+exit code 2.
 """
 
 import ast
@@ -75,3 +77,15 @@ def test_every_package_exception_has_one_root():
                 if not issubclass(cls, weyl4.Weyl4Error):
                     foreign.append(f"{module.__name__}.{name}")
     assert not foreign, "exceptions outside the Weyl4Error hierarchy: " + ", ".join(foreign)
+
+
+def test_only_exprjet_reads_the_coefficient_layout():
+    readers = [
+        f"{path.name}:{n} {token}"
+        for path in MODULES
+        if path.name != "exprjet.py"
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        for token in ("tables(", ".pos[", ".factorials")
+        if token in line
+    ]
+    assert not readers, "jet coefficient layout read outside exprjet: " + ", ".join(readers)
