@@ -12,11 +12,13 @@ from weyl4.catalog import get_manifold
 from weyl4.hermitian import AcsPoint
 from weyl4.pointgeom import (
     build_j_frame,
+    chart_orientation,
     endo_to_form,
     hodge_star,
     inner_endo,
     rotate_supplement,
 )
+from weyl4.selfdual import lambda2_split
 
 TOL = 1e-12  # values below it are rounding noise, whose last digits vary with numpy, BLAS and CPU
 
@@ -37,15 +39,16 @@ print(np.round(frame.E, 6) + 0.0)  # + 0.0 turns a rounded -0. into 0.
 print("quaternion residual |IJK + 1|:", clean(np.abs(frame.I @ frame.J @ frame.K + np.eye(4)).max()))
 
 names = ("J", "I", "K")
-for a, A in zip(names, frame.sd_endos()):
-    for b, B in zip(names, frame.sd_endos()):
+for a, A in zip(names, lambda2_split(frame)):
+    for b, B in zip(names, lambda2_split(frame)):
         print(f"<{a},{b}> = {clean(inner_endo(A, B, mp)): .3f}", end="  ")
     print()
 
 print("\nself-duality of the associated 2-forms (star residuals):")
-for name, A in zip(names, frame.sd_endos()):
+orientation = chart_orientation(frame.J, mp)  # vol = Omega_J ^ Omega_J / 2
+for name, A in zip(names, lambda2_split(frame)):
     w = endo_to_form(A, mp)
-    print(f"  |*Omega_{name} - Omega_{name}| = {clean(np.abs(hodge_star(w, mp, frame.orientation) - w).max()):.2e}")
+    print(f"  |*Omega_{name} - Omega_{name}| = {clean(np.abs(hodge_star(w, mp, orientation) - w).max()):.2e}")
 
 # the supplement is only determined up to a rotation in the (I, K) plane
 rotated = rotate_supplement(frame, 0.7)

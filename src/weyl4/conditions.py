@@ -29,7 +29,7 @@ import numpy as np
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
 from .curvature import InsufficientJetOrder, curvature_bundle, laplacian_scalar, weyl_operator
-from .exprjet import jpartials, jvalue
+from .exprjet import jpartials
 from .hermitian import (
     AcsPoint,
     NablaJData,
@@ -43,7 +43,7 @@ from .hermitian import (
     q_j_integrand,
     star_ricci_family,
 )
-from .pointgeom import build_j_frame, chart_orientation, rotate_supplement
+from .pointgeom import build_j_frame, rotate_supplement
 from .selfdual import (
     WplusMatrix,
     delta_wpm,
@@ -107,9 +107,10 @@ def point_context(spec: ManifoldSpec, point: Sequence[float], order: int) -> dic
     if not spec.has_j:
         return row
     j_jets = spec.j_jets(point, 2)
-    # |W+|^2 needs the orientation J induces, not a frame
-    w2jet = wplus_norm2_jet(b, chart_orientation(jvalue(j_jets), mp))
-    row.update(j_jets=j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v, w2=jvalue(w2jet))
+    # built at order 2 too, where no row field reads it: perfbench/tracer.py requires every
+    # workload to reach it (ROADMAP item 1)
+    w2jet = wplus_norm2_jet(b, j_jets)
+    row.update(j_jets=j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v)
     if order >= 3:
         row.update(nabla_weyl=b.nabla_weyl, w2_grad=jpartials(w2jet, 1), lam_grad=jpartials(lambda_jet(b, j_jets), 1))
     if order >= 4:
@@ -145,7 +146,6 @@ class Rows:
     dg_v: Optional[np.ndarray] = None  # metric first partials [m, i, j]
     nabla_weyl: Optional[np.ndarray] = None
     nabla_weyl_max: Optional[np.ndarray] = None  # max |nabla W|
-    w2: Optional[np.ndarray] = None   # |W+|^2 from its jet
     w2_grad: Optional[np.ndarray] = None
     lam_grad: Optional[np.ndarray] = None
     w2_lap: Optional[np.ndarray] = None
@@ -153,7 +153,6 @@ class Rows:
     J: Optional[np.ndarray] = None
     I: Optional[np.ndarray] = None
     K: Optional[np.ndarray] = None
-    orientation: Optional[np.ndarray] = None
     star: Optional[StarCurvature] = None
     nj: Optional[NablaJData] = None
     wplus: Optional[WplusMatrix] = None
@@ -197,23 +196,25 @@ def stack_rows(rows: Iterable[dict], angles: Optional[np.ndarray] = None) -> Row
         return rows
     acs = AcsPoint.from_jets(rows.j_jets, rows)
     frame = build_j_frame(rows, acs, FRAME_SEED)
-    dwp = None if rows.nabla_weyl is None else delta_wpm(rows, frame)
+    sd = lambda2_split(frame)
+    dwp = None if rows.nabla_weyl is None else delta_wpm(rows, sd)
     if angles is not None:
         take = np.repeat(np.arange(len(rows.S_v)), 1 + angles.shape[1])
         rows, acs, frame = (_leafwise(lambda v: v[take], x) for x in (rows, acs, frame))
         frame = rotate_supplement(frame, np.column_stack([np.zeros(len(angles)), angles]).ravel())
+        sd = lambda2_split(frame)
         dwp = None if dwp is None else dwp[take]
     star = star_ricci_family(rows, acs, frame)
-    wplus = wplus_matrix(rows, lambda2_split(frame, rows))
+    wplus = wplus_matrix(rows, sd)
     rows = replace(
-        rows, J=acs.J, I=frame.I, K=frame.K, orientation=frame.orientation, star=star,
+        rows, J=acs.J, I=frame.I, K=frame.K, star=star,
         nj=nabla_j_data(acs, rows, frame), wplus=wplus, proj=projections_p1p2(star, wplus.m), dwp=dwp,
         j_jets=None, gamma_v=None, dg_v=None,
     )
     if dwp is None:
         return rows
     return replace(
-        rows, nabla_sd=nabla_w_sd_matrices(rows, frame), wplus04=wplus_04(rows.weyl_v, rows, rows.orientation),
+        rows, nabla_sd=nabla_w_sd_matrices(rows, sd), wplus04=wplus_04(wplus.m, sd, rows),
         nabla_weyl=None, nabla_weyl_max=_amax(rows.nabla_weyl),
     )
 
@@ -296,7 +297,7 @@ def _eq03_87(r):  # |nabla W+|^2 = |nabla S|^2/6
 
 
 def _eq04_88(r):  # |nabla W+|^2 = |nabla |W+||^2
-    return _scalar_res(_nabla_wplus_norm2(r), _grad_norm2(r, r.w2_grad) / (4.0 * r.w2))
+    return _scalar_res(_nabla_wplus_norm2(r), _grad_norm2(r, r.w2_grad) / (4.0 * r.wplus.norm2))
 
 
 def _wplus_interior(r, u):
@@ -310,7 +311,7 @@ def _dwp_plus_interior(r, u):  # delta W+ + u .| W+ = 0
 
 
 def _grad_log_abs_w(r):
-    return np.einsum("rij,rj->ri", r.g_inv, r.w2_grad) / (2.0 * r.w2)[:, None]
+    return np.einsum("rij,rj->ri", r.g_inv, r.w2_grad) / (2.0 * r.wplus.norm2)[:, None]
 
 
 def _eq05(r):  # delta W+ + grad log|W+| .| W+ = 0
@@ -679,6 +680,12 @@ def _verdict(record: IdentityRecord, rels: Sequence, margins: Sequence, tol_pass
     return "indeterminate"
 
 
+def _check_tolerances(tol_pass: float, tol_fail: float) -> None:
+    """Refuse a verdict band that is empty, reversed, non-positive or not finite."""
+    if not 0.0 < tol_pass < tol_fail < np.inf:
+        raise ConditionsError(f"tolerances need 0 < tol_pass < tol_fail < inf, got {tol_pass!r} and {tol_fail!r}")
+
+
 def run_suite(
     spec: ManifoldSpec,
     n_points: int,
@@ -693,6 +700,7 @@ def run_suite(
         raise ConditionsError("n_points must be >= 1")
     if rotations < 0:
         raise ConditionsError("rotations must be >= 0")
+    _check_tolerances(tol_pass, tol_fail)
     ids = list(identities) if identities else [r for r in REGISTRY if REGISTRY[r].evaluator]
     for rid in ids:
         if rid not in REGISTRY:
@@ -819,6 +827,7 @@ def classify_structure(spec: ManifoldSpec, n_points: int, seed: int = 0,
         raise ConditionsError(f"manifold '{spec.id}' has no almost complex structure")
     if n_points < 1:
         raise ConditionsError("n_points must be >= 1")
+    _check_tolerances(tol_pass, tol_fail)
     pts = spec.sample_points(n_points, np.random.default_rng(seed))
     return _classify(stack_rows(point_context(spec, pt, 2) for pt in pts).nj, tol_pass, tol_fail)
 

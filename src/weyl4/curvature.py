@@ -51,7 +51,6 @@ class CurvatureBundle:
     weyl: np.ndarray            # (4,4,4,4,*) jets of W_{ijkl}
     dS: Optional[np.ndarray]    # (4,) gradient of S (order >= 3)
     nabla_ric: Optional[np.ndarray]       # (4,4,4) values (nabla_m Ric)^a_b
-    nabla_ric_jets: Optional[np.ndarray]  # same, as jets (order >= 4)
     nabla2_ric: Optional[np.ndarray]      # (4,4,4,4) values (nabla^2_{m,n} Ric)^a_b
     nabla_weyl: Optional[np.ndarray]      # (4,4,4,4,4) values (nabla_m W)_{ijkl}
 
@@ -126,7 +125,7 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     weyl = _weyl_04(riem, ric_form, S, g2, o2)
 
     dS = None
-    nabla_ric = nabla_ric_jets = nabla2_ric = nabla_weyl = None
+    nabla_ric = nabla2_ric = nabla_weyl = None
     if d >= 3:
         dS = jpartials(S, 1)
         o3 = d - 3
@@ -173,7 +172,6 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         weyl=weyl,
         dS=dS,
         nabla_ric=nabla_ric,
-        nabla_ric_jets=nabla_ric_jets,
         nabla2_ric=nabla2_ric,
         nabla_weyl=nabla_weyl,
     )

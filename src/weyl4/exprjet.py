@@ -251,16 +251,6 @@ def jmatinv(G: np.ndarray, order: int) -> np.ndarray:
     return np.einsum("ijc,jk->ikc", acc, g0inv)
 
 
-PERMUTATIONS4 = np.array(list(itertools.permutations(range(NCOORDS))))
-PERM_SIGNS4 = np.linalg.det(np.eye(NCOORDS)[PERMUTATIONS4]).round()  # sign = det of the permutation matrix
-
-
-def jdet4(G: np.ndarray, order: int) -> np.ndarray:
-    """Determinant jet of a (4,4,ncoef) jet matrix (Leibniz expansion, all 24 terms in one batch)."""
-    F = G[np.arange(NCOORDS), PERMUTATIONS4]  # [perm, i] = G[i, perm[i]]
-    return PERM_SIGNS4 @ jmul(jmul(F[:, 0], F[:, 1], order), jmul(F[:, 2], F[:, 3], order), order)
-
-
 # ---------------------------------------------------------------------------
 # Functions of jets
 # ---------------------------------------------------------------------------

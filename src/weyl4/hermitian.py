@@ -24,6 +24,10 @@ from .exprjet import jmul  # noqa: F401  (perfbench/tracer.py wraps this binding
 from .pointgeom import (
     MetricPoint,
     SelfDualFrame,
+    _flat,
+    _kron2,
+    _pairs,
+    _trail,
     chart_orientation,
     check_acs,
     endo_to_form,
@@ -31,31 +35,29 @@ from .pointgeom import (
     inner_endos,
     raise_at_first,
 )
-from .selfdual import _kron2, _pairs, _trail
 
 
 @dataclass(frozen=True)
 class AcsPoint:
     """Almost complex structure at a point or a stack of points: matrix,
-    fundamental form, chart orientation, jets."""
+    fundamental form, jets."""
 
     J: np.ndarray
     omega: np.ndarray
-    orientation: np.ndarray
     jets: np.ndarray
     order: int
 
     @staticmethod
     def from_jets(j_jets: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> "AcsPoint":
-        """Validated J: compatible with g, and Omega_J self-dual, on every row."""
+        """Validated J: compatible with g, and Omega_J self-dual (in the
+        orientation with vol = Omega_J^2/2), on every row."""
         J = jvalue(j_jets)
         check_acs(J, mp, tol)
         omega = endo_to_form(J, mp)
-        sigma = chart_orientation(J, mp)
-        r3 = np.abs(hodge_star(omega, mp, sigma) - omega).max(axis=(-2, -1))
+        r3 = np.abs(hodge_star(omega, mp, chart_orientation(J, mp)) - omega).max(axis=(-2, -1))
         raise_at_first(~(r3 <= tol * np.fmax(np.abs(omega).max(axis=(-2, -1)), 1.0)), mp, "structure",
                        lambda k: f"fundamental form not self-dual (residual {r3.flat[k]:.2e})")
-        return AcsPoint(J=J, omega=omega, orientation=sigma, jets=j_jets, order=jet_order(j_jets))
+        return AcsPoint(J=J, omega=omega, jets=j_jets, order=jet_order(j_jets))
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,6 @@ class StarCurvature:
     ric_tri: np.ndarray
     ric_box: np.ndarray
     ric_tri_minus: np.ndarray
-    ric_box_minus: np.ndarray
     s_tri: np.ndarray
     s_box: np.ndarray
     lam: np.ndarray                 # (S_star - S/3)/4
@@ -96,11 +97,6 @@ def rtilde_table(bundle: CurvatureBundle, J: np.ndarray, r_op: np.ndarray | None
     rjj = (np.swapaxes(_kron2(J), -1, -2) @ _pairs(r_op)).reshape(r_op.shape)  # R(J d_p, J d_m)
     D, J = r_op - rjj, J[..., None, None, :, :]
     return 0.25 * (D @ J - J @ D) @ J
-
-
-def _flat(stack: np.ndarray) -> np.ndarray:
-    """A stack [..., s, i, j] of 4x4 matrices as rows [..., s, (i, j)]."""
-    return stack.reshape(stack.shape[:-2] + (16,))
 
 
 def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFrame) -> StarCurvature:
@@ -135,7 +131,6 @@ def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFra
         ric_tri=stars[..., 1, :, :],
         ric_box=stars[..., 2, :, :],
         ric_tri_minus=minus[..., 1, :, :],
-        ric_box_minus=minus[..., 2, :, :],
         s_tri=s_tri,
         s_box=s_box,
         lam=lam,
@@ -237,20 +232,15 @@ class ProjectionData:
     p1_pairing: np.ndarray    # <W+, P_1> (full trace)
     p2_pairing: np.ndarray
     two_lambda: np.ndarray
-    F: np.ndarray        # 3x3 matrix of lambda (2 P_1 - P_2)
-    G: np.ndarray        # W+ - F
-    g_norm2: np.ndarray  # |G|^2 (full trace)
+    g_norm2: np.ndarray  # |G|^2 (full trace), G = W+ - lambda (2 P_1 - P_2)
 
 
 def projections_p1p2(star: StarCurvature, wplus_m: np.ndarray) -> ProjectionData:
-    F = np.asarray(star.lam)[..., None, None] * np.diag([2.0, -1.0, -1.0])
-    G = wplus_m - F
+    G = wplus_m - np.asarray(star.lam)[..., None, None] * np.diag([2.0, -1.0, -1.0])
     return ProjectionData(
         p1_pairing=wplus_m[..., 0, 0],
         p2_pairing=wplus_m[..., 1, 1] + wplus_m[..., 2, 2],
         two_lambda=2.0 * star.lam,
-        F=F,
-        G=G,
         g_norm2=np.sum(G * G, axis=(-2, -1)),
     )
 

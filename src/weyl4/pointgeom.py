@@ -5,22 +5,24 @@ metric, the dimension-weighted inner product ``<A,B> = tr(A* B)/4`` on
 endomorphisms, J-adapted orthonormal frames with their quaternionic
 supplements (I, K), the skew-endomorphism / 2-form correspondence
 ``Omega_A(X,Y) = g(AX,Y)``, and the Hodge star on 2-forms in the orientation
-fixed by ``vol = Omega_J ^ Omega_J / 2``.
+fixed by ``vol = Omega_J ^ Omega_J / 2``, which validates J.
 
 All matrices are in the chart basis unless noted; endomorphisms act on
-column vectors of chart components.  The frame functions also take a stack
+column vectors of chart components, and the frame kernels contract index
+pairs (i, j) as 16-rows of one matrix product.  The frame functions also take a stack
 of points (leading row axes; ``mp`` holding ``point``, ``g`` and ``g_inv``),
 and a failing check names the first failing row's point.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import Weyl4Error
-from .exprjet import PERM_SIGNS4, PERMUTATIONS4, jmatinv, jtruncate, jvalue
+from .exprjet import jmatinv, jtruncate, jvalue
 
 N = 4
 
@@ -32,6 +34,8 @@ I_STD = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dty
 K_STD = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]], dtype=float)
 
 
+PERMUTATIONS4 = np.array(list(itertools.permutations(range(N))))
+PERM_SIGNS4 = np.linalg.det(np.eye(N)[PERMUTATIONS4]).round()  # sign = det of the permutation matrix
 EPS4 = np.zeros((N, N, N, N))
 EPS4[tuple(PERMUTATIONS4.T)] = PERM_SIGNS4
 
@@ -86,6 +90,32 @@ class MetricPoint:
         inv_order = max(order - 1, 0)
         inv_jets = jmatinv(jtruncate(jets, inv_order), inv_order)
         return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)
+
+
+# ---------------------------------------------------------------------------
+# Index-pair matrices
+# ---------------------------------------------------------------------------
+
+
+def _pairs(T: np.ndarray) -> np.ndarray:
+    """A [..., i, j, k, l] array as [..., (i, j), (k, l)] 16x16 matrices."""
+    return T.reshape(T.shape[:-4] + (16, 16))
+
+
+def _flat(stack: np.ndarray) -> np.ndarray:
+    """A stack [..., s, i, j] of 4x4 matrices as rows [..., s, (i, j)]."""
+    return stack.reshape(stack.shape[:-2] + (16,))
+
+
+def _trail(x: np.ndarray, *order: int) -> np.ndarray:
+    """``x`` with its trailing axes permuted by ``order``, leading row axes kept."""
+    k = x.ndim - len(order)
+    return x.transpose(*range(k), *(k + i for i in order))
+
+
+def _kron2(a: np.ndarray) -> np.ndarray:
+    """a (x) a on index pairs: [(i, j), (k, l)] = a[i, k] a[j, l]."""
+    return _pairs(a[..., :, None, :, None] * a[..., None, :, None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +183,6 @@ class SelfDualFrame:
     J: np.ndarray
     I: np.ndarray
     K: np.ndarray
-    orientation: np.ndarray  # chart orientation sign under vol = Omega_J^2/2
-
-    def sd_endos(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.J, self.I, self.K
 
 
 def acs_residuals(J: np.ndarray, mp) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +210,7 @@ def build_j_frame(mp: MetricPoint, acs, seed: np.ndarray) -> SelfDualFrame:
     """Build a J-frame from a seed vector with a deterministic completion.
 
     ``acs`` is a validated structure (``AcsPoint.from_jets``), read for its
-    ``J`` and ``orientation``.  e3 is the Gram-Schmidt remainder of the first
+    ``J``.  e3 is the Gram-Schmidt remainder of the first
     chart basis vector whose residual against span(e1, e2) exceeds 1e-6,
     chosen row by row, which makes frames reproducible across runs.
     """
@@ -208,7 +234,7 @@ def build_j_frame(mp: MetricPoint, acs, seed: np.ndarray) -> SelfDualFrame:
     Einv = np.linalg.inv(E)
     I = E @ I_STD @ Einv
     K = E @ K_STD @ Einv
-    return SelfDualFrame(E=E, J=J, I=I, K=K, orientation=acs.orientation)
+    return SelfDualFrame(E=E, J=J, I=I, K=K)
 
 
 def rotate_supplement(frame: SelfDualFrame, alpha) -> SelfDualFrame:

@@ -8,6 +8,13 @@ element (2-form operators, W-, the full divergence of W, the (+)/(-)
 projections), so that tests can hold the package's quantities against
 them.  ``frame_reference`` builds the frame data of one point from the
 frame functions directly, apart from the stacked rows of the package.
+
+The package reads the self-dual 2-forms through the J-splitting alone.  The
+Hodge-star operator algebra below (operators on 2-forms as [i, j, k, l]
+arrays, the star from epsilon, sqrt(det g) and the chart orientation J
+induces) is a second, independent description of Lambda+, and the oracle
+the J-splitting is held against: W+ as a (0,4) tensor, delta W+ and the
+|W+|^2 jet.
 """
 
 from types import SimpleNamespace
@@ -16,21 +23,20 @@ import numpy as np
 
 from weyl4.conditions import FRAME_SEED
 from weyl4.curvature import curvature_bundle
-from weyl4.exprjet import jpartials
+from weyl4.exprjet import jeinsum, jfunc, jmul, jpartials, jtruncate
 from weyl4.hermitian import AcsPoint, nabla_j_data, rtilde_table, star_ricci_family
-from weyl4.pointgeom import build_j_frame, endo_to_form, inner_endo, inner_endos, rotate_supplement
-from weyl4.selfdual import (
-    _weyl_on,
-    compose,
-    form_operator,
-    identity_operator,
-    interior_product,
-    lambda2_split,
-    nabla_w_sd_matrices,
-    operator_to_04,
-    star_operator,
-    wplus_matrix,
+from weyl4.pointgeom import (
+    EPS4,
+    PERM_SIGNS4,
+    PERMUTATIONS4,
+    build_j_frame,
+    chart_orientation,
+    endo_to_form,
+    inner_endo,
+    inner_endos,
+    rotate_supplement,
 )
+from weyl4.selfdual import interior_product, lambda2_split, nabla_w_sd_matrices, wplus_matrix
 
 # Frame-basis matrices of the anti-self-dual counterparts of J_STD, I_STD and
 # K_STD in weyl4.pointgeom (the second block of J flipped, etc.)
@@ -53,11 +59,11 @@ def frame_reference(spec, point, order, alpha=0.0):
     bundle = curvature_bundle(mp)
     acs = AcsPoint.from_jets(spec.j_jets(point, 2), mp)
     frame = rotate_supplement(build_j_frame(mp, acs, FRAME_SEED), alpha)
-    basis = lambda2_split(frame, mp)
+    basis = lambda2_split(frame)
     return SimpleNamespace(
         mp=mp, bundle=bundle, acs=acs, frame=frame, basis=basis,
         star=star_ricci_family(bundle, acs, frame), nj=nabla_j_data(acs, bundle, frame),
-        wplus=wplus_matrix(bundle, basis), nabla_sd=nabla_w_sd_matrices(bundle, frame) if order >= 3 else None,
+        wplus=wplus_matrix(bundle, basis), nabla_sd=nabla_w_sd_matrices(bundle, basis) if order >= 3 else None,
         curvature_scale=max(1.0, float(np.abs(bundle.riem_v).max()), abs(bundle.S_v)),
     )
 
@@ -100,9 +106,9 @@ def _project(endos, A, mp):
     return np.einsum("s,sab->ab", inner_endos(Bs, A[None], mp)[:, 0], Bs)
 
 
-def project_plus(basis, A):
-    """Self-dual part of a skew endomorphism, from a ``Lambda2Basis``."""
-    return _project(basis.sd, A, basis.mp)
+def project_plus(sd, A, mp):
+    """Self-dual part of a skew endomorphism, from the triple of ``lambda2_split``."""
+    return _project(sd, A, mp)
 
 
 def project_minus(frame, A, mp):
@@ -112,21 +118,78 @@ def project_minus(frame, A, mp):
 
 def wminus_matrix(bundle, frame):
     """W- in the orthonormal anti-self-dual basis of a J-frame."""
-    return _weyl_on(bundle, asd_endos(frame), bundle.mp)
+    return wplus_matrix(bundle, np.stack(asd_endos(frame)))
+
+
+# ---------------------------------------------------------------------------
+# The Hodge-star operator algebra (one point, no leading axes)
+# ---------------------------------------------------------------------------
+
+
+def form_operator(C04, mp):
+    """Matrix of the operator induced by a (0,4) tensor: (Cw)_{ij} = M[ijkl] w_{kl}, M = -C_{ij}^{kl}."""
+    return -np.einsum("ijab,ak,bl->ijkl", C04, mp.g_inv, mp.g_inv)
+
+
+def operator_to_04(M, mp):
+    """The (0,4) tensor of an operator matrix, inverse to ``form_operator``."""
+    return -np.einsum("ijab,ak,bl->ijkl", M, mp.g, mp.g)
+
+
+def identity_operator():
+    eye = np.eye(4)
+    return 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
+
+
+def star_operator(mp, orientation):
+    """Hodge star on 2-forms, (orientation/2) sqrt(det g) eps_{ij}^{kl}."""
+    factor = 0.5 * orientation * np.sqrt(np.linalg.det(mp.g))
+    return factor * np.einsum("ijab,ak,bl->ijkl", EPS4, mp.g_inv, mp.g_inv)
+
+
+def compose(M1, M2):
+    return np.einsum("ijab,abkl->ijkl", M1, M2)
 
 
 def pm_projectors(mp, orientation):
-    """Projections onto the self-dual and the anti-self-dual 2-forms."""
+    """Projections (1 + star)/2 and (1 - star)/2 onto the self-dual and the anti-self-dual 2-forms."""
     star = star_operator(mp, orientation)
     return 0.5 * (identity_operator() + star), 0.5 * (identity_operator() - star)
 
 
-def delta_wminus(bundle, frame):
-    """delta W- from the divergence formula on C_k = (nabla_k W) P_-, one direction at a time."""
+def wplus_04_star(weyl, mp, orientation):
+    """(0,4) components of W+, the operator of W composed with (1 + star)/2."""
+    return operator_to_04(compose(form_operator(weyl, mp), pm_projectors(mp, orientation)[0]), mp)
+
+
+def delta_w_projected(bundle, P):
+    """delta of (nabla W) P from the divergence formula on C_k = (nabla_k W) P, one direction at a time."""
     mp = bundle.mp
-    P = pm_projectors(mp, frame.orientation)[1]
     C = np.stack([operator_to_04(compose(form_operator(w, mp), P), mp) for w in bundle.require("nabla_weyl")])
     return np.einsum("km,an,kimbn->iab", mp.g_inv, mp.g_inv, C)
+
+
+def det4_jet(G, order):
+    """Determinant jet of a (4,4,ncoef) jet matrix, the Leibniz expansion one term at a time."""
+    out = 0.0
+    for perm, sign in zip(PERMUTATIONS4, PERM_SIGNS4):
+        term = G[0, perm[0]]
+        for i in range(1, 4):
+            term = jmul(term, G[i, perm[i]], order)
+        out = out + sign * term
+    return out
+
+
+def wplus_norm2_jet_star(bundle, orientation):
+    """|W+|^2 as a scalar jet from the star: (tr W^2 + tr(W^2 star))/2, with
+    star = (orientation/2) sqrt(det g) eps_{ij}^{kl} and every factor a jet."""
+    d = bundle.order - 2
+    g, gi = jtruncate(bundle.mp.jets, d), jtruncate(bundle.mp.inv_jets, d)
+    M = -jeinsum("ijbk,bl->ijkl", jeinsum("ijab,ak->ijbk", bundle.weyl, gi, d), gi, d)
+    T2 = jeinsum("ijab,abkl->ijkl", M, M, d)
+    eps_up = jeinsum("ijbk,bl->ijkl", np.einsum("ijab,akc->ijbkc", EPS4, gi), gi, d)
+    tr_w2_eps = jeinsum("ijab,abij->", T2, eps_up, d)
+    return 0.5 * (np.einsum("ijijc->c", T2) + 0.5 * orientation * jmul(tr_w2_eps, jfunc("sqrt", det4_jet(g, d)), d))
 
 
 def delta_w_full(bundle):
@@ -193,8 +256,7 @@ def p1_p2_operators(frame, mp):
     w = endo_to_form(frame.J, mp)
     w_up = mp.g_inv @ w @ mp.g_inv.T
     P1 = 0.25 * np.einsum("ij,kl->ijkl", w, w_up)
-    Pp = 0.5 * (identity_operator() + star_operator(mp, frame.orientation))
-    return P1, Pp - P1
+    return P1, pm_projectors(mp, chart_orientation(frame.J, mp))[0] - P1
 
 
 def theta_form_interior(bundle, frame):

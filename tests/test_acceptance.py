@@ -23,7 +23,7 @@ from weyl4.curvature import curvature_bundle
 from weyl4.exprjet import eval_jet, eval_values, jpartials
 from weyl4.hermitian import AcsPoint, gl121_delta_wplus, nabla_j_data
 from weyl4.pointgeom import build_j_frame
-from weyl4.selfdual import delta_wpm
+from weyl4.selfdual import delta_wpm, lambda2_split
 
 from weyl4.exprjet import parse_expression
 
@@ -299,7 +299,7 @@ def test_criterion_8_differentiation_integrity():
             mp = spec.metric_point(pt, 3)
             bundle = curvature_bundle(mp)
             frame = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-            dwp = delta_wpm(bundle, frame)
+            dwp = delta_wpm(bundle, lambda2_split(frame))
             alt = gl121_delta_wplus(bundle.nabla_ric, bundle.dS, mp, frame)
             scale = max(np.abs(dwp).max(), np.abs(bundle.riem_v).max(), 1.0)
             worst_dw = max(worst_dw, float(np.abs(dwp - alt).max() / scale))

@@ -161,7 +161,27 @@ class TestCheck:
         assert code == 0
 
 
+    @pytest.mark.parametrize("tols", [
+        ["--tol-pass", "1", "--tol-fail", "1e-6"],  # reversed: would confirm Kähler on a strictly almost-Kähler torus
+        ["--tol-pass", "1e-4"],                      # empty band: equal to the default tol-fail
+        ["--tol-pass", "0"],
+        ["--tol-pass=-1e-8"],
+        ["--tol-pass", "nan"],
+        ["--tol-fail", "inf"],
+    ])
+    def test_tolerance_band_refused_exit_2(self, capsys, tols):
+        code, out, err = run(capsys, "check", "kodaira_thurston", "--points", "3", *tols)
+        assert code == 2 and out == ""
+        assert err.startswith("error: tolerances need 0 < tol_pass < tol_fail < inf") and err.count("\n") == 1
+
+
 class TestClassify:
+    @pytest.mark.parametrize("tols", [["--tol-pass", "nan"], ["--tol-pass", "1", "--tol-fail", "1e-6"], ["--tol-fail", "0"]])
+    def test_tolerance_band_refused_exit_2(self, capsys, tols):
+        code, out, err = run(capsys, "classify", "kodaira_thurston", "--points", "3", *tols)
+        assert code == 2 and out == ""
+        assert err.startswith("error: tolerances need 0 < tol_pass < tol_fail < inf") and err.count("\n") == 1
+
     def test_kodaira_thurston(self, capsys):
         code, out, _ = run(capsys, "classify", "kodaira_thurston", "--points", "8")
         assert code == 0

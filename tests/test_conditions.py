@@ -108,6 +108,20 @@ class TestEvaluateIdentity:
         assert res.lhs - res.rhs == pytest.approx(0.625, abs=1e-10)
         assert res.rel_residual > 1e-4           # beyond tau_fail: not noise
 
+    @pytest.mark.parametrize("rid", ["EQ01", "EQ42", "EQ116", "EQ121"])
+    def test_scale_normalizes_the_residual(self, catalog, rid):
+        # rel = abs / max(scale, floor), and the scale is never below the point's curvature scale
+        rng = np.random.default_rng(3)
+        applied = 0
+        for spec in catalog.values():
+            pt = spec.sample_points(1, rng)[0]
+            res = evaluate_identity(rid, spec, pt)
+            if res.applicable:
+                applied += 1
+                assert res.rel_residual == res.abs_residual / max(res.scale, conditions.RESIDUAL_FLOOR)
+                assert res.scale >= curvature_scale(spec, pt, REGISTRY[rid].min_order)
+        assert applied >= 3
+
     def test_eq131_signed_margin(self, catalog):
         rng = np.random.default_rng(2)
         for spec in catalog.values():
@@ -294,19 +308,19 @@ def frame_stage(rows):
     """The arrays each frame function gives on ``rows`` (order-4 rows with a J), by function."""
     acs = AcsPoint.from_jets(rows.j_jets, rows)
     frame = build_j_frame(rows, acs, FRAME_SEED)
-    basis = lambda2_split(frame, rows)
+    basis = lambda2_split(frame)
     star = star_ricci_family(rows, acs, frame)
     wplus = wplus_matrix(rows, basis)
     out = {
-        "AcsPoint.from_jets": (acs.J, acs.omega, acs.orientation),
+        "AcsPoint.from_jets": (acs.J, acs.omega),
         "build_j_frame": (frame.E, frame.I, frame.K),
-        "lambda2_split": basis.sd,
+        "lambda2_split": (basis,),
         "star_ricci_family": star,
         "nabla_j_data": nabla_j_data(acs, rows, frame),
         "wplus_matrix": wplus,
         "projections_p1p2": projections_p1p2(star, wplus.m),
-        "delta_wpm": (delta_wpm(rows, frame),),
-        "nabla_w_sd_matrices": (nabla_w_sd_matrices(rows, frame),),
+        "delta_wpm": (delta_wpm(rows, basis),),
+        "nabla_w_sd_matrices": (nabla_w_sd_matrices(rows, basis),),
         "q_j_integrand": (q_j_integrand(rows, acs.J),),
     }
     return {k: [getattr(v, f.name) for f in dataclasses.fields(v)] if dataclasses.is_dataclass(v) else list(v)
@@ -356,7 +370,7 @@ class TestBatchedRows:
             for j, alpha in enumerate((0.0, *alphas)):
                 ref, i = rotated_row(spec, pt, 4, alpha), 3 * k + j
                 got = _leafwise(lambda v: v[i:i + 1], rows)
-                for field in ("I", "K", "star", "nj", "wplus", "nabla_sd", "dwp", "w2", "lam_grad"):
+                for field in ("I", "K", "star", "nj", "wplus", "nabla_sd", "dwp", "w2_grad", "lam_grad"):
                     a, b = getattr(got, field), getattr(ref, field)
                     pairs = zip(dataclasses.astuple(a), dataclasses.astuple(b)) if dataclasses.is_dataclass(a) else [(a, b)]
                     for u, v in pairs:
@@ -380,9 +394,10 @@ class TestBatchedRows:
 
     def test_frame_functions_run_once_per_stack(self, stage_calls, batch_specs):
         once = dict.fromkeys(FRAME_FUNCTIONS[:-1] + ("AcsPoint.from_jets",), 1)
-        # rotated rows repeat the frame-free jets and delta W+ of their point
+        # rotated rows repeat the frame-free jets and delta W+ of their point; the self-dual
+        # triple is split once for delta W+ on the points and once on the rotated rows
         run_suite(get_manifold("kodaira_thurston"), 25, seed=7, rotations=2)
-        assert stage_calls == {**once, "wplus_norm2_jet": 25, "lambda_jet": 25}
+        assert stage_calls == {**once, "lambda2_split": 2, "wplus_norm2_jet": 25, "lambda_jet": 25}
         stage_calls.clear()
         classify_structure(get_manifold("perturbed_j"), 25, seed=7)
         order2 = {k: v for k, v in once.items() if k not in ("delta_wpm", "nabla_w_sd_matrices")}

@@ -295,9 +295,9 @@ class TestLaplacian:
         mp = spec.metric_point(pt, 4)
         b = curvature_bundle(mp)
         fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-        w2 = wplus_norm2_jet(b, fr.orientation)
+        w2 = wplus_norm2_jet(b, spec.j_jets(pt, 2))
         assert abs(laplacian_scalar(w2, b.gamma_v, mp)) < 1e-8 * abs(b.S_v) ** 2
-        w = wplus_matrix(b, lambda2_split(fr, mp))
+        w = wplus_matrix(b, lambda2_split(fr))
         assert abs(18.0 * w.det - b.S_v * w.norm2) < 1e-8 * abs(b.S_v) ** 3
 
     def test_order_error(self):

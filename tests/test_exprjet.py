@@ -26,7 +26,6 @@ from weyl4.exprjet import (
     eval_values,
     expr_to_string,
     jconst,
-    jdet4,
     jeinsum,
     jmatinv,
     jmatmul,
@@ -320,7 +319,7 @@ def random_metric_jet(rng, order):
 
 class TestContraction:
     def test_package_patterns_found(self):
-        assert {"ik,kj->ij", "jk,il->ijkl", "ijab,abij->"} <= set(PACKAGE_PATTERNS)
+        assert {"ik,kj->ij", "jk,il->ijkl", "my,my->"} <= set(PACKAGE_PATTERNS)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -343,22 +342,6 @@ class TestContraction:
         G = random_metric_jet(np.random.default_rng(seed), order)
         prod = jmatmul(jmatinv(G, order), G, order)
         assert np.abs(prod - jconst(np.eye(4), order)).max() < 1e-11
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
-    def test_batched_det_matches_leibniz_loop(self, order, seed):
-        G = np.random.default_rng(seed).standard_normal((4, 4, tables(order).ncoef))
-        ref = np.zeros(tables(order).ncoef)
-        for perm in itertools.permutations(range(4)):
-            inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
-            sign = (-1) ** inversions
-            term = G[0, perm[0]]
-            for i in range(1, 4):
-                term = jmul(term, G[i, perm[i]], order)
-            ref = ref + sign * term
-        got = jdet4(G, order)
-        assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
-        assert got[0] == pytest.approx(np.linalg.det(G[..., 0]), rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each oracle below is the element-by-element definition (one operator image
 and one weighted pairing at a time), kept here the way ``broadcast_reference``
-in test_exprjet.py serves ``jeinsum``.
+in test_exprjet.py serves ``jeinsum``.  The kernels that read Lambda+ through
+the J-splitting (W+ as a (0,4) tensor, delta W+, the |W+|^2 jet) are held
+against the Hodge-star operator algebra of ``paper_oracles``.
 """
 
 import math
@@ -11,20 +13,24 @@ import numpy as np
 import pytest
 
 from weyl4.catalog import builtin_manifolds, load_manifold_config
-from weyl4.curvature import tensor_operator
-from weyl4.exprjet import jeinsum, jmatinv, tables
+from weyl4.curvature import curvature_bundle, tensor_operator
+from weyl4.exprjet import jeinsum, jmatinv, jpartials, tables
 from weyl4.hermitian import _r_op, q_j_integrand, rtilde_table
-from weyl4.pointgeom import adjoint_endo, endo_to_form, inner_endo, inner_endos
-from weyl4.selfdual import (
-    compose,
-    delta_wpm,
-    form_operator,
-    nabla_w_sd_matrices,
-    operator_to_04,
-    plus_projector,
-)
+from weyl4.pointgeom import adjoint_endo, chart_orientation, endo_to_form, inner_endo, inner_endos
+from weyl4.selfdual import delta_wpm, nabla_w_sd_matrices, wplus_04, wplus_norm2_jet
 
-from paper_oracles import apply_form_operator, asd_endos, form_to_endo, frame_reference, wminus_matrix
+from paper_oracles import (
+    apply_form_operator,
+    asd_endos,
+    delta_w_projected,
+    form_operator,
+    form_to_endo,
+    frame_reference,
+    pm_projectors,
+    wminus_matrix,
+    wplus_04_star,
+    wplus_norm2_jet_star,
+)
 
 TWO_PI = repr(2.0 * math.pi)
 
@@ -85,7 +91,7 @@ class TestFrameKernels:
     def test_weyl_matrices(self, contexts, sid):
         for c in contexts[sid]:
             image = lambda B: tensor_operator(c.bundle.weyl_v, B, c.mp)
-            assert_close(c.wplus.m, pairing_oracle(c.basis.sd, image, c.mp), c)
+            assert_close(c.wplus.m, pairing_oracle(c.basis, image, c.mp), c)
             assert_close(wminus_matrix(c.bundle, c.frame).m, pairing_oracle(asd_endos(c.frame), image, c.mp), c)
 
     def test_nabla_wplus_matrices(self, contexts, sid):
@@ -97,15 +103,33 @@ class TestFrameKernels:
                 image = lambda B: form_to_endo(
                     apply_form_operator(M, endo_to_form(B, mp)), mp, check=False
                 )
-                ref[p] = pairing_oracle(c.frame.sd_endos(), image, mp)
-            assert_close(nabla_w_sd_matrices(c.bundle, c.frame), ref, c)
+                ref[p] = pairing_oracle(c.basis, image, mp)
+            assert_close(nabla_w_sd_matrices(c.bundle, c.basis), ref, c)
 
     def test_delta_wpm(self, contexts, sid):
         for c in contexts[sid]:
-            mp, nw = c.mp, c.bundle.nabla_weyl
-            P = plus_projector(mp, c.frame.orientation)
-            C = np.stack([operator_to_04(compose(form_operator(nw[k], mp), P), mp) for k in range(4)])
-            assert_close(delta_wpm(c.bundle, c.frame), np.einsum("km,an,kimbn->iab", mp.g_inv, mp.g_inv, C), c)
+            P = pm_projectors(c.mp, chart_orientation(c.acs.J, c.mp))[0]
+            assert_close(delta_wpm(c.bundle, c.basis), delta_w_projected(c.bundle, P), c)
+
+    def test_wplus_04(self, contexts, sid):
+        for c in contexts[sid]:
+            ref = wplus_04_star(c.bundle.weyl_v, c.mp, chart_orientation(c.acs.J, c.mp))
+            assert_close(wplus_04(c.wplus.m, c.basis, c.mp), ref, c)
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_wplus_norm2_jet(self, sak_spec, sid, order):
+        # the value and every partial up to the second, against (tr W^2 + tr(W^2 star))/2
+        spec = sak_spec if sid == "sak_torus_test" else {s.id: s for s in builtin_manifolds()}[sid]
+        for p in spec.sample_points(2, np.random.default_rng(23)):
+            b = curvature_bundle(spec.metric_point(p, order))
+            j_jets = spec.j_jets(p, 2)
+            got = wplus_norm2_jet(b, j_jets)
+            ref = wplus_norm2_jet_star(b, chart_orientation(j_jets[..., 0], b.mp))
+            ks = range(min(order - 2, 2) + 1)
+            scale = max(max(1.0, float(np.abs(b.riem_v).max()), abs(b.S_v)) ** 2,
+                        *(float(np.abs(jpartials(ref, k)).max()) for k in ks))
+            for k in ks:
+                assert np.abs(jpartials(got, k) - jpartials(ref, k)).max() <= 1e-12 * scale, k
 
     def test_star_ricci_family(self, contexts, sid):
         for c in contexts[sid]:
@@ -170,7 +194,7 @@ class TestFrameKernels:
 
 def test_inner_endos_is_the_pairing_matrix(contexts):
     c = contexts["kodaira_thurston"][0]
-    As = np.stack(c.basis.sd + asd_endos(c.frame))
+    As = np.concatenate([c.basis, np.stack(asd_endos(c.frame))])
     ref = np.array([[inner_endo(A, B, c.mp) for B in As] for A in As])
     assert np.abs(inner_endos(As, As, c.mp) - ref).max() <= 1e-14
 

@@ -139,7 +139,7 @@ class TestStarRicciFamily:
             pt = spec.sample_points(1, rng)[0]
             _, mp, b, acs, fr = make(spec.id, pt, 2)
             s = star_ricci_family(b, acs, fr)
-            w = wplus_matrix(b, lambda2_split(fr, mp))
+            w = wplus_matrix(b, lambda2_split(fr))
             S = b.S_v
             scale = max(abs(S) ** 2, w.norm2, s.rt2, 1.0)
             assert abs(
@@ -271,7 +271,7 @@ class TestProjections:
             pt = spec.sample_points(1, rng)[0]
             _, mp, b, acs, fr = make(spec.id, pt, 2)
             star = star_ricci_family(b, acs, fr)
-            w = wplus_matrix(b, lambda2_split(fr, mp))
+            w = wplus_matrix(b, lambda2_split(fr))
             proj = projections_p1p2(star, w.m)
             scale = max(abs(star.lam), w.norm2, 1.0)
             assert abs(proj.p1_pairing - proj.two_lambda) < 1e-9 * scale
@@ -281,7 +281,7 @@ class TestProjections:
     def test_kahler_g_vanishes(self):
         _, mp, b, acs, fr = make("fubini_study_cp2", [0.2, 0.2, -0.3, 0.1], 2)
         star = star_ricci_family(b, acs, fr)
-        w = wplus_matrix(b, lambda2_split(fr, mp))
+        w = wplus_matrix(b, lambda2_split(fr))
         proj = projections_p1p2(star, w.m)
         assert proj.g_norm2 < 1e-12 * w.norm2
         assert np.abs(w.m - star.lam * np.diag([2.0, -1.0, -1.0])).max() < 1e-9 * abs(star.lam)
@@ -300,7 +300,7 @@ class TestTheta:
 
     def test_kahler_case_of_thm43(self):
         _, mp, b, acs, fr = make("kahler_potential_generic", [0.3, 0.2, -0.4, 0.6], 3)
-        dwp = delta_wpm(b, fr)
+        dwp = delta_wpm(b, lambda2_split(fr))
         th = theta_form(b, fr)
         assert np.abs(dwp + th).max() < 1e-7 * max(np.abs(dwp).max(), 1e-14)
 
@@ -433,6 +433,6 @@ class TestStarScalarJet:
 
     def test_gl121_on_kodaira_thurston(self):
         _, mp, b, acs, fr = make("kodaira_thurston", KT_POINT, 3)
-        dwp = delta_wpm(b, fr)
+        dwp = delta_wpm(b, lambda2_split(fr))
         assert np.abs(dwp).max() > 0.2  # genuinely nonzero here
         assert np.abs(gl121_delta_wplus(b.nabla_ric, b.dS, mp, fr) - dwp).max() < 1e-12

@@ -4,17 +4,12 @@ import pytest
 from weyl4.catalog import get_manifold
 from weyl4.curvature import curvature_bundle
 from weyl4.exprjet import jpartials, jvalue
-from weyl4.pointgeom import adjoint_endo, endo_to_form, inner_endo, rotate_supplement
+from weyl4.pointgeom import adjoint_endo, chart_orientation, endo_to_form, inner_endo, rotate_supplement
 from weyl4.selfdual import (
     WplusMatrix,
-    compose,
     delta_wpm,
-    form_operator,
-    identity_operator,
     interior_product,
     lambda2_split,
-    operator_to_04,
-    star_operator,
     wplus_04,
     wplus_matrix,
     wplus_norm2_jet,
@@ -23,18 +18,27 @@ from weyl4.selfdual import (
 from paper_oracles import (
     apply_form_operator,
     asd_endos,
+    compose,
     delta_w_full,
-    delta_wminus,
+    delta_w_projected,
+    form_operator,
     frame_reference,
+    identity_operator,
     j_frame,
     nabla_wplus_norm2,
+    operator_to_04,
     pm_projectors,
     project_minus,
     project_plus,
+    star_operator,
     wminus_matrix,
 )
 
-STAR_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, -1.0)  # Lambda2Basis.sd, then the anti-self-dual triple
+STAR_SIGNS = (1.0, 1.0, 1.0, -1.0, -1.0, -1.0)  # the triple of lambda2_split, then the anti-self-dual one
+
+
+def delta_wminus(b, fr):
+    return delta_w_projected(b, pm_projectors(b.mp, chart_orientation(fr.J, b.mp))[1])
 
 
 def make(name, pt, order=4):
@@ -48,8 +52,7 @@ def make(name, pt, order=4):
 class TestLambda2Split:
     def test_euclidean_classical_basis(self):
         _, mp, b, fr = make("euclidean_flat", [0, 0, 0, 0], 2)
-        basis = lambda2_split(fr, mp)
-        forms = [endo_to_form(A, mp) for A in basis.sd + asd_endos(fr)]
+        forms = [endo_to_form(A, mp) for A in (*lambda2_split(fr), *asd_endos(fr))]
         e = np.zeros((4, 4))
         e[0, 1], e[1, 0] = 1.0, -1.0
         e34 = np.zeros((4, 4))
@@ -59,31 +62,31 @@ class TestLambda2Split:
 
     def test_projections_complementary(self):
         _, mp, b, fr = make("kodaira_thurston", [0.3, 0.4, 0.1, 0.7], 2)
-        Pp, Pm = pm_projectors(mp, fr.orientation)
+        Pp, Pm = pm_projectors(mp, chart_orientation(fr.J, mp))
         assert np.abs(Pp + Pm - identity_operator()).max() < 1e-12
         assert np.abs(compose(Pp, Pp) - Pp).max() < 1e-12
         assert np.abs(compose(Pp, Pm)).max() < 1e-12
 
     def test_pm_parts_orthogonal(self):
         _, mp, b, fr = make("fubini_study_cp2", [0.2, 0.1, -0.3, 0.4], 2)
-        basis = lambda2_split(fr, mp)
+        basis = lambda2_split(fr)
         rng = np.random.default_rng(0)
         for _ in range(5):
             M1, M2 = rng.normal(size=(2, 4, 4))
             A = M1 - adjoint_endo(M1, mp)
             B = M2 - adjoint_endo(M2, mp)
-            assert abs(inner_endo(project_plus(basis, A), project_minus(fr, B, mp), mp)) < 1e-11
+            assert abs(inner_endo(project_plus(basis, A, mp), project_minus(fr, B, mp), mp)) < 1e-11
 
     def test_gram_and_star_signs(self):
         from weyl4.pointgeom import hodge_star
 
         _, mp, b, fr = make("kahler_potential_generic", [0.3, -0.4, 0.2, 0.6], 2)
-        endos = lambda2_split(fr, mp).sd + asd_endos(fr)
+        endos = (*lambda2_split(fr), *asd_endos(fr))
         gram = np.array([[inner_endo(a, c, mp) for c in endos] for a in endos])
         assert np.abs(gram - np.eye(6)).max() < 1e-10
         forms = [endo_to_form(A, mp) for A in endos]
         for w, s in zip(forms, STAR_SIGNS):
-            assert np.abs(hodge_star(w, mp, fr.orientation) - s * w).max() < 1e-10
+            assert np.abs(hodge_star(w, mp, chart_orientation(fr.J, mp)) - s * w).max() < 1e-10
 
 
 def char_poly(w):
@@ -98,13 +101,13 @@ def two_eigenvalue_residual(w):
 class TestWplusMatrix:
     def test_kahler_shape(self):
         _, mp, b, fr = make("fubini_study_cp2", [0.2, -0.1, 0.3, 0.15], 2)
-        w = wplus_matrix(b, lambda2_split(fr, mp))
+        w = wplus_matrix(b, lambda2_split(fr))
         target = (b.S_v / 6.0) * np.diag([2.0, -1.0, -1.0])
         assert np.abs(w.m - target).max() < 1e-9 * abs(b.S_v)
 
     def test_conformally_flat_zero(self):
         _, mp, b, fr = make("round_conformal", [0.3, -0.2, 0.1, 0.4], 2)
-        w = wplus_matrix(b, lambda2_split(fr, mp))
+        w = wplus_matrix(b, lambda2_split(fr))
         wm = wminus_matrix(b, fr)
         scale = np.abs(b.riem_v).max()
         assert np.abs(w.m).max() < 1e-10 * scale
@@ -118,14 +121,14 @@ class TestWplusMatrix:
             mp = spec.metric_point(pt, 2)
             b = curvature_bundle(mp)
             fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-            w = wplus_matrix(b, lambda2_split(fr, mp))
+            w = wplus_matrix(b, lambda2_split(fr))
             norm = max(np.abs(w.m).max(), 1.0)
             assert abs(np.trace(w.m)) < 1e-9 * norm
             assert np.abs(w.m - w.m.T).max() < 1e-9 * norm
 
     def test_eigenvalues_vs_char_poly(self):
         _, mp, b, fr = make("kodaira_thurston", [0.4, 0.2, 0.6, 0.1], 2)
-        w = wplus_matrix(b, lambda2_split(fr, mp))
+        w = wplus_matrix(b, lambda2_split(fr))
         # each eigenvalue is a root of t^3 - (|W+|^2/2) t - det
         for lam in w.eigenvalues:
             chi = lam**3 - 0.5 * w.norm2 * lam - w.det
@@ -146,7 +149,7 @@ class TestWplusMatrix:
     def test_w_splits_as_direct_sum(self):
         # full-trace norms: |W|^2 over 2-forms = |W+|^2 + |W-|^2
         _, mp, b, fr = make("kahler_potential_generic", [0.5, 0.2, -0.3, 0.1], 2)
-        w = wplus_matrix(b, lambda2_split(fr, mp))
+        w = wplus_matrix(b, lambda2_split(fr))
         wm = wminus_matrix(b, fr)
         M = form_operator(b.weyl_v, mp)
         tr_w2 = float(np.einsum("ijkl,klij->", M, M))
@@ -156,7 +159,7 @@ class TestWplusMatrix:
 class TestWplusInvariants:
     def test_kahler_values(self):
         _, mp, b, fr = make("fubini_study_cp2", [0.1, 0.2, 0.3, -0.2], 2)
-        w = wplus_matrix(b, lambda2_split(fr, mp))
+        w = wplus_matrix(b, lambda2_split(fr))
         S = b.S_v
         assert w.norm2 == pytest.approx(S**2 / 6.0, rel=1e-10)
         assert w.det == pytest.approx(S**3 / 108.0, rel=1e-10)
@@ -191,21 +194,22 @@ class TestWplusInvariants:
 class TestDeltaW:
     def test_flat_zero(self):
         _, mp, b, fr = make("flat_torus", [1.0, 2.0, 3.0, 4.0], 3)
-        dwp = delta_wpm(b, fr)
+        dwp = delta_wpm(b, lambda2_split(fr))
         assert np.abs(dwp).max() == 0.0
         assert np.abs(delta_wminus(b, fr)).max() == 0.0
 
     def test_constant_s_kahler_divergence_free(self):
         for name in ("fubini_study_cp2", "complex_hyperbolic_ch2"):
             _, mp, b, fr = make(name, [0.15, -0.1, 0.2, 0.05], 3)
-            dwp = delta_wpm(b, fr)
+            dwp = delta_wpm(b, lambda2_split(fr))
             assert np.abs(dwp).max() < 1e-8 * abs(b.S_v)
 
     def test_kahler_divergence_identity(self):
         # delta W+ = -(grad log |S| .| W+) on Kahler manifolds
         _, mp, b, fr = make("kahler_potential_generic", [0.4, 0.3, -0.2, 0.5], 3)
-        dwp = delta_wpm(b, fr)
-        Wp04 = wplus_04(b.weyl_v, mp, fr.orientation)
+        sd = lambda2_split(fr)
+        dwp = delta_wpm(b, sd)
+        Wp04 = wplus_04(wplus_matrix(b, sd).m, sd, mp)
         ip = interior_product(mp.g_inv @ b.dS / b.S_v, Wp04, mp)
         assert np.abs(dwp + ip).max() < 1e-7 * np.abs(dwp).max()
 
@@ -217,17 +221,17 @@ class TestDeltaW:
             mp = spec.metric_point(pt, 3)
             b = curvature_bundle(mp)
             fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-            dwp, dwm = delta_wpm(b, fr), delta_wminus(b, fr)
+            dwp, dwm = delta_wpm(b, lambda2_split(fr)), delta_wminus(b, fr)
             dw = delta_w_full(b)
             scale = max(np.abs(dw).max(), np.abs(b.riem_v).max(), 1.0)
             assert np.abs(dwp + dwm - dw).max() < 1e-9 * scale
 
     def test_dwp_lies_in_sd_span(self):
         _, mp, b, fr = make("kodaira_thurston", [0.3, 0.5, 0.2, 0.8], 3)
-        basis = lambda2_split(fr, mp)
-        dwp = delta_wpm(b, fr)
+        basis = lambda2_split(fr)
+        dwp = delta_wpm(b, basis)
         for i in range(4):
-            proj = project_plus(basis, dwp[i])
+            proj = project_plus(basis, dwp[i], mp)
             assert np.abs(dwp[i] - proj).max() < 1e-9 * max(np.abs(dwp).max(), 1.0)
 
     def test_gl121_cross_check_all_catalog(self, catalog):
@@ -239,7 +243,7 @@ class TestDeltaW:
             mp = spec.metric_point(pt, 3)
             b = curvature_bundle(mp)
             fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-            dwp = delta_wpm(b, fr)
+            dwp = delta_wpm(b, lambda2_split(fr))
             alt = gl121_delta_wplus(b.nabla_ric, b.dS, mp, fr)
             scale = max(np.abs(dwp).max(), np.abs(b.riem_v).max(), 1.0)
             assert np.abs(dwp - alt).max() < 1e-7 * scale
@@ -248,11 +252,11 @@ class TestDeltaW:
 class TestBasisIndependence:
     def test_invariants_under_rotations(self):
         _, mp, b, fr = make("kodaira_thurston", [0.6, 0.2, 0.4, 0.9], 2)
-        w0 = wplus_matrix(b, lambda2_split(fr, mp))
+        w0 = wplus_matrix(b, lambda2_split(fr))
         rng = np.random.default_rng(5)
         for alpha in rng.uniform(0, 2 * np.pi, size=10):
             fr2 = rotate_supplement(fr, alpha)
-            w = wplus_matrix(b, lambda2_split(fr2, mp))
+            w = wplus_matrix(b, lambda2_split(fr2))
             assert abs(w.norm2 - w0.norm2) < 1e-9 * max(w0.norm2, 1.0)
             assert abs(w.det - w0.det) < 1e-9 * max(abs(w0.det), 1.0)
             assert np.abs(w.eigenvalues - w0.eigenvalues).max() < 1e-9
@@ -261,19 +265,19 @@ class TestBasisIndependence:
 class TestNablaWplusNorms:
     def test_constant_s_kahler_both_zero(self):
         ref = frame_reference(get_manifold("fubini_study_cp2"), [0.25, -0.15, 0.3, 0.1], 3)
-        b, fr = ref.bundle, ref.frame
+        b = ref.bundle
         n2 = nabla_wplus_norm2(ref)
         assert abs(n2) < 1e-8 * b.S_v**2
-        w2 = wplus_norm2_jet(b, fr.orientation)
+        w2 = wplus_norm2_jet(b, ref.acs.jets)
         assert np.abs(jpartials(w2, 1)).max() < 1e-8 * b.S_v**2
 
     def test_generic_kahler_gradient_identities(self):
         ref = frame_reference(get_manifold("kahler_potential_generic"), [0.3, 0.2, -0.4, 0.6], 3)
-        mp, b, fr = ref.mp, ref.bundle, ref.frame
+        mp, b = ref.mp, ref.bundle
         n2 = nabla_wplus_norm2(ref)
         grad_s2 = float(b.dS @ mp.g_inv @ b.dS)
         assert n2 == pytest.approx(grad_s2 / 6.0, rel=1e-7)
-        w2 = wplus_norm2_jet(b, fr.orientation)
+        w2 = wplus_norm2_jet(b, ref.acs.jets)
         dv = jpartials(w2, 1)
         grad_abs2 = float(dv @ mp.g_inv @ dv) / (4.0 * jvalue(w2))
         assert n2 == pytest.approx(grad_abs2, rel=1e-7)
@@ -286,8 +290,8 @@ class TestNablaWplusNorms:
             mp = spec.metric_point(pt, 2)
             b = curvature_bundle(mp)
             fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
-            w = wplus_matrix(b, lambda2_split(fr, mp))
-            w2 = wplus_norm2_jet(b, fr.orientation)
+            w = wplus_matrix(b, lambda2_split(fr))
+            w2 = wplus_norm2_jet(b, spec.j_jets(pt, 2))
             assert jvalue(w2) == pytest.approx(w.norm2, rel=1e-9, abs=1e-9 * max(np.abs(b.riem_v).max(), 1.0) ** 2)
 
 
@@ -300,11 +304,11 @@ class TestOperatorHelpers:
 
     def test_star_operator_squares_to_identity(self):
         _, mp, b, fr = make("fubini_study_cp2", [0.3, 0.3, 0.1, -0.2], 2)
-        S = star_operator(mp, fr.orientation)
+        S = star_operator(mp, chart_orientation(fr.J, mp))
         assert np.abs(compose(S, S) - identity_operator()).max() < 1e-11
 
     def test_apply_form_operator(self):
         _, mp, b, fr = make("euclidean_flat", [0, 0, 0, 0], 2)
-        Pp, _ = pm_projectors(mp, fr.orientation)
+        Pp, _ = pm_projectors(mp, chart_orientation(fr.J, mp))
         w = endo_to_form(fr.J, mp)
         assert np.abs(apply_form_operator(Pp, w) - w).max() < 1e-12

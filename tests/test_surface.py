@@ -6,12 +6,16 @@ code that only tests call belongs in ``tests/`` (see ``paper_oracles.py``).
 Only ``exprjet`` reads the coefficient layout of a jet; every other module
 reads derivative values through ``jpartials``.  Every exception the package
 defines shares the ``Weyl4Error`` root, which is what ``weyl4 ...`` maps to
-exit code 2.
+exit code 2.  Every dataclass field is read somewhere, and the benchmark's
+tracer (``perfbench/tracer.py``) still finds every function and binding it
+wraps by name.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import weyl4
@@ -89,3 +93,48 @@ def test_only_exprjet_reads_the_coefficient_layout():
         if token in line
     ]
     assert not readers, "jet coefficient layout read outside exprjet: " + ", ".join(readers)
+
+
+def _dataclass_fields(path: Path):
+    """(class, field, line) of every field of each ``@dataclass`` class in a file."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])]
+        if any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id, item.lineno
+
+
+def _field_reads(path: Path):
+    """Names read as attributes in a file, and names given as strings to ``require`` or ``getattr``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in (
+            "require", "getattr"
+        ):
+            yield from (a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str))
+
+
+def test_every_dataclass_field_is_read():
+    readers = READERS + sorted((ROOT / "tests").glob("*.py"))
+    read = {name for p in readers for name in _field_reads(p)}
+    unread = [f"{path.name}:{line} {cls}.{name}" for path in MODULES
+              for cls, name, line in _dataclass_fields(path) if name not in read]
+    assert not unread, "dataclass fields nothing reads: " + ", ".join(unread)
+
+
+def test_benchmark_tracer_attaches_and_restores(monkeypatch):
+    # entering the tracer looks up every wrapped function by name and checks each module
+    # listed as binding it; leaving it puts every original back, and no workload is run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    modules = {name: m for name, m in sys.modules.items() if name.startswith("weyl4.")}
+    before = {(name, key): value for name, m in modules.items() for key, value in vars(m).items()}
+    with tracer.Tracer():
+        pass
+    after = {(name, key): value for name, m in modules.items() for key, value in vars(m).items()}
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
