@@ -10,14 +10,7 @@ import numpy as np
 
 from weyl4.catalog import get_manifold
 from weyl4.hermitian import AcsPoint
-from weyl4.pointgeom import (
-    build_j_frame,
-    chart_orientation,
-    endo_to_form,
-    hodge_star,
-    inner_endo,
-    rotate_supplement,
-)
+from weyl4.pointgeom import build_j_frame, inner_endo, rotate_supplement
 from weyl4.selfdual import lambda2_split
 
 TOL = 1e-12  # values below it are rounding noise, whose last digits vary with numpy, BLAS and CPU
@@ -43,12 +36,6 @@ for a, A in zip(names, lambda2_split(frame)):
     for b, B in zip(names, lambda2_split(frame)):
         print(f"<{a},{b}> = {clean(inner_endo(A, B, mp)): .3f}", end="  ")
     print()
-
-print("\nself-duality of the associated 2-forms (star residuals):")
-orientation = chart_orientation(frame.J, mp)  # vol = Omega_J ^ Omega_J / 2
-for name, A in zip(names, lambda2_split(frame)):
-    w = endo_to_form(A, mp)
-    print(f"  |*Omega_{name} - Omega_{name}| = {clean(np.abs(hodge_star(w, mp, orientation) - w).max()):.2e}")
 
 # the supplement is only determined up to a rotation in the (I, K) plane
 rotated = rotate_supplement(frame, 0.7)

@@ -22,7 +22,7 @@ rng = np.random.default_rng(1)
 print(f"{'manifold':26s} {'|W+|^2':>10s} {'det W+':>10s} {'S^2/6':>10s}  eigenvalues")
 for spec in builtin_manifolds():
     pt = spec.sample_points(1, rng)[0]
-    r = stack_rows([point_context(spec, pt, order=2)])  # a stack of one row
+    r = stack_rows(point_context(spec, pt, order=2))  # a stack of one row
     w = r.wplus
     eig = ", ".join(f"{clean(v): .4f}" for v in w.eigenvalues[0])
     print(

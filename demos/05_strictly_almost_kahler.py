@@ -13,7 +13,7 @@ from weyl4.conditions import evaluate_identity, point_context, stack_rows
 
 spec = get_manifold("kodaira_thurston")
 pt = np.array([0.37, 0.21, 0.83, 0.5])
-r = stack_rows([point_context(spec, pt, order=4)])  # a stack of one row
+r = stack_rows(point_context(spec, pt, order=4))  # a stack of one row
 nj, S, s_star = r.nj, r.S_v[0], r.star.s_star[0]
 
 print("structure data at", pt.tolist())

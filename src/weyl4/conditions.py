@@ -3,13 +3,14 @@
 Each numbered relation from the source material is an :class:`IdentityRecord`:
 an evaluator, a numeric applicability gate (Kahler / almost-Kahler /
 two-eigenvalue / divergence-free, support on |W+| or S) and the minimum
-metric jet order it needs.  ``point_context`` is the jet stage, one call
-per point, and returns the point's frame-free row; ``stack_rows`` stacks
-many rows into one :class:`Rows` and runs the frame stage (J-frames,
-star-Ricci family, nabla J, W+) once on the stack.  Each gate is then one
-mask over the rows, and each evaluator is called once per run on the rows
-its gate admits: stacked rows in, arrays of (lhs, rhs, abs residual,
-scale) out.  ``evaluate_identity`` is the same step on a stack of one row.
+metric jet order it needs.  ``point_context`` is the jet stage: it runs
+the metric, curvature and J jets once per chunk of a stack of points and
+returns the stack's frame-free columns; ``stack_rows`` turns the columns
+into one :class:`Rows` and runs the frame stage (J-frames, star-Ricci
+family, nabla J, W+) once on the stack.  Each gate is then one mask over
+the rows, and each evaluator is called once per run on the rows its gate
+admits: stacked rows in, arrays of (lhs, rhs, abs residual, scale) out.
+``evaluate_identity`` is the same step on a stack of one row.
 
 Relative residuals are ``abs / max(scale, 1e-14)`` where the scale is the
 largest absolute term on either side, so identities mixing quantities of
@@ -21,8 +22,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -90,39 +92,58 @@ class QuadratureError(ConditionsError):
 FRAME_SEED = np.eye(4)[0]  # every J-frame starts from the first chart basis vector
 
 
-def point_context(spec: ManifoldSpec, point: Sequence[float], order: int) -> dict:
-    """The jet stage at one point: the frame-free row of ``stack_rows``,
-    read off the metric and curvature jets, the jets of J and the |W+|^2
-    and lambda jets.  Values that view a jet are copied, so no jet outlives
-    the call."""
-    point = np.asarray(point, dtype=float)
-    mp = spec.metric_point(point, order)
+JET_BYTES = 2**21  # memory the transient jets of one chunk of the jet stage may take
+# Whole 25-point stacks at order 2 are faster again, but then perfbench's peak_rss_mb passes its
+# bound on classify_o2, through the ~1 KB its runner keeps per completed call (ROADMAP item 1)
+MAX_CHUNK = 8
+
+
+def _chunk_points(order: int) -> int:
+    """Points per chunk of the jet stage at most: a point's transient jets peak near 100 bytes per
+    squared coefficient count (22, 122 and 449 KB at orders 2, 3 and 4, tracemalloc)."""
+    return max(1, min(MAX_CHUNK, JET_BYTES // (100 * math.comb(order + 4, 4) ** 2)))
+
+
+def point_context(spec: ManifoldSpec, points, order: int) -> dict:
+    """The jet stage at a point or a stack of points, shape (..., 4): the
+    frame-free columns of ``stack_rows`` with the leading axes of ``points``,
+    read off the metric and curvature jets, the jets of J and the |W+|^2 and
+    lambda jets.  It runs in equal chunks of at most ``_chunk_points(order)``
+    points, each copying out the values it reads, so no jet outlives its chunk."""
+    points = np.asarray(points, dtype=float)
+    flat = points.reshape(-1, 4)
+    chunks = [{k: v.copy() for k, v in _jet_columns(spec, chunk, order).items()}
+              for chunk in np.array_split(flat, -(-len(flat) // _chunk_points(order)))]
+    return {k: np.concatenate([c[k] for c in chunks]).reshape(points.shape[:-1] + v.shape[1:])
+            for k, v in chunks[0].items()}
+
+
+def _jet_columns(spec: ManifoldSpec, points: np.ndarray, order: int) -> dict:
+    """The columns of ``point_context`` on a chunk of points (n, 4), as views of its jets."""
+    mp = spec.metric_point(points, order)
     b = curvature_bundle(mp)
-    row = dict(
-        point=point, S_v=b.S_v, riem_v=b.riem_v.copy(), ric_v=b.ric_v.copy(), weyl_v=b.weyl_v.copy(),
-        g=mp.g.copy(), g_inv=mp.g_inv.copy(),
-    )
+    cols = dict(point=points, S_v=b.S_v, riem_v=b.riem_v, ric_v=b.ric_v, weyl_v=b.weyl_v, g=mp.g, g_inv=mp.g_inv)
     if order >= 3:
-        row.update(dS=b.dS, nabla_ric=b.nabla_ric.copy())
+        cols.update(dS=b.dS, nabla_ric=b.nabla_ric)
     if not spec.has_j:
-        return row
-    j_jets = spec.j_jets(point, 2)
-    # built at order 2 too, where no row field reads it: perfbench/tracer.py requires every
+        return cols
+    j_jets = spec.j_jets(points, 2)
+    # built at order 2 too, where no column reads it: perfbench/tracer.py requires every
     # workload to reach it (ROADMAP item 1)
     w2jet = wplus_norm2_jet(b, j_jets)
-    row.update(j_jets=j_jets, gamma_v=b.gamma_v.copy(), dg_v=b.dg_v)
+    cols.update(j_jets=j_jets, gamma_v=b.gamma_v, dg_v=b.dg_v)
     if order >= 3:
-        row.update(nabla_weyl=b.nabla_weyl, w2_grad=jpartials(w2jet, 1), lam_grad=jpartials(lambda_jet(b, j_jets), 1))
+        cols.update(nabla_weyl=b.nabla_weyl, w2_grad=jpartials(w2jet, 1), lam_grad=jpartials(lambda_jet(b, j_jets), 1))
     if order >= 4:
-        row.update(w2_lap=laplacian_scalar(w2jet, b.gamma_v, mp), nabla2_ric=b.nabla2_ric)
-    return row
+        cols.update(w2_lap=laplacian_scalar(w2jet, b.gamma_v, mp), nabla2_ric=b.nabla2_ric)
+    return cols
 
 
 @dataclass(frozen=True)
 class Rows:
     """Order-0 quantities at many points of one jet order; axis 0 has one
     row per point, or per rotation of its supplement.  ``point_context``
-    gives the fields up to ``nabla2_ric``, ``stack_rows`` the rest.  The
+    gives the columns up to ``nabla2_ric``, ``stack_rows`` the rest.  The
     frame stage reads ``j_jets``, ``gamma_v`` and ``dg_v`` and drops them,
     and reads ``nabla_weyl`` and keeps only its per-row maximum, so the
     rows ``stack_rows`` returns hold none of these four.  The rows serve the
@@ -179,14 +200,15 @@ def _leafwise(fn, x):
     return fn(x) if isinstance(x, np.ndarray) else x
 
 
-def stack_rows(rows: Iterable[dict], angles: Optional[np.ndarray] = None) -> Rows:
-    """The rows of ``point_context`` as one stack, each row's curvature
-    scale, and the frame stage run once on them.  ``angles`` (one row of
-    rotation angles per point) puts after each point's row one more row
-    per angle, the supplement rotated by it; the frame-free fields, the
-    curvature scale and delta W+ included, are repeated onto those rows."""
-    rows = list(rows)
-    cols = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+def stack_rows(cols: dict, angles: Optional[np.ndarray] = None) -> Rows:
+    """The columns of ``point_context`` as one stack of rows, one per point
+    (a single point is a stack of one), each row's curvature scale, and the
+    frame stage run once on them.  ``angles`` (one row of rotation angles
+    per point) puts after each point's row one more row per angle, the
+    supplement rotated by it; the frame-free fields, the curvature scale and
+    delta W+ included, are repeated onto those rows."""
+    lead = np.ndim(cols["point"]) - 1
+    cols = {k: np.reshape(v, (-1,) + np.shape(v)[lead:]) for k, v in cols.items()}
     # residual scales never drop below max(1, max |Riem|, |S|), so identities that cancel only
     # to rounding (flat or Einstein points) normalize against the quantities they cancel;
     # like Python's max, fmax passes over a NaN term
@@ -572,7 +594,7 @@ def evaluate_identity(record_id: str, spec: ManifoldSpec, point: Sequence[float]
     record = REGISTRY[record_id]
     if record.evaluator is None:
         raise ConditionsError(f"{record_id} is an integral identity; use check_integral_formulas")
-    rows = stack_rows([point_context(spec, point, record.min_order)])
+    rows = stack_rows(point_context(spec, point, record.min_order))
     res = _residual(record, rows, _gate_masks(rows))
     pt = tuple(np.asarray(point, float))
     if res is None:
@@ -714,7 +736,7 @@ def run_suite(
     pts = spec.sample_points(n_points, rng)
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_points, rotations)) if rotations else None
 
-    rows = stack_rows((point_context(spec, pt, order) for pt in pts), angles if spec.has_j else None)
+    rows = stack_rows(point_context(spec, pts, order), angles if spec.has_j else None)
     masks = _gate_masks(rows)
     # tags and classification read each point once, not its rotations
     base = _leafwise(lambda v: v[:: 1 + rotations], rows) if rotations and spec.has_j else rows
@@ -829,7 +851,7 @@ def classify_structure(spec: ManifoldSpec, n_points: int, seed: int = 0,
         raise ConditionsError("n_points must be >= 1")
     _check_tolerances(tol_pass, tol_fail)
     pts = spec.sample_points(n_points, np.random.default_rng(seed))
-    return _classify(stack_rows(point_context(spec, pt, 2) for pt in pts).nj, tol_pass, tol_fail)
+    return _classify(stack_rows(point_context(spec, pts, 2)).nj, tol_pass, tol_fail)
 
 
 # ---------------------------------------------------------------------------
@@ -937,7 +959,7 @@ def evaluate_integrand(spec: ManifoldSpec, points: np.ndarray) -> dict:
     shape (..., 4): one array of shape (...) per key, from one frame stage."""
     if not spec.has_j:
         raise ConditionsError("integral formulas need an almost complex structure")
-    r = stack_rows(point_context(spec, p, 4) for p in np.reshape(points, (-1, 4)))
+    r = stack_rows(point_context(spec, points, 4))
     values = {
         "q_j": q_j_integrand(r, r.J),
         "rt2": r.star.rt2,
@@ -955,8 +977,8 @@ def check_integral_formulas(spec: ManifoldSpec, quad: QuadratureSpec = Quadratur
     """Both compact Weitzenboeck integrals and their difference (the
     integrated pointwise identity).  Requires a compact almost Kahler entry.
 
-    One jet stage per quadrature/constancy point and one frame stage per
-    chunk of nodes feed all the integrand scalars.
+    One jet stage and one frame stage per chunk of quadrature or constancy
+    nodes feed all the integrand scalars.
     """
     if not spec.compact:
         raise ConditionsError(f"manifold '{spec.id}' is not compact")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import Weyl4Error
 from .exprjet import jderiv, jeinsum, jet_order, jmul, jpartials, jtruncate, jvalue
-from .pointgeom import MetricPoint, is_skew
+from .pointgeom import MetricPoint, _trail, is_skew
 
 
 class InsufficientJetOrder(Weyl4Error, ValueError):
@@ -35,7 +35,8 @@ class InsufficientJetOrder(Weyl4Error, ValueError):
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """All curvature data available at one point for one metric jet order.
+    """All curvature data available at a point or a stack of points (leading
+    axes on every field) for one metric jet order.
 
     Jet-valued fields carry their own truncation order (metric order minus
     the number of derivatives taken); ``*_v`` views are plain values.
@@ -67,8 +68,8 @@ class CurvatureBundle:
         return jvalue(self.ric)
 
     @property
-    def S_v(self) -> float:
-        return float(self.S[0])
+    def S_v(self) -> np.ndarray:
+        return jvalue(self.S)
 
     @property
     def weyl_v(self) -> np.ndarray:
@@ -93,9 +94,9 @@ def christoffel(mp: MetricPoint) -> np.ndarray:
     if mp.order < 1:
         raise InsufficientJetOrder("christoffel needs metric jets of order >= 1")
     d = mp.order
-    dg = np.stack([jderiv(mp.jets, v) for v in range(4)])  # [v,i,j] = d_v g_{ij}
+    dg = np.stack([jderiv(mp.jets, v) for v in range(4)], axis=-4)  # [v,i,j] = d_v g_{ij}
     # T[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-    T = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
+    T = _trail(dg, 2, 0, 1, 3) + _trail(dg, 2, 1, 0, 3) - dg
     return 0.5 * jeinsum("kl,lij->kij", mp.inv_jets, T, d - 1)
 
 
@@ -106,22 +107,17 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         raise InsufficientJetOrder("curvature needs metric jets of order >= 2")
     gamma = christoffel(mp)
     o2 = d - 2
-    dgamma = np.stack([jderiv(gamma, v) for v in range(4)])  # [m,k,i,j]
+    dgamma = np.stack([jderiv(gamma, v) for v in range(4)], axis=-5)  # [m,k,i,j]
     gam = jtruncate(gamma, o2)
     gg = jeinsum("abc,cde->abde", gam, gam, o2)
     # R(d_i, d_j) d_k = rup[l,i,j,k] d_l
-    rup = (
-        dgamma.transpose(1, 0, 2, 3, 4)
-        - dgamma.transpose(1, 2, 0, 3, 4)
-        + gg
-        - gg.transpose(0, 2, 1, 3, 4)
-    )
+    rup = _trail(dgamma, 1, 0, 2, 3, 4) - _trail(dgamma, 1, 2, 0, 3, 4) + gg - _trail(gg, 0, 2, 1, 3, 4)
     g2 = jtruncate(mp.jets, o2)
     ginv2 = jtruncate(mp.inv_jets, o2)
     riem = jeinsum("mijk,ml->ijkl", rup, g2, o2)  # R_{ijkl} = g_{lm} rup[m,i,j,k]
     ric = jeinsum("aijk,jk->ai", rup, ginv2, o2)
     ric_form = jeinsum("ai,aj->ij", ric, g2, o2)
-    S = np.einsum("aac->c", ric)
+    S = np.einsum("...aac->...c", ric)
     weyl = _weyl_04(riem, ric_form, S, g2, o2)
 
     dS = None
@@ -133,32 +129,32 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         gam3 = jtruncate(gamma, o3)
         # (nabla_m Ric)^a_b = d_m Ric^a_b + Gamma^a_{mk} Ric^k_b - Ric^a_k Gamma^k_{mb}
         nabla_ric_jets = (
-            np.stack([jderiv(ric, m) for m in range(4)])
+            np.stack([jderiv(ric, m) for m in range(4)], axis=-4)
             + jeinsum("amk,kb->mab", gam3, ric3, o3)
             - jeinsum("ak,kmb->mab", ric3, gam3, o3)
         )
         nabla_ric = jvalue(nabla_ric_jets)
 
-        dweyl = jpartials(weyl, 1).transpose(4, 0, 1, 2, 3)  # [m,i,j,k,l]
+        dweyl = np.moveaxis(jpartials(weyl, 1), -1, -5)  # [m,i,j,k,l]
         gv = jvalue(gam3)
         wv = jvalue(weyl)
         corr = (
-            np.einsum("pmi,pjkl->mijkl", gv, wv)
-            + np.einsum("pmj,ipkl->mijkl", gv, wv)
-            + np.einsum("pmk,ijpl->mijkl", gv, wv)
-            + np.einsum("pml,ijkp->mijkl", gv, wv)
+            np.einsum("...pmi,...pjkl->...mijkl", gv, wv)
+            + np.einsum("...pmj,...ipkl->...mijkl", gv, wv)
+            + np.einsum("...pmk,...ijpl->...mijkl", gv, wv)
+            + np.einsum("...pml,...ijkp->...mijkl", gv, wv)
         )
         nabla_weyl = dweyl - corr
 
     if d >= 4:
         gv = jvalue(gamma)
         nrv = jvalue(nabla_ric_jets)
-        dnr = jpartials(nabla_ric_jets, 1).transpose(3, 0, 1, 2)  # [m,n,a,b]
+        dnr = np.moveaxis(jpartials(nabla_ric_jets, 1), -1, -4)  # [m,n,a,b]
         nabla2_ric = (
             dnr
-            + np.einsum("amc,ncb->mnab", gv, nrv)
-            - np.einsum("cmb,nac->mnab", gv, nrv)
-            - np.einsum("pmn,pab->mnab", gv, nrv)
+            + np.einsum("...amc,...ncb->...mnab", gv, nrv)
+            - np.einsum("...cmb,...nac->...mnab", gv, nrv)
+            - np.einsum("...pmn,...pab->...mnab", gv, nrv)
         )
 
     return CurvatureBundle(
@@ -181,14 +177,14 @@ def _kulkarni(h: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
     """(h . k)_{ijkl} = h_{jk}k_{il} + h_{il}k_{jk} - h_{ik}k_{jl} - h_{jl}k_{ik},
     the product for which constant curvature K is (K/2)(g . g) in our sign."""
     P = jeinsum("jk,il->ijkl", h, k, order)
-    return P + P.transpose(1, 0, 3, 2, 4) - P.transpose(1, 0, 2, 3, 4) - P.transpose(0, 1, 3, 2, 4)
+    return P + _trail(P, 1, 0, 3, 2, 4) - _trail(P, 1, 0, 2, 3, 4) - _trail(P, 0, 1, 3, 2, 4)
 
 
 def _weyl_04(riem, ric_form, S, g2, order):
     """Standard Ricci decomposition, arranged so the induced operator matches
     W(A) = R(A) - {Ric,A} + (S/3)A.  The correction (Ric_0 . g)/2 + (S g/24) . g
     with Ric_0 = Ric - S g/4 is linear in its first slot: one product (Ric/2 - S g/12) . g."""
-    Sg = jmul(S, g2, order)
+    Sg = jmul(S[..., None, None, :], g2, order)
     return riem - _kulkarni(0.5 * ric_form - Sg / 12.0, g2, order)
 
 

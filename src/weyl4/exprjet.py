@@ -3,10 +3,11 @@
 An :class:`Expr` is a parsed scalar expression over four chart coordinates.
 ``compile_tape`` lowers an expression, or a grid of them, into one
 straight-line :class:`Tape`; ``eval_jet`` evaluates it together with all
-mixed partial derivatives up to a requested order (0..4) at a point, by
+mixed partial derivatives up to a requested order (0..4) at a point or a
+stack of points, by
 propagating truncated Taylor series rather than by finite differencing or
 nested dual numbers, and ``eval_values`` runs the same tape at order 0 on
-arrays.
+coordinate arrays.
 
 Jets are stored as dense vectors of Taylor coefficients ``c_alpha =
 d^alpha f / alpha!`` indexed by the multi-indices of degree <= order in four
@@ -69,44 +70,31 @@ class JetTables:
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
         self.order = order
-        self.multis: list[tuple[int, ...]] = []
-        for deg in range(order + 1):
-            for alpha in itertools.product(range(deg + 1), repeat=NCOORDS):
-                if sum(alpha) == deg:
-                    self.multis.append(alpha)
-        # product over range(deg+1) is not lexicographic per degree; sort within degree
-        self.multis = sorted(self.multis, key=lambda a: (sum(a), a))
+        # graded lexicographic: by degree, then lexicographic within a degree
+        alphas = itertools.product(range(order + 1), repeat=NCOORDS)
+        self.multis = sorted((a for a in alphas if sum(a) <= order), key=lambda a: (sum(a), a))
         self.ncoef = len(self.multis)
         self.pos = {a: i for i, a in enumerate(self.multis)}
 
-        ia, ib, iout = [], [], []
-        for i, a in enumerate(self.multis):
-            for j, b in enumerate(self.multis):
-                if sum(a) + sum(b) <= order:
-                    ia.append(i)
-                    ib.append(j)
-                    iout.append(self.pos[tuple(x + y for x, y in zip(a, b))])
-        self.mul_ia = np.asarray(ia, dtype=np.intp)
-        self.mul_ib = np.asarray(ib, dtype=np.intp)
-        scatter = np.zeros((len(iout), self.ncoef))
-        scatter[np.arange(len(iout)), iout] = 1.0
-        self.mul_scatter = scatter
-        self.scatter_t = np.ascontiguousarray(scatter.T)
+        # coefficient pairs (a, b) with |a + b| <= order, grouped by the output a + b:
+        # the pairs of output c are mul_ia/mul_ib[mul_starts[c]:mul_starts[c + 1]]
+        iout, self.mul_ia, self.mul_ib = np.array(sorted(
+            (self.pos[tuple(x + y for x, y in zip(a, b))], i, j)
+            for i, a in enumerate(self.multis) for j, b in enumerate(self.multis) if sum(a) + sum(b) <= order
+        ), dtype=np.intp).T
+        self.mul_starts = np.searchsorted(iout, np.arange(self.ncoef))
+        # the same pairs rank by rank: rank_rows[r] holds the r-th pair of every output with
+        # more than r pairs, outputs with the most pairs first; output c is row rank_order[c]
+        lengths = np.diff(np.append(self.mul_starts, len(iout)))
+        by_length = np.argsort(-lengths, kind="stable")
+        self.rank_rows = [self.mul_starts[by_length[: np.count_nonzero(lengths > r)]] + r for r in range(lengths.max())]
+        self.rank_order = np.argsort(by_length)
 
         # d/dx_v: coefficient of beta in the derivative is (beta_v+1)*c[beta+e_v]
-        self.diff_src: list[np.ndarray] = []
-        self.diff_fac: list[np.ndarray] = []
-        if order >= 1:
-            lower = [a for a in self.multis if sum(a) <= order - 1]
-            for v in range(NCOORDS):
-                src, fac = [], []
-                for beta in lower:
-                    up = list(beta)
-                    up[v] += 1
-                    src.append(self.pos[tuple(up)])
-                    fac.append(beta[v] + 1)
-                self.diff_src.append(np.asarray(src, dtype=np.intp))
-                self.diff_fac.append(np.asarray(fac, dtype=float))
+        lower = [a for a in self.multis if sum(a) < order]
+        unit = np.eye(NCOORDS, dtype=int)
+        self.diff_src = [np.array([self.pos[tuple(b + unit[v])] for b in lower], dtype=np.intp) for v in range(NCOORDS)]
+        self.diff_fac = [np.array([b[v] + 1.0 for b in lower]) for v in range(NCOORDS)]
 
         # k-th partials: [i1, ..., ik] -> position of e_i1 + ... + e_ik, and its alpha!
         self.partial_pos: list[np.ndarray] = []
@@ -144,20 +132,21 @@ def jet_order(a: np.ndarray) -> int:
 
 
 def jmul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Truncated product of jet coefficient arrays, broadcasting leading axes."""
+    """Truncated product of jet coefficient arrays, broadcasting leading axes;
+    a fixed summation order gives a row of a stack the bits of the row alone."""
     t = tables(order)
-    prod = a[..., t.mul_ia] * b[..., t.mul_ib]
-    return prod @ t.mul_scatter
+    return np.add.reduceat(a[..., t.mul_ia] * b[..., t.mul_ib], t.mul_starts, axis=-1)
 
 
 def jeinsum(subscripts: str, a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Truncated product of two jet tensors, contracted as ``np.einsum(subscripts)``.
 
     ``subscripts`` names only the tensor axes (``"ik,kj->ij"``); the trailing
-    coefficient axis is implicit.  Every index must occur in exactly two of
-    the three terms, so the product is one batched matmul over the coefficient
-    pairs, ``(P, free_a, K) @ (P, K, free_b)``, followed by the scatter of the
-    pairs onto their output coefficients.
+    coefficient axis is implicit, and leading axes are a batch both operands
+    share.  Every index must occur in exactly two of the three terms, so the
+    product is one batched matmul over the coefficient pairs, ``(P, batch,
+    free_a, K) @ (P, batch, K, free_b)``, then each output coefficient sums
+    its pairs rank by rank, in an order that gives a batch row its bits alone.
     """
     t = tables(order)
     perm_a, shape_a, perm_b, shape_b, shape_out, perm_out = _contraction_plan(
@@ -166,32 +155,40 @@ def jeinsum(subscripts: str, a: np.ndarray, b: np.ndarray, order: int) -> np.nda
     pa = a.transpose(perm_a).reshape(shape_a)[t.mul_ia]
     pb = b.transpose(perm_b).reshape(shape_b)[t.mul_ib]
     prod = np.matmul(pa, pb).reshape(len(t.mul_ia), -1)
-    return (t.scatter_t @ prod).reshape(shape_out).transpose(perm_out)
+    out = prod[t.rank_rows[0]]
+    for rows in t.rank_rows[1:]:
+        out[: len(rows)] += prod[rows]
+    return out[t.rank_order].reshape(shape_out).transpose(perm_out)
 
 
 @functools.lru_cache(maxsize=1024)
 def _contraction_plan(subscripts: str, shape_a: tuple, shape_b: tuple, ncoef: int) -> tuple:
     """Axis permutations and sizes that move both operands to (coefficient,
-    free, contracted) layout, and the coefficient-first output back."""
+    batch, free, contracted) layout, and the coefficient-first output back."""
     inputs, arrow, out = subscripts.partition("->")
     left, comma, right = inputs.partition(",")
     terms = (left, right, out)
     pure = arrow and comma and all(c.isalpha() and sum(c in t for t in terms) == 2 for c in set(left + right + out))
     if not pure or any(len(set(t)) != len(t) for t in terms):
         raise ValueError(f"{subscripts!r} is not a pure two-operand contraction")
-    size = dict(zip(left + right, shape_a[:-1] + shape_b[:-1]))
+    nb = len(shape_a) - 1 - len(left)
+    batch = shape_a[:nb]
+    if nb < 0 or len(shape_b) - 1 - len(right) != nb or shape_b[:nb] != batch:
+        raise ValueError(f"{subscripts!r}: operands {shape_a} and {shape_b} do not share a batch")
+    size = dict(zip(left + right, shape_a[nb:-1] + shape_b[nb:-1]))
     contracted = [c for c in left if c in right]
     free_a = [c for c in left if c not in right]
     free_b = [c for c in right if c not in left]
     free = free_a + free_b
     n_free_a, n_contracted, n_free_b = (math.prod(size[c] for c in i) for i in (free_a, contracted, free_b))
+    lead = tuple(range(nb))
     return (
-        (len(left),) + tuple(left.index(c) for c in free_a + contracted),
-        (shape_a[-1], n_free_a, n_contracted),
-        (len(right),) + tuple(right.index(c) for c in contracted + free_b),
-        (shape_b[-1], n_contracted, n_free_b),
-        (ncoef,) + tuple(size[c] for c in free),
-        tuple(1 + free.index(c) for c in out) + (0,),
+        (len(shape_a) - 1,) + lead + tuple(nb + left.index(c) for c in free_a + contracted),
+        (shape_a[-1], math.prod(batch), n_free_a, n_contracted),
+        (len(shape_b) - 1,) + lead + tuple(nb + right.index(c) for c in contracted + free_b),
+        (shape_b[-1], math.prod(batch), n_contracted, n_free_b),
+        (ncoef,) + batch + tuple(size[c] for c in free),
+        tuple(1 + i for i in lead) + tuple(1 + nb + free.index(c) for c in out) + (0,),
     )
 
 
@@ -230,25 +227,19 @@ def jpartials(a: np.ndarray, k: int) -> np.ndarray:
     return a[..., t.partial_pos[k]] * t.partial_fac[k]
 
 
-def jmatmul(A: np.ndarray, B: np.ndarray, order: int) -> np.ndarray:
-    """Matrix product of two (4,4,ncoef) jet matrices."""
-    return jeinsum("ik,kj->ij", A, B, order)
-
-
 def jmatinv(G: np.ndarray, order: int) -> np.ndarray:
-    """Inverse of a (4,4,ncoef) jet matrix via the truncated Neumann series."""
-    g0 = G[..., 0]
-    g0inv = np.linalg.inv(g0)
+    """Inverse of a (..., 4, 4, ncoef) jet matrix via the truncated Neumann series."""
+    g0inv = np.linalg.inv(G[..., 0])
     delta = G.copy()
     delta[..., 0] = 0.0
     # E = -g0inv . delta has no constant term, so E^(order+1) == 0
-    E = -np.einsum("ik,kjc->ijc", g0inv, delta)
-    acc = jconst(np.eye(NCOORDS), order)
+    E = -np.einsum("...ik,...kjc->...ijc", g0inv, delta)
+    acc = jconst(np.broadcast_to(np.eye(NCOORDS), G.shape[:-1]), order)
     term = acc
     for _ in range(order):
-        term = jmatmul(E, term, order)
+        term = jeinsum("ik,kj->ij", E, term, order)
         acc = acc + term
-    return np.einsum("ijc,jk->ikc", acc, g0inv)
+    return np.einsum("...ijc,...jk->...ikc", acc, g0inv)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +259,17 @@ def _compose(a: np.ndarray, derivs: Sequence, order: int) -> np.ndarray:
 
 
 # Derivative tables [f(a), f'(a), ..., f^(n)(a)]; ``a`` is a float or an array.
+# Powers are products and quotients, never ``**``: numpy's vector power loop
+# can differ from the scalar one in the last bit, which would tie digits to the host.
+
+
+def _reciprocal_derivs(a, n):
+    """[1/a, -1/a^2, 2/a^3, ...]: the derivatives (-1)^k k!/a^(k+1) of 1/x at a."""
+    out, p = [], a
+    for k in range(n + 1):
+        out.append((-1.0 if k % 2 else 1.0) * math.factorial(k) / p)
+        p = p * a
+    return out
 
 
 def _sin_derivs(a, n):
@@ -287,16 +289,16 @@ def _exp_derivs(a, n):
 def _log_derivs(a, n):
     if np.any(a <= 0.0):
         raise DomainError(f"log of non-positive value {float(np.min(a))}")
-    return [np.log(a)] + [(-1.0) ** (k - 1) * math.factorial(k - 1) / a**k for k in range(1, n + 1)]
+    return [np.log(a)] + _reciprocal_derivs(a, n - 1)
 
 
 def _sqrt_derivs(a, n):
     if np.any(a < 0.0) or (n >= 1 and np.any(a == 0.0)):
         raise DomainError(f"sqrt domain error at {float(np.min(a))}")
-    out = [np.sqrt(a)]
-    coef = 0.5
+    out, coef, root = [np.sqrt(a)], 0.5, np.sqrt(a)
     for k in range(1, n + 1):
-        out.append(coef * a ** (0.5 - k))
+        root = root / a  # a^(1/2 - k)
+        out.append(coef * root)
         coef *= 0.5 - k
     return out
 
@@ -314,20 +316,21 @@ def _cosh_derivs(a, n):
 def _tan_derivs(a, n):
     f = np.tan(a)
     u = 1.0 + f * f
-    out = [f, u, 2 * f * u, u * (2 + 6 * f * f), u * (16 * f + 24 * f**3)]
+    out = [f, u, 2 * f * u, u * (2 + 6 * f * f), u * (16 * f + 24 * f * f * f)]
     return out[: n + 1]
 
 
 def _tanh_derivs(a, n):
     f = np.tanh(a)
     u = 1.0 - f * f
-    out = [f, u, -2 * f * u, u * (6 * f * f - 2), u * (16 * f - 24 * f**3)]
+    out = [f, u, -2 * f * u, u * (6 * f * f - 2), u * (16 * f - 24 * f * f * f)]
     return out[: n + 1]
 
 
 def _atan_derivs(a, n):
     d = 1.0 + a * a
-    out = [np.arctan(a), 1 / d, -2 * a / d**2, (6 * a * a - 2) / d**3, -24 * a * (a * a - 1) / d**4]
+    d2 = d * d
+    out = [np.arctan(a), 1 / d, -2 * a / d2, (6 * a * a - 2) / (d2 * d), -24 * a * (a * a - 1) / (d2 * d2)]
     return out[: n + 1]
 
 
@@ -719,7 +722,7 @@ def _jpow(a: np.ndarray, p: float, order: int) -> np.ndarray:
     if n < 0:
         if np.any(v == 0.0):
             raise DomainError("division by a jet with zero value")
-        a = _compose(a, [(-1.0) ** k * math.factorial(k) / v ** (k + 1) for k in range(order + 1)], order)
+        a = _compose(a, _reciprocal_derivs(v, order), order)
     result = jconst(1.0, order) if n == 0 else None
     n = abs(n)
     while n:
@@ -731,21 +734,26 @@ def _jpow(a: np.ndarray, p: float, order: int) -> np.ndarray:
     return result
 
 
-def eval_jet(expr: Expr | Tape, point: Sequence[float], order: int) -> np.ndarray:
-    """Evaluate ``expr`` and all partials up to ``order`` at ``point``.
+def eval_jet(expr: Expr | Tape, points, order: int) -> np.ndarray:
+    """Evaluate ``expr`` and all partials up to ``order`` at ``points`` of
+    shape (..., 4), one point or a stack of them.
 
     Derivatives are exact to machine rounding (jet propagation), not finite
-    differences.  The result is the jet's coefficient array: shape
-    ``(ncoef,)`` for an :class:`Expr`, ``tape.out.shape + (ncoef,)`` for
-    the grid of a :class:`Tape`.
+    differences.  The result has the leading axes of ``points``, the grid of
+    a :class:`Tape` (none for an :class:`Expr`), then the coefficients; a
+    row of a stack gets the bits of its point alone.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
-    if len(point) != NCOORDS:
+    points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (NCOORDS,):
         raise ValueError("point must have 4 coordinates")
     tape = expr if isinstance(expr, Tape) else compile_tape(expr)
-    vals = _run(tape, [float(p) for p in point], order)
-    return np.array([vals[k] for k in tape.out.flat]).reshape(tape.out.shape + (-1,))
+    vals = _run(tape, list(np.moveaxis(points, -1, 0)), order)
+    out = np.empty(points.shape[:-1] + tape.out.shape + (tables(order).ncoef,))
+    for i, k in np.ndenumerate(tape.out):
+        out[(Ellipsis, *i, slice(None))] = vals[k]
+    return out
 
 
 def eval_values(expr: Expr | Tape, coords: Sequence[Number]) -> Number:

@@ -3,20 +3,19 @@
 Everything here lives at a chart point: adjoints with respect to the
 metric, the dimension-weighted inner product ``<A,B> = tr(A* B)/4`` on
 endomorphisms, J-adapted orthonormal frames with their quaternionic
-supplements (I, K), the skew-endomorphism / 2-form correspondence
-``Omega_A(X,Y) = g(AX,Y)``, and the Hodge star on 2-forms in the orientation
-fixed by ``vol = Omega_J ^ Omega_J / 2``, which validates J.
+supplements (I, K), and the skew-endomorphism / 2-form correspondence
+``Omega_A(X,Y) = g(AX,Y)``.
 
 All matrices are in the chart basis unless noted; endomorphisms act on
 column vectors of chart components, and the frame kernels contract index
-pairs (i, j) as 16-rows of one matrix product.  The frame functions also take a stack
-of points (leading row axes; ``mp`` holding ``point``, ``g`` and ``g_inv``),
-and a failing check names the first failing row's point.
+pairs (i, j) as 16-rows of one matrix product.  The metric check and the
+frame functions also take a stack of points (leading row axes; ``mp``
+holding ``point``, ``g`` and ``g_inv``), and a failing check names the
+first failing row's point.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,12 +31,6 @@ N = 4
 J_STD = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
 I_STD = np.array([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]], dtype=float)
 K_STD = np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [-1, 0, 0, 0]], dtype=float)
-
-
-PERMUTATIONS4 = np.array(list(itertools.permutations(range(N))))
-PERM_SIGNS4 = np.linalg.det(np.eye(N)[PERMUTATIONS4]).round()  # sign = det of the permutation matrix
-EPS4 = np.zeros((N, N, N, N))
-EPS4[tuple(PERMUTATIONS4.T)] = PERM_SIGNS4
 
 
 class PointError(Weyl4Error, ValueError):
@@ -57,36 +50,42 @@ class MetricError(PointError):
     """The metric matrix at ``point`` is not symmetric positive definite."""
 
 
-def raise_at_first(bad, mp, stage: str, message) -> None:
-    """FrameError at the first row where ``bad`` holds; ``message(k)`` describes row k."""
+def _raise_at_first(bad, point, stage: str, message, error=FrameError) -> None:
+    """``error`` at the first row where ``bad`` holds, naming that row of
+    ``point``; ``message(k)`` describes row k."""
     rows = np.flatnonzero(bad)
     if rows.size:
         k = rows[0]
-        raise FrameError(message(k), np.reshape(mp.point, (-1, N))[k], stage)
+        raise error(message(k), np.reshape(point, (-1, N))[k], stage)
 
 
 @dataclass(frozen=True)
 class MetricPoint:
-    """Metric matrix, inverse, and component jets at one chart point."""
+    """Metric matrix, inverse, and component jets at a chart point or a stack of them."""
 
-    point: np.ndarray
+    point: np.ndarray      # (..., 4)
     g: np.ndarray
     g_inv: np.ndarray
-    jets: np.ndarray       # (4, 4, ncoef)
-    inv_jets: np.ndarray   # (4, 4, ncoef of order - 1): every reader truncates to order - 1 or lower
+    jets: np.ndarray       # (..., 4, 4, ncoef)
+    inv_jets: np.ndarray   # (..., 4, 4, ncoef of order - 1): every reader truncates to order - 1 or lower
     order: int
 
     @staticmethod
     def from_jets(point, jets: np.ndarray, order: int) -> "MetricPoint":
+        """Validated metric jets: g symmetric and positive definite on every row."""
         point = np.asarray(point, dtype=float)
         g = jvalue(jets)
-        asym = np.abs(g - g.T).max()
-        scale = np.abs(g).max()
-        if not asym <= 1e-12 * max(scale, 1.0):  # a NaN residual is rejected too
-            raise MetricError(f"metric matrix not symmetric (residual {asym:.3e})", point, "metric")
-        eig = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if not eig[0] > 1e-12 * eig[-1]:
-            raise MetricError(f"metric not positive definite (eigenvalues {eig.tolist()})", point, "metric")
+        gt = np.swapaxes(g, -1, -2)
+        asym = np.abs(g - gt).max(axis=(-2, -1))
+        asymmetric = ~(asym <= 1e-12 * np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0))  # NaN is rejected too
+        # a row that is not symmetric has no spectrum to check: it stands in as the identity
+        eig = np.linalg.eigvalsh(np.where(asymmetric[..., None, None], np.eye(N), 0.5 * (g + gt)))
+        _raise_at_first(
+            asymmetric | ~(eig[..., 0] > 1e-12 * eig[..., -1]), point, "metric",
+            lambda k: f"metric matrix not symmetric (residual {asym.flat[k]:.3e})" if asymmetric.flat[k]
+            else f"metric not positive definite (eigenvalues {eig.reshape(-1, N)[k].tolist()})",
+            MetricError,
+        )
         inv_order = max(order - 1, 0)
         inv_jets = jmatinv(jtruncate(jets, inv_order), inv_order)
         return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)
@@ -149,21 +148,6 @@ def endo_to_form(A: np.ndarray, mp: MetricPoint) -> np.ndarray:
     return np.swapaxes(A, -1, -2) @ mp.g
 
 
-def hodge_star(w: np.ndarray, mp: MetricPoint, orientation) -> np.ndarray:
-    """Hodge star on 2-forms for the given chart orientation sign."""
-    det = np.linalg.det(mp.g)
-    raised = mp.g_inv @ w @ np.swapaxes(mp.g_inv, -1, -2)  # w^{kl}
-    factor = 0.5 * np.asarray(orientation) * np.sqrt(det)
-    return factor[..., None, None] * np.einsum("ijkl,...kl->...ij", EPS4, raised)
-
-
-def chart_orientation(J: np.ndarray, mp: MetricPoint) -> np.ndarray:
-    """Sign of the chart basis in the orientation with vol = Omega_J^2 / 2
-    (0 where Omega_J is degenerate, which the self-duality check rejects)."""
-    w = endo_to_form(J, mp)
-    return np.sign(w[..., 0, 1] * w[..., 2, 3] - w[..., 0, 2] * w[..., 1, 3] + w[..., 0, 3] * w[..., 1, 2])
-
-
 # ---------------------------------------------------------------------------
 # J-adapted frames and quaternionic supplements
 # ---------------------------------------------------------------------------
@@ -194,8 +178,8 @@ def acs_residuals(J: np.ndarray, mp) -> tuple[np.ndarray, np.ndarray]:
 def check_acs(J: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> None:
     """Validate J^2 = -1 and J* = -J on every row (a NaN residual fails)."""
     r1, r2 = acs_residuals(J, mp)
-    raise_at_first(
-        ~((r1 <= tol) & (r2 <= tol)), mp, "structure",
+    _raise_at_first(
+        ~((r1 <= tol) & (r2 <= tol)), mp.point, "structure",
         lambda k: f"not a compatible almost complex structure "
                   f"(J^2 residual {r1.flat[k]:.2e}, adjoint {r2.flat[k]:.2e})",
     )
@@ -217,7 +201,7 @@ def build_j_frame(mp: MetricPoint, acs, seed: np.ndarray) -> SelfDualFrame:
     J = acs.J
     seed = np.broadcast_to(np.asarray(seed, dtype=float), np.shape(J)[:-1])
     ns = np.sqrt(np.maximum(_dot(seed, mp.g, seed), 0.0))
-    raise_at_first(ns < 1e-12, mp, "frame", lambda k: "degenerate frame seed")
+    _raise_at_first(ns < 1e-12, mp.point, "frame", lambda k: "degenerate frame seed")
     e1 = seed / ns[..., None]
     e2 = (J @ e1[..., None])[..., 0]
     # remainders of the chart basis vectors b_i against span(e1, e2), as rows [..., i, :]
@@ -226,7 +210,7 @@ def build_j_frame(mp: MetricPoint, acs, seed: np.ndarray) -> SelfDualFrame:
     r = basis - _dot(basis, g, u1)[..., None] * u1 - _dot(basis, g, u2)[..., None] * u2
     nr = np.sqrt(np.maximum(_dot(r, g, r), 0.0))
     ok = nr > 1e-6
-    raise_at_first(~ok.any(axis=-1), mp, "frame", lambda k: "no chart basis vector completes the frame")
+    _raise_at_first(~ok.any(axis=-1), mp.point, "frame", lambda k: "no chart basis vector completes the frame")
     first = np.argmax(ok, axis=-1)[..., None]
     e3 = np.take_along_axis(r, first[..., None], axis=-2)[..., 0, :] / np.take_along_axis(nr, first, axis=-1)
     e4 = (J @ e3[..., None])[..., 0]

@@ -150,4 +150,4 @@ def wplus_norm2_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:
     # tr(M^2 Omega_J (x) Omega_J^#) = (Omega_J^#)^{ij} M^2[i,j,k,l] (Omega_J)_{kl}, Omega_J = J^T g, Omega_J^# = g^-1 J^T
     m2_omega = jeinsum("ijkl,kl->ij", m2, jeinsum("ki,kj->ij", J, g, d), d)
     tr_p1 = jeinsum("ij,ij->", jeinsum("ik,jk->ij", gi, J, d), m2_omega, d)
-    return 0.5 * (np.einsum("ijijc->c", m2) - tr_j) + 0.25 * tr_p1
+    return 0.5 * (np.einsum("...ijijc->...c", m2) - tr_j) + 0.25 * tr_p1

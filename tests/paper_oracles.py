@@ -17,6 +17,7 @@ the J-splitting is held against: W+ as a (0,4) tensor, delta W+ and the
 |W+|^2 jet.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,11 +27,7 @@ from weyl4.curvature import curvature_bundle
 from weyl4.exprjet import jeinsum, jfunc, jmul, jpartials, jtruncate
 from weyl4.hermitian import AcsPoint, nabla_j_data, rtilde_table, star_ricci_family
 from weyl4.pointgeom import (
-    EPS4,
-    PERM_SIGNS4,
-    PERMUTATIONS4,
     build_j_frame,
-    chart_orientation,
     endo_to_form,
     inner_endo,
     inner_endos,
@@ -124,6 +121,26 @@ def wminus_matrix(bundle, frame):
 # ---------------------------------------------------------------------------
 # The Hodge-star operator algebra (one point, no leading axes)
 # ---------------------------------------------------------------------------
+
+PERMUTATIONS4 = np.array(list(itertools.permutations(range(4))))
+PERM_SIGNS4 = np.linalg.det(np.eye(4)[PERMUTATIONS4]).round()  # sign = det of the permutation matrix
+EPS4 = np.zeros((4, 4, 4, 4))
+EPS4[tuple(PERMUTATIONS4.T)] = PERM_SIGNS4
+
+
+def chart_orientation(J, mp):
+    """Sign of the chart basis in the orientation with vol = Omega_J^2 / 2
+    (0 where Omega_J is degenerate)."""
+    w = endo_to_form(J, mp)
+    return np.sign(w[..., 0, 1] * w[..., 2, 3] - w[..., 0, 2] * w[..., 1, 3] + w[..., 0, 3] * w[..., 1, 2])
+
+
+def hodge_star(w, mp, orientation):
+    """Hodge star of a 2-form for the given chart orientation sign."""
+    raised = mp.g_inv @ w @ np.swapaxes(mp.g_inv, -1, -2)  # w^{kl}
+    factor = 0.5 * np.asarray(orientation) * np.sqrt(np.linalg.det(mp.g))
+    return factor[..., None, None] * np.einsum("ijkl,...kl->...ij", EPS4, raised)
+
 
 
 def form_operator(C04, mp):

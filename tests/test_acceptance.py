@@ -40,7 +40,7 @@ def test_criterion_1_flat_baseline():
     for name in ("euclidean_flat", "flat_torus"):
         spec = get_manifold(name)
         rng = np.random.default_rng(1)
-        rows = stack_rows(point_context(spec, pt, 2) for pt in spec.sample_points(100, rng))
+        rows = stack_rows(point_context(spec, spec.sample_points(100, rng), 2))
         quantities = [
             np.abs(rows.riem_v).max(),
             np.abs(rows.ric_v).max(),
@@ -107,7 +107,7 @@ def test_criterion_3_universal_identities():
 def test_criterion_4_strictly_almost_kahler():
     spec = get_manifold("kodaira_thurston")
     rng = np.random.default_rng(4)
-    rows = stack_rows(point_context(spec, pt, 2) for pt in spec.sample_points(20, rng))
+    rows = stack_rows(point_context(spec, spec.sample_points(20, rng), 2))
     worst_domega = rows.nj.d_omega_norm
     worst_eta = float(np.abs(rows.nj.eta - (rows.J @ rows.nj.xi[..., None])[..., 0]).max())
     min_nj2 = float(rows.nj.norm2.min())

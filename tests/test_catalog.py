@@ -60,18 +60,18 @@ class TestBuiltins:
             "complex_hyperbolic_ch2", "kahler_potential_generic",
         ):
             spec = catalog[name]
-            rows = stack_rows(point_context(spec, pt, 2) for pt in spec.sample_points(50, rng))
+            rows = stack_rows(point_context(spec, spec.sample_points(50, rng), 2))
             assert np.abs(rows.nj.nabla_j).max() < 1e-9, name
 
     def test_kodaira_thurston_strictly_almost_kahler(self):
         spec = get_manifold("kodaira_thurston")
-        nj = stack_rows([point_context(spec, [0.01, 0.02, 0.03, 0.04], 2)]).nj
+        nj = stack_rows(point_context(spec, [0.01, 0.02, 0.03, 0.04], 2)).nj
         assert nj.d_omega_norm < 1e-10
         assert nj.nijenhuis_norm > 0.5
 
     def test_perturbed_j_generic(self):
         spec = get_manifold("perturbed_j")
-        nj = stack_rows([point_context(spec, [0.5, 0.1, -0.4, 0.2], 2)]).nj
+        nj = stack_rows(point_context(spec, [0.5, 0.1, -0.4, 0.2], 2)).nj
         assert nj.d_omega_norm > 1e-4
         assert nj.nijenhuis_norm > 1e-4
 

@@ -4,7 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from weyl4.catalog import load_manifold_config
 from weyl4.cli import main
+from weyl4.conditions import _chunk_points, point_context
+from weyl4.pointgeom import MetricError
 
 
 def run(capsys, *argv):
@@ -272,6 +275,23 @@ class TestPointFailures:
         assert err.count("\n") == 1
         point = json.loads(err.rsplit("at point ", 1)[1])
         assert abs(point[0] - 0.4) < 0.007
+
+    def test_stacked_metric_check_names_its_row(self, capsys, tmp_path):
+        # the 200 points run as stacks of at most _chunk_points(4) rows; the first that fails
+        # is named with the message its point alone gives, and every point before it passes
+        path = tmp_path / "dip.cfg"
+        path.write_text(self.DIP)
+        code, out, err = run(capsys, "check", "--config", str(path), "--points", "200", "--seed", "2")
+        assert (code, out) == (2, "")
+        spec = load_manifold_config(str(path))
+        pts = spec.sample_points(200, np.random.default_rng(2))
+        k = [p.tolist() for p in pts].index(json.loads(err.rsplit("at point ", 1)[1]))
+        firsts = np.cumsum([0] + [len(c) for c in np.array_split(pts, -(-200 // _chunk_points(4)))])
+        assert k not in firsts  # not the first row of its stack
+        with pytest.raises(MetricError) as alone:
+            point_context(spec, pts[k], 4)
+        assert err == f"error: {alone.value}\n"
+        point_context(spec, pts[:k], 4)
 
     BEND = (
         "[manifold]\nid = bend\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"

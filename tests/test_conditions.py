@@ -28,6 +28,7 @@ from weyl4 import conditions
 from weyl4.conditions import (
     FRAME_SEED,
     Rows,
+    _chunk_points,
     _classify,
     _gate_masks,
     _gauss_grid,
@@ -254,7 +255,7 @@ def rotated_row(spec, pt, order, alpha):
     )
     if order >= 3:
         fields["nabla_sd"] = ref.nabla_sd
-    rows = stack_rows([point_context(spec, pt, order)])
+    rows = stack_rows(point_context(spec, pt, order))
     return dataclasses.replace(rows, **{k: one_row(v) for k, v in fields.items()})
 
 
@@ -273,7 +274,7 @@ def per_point_batches(spec, n_points, seed, rotations, ids):
         if spec.has_j:
             one_point = [rotated_row(spec, pt, order, a) for a in (0.0, *alphas)]
         else:
-            one_point = [stack_rows([point_context(spec, pt, order)])]
+            one_point = [stack_rows(point_context(spec, pt, order))]
         for rows in one_point:
             masks = _gate_masks(rows)
             for rid in ids:
@@ -300,8 +301,12 @@ def assert_rows_match_per_point_batches(spec, ids=None):
 
 def jet_rows(spec, points):
     """The stacked order-4 rows at ``points`` before the frame stage has run."""
-    rows = [point_context(spec, p, 4) for p in points]
-    return Rows(**{k: np.array([r[k] for r in rows]) for k in rows[0]}, curvature_scale=None)
+    return Rows(**point_context(spec, points, 4), curvature_scale=None)
+
+
+def stacked(*columns):
+    """The columns of single points, as the columns of their stack."""
+    return {k: np.stack([c[k] for c in columns]) for k in columns[0]}
 
 
 def frame_stage(rows):
@@ -333,7 +338,7 @@ FRAME_FUNCTIONS = ("build_j_frame", "star_ricci_family", "nabla_j_data", "lambda
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """Calls of each frame function and of the per-point |W+|^2 and lambda jets, counted."""
+    """Calls of each frame function and of the per-chunk |W+|^2 and lambda jets, counted."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -365,7 +370,7 @@ class TestBatchedRows:
         spec = batch_specs[name]
         rng = np.random.default_rng(4)
         pts, angles = spec.sample_points(5, rng), rng.uniform(0.0, 2.0 * np.pi, size=(5, 2))
-        rows = stack_rows((point_context(spec, p, 4) for p in pts), angles)
+        rows = stack_rows(point_context(spec, pts, 4), angles)
         for k, (pt, alphas) in enumerate(zip(pts, angles)):
             for j, alpha in enumerate((0.0, *alphas)):
                 ref, i = rotated_row(spec, pt, 4, alpha), 3 * k + j
@@ -388,24 +393,28 @@ class TestBatchedRows:
         spec = get_manifold("kodaira_thurston")
         pts = spec.sample_points(3, np.random.default_rng(2))
         for angles in (None, np.full((3, 2), 0.4)):
-            rows = stack_rows((point_context(spec, p, order) for p in pts), angles)
+            rows = stack_rows(point_context(spec, pts, order), angles)
             assert rows.nj is not None
             assert [rows.j_jets, rows.gamma_v, rows.dg_v, rows.nabla_weyl] == [None] * 4
 
     def test_frame_functions_run_once_per_stack(self, stage_calls, batch_specs):
         once = dict.fromkeys(FRAME_FUNCTIONS[:-1] + ("AcsPoint.from_jets",), 1)
+
+        def chunks(n, order):  # the jet stage runs the |W+|^2 and lambda jets once per chunk
+            return -(-n // _chunk_points(order))
+
         # rotated rows repeat the frame-free jets and delta W+ of their point; the self-dual
         # triple is split once for delta W+ on the points and once on the rotated rows
         run_suite(get_manifold("kodaira_thurston"), 25, seed=7, rotations=2)
-        assert stage_calls == {**once, "lambda2_split": 2, "wplus_norm2_jet": 25, "lambda_jet": 25}
+        assert stage_calls == {**once, "lambda2_split": 2, "wplus_norm2_jet": chunks(25, 4), "lambda_jet": chunks(25, 4)}
         stage_calls.clear()
         classify_structure(get_manifold("perturbed_j"), 25, seed=7)
         order2 = {k: v for k, v in once.items() if k not in ("delta_wpm", "nabla_w_sd_matrices")}
-        assert stage_calls == {**order2, "wplus_norm2_jet": 25}
+        assert stage_calls == {**order2, "wplus_norm2_jet": chunks(25, 2)}
         stage_calls.clear()
         spec = batch_specs["sak_torus_test"]
         evaluate_integrand(spec, spec.sample_points(16, np.random.default_rng(1)))
-        assert stage_calls == {**once, "q_j_integrand": 1, "wplus_norm2_jet": 16, "lambda_jet": 16}
+        assert stage_calls == {**once, "q_j_integrand": 1, "wplus_norm2_jet": chunks(16, 4), "lambda_jet": chunks(16, 4)}
 
     def test_stacked_density_matches_per_node_loop(self, batch_specs):
         spec = batch_specs["sak_torus_test"]
@@ -648,21 +657,21 @@ class TestCurvatureScale:
     def test_value_is_the_largest_curvature_magnitude(self, name):
         spec = get_manifold(name)
         pts = spec.sample_points(3, np.random.default_rng(4))
-        rows = stack_rows(point_context(spec, p, 3) for p in pts)
+        rows = stack_rows(point_context(spec, pts, 3))
         assert rows.curvature_scale.tolist() == [curvature_scale(spec, p, 3) for p in pts]
         row = point_context(spec, pts[0], 3)
-        scaled = stack_rows([{**row, "riem_v": 3.0 * row["riem_v"]}])
+        scaled = stack_rows({**row, "riem_v": 3.0 * row["riem_v"]})
         assert scaled.curvature_scale[0] == max(1.0, 3.0 * float(np.abs(row["riem_v"]).max()), abs(row["S_v"]))
 
     def test_nan_terms_are_passed_over_like_max(self):
         # as max(1.0, nan, |S|) gives max(1, |S|): a NaN term never becomes the scale
         row = point_context(get_manifold("fubini_study_cp2"), [0.3, 0.4, 0.5, 0.6], 3)  # S = 12 > max |Riem|
         nan_riem = np.full_like(row["riem_v"], np.nan)
-        rows = stack_rows([
+        rows = stack_rows(stacked(
             {**row, "riem_v": nan_riem},
             {**row, "riem_v": nan_riem, "S_v": 0.5},
             {**row, "S_v": np.nan},
-        ])
+        ))
         S, riem_max = abs(row["S_v"]), float(np.abs(row["riem_v"]).max())
         assert rows.curvature_scale.tolist() == [max(1.0, math.nan, S), max(1.0, math.nan, 0.5), max(1.0, riem_max, math.nan)]
         assert rows.curvature_scale.tolist() == [S, 1.0, max(1.0, riem_max)]
@@ -670,7 +679,7 @@ class TestCurvatureScale:
     def test_rotated_rows_carry_their_points_scale(self):
         spec = get_manifold("kahler_potential_generic")  # S varies from point to point
         pts = spec.sample_points(4, np.random.default_rng(2))
-        rows = stack_rows((point_context(spec, p, 3) for p in pts), np.full((4, 2), 0.7))
+        rows = stack_rows(point_context(spec, pts, 3), np.full((4, 2), 0.7))
         assert rows.curvature_scale.tolist() == [curvature_scale(spec, p, 3) for p in pts for _ in range(3)]
         assert len(set(rows.curvature_scale.tolist())) > 1  # so rows taken in another order would not match
 
@@ -701,8 +710,8 @@ class TestNonFinite:
     def test_non_finite_tag_residual_is_unconfirmed(self):
         spec = get_manifold("flat_torus")
         row = point_context(spec, [0.3, 0.4, 0.5, 0.6], 3)
-        assert _tag_report(spec.tags, stack_rows([row]), 1e-8)["flat"]["confirmed"]
-        rows = stack_rows([row, {**row, "riem_v": np.full_like(row["riem_v"], np.nan)}])
+        assert _tag_report(spec.tags, stack_rows(row), 1e-8)["flat"]["confirmed"]
+        rows = stack_rows(stacked(row, {**row, "riem_v": np.full_like(row["riem_v"], np.nan)}))
         flat = _tag_report(spec.tags, rows, 1e-8)["flat"]
         assert not flat["confirmed"] and flat["non_finite_points"] == 1
         assert math.isfinite(flat["residual"])
@@ -710,8 +719,8 @@ class TestNonFinite:
     def test_non_finite_classify_residual_is_indeterminate(self):
         spec = get_manifold("kodaira_thurston")
         row = point_context(spec, [0.3, 0.4, 0.5, 0.6], 2)
-        assert _classify(stack_rows([row]).nj, 1e-8, 1e-4)[0] == "almost-Kähler non-Kähler"
-        nj = stack_rows([row, row]).nj
+        assert _classify(stack_rows(row).nj, 1e-8, 1e-4)[0] == "almost-Kähler non-Kähler"
+        nj = stack_rows(stacked(row, row)).nj
         nan_nj = dataclasses.replace(nj, nijenhuis=np.stack([nj.nijenhuis[0], np.full_like(nj.nijenhuis[1], np.nan)]))
         verdict, residuals = _classify(nan_nj, 1e-8, 1e-4)
         assert verdict == "indeterminate"

@@ -28,7 +28,6 @@ from weyl4.exprjet import (
     jconst,
     jeinsum,
     jmatinv,
-    jmatmul,
     jmul,
     jpartials,
     jtruncate,
@@ -336,11 +335,39 @@ class TestContraction:
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-13 * bound + 1e-300)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(PACKAGE_PATTERNS),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batch_rows_have_the_bits_of_single_rows(self, subscripts, order, seed):
+        rng = np.random.default_rng(seed)
+        pairs = [random_jets(rng, subscripts, order) for _ in range(5)]
+        a, b = (np.stack(x).reshape((5, 1) + x[0].shape) for x in zip(*pairs))
+        got = jeinsum(subscripts, a, b, order)
+        for k, (ak, bk) in enumerate(pairs):
+            assert np.array_equal(got[k, 0], jeinsum(subscripts, ak, bk, order))
+
+    def test_operands_must_share_the_batch(self):
+        a, b = jconst(np.ones((3, 4, 4)), 2), jconst(np.ones((2, 4, 4)), 2)
+        with pytest.raises(ValueError, match="share a batch"):
+            jeinsum("ik,kj->ij", a, b, 2)
+        with pytest.raises(ValueError, match="share a batch"):
+            jeinsum("ik,kj->ij", a, b[0], 2)
+
+    def test_batched_inverse_rows_have_the_bits_of_single_rows(self):
+        rng = np.random.default_rng(5)
+        Gs = [random_metric_jet(rng, 3) for _ in range(4)]
+        got = jmatinv(np.stack(Gs), 3)
+        for k, G in enumerate(Gs):
+            assert np.array_equal(got[k], jmatinv(G, 3))
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=2**32 - 1))
     def test_inverse_times_matrix_is_identity(self, order, seed):
         G = random_metric_jet(np.random.default_rng(seed), order)
-        prod = jmatmul(jmatinv(G, order), G, order)
+        prod = jeinsum("ik,kj->ij", jmatinv(G, order), G, order)
         assert np.abs(prod - jconst(np.eye(4), order)).max() < 1e-11
 
 
@@ -404,7 +431,10 @@ def oracle_reciprocal(a, order):
     v = a[..., 0]
     if v == 0.0:
         raise DomainError("division by a jet with zero value")
-    return oracle_compose(a, [(-1.0) ** k * math.factorial(k) / v ** (k + 1) for k in range(order + 1)], order)
+    powers = [v]  # v^(k+1) as products, as exprjet writes the derivatives of 1/x
+    for _ in range(order):
+        powers.append(powers[-1] * v)
+    return oracle_compose(a, [(-1.0) ** k * math.factorial(k) / powers[k] for k in range(order + 1)], order)
 
 
 def oracle_ipow(a, n, order):

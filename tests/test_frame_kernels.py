@@ -16,12 +16,13 @@ from weyl4.catalog import builtin_manifolds, load_manifold_config
 from weyl4.curvature import curvature_bundle, tensor_operator
 from weyl4.exprjet import jeinsum, jmatinv, jpartials, tables
 from weyl4.hermitian import _r_op, q_j_integrand, rtilde_table
-from weyl4.pointgeom import adjoint_endo, chart_orientation, endo_to_form, inner_endo, inner_endos
+from weyl4.pointgeom import adjoint_endo, endo_to_form, inner_endo, inner_endos
 from weyl4.selfdual import delta_wpm, nabla_w_sd_matrices, wplus_04, wplus_norm2_jet
 
 from paper_oracles import (
     apply_form_operator,
     asd_endos,
+    chart_orientation,
     delta_w_projected,
     form_operator,
     form_to_endo,

@@ -11,16 +11,16 @@ from weyl4.pointgeom import (
     MetricError,
     MetricPoint,
     adjoint_endo,
+    build_j_frame,
     check_acs,
-    chart_orientation,
     endo_to_form,
-    hodge_star,
     inner_endo,
     is_skew,
     rotate_supplement,
 )
+from weyl4.selfdual import lambda2_split
 
-from paper_oracles import JM_STD, asd_endos, form_to_endo, inner_form, j_frame
+from paper_oracles import JM_STD, asd_endos, chart_orientation, form_to_endo, hodge_star, inner_form, j_frame
 
 
 def euclidean_mp(order=2):
@@ -243,6 +243,29 @@ class TestHodgeSplit:
             wb = endo_to_form(B, mp)
             assert np.abs(hodge_star(wa, mp, chart_orientation(fr.J, mp)) - wa).max() < 1e-12
             assert np.abs(hodge_star(wb, mp, chart_orientation(fr.J, mp)) + wb).max() < 1e-12
+
+    def test_demo_frame_forms_are_self_dual(self, catalog):
+        # the star residuals demo 02 printed while AcsPoint.from_jets still checked self-duality
+        spec = catalog["fubini_study_cp2"]
+        point = [0.3, -0.2, 0.5, 0.1]
+        mp = spec.metric_point(point, 2)
+        frame = build_j_frame(mp, AcsPoint.from_jets(spec.j_jets(point, 1), mp), np.eye(4)[0])
+        orientation = chart_orientation(frame.J, mp)
+        for A in lambda2_split(frame):
+            w = endo_to_form(A, mp)
+            assert np.abs(hodge_star(w, mp, orientation) - w).max() <= 1e-12
+
+    def test_every_compatible_j_is_self_dual_in_its_orientation(self):
+        # why AcsPoint.from_jets checks compatibility only: Omega_J of a compatible J is
+        # self-dual in the orientation vol = Omega_J^2/2 it induces, whichever that is
+        rng = np.random.default_rng(10)
+        for std in (J_STD, JM_STD) * 25:
+            A = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
+            mp = MetricPoint.from_jets(np.zeros(4), jconst(A.T @ A, 0), 0)
+            E = np.linalg.solve(A, np.linalg.qr(rng.normal(size=(4, 4)))[0])  # a g-orthonormal frame
+            J = E @ std @ np.linalg.inv(E)
+            w = AcsPoint.from_jets(J[..., None], mp).omega
+            assert np.abs(hodge_star(w, mp, chart_orientation(J, mp)) - w).max() <= 1e-10 * max(np.abs(w).max(), 1.0)
 
     def test_orientation_sign(self):
         mp = euclidean_mp()

@@ -4,7 +4,7 @@ import pytest
 from weyl4.catalog import get_manifold
 from weyl4.curvature import curvature_bundle
 from weyl4.exprjet import jpartials, jvalue
-from weyl4.pointgeom import adjoint_endo, chart_orientation, endo_to_form, inner_endo, rotate_supplement
+from weyl4.pointgeom import adjoint_endo, endo_to_form, inner_endo, rotate_supplement
 from weyl4.selfdual import (
     WplusMatrix,
     delta_wpm,
@@ -18,11 +18,13 @@ from weyl4.selfdual import (
 from paper_oracles import (
     apply_form_operator,
     asd_endos,
+    chart_orientation,
     compose,
     delta_w_full,
     delta_w_projected,
     form_operator,
     frame_reference,
+    hodge_star,
     identity_operator,
     j_frame,
     nabla_wplus_norm2,
@@ -78,8 +80,6 @@ class TestLambda2Split:
             assert abs(inner_endo(project_plus(basis, A, mp), project_minus(fr, B, mp), mp)) < 1e-11
 
     def test_gram_and_star_signs(self):
-        from weyl4.pointgeom import hodge_star
-
         _, mp, b, fr = make("kahler_potential_generic", [0.3, -0.4, 0.2, 0.6], 2)
         endos = (*lambda2_split(fr), *asd_endos(fr))
         gram = np.array([[inner_endo(a, c, mp) for c in endos] for a in endos])

@@ -8,7 +8,7 @@ reads derivative values through ``jpartials``.  Every exception the package
 defines shares the ``Weyl4Error`` root, which is what ``weyl4 ...`` maps to
 exit code 2.  Every dataclass field is read somewhere, and the benchmark's
 tracer (``perfbench/tracer.py``) still finds every function and binding it
-wraps by name.
+wraps by name, and sees every workload reach each layer it must reach.
 """
 
 import ast
@@ -18,7 +18,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import weyl4
+from conftest import perfbench_module
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weyl4"
@@ -138,3 +141,17 @@ def test_benchmark_tracer_attaches_and_restores(monkeypatch):
     after = {(name, key): value for name, m in modules.items() for key, value in vars(m).items()}
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_every_workload_reaches_its_traced_layers(tmp_path):
+    # one cycle of each benchmark workload under the tracer, so that a change that stops a
+    # workload from reaching a layer fails here in seconds, not only in perfbench/smoke.py
+    tracer, workloads = perfbench_module("tracer"), perfbench_module("workloads")
+    rng = np.random.default_rng(7)
+    inputs = workloads.prepare(rng, tmp_path)
+    for name, make_cycle in workloads.WORKLOADS.items():
+        calls = make_cycle(inputs, rng)
+        with tracer.Tracer() as traced:
+            for call in calls:
+                assert call.check(call.run()) is None, call.label
+        traced.check_reached(name)
