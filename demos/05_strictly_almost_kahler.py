@@ -17,10 +17,10 @@ r = stack_rows(point_context(spec, pt, order=4))  # a stack of one row
 nj, S, s_star = r.nj, r.S_v[0], r.star.s_star[0]
 
 print("structure data at", pt.tolist())
-print(f"  |d Omega|        = {nj.d_omega_norm:.2e}   (closed)")
+print(f"  |d Omega|        = {np.abs(nj.d_omega).max():.2e}   (closed)")
 print(f"  |eta - J xi|     = {np.abs(nj.eta[0] - r.J[0] @ nj.xi[0]).max():.2e}")
 print(f"  |nabla J|^2      = {nj.norm2[0]:.6f}        (nonzero: not Kahler)")
-print(f"  |N_J|            = {nj.nijenhuis_norm:.2f}            (non-integrable)")
+print(f"  |N_J|            = {np.abs(nj.nijenhuis).max():.2f}            (non-integrable)")
 
 print("\ncurvature scalars")
 print(f"  S = {S:.4f}   S* = {s_star:.4f}   S* - S = 2|nabla J|^2 -> "

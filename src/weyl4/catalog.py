@@ -22,14 +22,13 @@ import io
 import unicodedata
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import Weyl4Error, exprjet
 from .exprjet import Expr, Tape, compile_tape, eval_values, expr_to_string, parse_expression
-from .pointgeom import MetricPoint, acs_residuals
+from .pointgeom import MetricPoint, PointError, check_acs
 
 KNOWN_TAGS = ("flat", "einstein", "kahler", "almost-kahler", "constant-s", "conformally-flat")
 
@@ -70,16 +69,8 @@ class ManifoldSpec:
         return MetricPoint.from_jets(point, exprjet.eval_jet(self.metric_tape, point, order), order)
 
     def j_jets(self, point: Sequence[float], order: int = 2) -> np.ndarray:
-        return exprjet.eval_jet(self._checked_j_tape(), point, order)
-
-    def j_matrix(self, point: Sequence[float]) -> np.ndarray:
-        """J at a point, or (4, 4, ...) over coordinate arrays as ``metric_values`` takes them."""
-        return eval_values(self._checked_j_tape(), list(point))
-
-    def _checked_j_tape(self) -> Tape:
-        if self.j_tape is None:
-            raise CatalogError(f"manifold '{self.id}' carries no almost complex structure")
-        return self.j_tape
+        """Jets of J (the spec must have one) at a point or a stack of points."""
+        return exprjet.eval_jet(self.j_tape, point, order)
 
     def metric_values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized metric matrices; trailing axes are (4, 4)."""
@@ -144,8 +135,12 @@ def conformally_rescaled(spec: ManifoldSpec, f_text: str, new_id: Optional[str] 
 def load_manifold_config(path: str) -> ManifoldSpec:
     """Load and eagerly validate a manifold config file.
 
-    Raises :class:`CatalogError` with every violated invariant (and the
-    worst sample points) rather than stopping at the first problem.
+    A malformed file raises :class:`CatalogError` at its first problem.  A
+    well-formed one is then checked as a whole: each pair g_ij, g_ji given
+    as different expressions must agree at the samples of ``validate_spec``,
+    which then runs the run-time metric and structure checks on them.  The
+    error lists one line per failing pair and the ``validate_spec`` line,
+    each naming its entry or rule and the first failing sample.
     """
     # no interpolation: a '%' is text in a note and a syntax error in an expression
     parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -211,7 +206,7 @@ def load_manifold_config(path: str) -> ManifoldSpec:
         for j in range(4):
             a = metric_entries.get((i, j))
             b = metric_entries.get((j, i))
-            if a is not None and b is not None and i != j and a != b:
+            if a is not None and b is not None and i < j and a != b:
                 sym_conflicts.append((i, j, a, b))
             row.append(a if a is not None else (b if b is not None else zero))
         metric_grid.append(tuple(row))
@@ -245,12 +240,15 @@ def load_manifold_config(path: str) -> ManifoldSpec:
         notes=man.get("notes", "").strip() or f"loaded from {path}",
     )
 
-    violations = [
-        f"metric entries g_{i+1}{j+1} and g_{j+1}{i+1} differ textually "
-        f"({expr_to_string(a)!r} vs {expr_to_string(b)!r})"
-        for i, j, a, b in sym_conflicts
-        if not _numerically_equal(a, b, spec)
-    ]
+    violations = []
+    for i, j, a, b in sym_conflicts:
+        pair = {f"g_{i+1}{j+1}": a, f"g_{j+1}{i+1}": b}
+        try:
+            if not _numerically_equal(pair, _validation_points(spec)):
+                violations.append(f"metric entries {' and '.join(pair)} differ textually "
+                                  f"({expr_to_string(a)!r} vs {expr_to_string(b)!r})")
+        except CatalogError as exc:
+            violations.append(str(exc))
     violations += validate_spec(spec)
     if violations:
         raise CatalogError(
@@ -272,54 +270,50 @@ def _index_key(key: str, prefixes: tuple):
     return None
 
 
-def _numerically_equal(a: Expr, b: Expr, spec: ManifoldSpec, n: int = 20) -> bool:
-    pts = spec.sample_points(n, np.random.default_rng(0))
-    va, vb = eval_values(compile_tape([a, b]), list(pts.T))
+def _validation_points(spec: ManifoldSpec) -> np.ndarray:
+    return spec.sample_points(20, np.random.default_rng(0))
+
+
+def _guarded(run, pts: np.ndarray, entries: dict):
+    """``run()``; where an expression fails in it, a CatalogError naming the
+    first sample at which one of ``entries`` (name -> Expr) fails on its own,
+    or, if none does, the first entry failing over the whole stack."""
+    try:
+        return run()
+    except exprjet.ExpressionError as exc:
+        failure = exc
+    for where in (*pts, pts):
+        for name, e in entries.items():
+            try:
+                exprjet.eval_jet(e, where, 0)
+            except exprjet.ExpressionError as exc:
+                at = f" at {where.tolist()}" if where.ndim == 1 else ""
+                raise CatalogError(f"{name} evaluation failed{at}: {exc}")
+    raise CatalogError(f"evaluation failed: {failure}")
+
+
+def _numerically_equal(entries: dict, pts: np.ndarray) -> bool:
+    """Whether the two expressions of ``entries`` agree to 1e-10 of their largest value at ``pts``."""
+    va, vb = _guarded(lambda: eval_values(compile_tape(list(entries.values())), list(pts.T)), pts, entries)
     scale = max(np.abs(va).max(), np.abs(vb).max(), 1.0)
     return bool(np.abs(va - vb).max() <= 1e-10 * scale)
 
 
-def validate_spec(spec: ManifoldSpec, n_samples: int = 20, seed: int = 0) -> list[str]:
-    """Numeric invariants at random domain points; returns all violations."""
-    rng = np.random.default_rng(seed)
-    pts = spec.sample_points(n_samples, rng)
-    violations = []
-
-    # residuals are compared with "not <=", and np.argmax picks the first NaN,
-    # so a non-finite metric or J is a violation rather than a pass
-    full = compile_tape(spec.metric_exprs)  # every entry, so asymmetric grids show
+def validate_spec(spec: ManifoldSpec) -> list[str]:
+    """The run-time checks on a stack of 20 domain samples (seed 0): the
+    metric check of ``MetricPoint.from_jets``, then, with J, ``check_acs``.
+    Returns the violation, worded as at run time and naming the first failing
+    sample, or an empty list."""
+    pts = _validation_points(spec)
+    metric = {f"g_{i+1}{j+1}": spec.metric_exprs[i][j] for i in range(4) for j in range(i, 4)}
     try:
-        g = np.moveaxis(eval_values(full, list(pts.T)), (0, 1), (-2, -1))
-    except exprjet.ExpressionError as exc:
-        for p in pts:  # name the first sample at which the metric fails on its own
-            try:
-                eval_values(full, list(p))
-            except exprjet.ExpressionError as exc_p:
-                return [f"metric evaluation failed at {p.tolist()}: {exc_p}"]
-        return [f"metric evaluation failed: {exc}"]
-    gt = np.swapaxes(g, -1, -2)
-    asyms = np.abs(g - gt).max(axis=(-2, -1)) / np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0)
-    k = int(np.argmax(asyms))
-    if not asyms[k] <= 1e-10:
-        what = "not finite" if np.isnan(asyms[k]) else f"not symmetric: residual {asyms[k]:.3e}"
-        violations.append(f"metric {what} at {pts[k].tolist()}")
-    # a sample that is not finite has no spectrum to check: it stands in as the identity
-    eig = np.linalg.eigvalsh(np.where(np.isnan(asyms)[:, None, None], np.eye(4), 0.5 * (g + gt)))
-    not_spd = np.flatnonzero(~(eig[:, 0] > 1e-12 * np.maximum(eig[:, -1], 1e-300)))
-    if not_spd.size:
-        k = not_spd[0]
-        violations.append(f"metric not positive definite at {pts[k].tolist()}: eigenvalues {eig[k]}")
-
-    if spec.has_j and not violations:
-        coords = list(pts.T)
-        g = spec.metric_values(coords)
-        J = np.moveaxis(spec.j_matrix(coords), (0, 1), (-2, -1))
-        residuals = acs_residuals(J, SimpleNamespace(g=g, g_inv=np.linalg.inv(g)))
-        for what, r in zip(("J^2 != -1", "J not g-skew"), residuals):
-            k = int(np.argmax(r))
-            if not r[k] <= 1e-10:
-                violations.append(f"{what}: residual {r[k]:.3e} at {pts[k].tolist()}")
-    return violations
+        mp = _guarded(lambda: spec.metric_point(pts, 0), pts, metric)
+        if spec.has_j:
+            structure = {f"J_{i+1}_{j+1}": spec.j_exprs[i][j] for i in range(4) for j in range(4)}
+            _guarded(lambda: check_acs(spec.j_jets(pts, 0)[..., 0], mp), pts, structure)
+    except (CatalogError, PointError) as exc:
+        return [str(exc)]
+    return []
 
 
 def spec_to_config(spec: ManifoldSpec) -> str:

@@ -864,7 +864,6 @@ class QuadratureSpec:
     n: int = 16
     n_refine: int = 24
     constancy_samples: int = 20
-    allow_constancy: bool = True
     seed: int = 0
 
 
@@ -933,14 +932,13 @@ def integrate_density(
     grids = {n: _gauss_grid(spec, n) for n in levels}
     vol_fine = grids[quad.n_refine][1].sum()
 
-    if quad.allow_constancy:
-        rng = np.random.default_rng(quad.seed)
-        vals = _node_values(spec, density, spec.sample_points(quad.constancy_samples, rng, margin=0.0))
-        spread = vals.max(axis=-1) - vals.min(axis=-1)
-        if np.all(spread <= CONSTANCY_TOL * np.maximum(np.abs(vals).max(axis=-1), 1.0)):
-            mean = vals.mean(axis=-1)
-            vol_err = abs(vol_fine - grids[quad.n][1].sum())
-            return IntegralResult(mean * vol_fine, spread * vol_fine + abs(mean) * vol_err, True, vol_fine)
+    rng = np.random.default_rng(quad.seed)
+    vals = _node_values(spec, density, spec.sample_points(quad.constancy_samples, rng, margin=0.0))
+    spread = vals.max(axis=-1) - vals.min(axis=-1)
+    if np.all(spread <= CONSTANCY_TOL * np.maximum(np.abs(vals).max(axis=-1), 1.0)):
+        mean = vals.mean(axis=-1)
+        vol_err = abs(vol_fine - grids[quad.n][1].sum())
+        return IntegralResult(mean * vol_fine, spread * vol_fine + abs(mean) * vol_err, True, vol_fine)
 
     results = [_node_values(spec, density, grids[n][0]) @ grids[n][1] for n in levels]
     errors = [abs(b - a) for a, b in zip(results, results[1:])]

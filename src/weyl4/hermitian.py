@@ -35,11 +35,11 @@ class AcsPoint:
     order: int
 
     @staticmethod
-    def from_jets(j_jets: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> "AcsPoint":
+    def from_jets(j_jets: np.ndarray, mp: MetricPoint) -> "AcsPoint":
         """Validated J: compatible with g on every row (so Omega_J is self-dual
         in the orientation with vol = Omega_J^2/2)."""
         J = jvalue(j_jets)
-        check_acs(J, mp, tol)
+        check_acs(J, mp)
         return AcsPoint(J=J, omega=endo_to_form(J, mp), jets=j_jets, order=jet_order(j_jets))
 
 
@@ -148,14 +148,6 @@ class NablaJData:
     nijenhuis: np.ndarray      # [a,i,j] = N(d_i, d_j)^a
     norm2: np.ndarray          # |nabla J|^2 (weighted)
     reconstruction_residual: np.ndarray
-
-    @property
-    def d_omega_norm(self) -> float:
-        return float(np.abs(self.d_omega).max())
-
-    @property
-    def nijenhuis_norm(self) -> float:
-        return float(np.abs(self.nijenhuis).max())
 
 
 def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -> NablaJData:

@@ -245,7 +245,7 @@ def rictilde_ak_check(nabla_j, star, bundle, J, gate=1e-8):
     S_star - S = 2 |nabla J|^2.  Returns (applicable, residual_30, residual_31)."""
     mp = bundle.mp
     scale = max(np.abs(nabla_j.nabla_j).max(), 1.0)
-    if nabla_j.d_omega_norm > gate * scale:
+    if np.abs(nabla_j.d_omega).max() > gate * scale:
         return False, None, None
     curv = max(abs(bundle.S_v), float(np.abs(bundle.ric_v).max()), 1.0)
     ric_star_plus = star.ric_star - star.ric_star_minus

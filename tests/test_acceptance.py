@@ -47,7 +47,7 @@ def test_criterion_1_flat_baseline():
             np.abs(rows.S_v).max(),
             np.abs(rows.wplus.m).max(),
             np.abs(rows.nj.nabla_j).max(),
-            rows.nj.nijenhuis_norm,
+            np.abs(rows.nj.nijenhuis).max(),
             np.sqrt(rows.star.rt2).max(),
             np.sqrt(rows.star.ric_star_minus2).max(),
         ]
@@ -108,7 +108,7 @@ def test_criterion_4_strictly_almost_kahler():
     spec = get_manifold("kodaira_thurston")
     rng = np.random.default_rng(4)
     rows = stack_rows(point_context(spec, spec.sample_points(20, rng), 2))
-    worst_domega = rows.nj.d_omega_norm
+    worst_domega = np.abs(rows.nj.d_omega).max()
     worst_eta = float(np.abs(rows.nj.eta - (rows.J @ rows.nj.xi[..., None])[..., 0]).max())
     min_nj2 = float(rows.nj.norm2.min())
     min_nijenhuis = float(np.abs(rows.nj.nijenhuis).reshape(len(rows.S_v), -1).max(axis=1).min())
@@ -298,7 +298,7 @@ def test_criterion_8_differentiation_integrity():
         for pt in spec.sample_points(3, rng):
             mp = spec.metric_point(pt, 3)
             bundle = curvature_bundle(mp)
-            frame = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            frame = j_frame(mp, spec.j_jets(pt, 0)[..., 0], np.eye(4)[0])
             dwp = delta_wpm(bundle, lambda2_split(frame))
             alt = gl121_delta_wplus(bundle.nabla_ric, bundle.dS, mp, frame)
             scale = max(np.abs(dwp).max(), np.abs(bundle.riem_v).max(), 1.0)

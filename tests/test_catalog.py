@@ -4,6 +4,7 @@ import pytest
 from weyl4.catalog import (
     MANIFOLDS,
     CatalogError,
+    ManifoldSpec,
     _index_key,
     builtin_manifolds,
     conformally_rescaled,
@@ -15,6 +16,9 @@ from weyl4.catalog import (
 )
 from weyl4.conditions import point_context, run_suite, stack_rows
 from weyl4.curvature import curvature_bundle
+from weyl4.exprjet import parse_expression
+from weyl4.hermitian import AcsPoint
+from weyl4.pointgeom import PointError
 
 CATALOG_ORDER = (
     "euclidean_flat",
@@ -66,14 +70,14 @@ class TestBuiltins:
     def test_kodaira_thurston_strictly_almost_kahler(self):
         spec = get_manifold("kodaira_thurston")
         nj = stack_rows(point_context(spec, [0.01, 0.02, 0.03, 0.04], 2)).nj
-        assert nj.d_omega_norm < 1e-10
-        assert nj.nijenhuis_norm > 0.5
+        assert np.abs(nj.d_omega).max() < 1e-10
+        assert np.abs(nj.nijenhuis).max() > 0.5
 
     def test_perturbed_j_generic(self):
         spec = get_manifold("perturbed_j")
         nj = stack_rows(point_context(spec, [0.5, 0.1, -0.4, 0.2], 2)).nj
-        assert nj.d_omega_norm > 1e-4
-        assert nj.nijenhuis_norm > 1e-4
+        assert np.abs(nj.d_omega).max() > 1e-4
+        assert np.abs(nj.nijenhuis).max() > 1e-4
 
     def test_builtins_pass_their_tags(self, catalog):
         for spec in catalog.values():
@@ -167,7 +171,8 @@ class TestConfigFiles:
         with pytest.raises(CatalogError) as exc:
             load_manifold_config(str(path))
         msg = str(exc.value)
-        assert "J^2 != -1" in msg and "at [" in msg
+        assert "not a compatible almost complex structure (J^2 residual 3.00e+00" in msg
+        assert "in the structure stage at point [" in msg
 
     def test_wrong_dimension(self, tmp_path):
         path = tmp_path / "dim.cfg"
@@ -220,8 +225,28 @@ class TestConfigFiles:
             "[manifold]\nid = c\ncoords = x, y, z, t\ndomain = -1..1, -1..1, -1..1, -1..1\n"
             "[metric]\ng_11 = 4\ng_22 = 4\ng_33 = 4\ng_44 = 4\ng_12 = 0.5*x\ng_21 = 0.5*y\n"
         )
-        with pytest.raises(CatalogError, match="differ"):
+        with pytest.raises(CatalogError) as exc:
             load_manifold_config(str(path))
+        # one line for the pair: the metric the pipeline evaluates is its upper triangle
+        assert str(exc.value) == (
+            "manifold 'c' failed validation:\n"
+            "  - metric entries g_12 and g_21 differ textually ('0.5 * x' vs '0.5 * y')"
+        )
+
+    def test_symmetric_entry_failing_at_a_sample_names_it(self, tmp_path):
+        path = tmp_path / "conflict_log.cfg"
+        path.write_text(
+            "[manifold]\nid = c\ncoords = x, y, z, t\ndomain = 0..10, 0..1, 0..1, 0..1\n"
+            "[metric]\ng_11 = 4\ng_22 = 4\ng_33 = 4\ng_44 = 4\ng_12 = 0.1*x\ng_21 = log(x - 5)\n"
+        )
+        pts = direct_spec(UNIT, domain=((0.0, 10.0),) + ((0.0, 1.0),) * 3).sample_points(20, np.random.default_rng(0))
+        first_bad = int(np.argmax(pts[:, 0] <= 5.0))
+        with pytest.raises(CatalogError) as exc:
+            load_manifold_config(str(path))
+        assert str(exc.value) == (
+            "manifold 'c' failed validation:\n"
+            f"  - g_21 evaluation failed at {pts[first_bad].tolist()}: log of non-positive value {float(pts[first_bad, 0] - 5.0)!r}"
+        )
 
     def test_metric_failing_at_a_sample_names_it(self, tmp_path):
         path = tmp_path / "log.cfg"
@@ -235,7 +260,7 @@ class TestConfigFiles:
         assert first_bad > 0 and pts[first_bad, 0] >= 0.5
         with pytest.raises(CatalogError) as exc:
             load_manifold_config(str(path))
-        assert f"metric evaluation failed at {pts[first_bad].tolist()}: log of non-positive value" in str(exc.value)
+        assert f"g_11 evaluation failed at {pts[first_bad].tolist()}: log of non-positive value" in str(exc.value)
 
     def test_exponent_varying_over_the_samples_rejected(self, tmp_path):
         # each sample alone sees a constant exponent; only the stacked samples show it varies
@@ -244,7 +269,7 @@ class TestConfigFiles:
             "[manifold]\nid = pow\ncoords = x, y, z, t\ndomain = -1..1, -1..1, -1..1, -1..1\n"
             "[metric]\ng_11 = 2^x\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
         )
-        with pytest.raises(CatalogError, match="metric evaluation failed: exponents must be constant"):
+        with pytest.raises(CatalogError, match="g_11 evaluation failed: exponents must be constant"):
             load_manifold_config(str(path))
 
     def test_non_spd_rejected(self, tmp_path):
@@ -255,6 +280,53 @@ class TestConfigFiles:
         )
         with pytest.raises(CatalogError, match="positive definite"):
             load_manifold_config(str(path))
+
+
+UNIT = {(i, i): "1" for i in range(4)}
+J_STD_TEXT = {(0, 1): "-1", (1, 0): "1", (2, 3): "-1", (3, 2): "1"}
+
+
+def direct_spec(metric: dict, structure=None, domain=((-1.0, 1.0),) * 4) -> ManifoldSpec:
+    """A spec built without validation from expression texts: ``metric`` at
+    (i, j) with i <= j, ``structure`` at every (i, j) it sets; the rest 0."""
+    coords = ("x", "y", "z", "t")
+    grid = lambda text_at: tuple(tuple(parse_expression(text_at(i, j), coords) for j in range(4)) for i in range(4))
+    return ManifoldSpec(
+        id="direct", coords=coords,
+        metric_exprs=grid(lambda i, j: metric.get((min(i, j), max(i, j)), "0")),
+        j_exprs=None if structure is None else grid(lambda i, j: structure.get((i, j), "0")),
+        domain=domain, compact=False, tags=frozenset(),
+    )
+
+
+class TestValidationRunsTheRunTimeChecks:
+    @pytest.mark.parametrize("metric, structure, domain", [
+        ({**UNIT, (0, 0): "x"}, None, ((-1.0, 1.0),) * 4),  # not positive definite where x <= 0
+        ({**UNIT, (0, 0): "exp(1000*x) - exp(1000*x) + 1"}, None, ((0.0, 1.0),) * 4),  # NaN where exp overflows
+        (UNIT, {**J_STD_TEXT, (1, 0): "1 - x + sqrt(x^2)"}, ((-1.0, 1.0),) * 4),  # J^2 != -1 where x < 0
+    ], ids=["not_positive_definite", "not_finite", "j_square"])
+    def test_message_is_the_point_error_of_the_first_failing_sample(self, tmp_path, metric, structure, domain):
+        spec = direct_spec(metric, structure, domain)
+        pts = spec.sample_points(20, np.random.default_rng(0))
+        failures = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in pts:
+                try:
+                    mp = spec.metric_point(p, 0)
+                    if spec.has_j:
+                        AcsPoint.from_jets(spec.j_jets(p, 0), mp)
+                except PointError as exc:
+                    failures.append(str(exc))
+                else:
+                    failures.append(None)
+            assert failures[0] is None and any(failures)  # the first sample passes, so the rule picks the row
+            expected = next(f for f in failures if f is not None)
+            assert validate_spec(spec) == [expected]
+            path = tmp_path / "direct.cfg"
+            path.write_text(spec_to_config(spec))
+            with pytest.raises(CatalogError) as exc:
+                load_manifold_config(str(path))
+        assert str(exc.value) == f"manifold 'direct' failed validation:\n  - {expected}"
 
 
 class TestTags:

@@ -153,7 +153,24 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error: manifold 'exp' failed validation")
-        assert "metric not finite at" in err
+        # named at the first failing sample, where g_11 is still finite but over 1e12 times the other eigenvalues
+        assert "\n  - metric not positive definite" in err and "in the metric stage at point" in err
+        point = json.loads(err.rsplit("at point ", 1)[1])
+        assert 0.0 < point[0] < np.log(np.finfo(float).max) / 1000.0
+
+    def test_structure_entry_failing_at_a_sample_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "jlog.cfg"
+        path.write_text(
+            "[manifold]\nid = jlog\ncoords = x, y, z, t\ndomain = 0..10, 0..1, 0..1, 0..1\n"
+            "[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+            "[structure]\nJ_1_2 = -1\nJ_2_1 = 1\nJ_3_4 = -1\nJ_4_3 = log(x - 5)\n"
+        )
+        code, out, err = run(capsys, "classify", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: manifold 'jlog' failed validation:\n  - J_4_3 evaluation failed at [")
+        assert err.count("\n") == 2
+        point = json.loads(err.split("failed at ", 1)[1].split("]", 1)[0] + "]")
+        assert point[0] <= 5.0 and "log of non-positive value" in err
 
     def test_tolerance_flags(self, capsys):
         # a huge tol-pass turns the Kodaira-Thurston violation into a pass

@@ -423,9 +423,10 @@ class TestBatchedRows:
         for k, node in enumerate(nodes):
             for key, value in evaluate_integrand(spec, node).items():
                 assert value == pytest.approx(stacked[key][k], rel=1e-15, abs=1e-15), (key, k)
-        quad = QuadratureSpec(n=2, n_refine=3, allow_constancy=False)
+        quad = QuadratureSpec(n=2, n_refine=3)
         batched = integrate_density(spec, lambda p: evaluate_integrand(spec, p)["q_j"], quad)
         looped = integrate_density(spec, lambda p: np.array([evaluate_integrand(spec, x)["q_j"] for x in p]), quad)
+        assert batched.used_constancy_shortcut is False and looped.used_constancy_shortcut is False
         assert batched.value == pytest.approx(looped.value, rel=1e-14)
 
     @pytest.mark.parametrize("name", [s.id for s in builtin_manifolds()] + ["sak_torus_test"])
@@ -627,7 +628,7 @@ class TestGates:
     def test_constancy_tolerance_is_a_module_constant(self):
         assert CONSTANCY_TOL == 1e-8
         names = [f.name for f in dataclasses.fields(QuadratureSpec)]
-        assert names == ["n", "n_refine", "constancy_samples", "allow_constancy", "seed"]
+        assert names == ["n", "n_refine", "constancy_samples", "seed"]
 
 
 def nan_in_row_1(record):

@@ -160,7 +160,7 @@ class TestCurvatureOperator:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 2)
             b = curvature_bundle(mp)
-            J = spec.j_matrix(pt)
+            J = spec.j_jets(pt, 0)[..., 0]
             via_op = -0.5 * tensor_operator(b.riem_v, J, mp) @ J
             direct = np.einsum(
                 "mi,nk,kl,ab,mnlb->ai", J, J, mp.g_inv, mp.g_inv, b.riem_v
@@ -185,7 +185,7 @@ class TestWeylOperator:
         pt = [0.3, 0.2, -0.1, 0.4]
         mp = spec.metric_point(pt, 2)
         b = curvature_bundle(mp)
-        J = spec.j_matrix(pt)
+        J = spec.j_jets(pt, 0)[..., 0]
         assert np.abs(weyl_operator(J, b.riem_v, b.ric_v, b.S_v, mp) - (b.S_v / 3.0) * J).max() < 1e-9 * abs(b.S_v)
 
     def test_operator_vs_tensor_contraction(self, catalog):
@@ -294,7 +294,7 @@ class TestLaplacian:
         pt = [0.2, -0.3, 0.1, 0.4]
         mp = spec.metric_point(pt, 4)
         b = curvature_bundle(mp)
-        fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+        fr = j_frame(mp, spec.j_jets(pt, 0)[..., 0], np.eye(4)[0])
         w2 = wplus_norm2_jet(b, spec.j_jets(pt, 2))
         assert abs(laplacian_scalar(w2, b.gamma_v, mp)) < 1e-8 * abs(b.S_v) ** 2
         w = wplus_matrix(b, lambda2_split(fr))

@@ -47,7 +47,7 @@ def make(name, pt, order=4):
     spec = get_manifold(name)
     mp = spec.metric_point(pt, order)
     b = curvature_bundle(mp)
-    fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+    fr = j_frame(mp, spec.j_jets(pt, 0)[..., 0], np.eye(4)[0])
     return spec, mp, b, fr
 
 
@@ -120,7 +120,7 @@ class TestWplusMatrix:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 2)
             b = curvature_bundle(mp)
-            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_jets(pt, 0)[..., 0], np.eye(4)[0])
             w = wplus_matrix(b, lambda2_split(fr))
             norm = max(np.abs(w.m).max(), 1.0)
             assert abs(np.trace(w.m)) < 1e-9 * norm
@@ -220,7 +220,7 @@ class TestDeltaW:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 3)
             b = curvature_bundle(mp)
-            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_jets(pt, 0)[..., 0], np.eye(4)[0])
             dwp, dwm = delta_wpm(b, lambda2_split(fr)), delta_wminus(b, fr)
             dw = delta_w_full(b)
             scale = max(np.abs(dw).max(), np.abs(b.riem_v).max(), 1.0)
@@ -242,7 +242,7 @@ class TestDeltaW:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 3)
             b = curvature_bundle(mp)
-            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_jets(pt, 0)[..., 0], np.eye(4)[0])
             dwp = delta_wpm(b, lambda2_split(fr))
             alt = gl121_delta_wplus(b.nabla_ric, b.dS, mp, fr)
             scale = max(np.abs(dwp).max(), np.abs(b.riem_v).max(), 1.0)
@@ -289,7 +289,7 @@ class TestNablaWplusNorms:
             pt = spec.sample_points(1, rng)[0]
             mp = spec.metric_point(pt, 2)
             b = curvature_bundle(mp)
-            fr = j_frame(mp, spec.j_matrix(pt), np.eye(4)[0])
+            fr = j_frame(mp, spec.j_jets(pt, 0)[..., 0], np.eye(4)[0])
             w = wplus_matrix(b, lambda2_split(fr))
             w2 = wplus_norm2_jet(b, spec.j_jets(pt, 2))
             assert jvalue(w2) == pytest.approx(w.norm2, rel=1e-9, abs=1e-9 * max(np.abs(b.riem_v).max(), 1.0) ** 2)
