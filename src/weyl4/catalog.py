@@ -37,6 +37,15 @@ class CatalogError(Weyl4Error):
     """Config parsing or manifold validation failure."""
 
 
+class EntryError(CatalogError):
+    """An entry of manifold ``manifold`` that fails to evaluate; ``line``
+    names the entry and the first point at which it fails."""
+
+    def __init__(self, manifold: str, line: str):
+        self.line = line
+        super().__init__(f"manifold '{manifold}': {line}")
+
+
 def normalize_tag(tag: str) -> str:
     decomposed = unicodedata.normalize("NFD", tag.strip().lower())
     return "".join(c for c in decomposed if not unicodedata.combining(c))
@@ -44,6 +53,11 @@ def normalize_tag(tag: str) -> str:
 
 @dataclass(frozen=True)
 class ManifoldSpec:
+    """One chart: the metric grid as given (g_ji omitted is g_ij), J, domain and tags.  ``metric_point``
+    and ``j_jets`` run each grid's tape under the one guard, at load and at run time alike: an entry
+    that fails names the manifold, the entry and the first failing point.  Symmetry of g is the metric
+    check of ``MetricPoint.from_jets``."""
+
     id: str
     coords: tuple[str, str, str, str]
     metric_exprs: tuple  # 4x4 nested tuple of Expr
@@ -52,13 +66,12 @@ class ManifoldSpec:
     compact: bool
     tags: frozenset
     notes: str = ""
-    # compiled once per spec: the metric from its upper triangle, and J
+    # compiled once per spec from the grids as given
     metric_tape: Tape = field(init=False, repr=False, compare=False)
     j_tape: Optional[Tape] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        upper = [[self.metric_exprs[min(i, j)][max(i, j)] for j in range(4)] for i in range(4)]
-        object.__setattr__(self, "metric_tape", compile_tape(upper))
+        object.__setattr__(self, "metric_tape", compile_tape(self.metric_exprs))
         object.__setattr__(self, "j_tape", None if self.j_exprs is None else compile_tape(self.j_exprs))
 
     @property
@@ -66,11 +79,31 @@ class ManifoldSpec:
         return self.j_exprs is not None
 
     def metric_point(self, point: Sequence[float], order: int) -> MetricPoint:
-        return MetricPoint.from_jets(point, exprjet.eval_jet(self.metric_tape, point, order), order)
+        jets = self._guarded(self.metric_tape, self.metric_exprs, "g_{}{}", point, order)
+        return MetricPoint.from_jets(point, jets, order)
 
-    def j_jets(self, point: Sequence[float], order: int = 2) -> np.ndarray:
+    def j_jets(self, point: Sequence[float], order: int) -> np.ndarray:
         """Jets of J (the spec must have one) at a point or a stack of points."""
-        return exprjet.eval_jet(self.j_tape, point, order)
+        return self._guarded(self.j_tape, self.j_exprs, "J_{}_{}", point, order)
+
+    def _guarded(self, tape: Tape, grid: tuple, entry: str, point, order: int) -> np.ndarray:
+        """``eval_jet`` of ``tape`` under the one guard: where an expression
+        fails, an :class:`EntryError` naming the first point at which an
+        entry of ``grid`` (``entry`` formats its indices) fails on its own,
+        or, if none does, the first entry failing over the whole stack."""
+        try:
+            return exprjet.eval_jet(tape, point, order)
+        except exprjet.ExpressionError as exc:
+            failure = exc
+        point = np.asarray(point, dtype=float)
+        for where in (*point.reshape(-1, 4), point):
+            for i, j in np.ndindex(4, 4):
+                try:
+                    exprjet.eval_jet(grid[i][j], where, order)
+                except exprjet.ExpressionError as exc:
+                    at = f" at {where.tolist()}" if where.ndim == 1 else ""
+                    raise EntryError(self.id, f"{entry.format(i + 1, j + 1)} evaluation failed{at}: {exc}")
+        raise EntryError(self.id, f"evaluation failed: {failure}")
 
     def metric_values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized metric matrices; trailing axes are (4, 4)."""
@@ -136,11 +169,12 @@ def load_manifold_config(path: str) -> ManifoldSpec:
     """Load and eagerly validate a manifold config file.
 
     A malformed file raises :class:`CatalogError` at its first problem.  A
-    well-formed one is then checked as a whole: each pair g_ij, g_ji given
-    as different expressions must agree at the samples of ``validate_spec``,
-    which then runs the run-time metric and structure checks on them.  The
-    error lists one line per failing pair and the ``validate_spec`` line,
-    each naming its entry or rule and the first failing sample.
+    well-formed one becomes a spec whose metric grid holds each entry as
+    given (g_ji only where omitted is g_ij), and ``validate_spec`` runs the
+    run-time checks on it: an entry that fails to evaluate, a pair g_ij,
+    g_ji that differs, a metric that is not positive definite or a J that
+    is not compatible is named with its rule or entry and the first failing
+    sample, in one line under the manifold's name.
     """
     # no interpolation: a '%' is text in a note and a syntax error in an expression
     parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#", ";"), interpolation=None)
@@ -199,18 +233,9 @@ def load_manifold_config(path: str) -> ManifoldSpec:
             raise CatalogError(f"[metric] missing diagonal entry g_{i+1}{i+1}")
 
     zero = exprjet.Num(0.0)
-    metric_grid = []
-    sym_conflicts = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            a = metric_entries.get((i, j))
-            b = metric_entries.get((j, i))
-            if a is not None and b is not None and i < j and a != b:
-                sym_conflicts.append((i, j, a, b))
-            row.append(a if a is not None else (b if b is not None else zero))
-        metric_grid.append(tuple(row))
-    metric_grid = tuple(metric_grid)
+    metric_grid = tuple(
+        tuple(metric_entries.get((i, j), metric_entries.get((j, i), zero)) for j in range(4)) for i in range(4)
+    )
 
     j_grid = None
     if "structure" in parser and list(parser["structure"].keys()):
@@ -240,16 +265,7 @@ def load_manifold_config(path: str) -> ManifoldSpec:
         notes=man.get("notes", "").strip() or f"loaded from {path}",
     )
 
-    violations = []
-    for i, j, a, b in sym_conflicts:
-        pair = {f"g_{i+1}{j+1}": a, f"g_{j+1}{i+1}": b}
-        try:
-            if not _numerically_equal(pair, _validation_points(spec)):
-                violations.append(f"metric entries {' and '.join(pair)} differ textually "
-                                  f"({expr_to_string(a)!r} vs {expr_to_string(b)!r})")
-        except CatalogError as exc:
-            violations.append(str(exc))
-    violations += validate_spec(spec)
+    violations = validate_spec(spec)
     if violations:
         raise CatalogError(
             f"manifold '{mid}' failed validation:\n  - " + "\n  - ".join(violations)
@@ -270,48 +286,19 @@ def _index_key(key: str, prefixes: tuple):
     return None
 
 
-def _validation_points(spec: ManifoldSpec) -> np.ndarray:
-    return spec.sample_points(20, np.random.default_rng(0))
-
-
-def _guarded(run, pts: np.ndarray, entries: dict):
-    """``run()``; where an expression fails in it, a CatalogError naming the
-    first sample at which one of ``entries`` (name -> Expr) fails on its own,
-    or, if none does, the first entry failing over the whole stack."""
-    try:
-        return run()
-    except exprjet.ExpressionError as exc:
-        failure = exc
-    for where in (*pts, pts):
-        for name, e in entries.items():
-            try:
-                exprjet.eval_jet(e, where, 0)
-            except exprjet.ExpressionError as exc:
-                at = f" at {where.tolist()}" if where.ndim == 1 else ""
-                raise CatalogError(f"{name} evaluation failed{at}: {exc}")
-    raise CatalogError(f"evaluation failed: {failure}")
-
-
-def _numerically_equal(entries: dict, pts: np.ndarray) -> bool:
-    """Whether the two expressions of ``entries`` agree to 1e-10 of their largest value at ``pts``."""
-    va, vb = _guarded(lambda: eval_values(compile_tape(list(entries.values())), list(pts.T)), pts, entries)
-    scale = max(np.abs(va).max(), np.abs(vb).max(), 1.0)
-    return bool(np.abs(va - vb).max() <= 1e-10 * scale)
-
-
 def validate_spec(spec: ManifoldSpec) -> list[str]:
-    """The run-time checks on a stack of 20 domain samples (seed 0): the
-    metric check of ``MetricPoint.from_jets``, then, with J, ``check_acs``.
+    """The run-time checks on a stack of 20 domain samples (seed 0):
+    ``spec.metric_point``, then, with J, ``spec.j_jets`` and ``check_acs``.
     Returns the violation, worded as at run time and naming the first failing
-    sample, or an empty list."""
-    pts = _validation_points(spec)
-    metric = {f"g_{i+1}{j+1}": spec.metric_exprs[i][j] for i in range(4) for j in range(i, 4)}
+    sample (without the manifold, which the loader names), or an empty list."""
+    pts = spec.sample_points(20, np.random.default_rng(0))
     try:
-        mp = _guarded(lambda: spec.metric_point(pts, 0), pts, metric)
+        mp = spec.metric_point(pts, 0)
         if spec.has_j:
-            structure = {f"J_{i+1}_{j+1}": spec.j_exprs[i][j] for i in range(4) for j in range(4)}
-            _guarded(lambda: check_acs(spec.j_jets(pts, 0)[..., 0], mp), pts, structure)
-    except (CatalogError, PointError) as exc:
+            check_acs(spec.j_jets(pts, 0)[..., 0], mp)
+    except EntryError as exc:
+        return [exc.line]
+    except PointError as exc:
         return [str(exc)]
     return []
 
@@ -326,11 +313,10 @@ def spec_to_config(spec: ManifoldSpec) -> str:
     buf.write("domain = " + ", ".join(f"{lo}..{hi}" for lo, hi in spec.domain) + "\n")
     buf.write(f"notes = {spec.notes}\n\n")
     buf.write("[metric]\n")
-    for i in range(4):
-        for j in range(i, 4):
-            text = expr_to_string(spec.metric_exprs[i][j])
-            if text != "0.0" or i == j:
-                buf.write(f"g_{i+1}{j+1} = {text}\n")
+    for i, j in np.ndindex(4, 4):  # a lower entry only where it differs from its upper one
+        text = expr_to_string(spec.metric_exprs[i][j])
+        if i == j or (i < j and text != "0.0") or (i > j and text != expr_to_string(spec.metric_exprs[j][i])):
+            buf.write(f"g_{i+1}{j+1} = {text}\n")
     if spec.has_j:
         buf.write("\n[structure]\n")
         for i in range(4):

@@ -2,7 +2,9 @@
 
 Exit codes are a stable CI contract: 0 all checks pass, 1 identity violation
 (or unconfirmed truth tag), 2 usage or configuration errors and any other
-``Weyl4Error``, such as a metric that fails at a sampled point.  Reports embed
+``Weyl4Error``, such as a metric that fails at a sampled point, printed as one
+``error:`` line, and 3 an internal error: any other exception, a defect of
+weyl4 rather than of its input, with its traceback on stderr.  Reports embed
 full convention metadata and are byte-identical for identical flags and seed.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import Weyl4Error
@@ -42,7 +45,7 @@ DENSITIES = {
     "S2": "s2",
 }
 
-EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 def _resolve_manifold(args) -> ManifoldSpec:
@@ -257,6 +260,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # config validation did not sample
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:  # never 1, which would read a crash as a violation
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -72,22 +72,29 @@ class MetricPoint:
 
     @staticmethod
     def from_jets(point, jets: np.ndarray, order: int) -> "MetricPoint":
-        """Validated metric jets: g symmetric and positive definite on every row."""
+        """Validated metric jets: g finite, symmetric to 1e-12 of its scale max(1, max |g_ij|) (the one rule
+        for a pair g_ij, g_ji, at load and at run time) and positive definite on every row."""
         point = np.asarray(point, dtype=float)
         g = jvalue(jets)
         gt = np.swapaxes(g, -1, -2)
-        asym = np.abs(g - gt).max(axis=(-2, -1))
-        asymmetric = ~(asym <= 1e-12 * np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0))  # NaN is rejected too
+        diff = np.abs(g - gt)
+        asym = diff.max(axis=(-2, -1))
+        scale = np.maximum(np.abs(g).max(axis=(-2, -1)), 1.0)
+        asymmetric = ~(asym <= 1e-12 * scale)  # NaN is rejected too
         # a row that is not symmetric has no spectrum to check: it stands in as the identity
         eig = np.linalg.eigvalsh(np.where(asymmetric[..., None, None], np.eye(N), 0.5 * (g + gt)))
         finite = np.isfinite(g).all(axis=(-2, -1))
-        _raise_at_first(
-            asymmetric | ~(eig[..., 0] > 1e-12 * eig[..., -1]), point, "metric",
-            lambda k: "metric not finite" if not finite.flat[k]
-            else f"metric matrix not symmetric (residual {asym.flat[k]:.3e})" if asymmetric.flat[k]
-            else f"metric not positive definite (eigenvalues {eig.reshape(-1, N)[k].tolist()})",
-            MetricError,
-        )
+
+        def message(k):
+            if not finite.flat[k]:
+                return "metric not finite"
+            if asymmetric.flat[k]:  # the worst pair, by its upper entry: the first in row order
+                i, j = divmod(int(diff.reshape(-1, N * N)[k].argmax()), N)
+                return (f"metric not symmetric (g_{i+1}{j+1} vs g_{j+1}{i+1}: "
+                        f"residual {asym.flat[k]:.3e}, scale {scale.flat[k]:.3e})")
+            return f"metric not positive definite (eigenvalues {eig.reshape(-1, N)[k].tolist()})"
+
+        _raise_at_first(asymmetric | ~(eig[..., 0] > 1e-12 * eig[..., -1]), point, "metric", message, MetricError)
         inv_order = max(order - 1, 0)
         inv_jets = jmatinv(jtruncate(jets, inv_order), inv_order)
         return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)

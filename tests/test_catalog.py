@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from weyl4.catalog import (
     MANIFOLDS,
     CatalogError,
+    EntryError,
     ManifoldSpec,
     _index_key,
     builtin_manifolds,
@@ -218,6 +221,10 @@ class TestConfigFiles:
         )
         spec = load_manifold_config(str(path))
         assert spec.id == "s"
+        # both entries are evaluated as given, so both round-trip through a file
+        assert spec.metric_exprs[1][0] != spec.metric_exprs[0][1]
+        path.write_text(spec_to_config(spec))
+        assert load_manifold_config(str(path)) == spec
 
     def test_symmetric_conflict_rejected(self, tmp_path):
         path = tmp_path / "conflict.cfg"
@@ -227,11 +234,32 @@ class TestConfigFiles:
         )
         with pytest.raises(CatalogError) as exc:
             load_manifold_config(str(path))
-        # one line for the pair: the metric the pipeline evaluates is its upper triangle
+        # the one symmetry rule, the run-time metric check, names the pair at the first sample
+        pts = direct_spec(UNIT).sample_points(20, np.random.default_rng(0))
+        assert pts[0, 0] != pts[0, 1]
         assert str(exc.value) == (
             "manifold 'c' failed validation:\n"
-            "  - metric entries g_12 and g_21 differ textually ('0.5 * x' vs '0.5 * y')"
+            f"  - metric not symmetric (g_12 vs g_21: residual {abs(0.5 * pts[0, 0] - 0.5 * pts[0, 1]):.3e}, "
+            f"scale 4.000e+00) in the metric stage at point {pts[0].tolist()}"
         )
+
+    def test_pair_differing_by_less_than_the_old_pair_tolerance_rejected(self, tmp_path):
+        # 1e-9 is within 1e-10 of the pair's largest value over the samples (up to 0.1*e^8),
+        # but not within 1e-12 of the metric's scale max(1, e^(10x)) where x < 0.69
+        path = tmp_path / "pair.cfg"
+        path.write_text(
+            "[manifold]\nid = pair\ncoords = x, y, z, t\ndomain = -1..1, -1..1, -1..1, -1..1\n"
+            "[metric]\ng_11 = exp(10*x)\ng_22 = exp(10*x)\ng_33 = 1\ng_44 = 1\n"
+            "g_12 = 0.1*exp(10*x)\ng_21 = 0.1*exp(10*x) + 1e-9\n"
+        )
+        with pytest.raises(CatalogError) as exc:
+            load_manifold_config(str(path))
+        pts = direct_spec(UNIT).sample_points(20, np.random.default_rng(0))
+        first_bad = int(np.argmax(1e-9 > 1e-12 * np.maximum(np.exp(10 * pts[:, 0]), 1.0)))
+        head, point = str(exc.value).split(" in the metric stage at point ")
+        assert head.startswith("manifold 'pair' failed validation:\n  - metric not symmetric (g_12 vs g_21: residual ")
+        assert float(head.split("residual ")[1].split(",")[0]) == pytest.approx(1e-9, rel=1e-3)
+        assert point == str(pts[first_bad].tolist())
 
     def test_symmetric_entry_failing_at_a_sample_names_it(self, tmp_path):
         path = tmp_path / "conflict_log.cfg"
@@ -327,6 +355,37 @@ class TestValidationRunsTheRunTimeChecks:
             with pytest.raises(CatalogError) as exc:
                 load_manifold_config(str(path))
         assert str(exc.value) == f"manifold 'direct' failed validation:\n  - {expected}"
+
+
+class TestOneGuard:
+    """``metric_point`` and ``j_jets`` name the manifold, the entry and the
+    first point at which an entry fails, wherever they are called."""
+
+    DIP = "log(1 - 1.1*exp(-200000*(x - 0.4)^2))"  # fails only where |x - 0.4| < 7e-4
+
+    @pytest.mark.parametrize("order", [0, 2, 4])
+    def test_metric_entry_names_the_first_failing_point(self, order):
+        spec = direct_spec({**UNIT, (0, 0): f"9 + {self.DIP}"}, domain=((0.0, 1.0),) * 4)
+        pts = np.array([[0.1, 0.2, 0.3, 0.4], [0.4002, 0.5, 0.5, 0.5], [0.3999, 0.1, 0.1, 0.1]])
+        with pytest.raises(EntryError) as exc:
+            spec.metric_point(pts, order)
+        assert exc.value.line.startswith(f"g_11 evaluation failed at {pts[1].tolist()}: log of non-positive value")
+        assert str(exc.value) == f"manifold 'direct': {exc.value.line}"
+        spec.metric_point(pts[0], order)
+
+    def test_structure_entry_names_the_first_failing_point(self):
+        spec = direct_spec(UNIT, {**J_STD_TEXT, (1, 0): f"1 + 0*{self.DIP}"}, domain=((0.0, 1.0),) * 4)
+        pts = np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.5, 0.5, 0.5]])
+        with pytest.raises(EntryError, match=rf"^manifold 'direct': J_2_1 evaluation failed at \[0\.4, 0\.5"):
+            spec.j_jets(pts, 2)
+
+    def test_a_lower_entry_is_evaluated_as_given(self):
+        coords = ("x", "y", "z", "t")
+        grid = [[parse_expression("1" if i == j else "0", coords) for j in range(4)] for i in range(4)]
+        grid[1][0] = parse_expression("log(x - 5)", coords)
+        spec = replace(direct_spec(UNIT), metric_exprs=tuple(map(tuple, grid)))
+        with pytest.raises(EntryError, match=r"^manifold 'direct': g_21 evaluation failed at \[0\.5"):
+            spec.metric_point([0.5, 0.5, 0.5, 0.5], 1)
 
 
 class TestTags:

@@ -332,6 +332,45 @@ class TestPointFailures:
         point = json.loads(err.rsplit("at point ", 1)[1])
         assert abs(point[0] - 0.4) < 0.004
 
+    LOG = "log(1 - 1.1*exp(-200000*(x - 0.4)^2))"  # fails only where |x - 0.4| < 7e-4
+
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    @pytest.mark.parametrize("entry, metric, structure", [
+        ("g_11", f"g_11 = 9 + {LOG}", f"J_1_2 = -1/sqrt(9 + {LOG})\nJ_2_1 = sqrt(9 + {LOG})"),
+        ("J_2_1", "g_11 = 1", f"J_1_2 = -1\nJ_2_1 = 1 + 0*{LOG}"),
+    ], ids=["metric", "structure"])
+    def test_entry_failing_at_a_sampled_point_names_it_exit_2(self, capsys, tmp_path, command, entry, metric, structure):
+        # the config loads, as its 20 samples miss the slab; the run-time guard names the
+        # manifold, the entry and the first of 400 points (seed 1) that lands in it
+        path = tmp_path / "logdip.cfg"
+        path.write_text(
+            "[manifold]\nid = logdip\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+            f"[metric]\n{metric}\ng_22 = 1\ng_33 = 1\ng_44 = 1\n[structure]\n{structure}\nJ_3_4 = -1\nJ_4_3 = 1\n"
+        )
+        pts = load_manifold_config(str(path)).sample_points(400, np.random.default_rng(1))
+        first = next(p for p in pts if 1.1 * np.exp(-200000 * (p[0] - 0.4) ** 2) >= 1.0)
+        code, out, err = run(capsys, command, "--config", str(path), "--points", "400", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: manifold 'logdip': {entry} evaluation failed at {first.tolist()}: "
+                              "log of non-positive value ")
+        assert err.count("\n") == 1
+
+    def test_pair_differing_off_the_samples_named_at_run_time_exit_2(self, capsys, tmp_path):
+        # g_12 and g_21 differ only where |x - 0.4| < 0.011, which the 20 samples miss
+        path = tmp_path / "pair.cfg"
+        path.write_text(
+            "[manifold]\nid = pair\ncoords = x, y, z, t\ndomain = -1..1, -1..1, -1..1, -1..1\n"
+            "[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+            "g_12 = 0.1*x\ng_21 = 0.1*x + 0.01*exp(-200000*(x - 0.4)^2)\n"
+        )
+        pts = load_manifold_config(str(path)).sample_points(400, np.random.default_rng(1))
+        first = next(p for p in pts if 0.01 * np.exp(-200000 * (p[0] - 0.4) ** 2) > 1e-12)
+        code, out, err = run(capsys, "check", "--config", str(path), "--points", "400", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: metric not symmetric (g_12 vs g_21: residual ")
+        assert err.endswith(f", scale 1.000e+00) in the metric stage at point {first.tolist()}\n")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("what", [("--density", "S"), ("--formula", "both")])
     def test_volume_density_failing_at_a_node_exit_2(self, capsys, tmp_path, what):
         # the 20 constancy samples miss the slab; the 24-per-axis node at
@@ -359,6 +398,20 @@ class TestUsage:
 
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
+
+
+class TestInternalError:
+    def test_any_other_exception_exits_3_with_its_traceback(self, capsys, monkeypatch):
+        import weyl4.cli
+
+        def crash(args):
+            raise RuntimeError("a defect, not an input problem")
+
+        monkeypatch.setattr(weyl4.cli, "cmd_list", crash)
+        code, out, err = run(capsys, "list")
+        assert (code, out) == (3, "")
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: a defect, not an input problem\n")
 
 
 class TestNonFiniteReport:
