@@ -105,6 +105,12 @@ class ManifoldSpec:
                     raise EntryError(self.id, f"{entry.format(i + 1, j + 1)} evaluation failed{at}: {exc}")
         raise EntryError(self.id, f"evaluation failed: {failure}")
 
+    def read_axes(self) -> tuple[int, ...]:
+        """The coordinates the metric or J tape reads.  Along any other axis
+        every quantity built from the spec is exactly constant."""
+        tapes = (self.metric_tape,) if self.j_tape is None else (self.metric_tape, self.j_tape)
+        return tuple(sorted({param for tape in tapes for kind, _, param in tape.ops if kind == "coord"}))
+
     def metric_values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Vectorized metric matrices; trailing axes are (4, 4)."""
         return np.moveaxis(eval_values(self.metric_tape, coords), (0, 1), (-2, -1))

@@ -163,7 +163,7 @@ def cmd_integrate(args) -> int:
         if args.density not in DENSITIES:
             raise UsageError(f"unknown density '{args.density}' (known: {', '.join(DENSITIES)})")
         key = DENSITIES[args.density]
-        result = integrate_density(spec, lambda p: evaluate_integrand(spec, p)[key], quad)
+        result = integrate_density(spec, lambda p: evaluate_integrand(spec, p)[key], quad, spec.read_axes())
         payload["density"] = args.density
         payload["value"] = float(result.value)
         payload["error"] = float(result.error)

@@ -875,15 +875,17 @@ class IntegralResult:
     volume: float
 
 
-def _gauss_grid(spec: ManifoldSpec, n: int) -> tuple:
-    """Tensor Gauss-Legendre nodes of the domain, shape (n**4, 4), first
-    coordinate slowest, and their weights times the volume density."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    axes, waxes = [], []
-    for lo, hi in spec.domain:
-        axes.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
+def _gauss_grid(spec: ManifoldSpec, n: int, axes: Sequence[int]) -> tuple:
+    """Tensor Gauss-Legendre nodes of the domain, n on each axis in ``axes``
+    and the one-node rule (the box midpoint, weight the box length) on every
+    other axis: shape (n**len(axes), 4), first coordinate slowest, and their
+    weights times the volume density."""
+    coords, waxes = [], []
+    for i, (lo, hi) in enumerate(spec.domain):
+        nodes, weights = np.polynomial.legendre.leggauss(n if i in axes else 1)
+        coords.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
         waxes.append(0.5 * (hi - lo) * weights)
-    points = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    points = np.stack([a.ravel() for a in np.meshgrid(*coords, indexing="ij")], axis=1)
     with np.errstate(all="ignore"):  # a bad density is reported below, by node
         dens = spec.volume_density(points.T)
     bad = np.flatnonzero(~(np.isfinite(dens) & (dens > 0.0)))
@@ -914,6 +916,7 @@ def integrate_density(
     spec: ManifoldSpec,
     density: Callable[[np.ndarray], object],
     quad: QuadratureSpec = QuadratureSpec(),
+    axes: Sequence[int] = range(4),
 ) -> IntegralResult:
     """Gauss-Legendre integral of density * volume form over the fundamental domain.
 
@@ -921,15 +924,18 @@ def integrate_density(
     last: shape (n,) for a scalar density, (..., n) for an array of them.
     Nodes go to it in chunks of NODE_CHUNK points; every component is
     integrated in one pass over the nodes, and value and error have its
-    shape without the point axis.  The
-    constancy shortcut (value * volume) is taken only after an explicit
+    shape without the point axis.  ``axes`` are the coordinates the density
+    may depend on: each level puts its nodes on them only, and every other
+    axis contributes its box length (``spec.read_axes()`` for a density
+    built from the spec; the default, all four, holds for any callable).
+    The constancy shortcut (value * volume) is taken only after an explicit
     constancy check at ``constancy_samples`` random points, and only when
     every component's spread there is within CONSTANCY_TOL.
     """
     if not spec.compact:
         raise ConditionsError(f"manifold '{spec.id}' is not compact; cannot integrate")
     levels = sorted({max(2, quad.n // 2), quad.n, quad.n_refine})
-    grids = {n: _gauss_grid(spec, n) for n in levels}
+    grids = {n: _gauss_grid(spec, n, axes) for n in levels}
     vol_fine = grids[quad.n_refine][1].sum()
 
     rng = np.random.default_rng(quad.seed)
@@ -976,7 +982,8 @@ def check_integral_formulas(spec: ManifoldSpec, quad: QuadratureSpec = Quadratur
     integrated pointwise identity).  Requires a compact almost Kahler entry.
 
     One jet stage and one frame stage per chunk of quadrature or constancy
-    nodes feed all the integrand scalars.
+    nodes feed all the integrand scalars; the nodes lie on the coordinates
+    the metric or J reads.
     """
     if not spec.compact:
         raise ConditionsError(f"manifold '{spec.id}' is not compact")
@@ -986,7 +993,7 @@ def check_integral_formulas(spec: ManifoldSpec, quad: QuadratureSpec = Quadratur
         return [d[k] for k in INTEGRAND_KEYS] + [d["s"] * d["nabla_j2"]]
 
     keys = INTEGRAND_KEYS + ("s_nabla_j2",)
-    result = integrate_density(spec, densities, quad)
+    result = integrate_density(spec, densities, quad, spec.read_axes())
     ints = dict(zip(keys, map(float, result.value)))
     errors = dict(zip(keys, map(float, result.error)))
     Q = ints["q_j"]

@@ -23,6 +23,8 @@ from weyl4.exprjet import parse_expression
 from weyl4.hermitian import AcsPoint
 from weyl4.pointgeom import PointError
 
+from conftest import TWISTED_J_TORUS
+
 CATALOG_ORDER = (
     "euclidean_flat",
     "flat_torus",
@@ -90,6 +92,20 @@ class TestBuiltins:
     def test_unknown_manifold(self):
         with pytest.raises(CatalogError):
             get_manifold("nope")
+
+    def test_read_axes(self, catalog):
+        every = (0, 1, 2, 3)
+        assert [catalog[sid].read_axes() for sid in CATALOG_ORDER] == [
+            (), (), every, every, (0, 1), (0,), every, (0,)
+        ]
+
+    def test_read_axes_include_an_axis_only_j_reads(self, tmp_path):
+        # a quadrature that dropped t here would integrate |nabla J|^2 at t = 1/2 only
+        path = tmp_path / "twist.cfg"
+        path.write_text(TWISTED_J_TORUS)
+        spec = load_manifold_config(str(path))
+        assert replace(spec, j_exprs=None).read_axes() == ()
+        assert spec.read_axes() == (3,)
 
 
 class TestPackagedCatalog:

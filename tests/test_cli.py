@@ -8,6 +8,9 @@ from weyl4.catalog import load_manifold_config
 from weyl4.cli import main
 from weyl4.conditions import _chunk_points, point_context
 from weyl4.pointgeom import MetricError
+from weyl4 import conditions
+
+from conftest import SIN2_TORUS
 
 
 def run(capsys, *argv):
@@ -233,6 +236,25 @@ class TestIntegrate:
         code, out, _ = run(capsys, "integrate", "kodaira_thurston", "--formula", "both")
         payload = json.loads(out)
         assert set(payload["formula"]) == {"eq117", "eq118", "eq116_integrated"}
+
+    def test_nodes_only_on_the_axes_the_metric_reads(self, capsys, tmp_path, monkeypatch):
+        # the metric reads x only: 20 constancy samples and 8 + 16 + 24 nodes on x reach the
+        # jet stage, where the 4-D ladder took 8^4 + 16^4 + 24^4 order-4 nodes
+        path = tmp_path / "sin2.cfg"
+        path.write_text(SIN2_TORUS)
+        bound = 20 + 8 + 16 + 24
+        points = []
+
+        def counted(spec, pts, order):
+            points.append(int(np.prod(np.shape(pts)[:-1])))
+            if sum(points) > bound:
+                raise RuntimeError(f"{sum(points)} points reached the jet stage")
+            return point_context(spec, pts, order)
+
+        monkeypatch.setattr(conditions, "point_context", counted)
+        code, out, err = run(capsys, "integrate", "--config", str(path), "--formula", "both")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["volume"] == pytest.approx(2.5, rel=1e-12)
 
     def test_non_compact_exit_2(self, capsys):
         code, _, err = run(capsys, "integrate", "fubini_study_cp2", "--density", "qJ")

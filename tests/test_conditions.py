@@ -11,6 +11,7 @@ from weyl4.catalog import builtin_manifolds, get_manifold, load_manifold_config
 from weyl4.conditions import (
     CONSTANCY_TOL,
     GATE,
+    INTEGRAND_KEYS,
     REGISTRY,
     ConditionsError,
     QuadratureError,
@@ -42,6 +43,7 @@ from weyl4.hermitian import AcsPoint, nabla_j_data, projections_p1p2, q_j_integr
 from weyl4.pointgeom import build_j_frame
 from weyl4.selfdual import delta_wpm, lambda2_split, nabla_w_sd_matrices, wplus_matrix
 
+from conftest import SIN2_TORUS, TWISTED_J_TORUS, perfbench_module
 from paper_oracles import frame_reference, prop21_equivalence
 
 SPEC_REGISTRY_IDS = {
@@ -418,7 +420,7 @@ class TestBatchedRows:
 
     def test_stacked_density_matches_per_node_loop(self, batch_specs):
         spec = batch_specs["sak_torus_test"]
-        nodes = _gauss_grid(spec, 3)[0]  # 81 nodes: several chunks of the quadrature feed
+        nodes = _gauss_grid(spec, 3, range(4))[0]  # 81 nodes: several chunks of the quadrature feed
         stacked = evaluate_integrand(spec, nodes)
         for k, node in enumerate(nodes):
             for key, value in evaluate_integrand(spec, node).items():
@@ -527,6 +529,33 @@ class TestQuadrature:
     def test_non_compact_rejected(self):
         with pytest.raises(ConditionsError):
             integrate_density(get_manifold("fubini_study_cp2"), lambda p: np.ones(len(p)))
+
+    @pytest.mark.parametrize("config, ladder", [
+        ("sak", (1, 2)), ("sak", (2, 3)), ("kodaira_thurston", (16, 24)), ("sin2", (2, 3)), ("twisted_j", (2, 3)),
+    ])
+    def test_read_axes_grid_matches_full_grid(self, tmp_path, config, ladder):
+        # along an axis neither tape reads, the one-node rule is exact: the grid on the read
+        # axes gives the 4-D grid's values and errors, up to summation order
+        text = {"sak": perfbench_module("workloads").sak_config(0.37), "sin2": SIN2_TORUS,
+                "twisted_j": TWISTED_J_TORUS}.get(config)
+        if text is None:
+            spec = get_manifold(config)
+        else:
+            path = tmp_path / f"{config}.cfg"
+            path.write_text(text)
+            spec = load_manifold_config(str(path))
+        quad = QuadratureSpec(n=ladder[0], n_refine=ladder[1])
+
+        def densities(p):
+            d = evaluate_integrand(spec, p)
+            return [d[k] for k in INTEGRAND_KEYS]
+
+        reduced = integrate_density(spec, densities, quad, spec.read_axes())
+        full = integrate_density(spec, densities, quad)
+        assert reduced.used_constancy_shortcut == full.used_constancy_shortcut == (config == "kodaira_thurston")
+        assert reduced.volume == pytest.approx(full.volume, rel=1e-12)
+        assert reduced.value == pytest.approx(full.value, rel=1e-12, abs=1e-15)
+        assert reduced.error == pytest.approx(full.error, rel=1e-12, abs=1e-15)
 
     def test_volume_not_shared_between_specs_with_one_id(self, tmp_path):
         # same id and domain, different metrics: volumes 1 and 2*2 = 4
