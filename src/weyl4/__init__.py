@@ -16,7 +16,7 @@ from .catalog import (  # noqa: E402,F401
     load_manifold_config,
     spec_to_config,
 )
-from .exprjet import eval_jet, eval_values, jpartials, parse_expression  # noqa: E402,F401
+from .exprjet import eval_jet, jpartials, parse_expression  # noqa: E402,F401
 
 __all__ = [
     "Weyl4Error",
@@ -27,7 +27,6 @@ __all__ = [
     "load_manifold_config",
     "spec_to_config",
     "eval_jet",
-    "eval_values",
     "jpartials",
     "parse_expression",
 ]

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import Weyl4Error, exprjet
-from .exprjet import Expr, Tape, compile_tape, eval_values, expr_to_string, parse_expression
-from .pointgeom import MetricPoint, PointError, check_acs
+from .exprjet import Expr, Tape, compile_tape, expr_to_string, parse_expression
+from .pointgeom import MetricError, MetricPoint, PointError, check_acs
 
 KNOWN_TAGS = ("flat", "einstein", "kahler", "almost-kahler", "constant-s", "conformally-flat")
 
@@ -90,13 +90,25 @@ class ManifoldSpec:
         """``eval_jet`` of ``tape`` under the one guard: where an expression
         fails, an :class:`EntryError` naming the first point at which an
         entry of ``grid`` (``entry`` formats its indices) fails on its own,
-        or, if none does, the first entry failing over the whole stack."""
+        or, if none does, the first entry failing over the whole stack.
+        The point is found by bisecting the stack, since a stack fails where
+        one of its points fails alone; a candidate that passes alone (a
+        failure no single point shows) falls back to the whole stack."""
         try:
             return exprjet.eval_jet(tape, point, order)
         except exprjet.ExpressionError as exc:
             failure = exc
         point = np.asarray(point, dtype=float)
-        for where in (*point.reshape(-1, 4), point):
+        rows = point.reshape(-1, 4)
+        lo, hi = 0, len(rows)  # rows[lo:hi] fails
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                exprjet.eval_jet(tape, rows[lo:mid], order)
+                lo = mid
+            except exprjet.ExpressionError:
+                hi = mid
+        for where in (rows[lo], point):
             for i, j in np.ndindex(4, 4):
                 try:
                     exprjet.eval_jet(grid[i][j], where, order)
@@ -111,13 +123,17 @@ class ManifoldSpec:
         tapes = (self.metric_tape,) if self.j_tape is None else (self.metric_tape, self.j_tape)
         return tuple(sorted({param for tape in tapes for kind, _, param in tape.ops if kind == "coord"}))
 
-    def metric_values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        """Vectorized metric matrices; trailing axes are (4, 4)."""
-        return np.moveaxis(eval_values(self.metric_tape, coords), (0, 1), (-2, -1))
-
-    def volume_density(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        g = self.metric_values(coords)
-        return np.sqrt(np.linalg.det(g))
+    def volume_density(self, points: np.ndarray) -> np.ndarray:
+        """sqrt(det g) at each point of an (n, 4) stack, from the checked metric; a
+        :class:`MetricError` where it over- or underflows, though g is finite."""
+        g = self.metric_point(points, 0).g
+        with np.errstate(over="ignore", under="ignore"):  # reported below, by point
+            density = np.sqrt(np.linalg.det(g))
+        bad = np.flatnonzero(~(np.isfinite(density) & (density > 0.0)))
+        if bad.size:
+            k = bad[0]
+            raise MetricError(f"volume density {float(density[k])!r} outside the float range", points[k], "metric")
+        return density
 
     def sample_points(self, n: int, rng: np.random.Generator, margin: float = 0.1) -> np.ndarray:
         los = np.array([lo + margin * (hi - lo) for lo, hi in self.domain])
@@ -215,6 +231,8 @@ def load_manifold_config(path: str) -> ManifoldSpec:
             lo, hi = float(lo_s), float(hi_s)
         except ValueError:
             raise CatalogError(f"bad domain interval {part!r} (expected 'lo..hi')")
+        if not np.isfinite(hi - lo):  # an infinite end, NaN, or a width past the float range
+            raise CatalogError(f"domain interval {part!r} is not finite")
         if not lo < hi:
             raise CatalogError(f"empty domain interval {part!r}")
         domain.append((lo, hi))
@@ -222,18 +240,24 @@ def load_manifold_config(path: str) -> ManifoldSpec:
     if "metric" not in parser:
         raise CatalogError("config missing [metric] section")
 
-    def parse_entry(section: str, key: str, text: str) -> Expr:
-        try:
-            return parse_expression(text, coords)
-        except exprjet.ExpressionError as exc:
-            raise CatalogError(f"[{section}] {key}: {exc}")
+    def entries(section: str, prefixes: tuple, expected: str) -> dict[tuple[int, int], Expr]:
+        """The parsed entries of ``section`` by index pair, each set by one key."""
+        keys: dict[tuple[int, int], str] = {}
+        exprs: dict[tuple[int, int], Expr] = {}
+        for key, text in parser[section].items():
+            idx = _index_key(key, prefixes)
+            if idx is None:
+                raise CatalogError(f"[{section}] unrecognized key '{key}' (expected {expected})")
+            if idx in keys:
+                raise CatalogError(f"[{section}] keys '{keys[idx]}' and '{key}' set the same entry")
+            keys[idx] = key
+            try:
+                exprs[idx] = parse_expression(text, coords)
+            except exprjet.ExpressionError as exc:
+                raise CatalogError(f"[{section}] {key}: {exc}")
+        return exprs
 
-    metric_entries: dict[tuple[int, int], Expr] = {}
-    for key, text in parser["metric"].items():
-        idx = _index_key(key, ("g_",))
-        if idx is None:
-            raise CatalogError(f"[metric] unrecognized key '{key}' (expected g_11 .. g_44)")
-        metric_entries[idx] = parse_entry("metric", key, text)
+    metric_entries = entries("metric", ("g_",), "g_11 .. g_44")
     for i in range(4):
         if (i, i) not in metric_entries:
             raise CatalogError(f"[metric] missing diagonal entry g_{i+1}{i+1}")
@@ -245,12 +269,7 @@ def load_manifold_config(path: str) -> ManifoldSpec:
 
     j_grid = None
     if "structure" in parser and list(parser["structure"].keys()):
-        j_entries: dict[tuple[int, int], Expr] = {}
-        for key, text in parser["structure"].items():
-            idx = _index_key(key, ("J_", "j_"))
-            if idx is None:
-                raise CatalogError(f"[structure] unrecognized key '{key}' (expected J_1_1 .. J_4_4)")
-            j_entries[idx] = parse_entry("structure", key, text)
+        j_entries = entries("structure", ("J_", "j_"), "J_1_1 .. J_4_4")
         j_grid = tuple(tuple(j_entries.get((i, j), zero) for j in range(4)) for i in range(4))
 
     tags: frozenset = frozenset()

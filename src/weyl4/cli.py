@@ -146,8 +146,6 @@ def cmd_classify(args) -> int:
 
 def cmd_integrate(args) -> int:
     spec = _resolve_manifold(args)
-    if not spec.compact:
-        raise UsageError(f"manifold '{spec.id}' is not compact; integrate needs a fundamental domain")
     if args.density and args.formula:
         raise UsageError("give either --density or --formula, not both: each reports its own error estimate")
     if not args.density and not args.formula:
@@ -198,6 +196,13 @@ def cmd_integrate(args) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weyl4",
@@ -214,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("manifold", nargs="?", help="builtin manifold id")
         p.add_argument("--config", help="manifold config file instead of a builtin id")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=non_negative_int, default=0)
         p.add_argument("--out")
 
     def sampling(p):

@@ -6,8 +6,7 @@ straight-line :class:`Tape`; ``eval_jet`` evaluates it together with all
 mixed partial derivatives up to a requested order (0..4) at a point or a
 stack of points, by
 propagating truncated Taylor series rather than by finite differencing or
-nested dual numbers, and ``eval_values`` runs the same tape at order 0 on
-coordinate arrays.
+nested dual numbers; order 0 gives plain values.
 
 Jets are stored as dense vectors of Taylor coefficients ``c_alpha =
 d^alpha f / alpha!`` indexed by the multi-indices of degree <= order in four
@@ -27,7 +26,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -602,9 +601,6 @@ def expr_to_string(e: Expr) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-Number = Union[float, np.ndarray]
-
-
 @dataclass(frozen=True, eq=False)
 class Tape:
     """A grid of expressions lowered into one straight-line program.
@@ -677,9 +673,9 @@ def compile_tape(grid) -> Tape:
     return Tape(tuple(ops), out, tuple(map(tuple, dead)))
 
 
-def _run(tape: Tape, coords: Sequence[Number], order: int) -> list:
+def _run(tape: Tape, coords: Sequence[np.ndarray], order: int) -> list:
     """Slot values of ``tape`` (None once dead): jets of ``order`` at
-    ``coords``, which are floats or broadcastable arrays."""
+    ``coords``, one array of point values per coordinate."""
     vals: list = []
     for (kind, inputs, param), dead in zip(tape.ops, tape.dead):
         a = vals[inputs[0]] if inputs else None
@@ -754,16 +750,3 @@ def eval_jet(expr: Expr | Tape, points, order: int) -> np.ndarray:
     for i, k in np.ndenumerate(tape.out):
         out[(Ellipsis, *i, slice(None))] = vals[k]
     return out
-
-
-def eval_values(expr: Expr | Tape, coords: Sequence[Number]) -> Number:
-    """Plain (order-0) values, the same tape at order 0; ``coords`` may be
-    broadcastable arrays.  A tape gives its grid axes first, then the
-    broadcast shape of ``coords``."""
-    tape = expr if isinstance(expr, Tape) else compile_tape(expr)
-    lead = np.broadcast_shapes(*(np.shape(c) for c in coords))
-    vals = _run(tape, coords, 0)
-    out = np.empty(tape.out.shape + lead)
-    for i, k in np.ndenumerate(tape.out):
-        out[i] = vals[k][..., 0]
-    return out[()]

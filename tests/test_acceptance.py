@@ -20,7 +20,7 @@ from weyl4.conditions import (
     stack_rows,
 )
 from weyl4.curvature import curvature_bundle
-from weyl4.exprjet import eval_jet, eval_values, jpartials
+from weyl4.exprjet import eval_jet, jpartials
 from weyl4.hermitian import AcsPoint, gl121_delta_wplus, nabla_j_data
 from weyl4.pointgeom import build_j_frame
 from weyl4.selfdual import delta_wpm, lambda2_split
@@ -229,7 +229,7 @@ def test_criterion_7_prop21_coherence():
 
 def _vector_eval(expr, cols, shifts):
     moved = [c + s for c, s in zip(cols, shifts)]
-    return np.broadcast_to(np.asarray(eval_values(expr, moved)), cols[0].shape).astype(float)
+    return eval_jet(expr, np.stack(moved, axis=-1), 0)[..., 0]
 
 
 def _fd_first(expr, cols, v, h):

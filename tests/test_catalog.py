@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from weyl4 import exprjet
 from weyl4.catalog import (
     MANIFOLDS,
     CatalogError,
@@ -220,6 +221,31 @@ class TestConfigFiles:
         with pytest.raises(CatalogError, match="empty domain"):
             load_manifold_config(str(path))
 
+    @pytest.mark.parametrize("interval", ["0..inf", "-inf..0", "-1e308..1e308", "nan..1"])
+    def test_non_finite_domain(self, tmp_path, interval):
+        path = tmp_path / "dom.cfg"
+        path.write_text(
+            f"[manifold]\nid = dom\ncoords = x, y, z, t\ndomain = -1..1, {interval}, -1..1, -1..1\n"
+            "[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+        )
+        with pytest.raises(CatalogError, match=rf"^domain interval '{interval}' is not finite$"):
+            load_manifold_config(str(path))
+
+    @pytest.mark.parametrize("sections, message", [
+        ("[metric]\ng_11 = 1\ng_1_1 = 4\ng_22 = 1\ng_33 = 1\ng_44 = 1\n",
+         "[metric] keys 'g_11' and 'g_1_1' set the same entry"),
+        ("[metric]\ng_11 = 1\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+         "[structure]\nJ_1_2 = -1\nJ_2_1 = 1\nj_2_1 = 1\nJ_3_4 = -1\nJ_4_3 = 1\n",
+         "[structure] keys 'J_2_1' and 'j_2_1' set the same entry"),
+    ], ids=["metric", "structure"])
+    def test_one_entry_set_twice_rejected(self, tmp_path, sections, message):
+        # two spellings of one entry: before, the last one won silently
+        path = tmp_path / "twice.cfg"
+        path.write_text("[manifold]\nid = twice\ncoords = x, y, z, t\ndomain = -1..1, -1..1, -1..1, -1..1\n" + sections)
+        with pytest.raises(CatalogError) as exc:
+            load_manifold_config(str(path))
+        assert str(exc.value) == message
+
     def test_unknown_tag(self, tmp_path):
         path = tmp_path / "tag.cfg"
         path.write_text(
@@ -394,6 +420,28 @@ class TestOneGuard:
         pts = np.array([[0.1, 0.2, 0.3, 0.4], [0.4, 0.5, 0.5, 0.5]])
         with pytest.raises(EntryError, match=rf"^manifold 'direct': J_2_1 evaluation failed at \[0\.4, 0\.5"):
             spec.j_jets(pts, 2)
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_bisection_names_the_first_failing_point_in_few_evaluations(self, order, monkeypatch):
+        # a slab |x - 0.4| < 0.007 holds about 60 of 4,096 points: the guard takes one run of the
+        # whole stack, one per bisection step (12) and at most 16 entry runs at the point it finds
+        spec = direct_spec({**UNIT, (0, 0): "9 + log(1 - 1.1*exp(-2000*(x - 0.4)^2))"}, domain=((0.0, 1.0),) * 4)
+        pts = np.random.default_rng(3).uniform(size=(4096, 4))
+
+        def fails_alone(point) -> bool:
+            try:
+                exprjet.eval_jet(spec.metric_tape, point, order)
+            except exprjet.ExpressionError:
+                return True
+            return False
+
+        first = next(p for p in pts if fails_alone(p))
+        real, calls = exprjet.eval_jet, []
+        monkeypatch.setattr(exprjet, "eval_jet", lambda *args: calls.append(args) or real(*args))
+        with pytest.raises(EntryError) as exc:
+            spec.metric_point(pts, order)
+        assert exc.value.line.startswith(f"g_11 evaluation failed at {first.tolist()}: log of non-positive value")
+        assert len(calls) <= 1 + 12 + 16
 
     def test_a_lower_entry_is_evaluated_as_given(self):
         coords = ("x", "y", "z", "t")

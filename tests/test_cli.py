@@ -395,28 +395,60 @@ class TestPointFailures:
 
     @pytest.mark.parametrize("what", [("--density", "S"), ("--formula", "both")])
     def test_volume_density_failing_at_a_node_exit_2(self, capsys, tmp_path, what):
-        # the 20 constancy samples miss the slab; the 24-per-axis node at
-        # x = 0.4044 lies in it, where det g < 0
-        path = tmp_path / "dip.cfg"
+        # each config loads and the 20 constancy samples miss the slab |x - 0.4| < 0.007; the
+        # volume density checks the metric at the 24-per-axis nodes, and x = 0.4044 lies in it
+        slab = "1.1*exp(-2000*(x - 0.4)^2)"
+        for name, g_11, message in [
+            ("dip", f"1 - {slab}", "metric not positive definite (eigenvalues "),
+            ("logslab", f"9 + log(1 - {slab})", "manifold 'logslab': g_11 evaluation failed at "),
+        ]:
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(
+                f"[manifold]\nid = {name}\ncoords = x, y, z, t\ncompact = true\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+                f"[metric]\ng_11 = {g_11}\ng_22 = 1\ng_33 = 1\ng_44 = 1\n"
+                f"[structure]\nJ_1_2 = -1/sqrt({g_11})\nJ_2_1 = sqrt({g_11})\nJ_3_4 = -1\nJ_4_3 = 1\n"
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, "integrate", "--config", str(path), *what, "--seed", "1")
+            assert (code, out) == (2, ""), name
+            assert err.startswith(f"error: {message}")
+            assert err.count("\n") == 1
+            if name == "dip":
+                assert ") in the metric stage at point " in err
+                node = json.loads(err.rsplit("at point ", 1)[1])
+            else:
+                assert "]: log of non-positive value " in err
+                node = json.loads(err.split(" failed at ", 1)[1].split("]", 1)[0] + "]")
+            assert abs(node[0] - 0.4) < 0.007 and node[1:] == [0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("scale, density", [("1e100", "inf"), ("1e-100", "0.0")])
+    def test_volume_density_outside_the_float_range_exit_2(self, capsys, tmp_path, scale, density):
+        # g = scale * identity is finite and positive definite, but det g over- or underflows
+        path = tmp_path / "scaled.cfg"
         path.write_text(
-            self.DIP.replace("domain", "compact = true\ndomain")
-            + "[structure]\nJ_1_2 = -1/sqrt(1 - 1.1*exp(-2000*(x - 0.4)^2))\n"
-            "J_2_1 = sqrt(1 - 1.1*exp(-2000*(x - 0.4)^2))\nJ_3_4 = -1\nJ_4_3 = 1\n"
+            "[manifold]\nid = scaled\ncoords = x, y, z, t\ncompact = true\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+            f"[metric]\ng_11 = {scale}\ng_22 = {scale}\ng_33 = {scale}\ng_44 = {scale}\n"
+            "[structure]\nJ_1_2 = -1\nJ_2_1 = 1\nJ_3_4 = -1\nJ_4_3 = 1\n"
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "integrate", "--config", str(path), *what, "--seed", "1")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: volume density")
-        assert err.count("\n") == 1
-        node = json.loads(err.rsplit("at node ", 1)[1])
-        assert abs(node[0] - 0.4) < 0.007
+            code, out, err = run(capsys, "integrate", "--config", str(path), "--density", "S")
+        assert (code, out) == (2, "")
+        assert err == (f"error: volume density {density} outside the float range "
+                       "in the metric stage at point [0.5, 0.5, 0.5, 0.5]\n")
 
 
 class TestUsage:
     def test_bad_flag_exit_2(self, capsys):
         assert main(["check", "flat_torus", "--badflag"]) == 2
+
+    @pytest.mark.parametrize("command", [["check", "flat_torus"], ["classify", "flat_torus"],
+                                         ["integrate", "flat_torus", "--formula", "both"]])
+    def test_negative_seed_exit_2(self, capsys, command):
+        code, out, err = run(capsys, *command, "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --seed: must be a non-negative integer, got -1\n")
 
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2

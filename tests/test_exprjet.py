@@ -23,7 +23,6 @@ from weyl4.exprjet import (
     UnknownSymbolError,
     compile_tape,
     eval_jet,
-    eval_values,
     expr_to_string,
     jconst,
     jeinsum,
@@ -52,7 +51,7 @@ class TestParser:
     def test_fubini_study_denominator(self):
         e = parse_expression("1/(1 + u^2 + v^2)", ("u", "v", "p", "q"))
         # independent oracle: hand value at (u,v) = (1,0) is 1/2
-        assert eval_values(e, [1.0, 0.0, 0.3, -0.2]) == pytest.approx(0.5, abs=1e-15)
+        assert eval_jet(e, [1.0, 0.0, 0.3, -0.2], 0)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_unknown_symbol_named(self):
         with pytest.raises(UnknownSymbolError) as exc:
@@ -587,15 +586,15 @@ class TestTape:
         for spec in tape_specs:
             axes = [np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 6) for lo, hi in spec.domain]
             grid = np.meshgrid(*axes, indexing="ij")
-            g = spec.metric_values(grid)
-            J = eval_values(spec.j_tape, grid)
-            assert g.shape == (6, 6, 6, 6, 4, 4) and J.shape == (4, 4, 6, 6, 6, 6)
+            g = eval_jet(spec.metric_tape, np.stack(grid, axis=-1), 0)[..., 0]
+            J = eval_jet(spec.j_tape, np.stack(grid, axis=-1), 0)[..., 0]
+            assert g.shape == J.shape == (6, 6, 6, 6, 4, 4)
             for i in range(4):
                 for j in range(4):
                     ref = np.broadcast_to(values(spec.metric_exprs[min(i, j)][max(i, j)], grid), grid[0].shape)
                     assert_close(g[..., i, j], ref)
                     ref = np.broadcast_to(values(spec.j_exprs[i][j], grid), grid[0].shape)
-                    assert_close(J[i, j], ref)
+                    assert_close(J[..., i, j], ref)
 
     def test_scalar_values_of_j(self, catalog):
         spec = catalog["perturbed_j"]
@@ -603,7 +602,7 @@ class TestTape:
         J = spec.j_jets(point, 0)[..., 0]
         assert J.shape == (4, 4)
         assert J[1, 0] == pytest.approx(np.cos(0.3 * np.sin(0.4)), rel=1e-15)
-        assert np.array_equal(J, eval_values(spec.j_tape, point))
+        assert np.array_equal(J, eval_jet(spec.j_tape, point, 0)[..., 0])
 
     def test_tape_fields_stay_out_of_eq_hash_repr(self, catalog):
         from dataclasses import replace
