@@ -103,21 +103,9 @@ def cmd_list(args) -> int:
 def cmd_check(args) -> int:
     spec = _resolve_manifold(args)
     identities = [t.strip() for t in args.identities.split(",")] if args.identities else None
-    report = run_suite(
-        spec,
-        n_points=args.points,
-        seed=args.seed,
-        tol_pass=args.tol_pass,
-        tol_fail=args.tol_fail,
-        identities=identities,
-        rotations=args.rotations,
-    )
-    if args.format == "json":
-        _emit(report.to_json(), args.out)
-    elif args.format == "csv":
-        _emit(report.to_csv(), args.out)
-    else:
-        _emit(report.to_text(), args.out)
+    report = run_suite(spec, n_points=args.points, seed=args.seed, tol_pass=args.tol_pass, tol_fail=args.tol_fail,
+                       identities=identities, rotations=args.rotations)
+    _emit({"json": report.to_json, "csv": report.to_csv}.get(args.format, report.to_text)(), args.out)
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
@@ -162,27 +150,14 @@ def cmd_integrate(args) -> int:
             raise UsageError(f"unknown density '{args.density}' (known: {', '.join(DENSITIES)})")
         key = DENSITIES[args.density]
         result = integrate_density(spec, lambda p: evaluate_integrand(spec, p)[key], quad, spec.read_axes())
-        payload["density"] = args.density
-        payload["value"] = float(result.value)
-        payload["error"] = float(result.error)
-        payload["volume"] = float(result.volume)
-        payload["used_constancy_shortcut"] = result.used_constancy_shortcut
+        payload.update(density=args.density, value=float(result.value), error=float(result.error),
+                       volume=float(result.volume), used_constancy_shortcut=result.used_constancy_shortcut)
     else:
         report = check_integral_formulas(spec, quad)
-        if args.formula == "eq117":
-            payload["formula"] = {"eq117": report["i117"]}
-        elif args.formula == "eq118":
-            payload["formula"] = {"eq118": report["i118"]}
-        else:
-            payload["formula"] = {
-                "eq117": report["i117"],
-                "eq118": report["i118"],
-                "eq116_integrated": report["eq116_integrated"],
-            }
-        payload["volume"] = report["volume"]
-        payload["Q"] = report["Q"]
-        payload["error"] = report["error_estimate"]
-        payload["used_constancy_shortcut"] = report["used_constancy_shortcut"]
+        names = {"eq117": "i117", "eq118": "i118", "eq116_integrated": "eq116_integrated"}
+        payload.update(formula={k: report[v] for k, v in names.items() if args.formula in (k, "both")},
+                       volume=report["volume"], Q=report["Q"], error=report["error_estimate"],
+                       used_constancy_shortcut=report["used_constancy_shortcut"])
     if args.format == "json":
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -30,8 +29,8 @@ import numpy as np
 
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
-from .curvature import InsufficientJetOrder, curvature_bundle, laplacian_scalar, weyl_operator
-from .exprjet import jpartials
+from .curvature import InsufficientJetOrder, curvature_bundle, laplacian_scalar, unpack, weyl_operator
+from .exprjet import jpartials, jvalue
 from .hermitian import (
     AcsPoint,
     NablaJData,
@@ -44,6 +43,7 @@ from .hermitian import (
     projections_p1p2,
     q_j_integrand,
     star_ricci_family,
+    supplement_terms,
 )
 from .pointgeom import build_j_frame, rotate_supplement
 from .selfdual import (
@@ -98,31 +98,35 @@ JET_BYTES = 2**21  # memory the transient jets of one chunk of the jet stage may
 MAX_CHUNK = 8
 
 
+# a point's transient jets at orders 2-4, tracemalloc on kahler_potential_generic (test_jet_stage holds a chunk to it)
+POINT_BYTES = {2: 24_000, 3: 90_000, 4: 276_000}
+
+
 def _chunk_points(order: int) -> int:
-    """Points per chunk of the jet stage at most: a point's transient jets peak near 100 bytes per
-    squared coefficient count (22, 122 and 449 KB at orders 2, 3 and 4, tracemalloc)."""
-    return max(1, min(MAX_CHUNK, JET_BYTES // (100 * math.comb(order + 4, 4) ** 2)))
+    """Points per chunk of the jet stage at most."""
+    return max(1, min(MAX_CHUNK, JET_BYTES // POINT_BYTES[order]))
 
 
 def point_context(spec: ManifoldSpec, points, order: int) -> dict:
-    """The jet stage at a point or a stack of points, shape (..., 4): the
-    frame-free columns of ``stack_rows`` with the leading axes of ``points``,
-    read off the metric and curvature jets, the jets of J and the |W+|^2 and
-    lambda jets.  It runs in equal chunks of at most ``_chunk_points(order)``
-    points, each copying out the values it reads, so no jet outlives its chunk."""
+    """The jet stage at a point or a stack of points, shape (..., 4): the frame-free
+    columns of ``stack_rows`` with the leading axes of ``points``, read off the metric,
+    curvature, J, |W+|^2 and lambda jets.  It runs in equal chunks of at most
+    ``_chunk_points(order)`` points, each copying out the values it reads, so no jet
+    outlives its chunk; R and W leave the chunks as pair matrices, unpacked once per stack."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, 4)
     chunks = [{k: v.copy() for k, v in _jet_columns(spec, chunk, order).items()}
               for chunk in np.array_split(flat, -(-len(flat) // _chunk_points(order)))]
-    return {k: np.concatenate([c[k] for c in chunks]).reshape(points.shape[:-1] + v.shape[1:])
-            for k, v in chunks[0].items()}
+    cols = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
+    cols.update(riem_v=unpack(cols.pop("riem_p")), weyl_v=unpack(cols.pop("weyl_p")))
+    return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in cols.items()}
 
 
 def _jet_columns(spec: ManifoldSpec, points: np.ndarray, order: int) -> dict:
     """The columns of ``point_context`` on a chunk of points (n, 4), as views of its jets."""
     mp = spec.metric_point(points, order)
     b = curvature_bundle(mp)
-    cols = dict(point=points, S_v=b.S_v, riem_v=b.riem_v, ric_v=b.ric_v, weyl_v=b.weyl_v, g=mp.g, g_inv=mp.g_inv)
+    cols = dict(point=points, S_v=b.S_v, riem_p=jvalue(b.riem), ric_v=b.ric_v, weyl_p=jvalue(b.weyl), g=mp.g, g_inv=mp.g_inv)
     if order >= 3:
         cols.update(dS=b.dS, nabla_ric=b.nabla_ric)
     if not spec.has_j:
@@ -205,8 +209,9 @@ def stack_rows(cols: dict, angles: Optional[np.ndarray] = None) -> Rows:
     (a single point is a stack of one), each row's curvature scale, and the
     frame stage run once on them.  ``angles`` (one row of rotation angles
     per point) puts after each point's row one more row per angle, the
-    supplement rotated by it; the frame-free fields, the curvature scale and
-    delta W+ included, are repeated onto those rows."""
+    supplement rotated by it; the frame-free fields, the curvature scale,
+    delta W+ and the nabla J data that do not read the supplement included,
+    are repeated onto those rows."""
     lead = np.ndim(cols["point"]) - 1
     cols = {k: np.reshape(v, (-1,) + np.shape(v)[lead:]) for k, v in cols.items()}
     # residual scales never drop below max(1, max |Riem|, |S|), so identities that cancel only
@@ -219,19 +224,20 @@ def stack_rows(cols: dict, angles: Optional[np.ndarray] = None) -> Rows:
     acs = AcsPoint.from_jets(rows.j_jets, rows)
     frame = build_j_frame(rows, acs, FRAME_SEED)
     sd = lambda2_split(frame)
+    nj = nabla_j_data(acs, rows, frame)
     dwp = None if rows.nabla_weyl is None else delta_wpm(rows, sd)
     if angles is not None:
         take = np.repeat(np.arange(len(rows.S_v)), 1 + angles.shape[1])
-        rows, acs, frame = (_leafwise(lambda v: v[take], x) for x in (rows, acs, frame))
+        rows, acs, frame, nj = (_leafwise(lambda v: v[take], x) for x in (rows, acs, frame, nj))
         frame = rotate_supplement(frame, np.column_stack([np.zeros(len(angles)), angles]).ravel())
         sd = lambda2_split(frame)
+        nj = replace(nj, **supplement_terms(nj.nabla_j, frame, rows))
         dwp = None if dwp is None else dwp[take]
     star = star_ricci_family(rows, acs, frame)
     wplus = wplus_matrix(rows, sd)
     rows = replace(
-        rows, J=acs.J, I=frame.I, K=frame.K, star=star,
-        nj=nabla_j_data(acs, rows, frame), wplus=wplus, proj=projections_p1p2(star, wplus.m), dwp=dwp,
-        j_jets=None, gamma_v=None, dg_v=None,
+        rows, J=acs.J, I=frame.I, K=frame.K, star=star, nj=nj, wplus=wplus, proj=projections_p1p2(star, wplus.m),
+        dwp=dwp, j_jets=None, gamma_v=None, dg_v=None,
     )
     if dwp is None:
         return rows
@@ -624,10 +630,8 @@ class ConditionReport:
 
     @property
     def passed(self) -> bool:
-        ok = all(row["verdict"].startswith("pass") or row["verdict"] == "not applicable"
-                 for row in self.identities)
-        tags_ok = all(v["confirmed"] for v in self.tags.values())
-        return ok and tags_ok
+        return (all(row["verdict"].startswith("pass") or row["verdict"] == "not applicable" for row in self.identities)
+                and all(v["confirmed"] for v in self.tags.values()))
 
     def to_dict(self) -> dict:
         return {
@@ -649,18 +653,11 @@ class ConditionReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        keys = ("id", "anchor", "applicability", "applicable_points", "max_rel_residual", "mean_rel_residual", "verdict")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["manifold", "id", "anchor", "applicability", "applicable_points",
-             "max_rel_residual", "mean_rel_residual", "verdict"]
-        )
-        for row in self.identities:
-            writer.writerow(
-                [self.manifold, row["id"], row["anchor"], row["applicability"],
-                 row["applicable_points"], row["max_rel_residual"],
-                 row["mean_rel_residual"], row["verdict"]]
-            )
+        writer.writerow(("manifold",) + keys)
+        writer.writerows([self.manifold] + [row[k] for k in keys] for row in self.identities)
         return buf.getvalue()
 
     def to_text(self) -> str:

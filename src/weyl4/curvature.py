@@ -15,6 +15,15 @@ Conventions (normative throughout the package):
 * for skew A, ``R(A) = R(A X_k, X^k)`` and
   ``W(A) = R(A) - ({Ric, A} - (S/3) A)`` (n = 4);
 * scalar Laplacian ``lap f = -g^{ij} (d_i d_j f - Gamma^k_{ij} d_k f)``.
+
+R and W are carried as symmetric operators on the 6-dimensional Lambda^2:
+jets of the 6x6 matrices ``R[p, q] = R_{ijkl}`` over the pairs p = (i, j),
+q = (k, l) with i < j and k < l, in the order 01, 02, 03, 12, 13, 23
+(``PAIR_I``, ``PAIR_J``); ``unpack`` gives the 4-index values.  A full-sum
+operator ``(C w)_{ij} = M[i,j,k,l] w_{kl}`` is twice its pair matrix
+(``(C w)_p = 2 M[p, q] w_q``), and a full trace over both index pairs
+``M[i,j,i,j]`` counts each pair twice, so the traces of products agree
+once each factor carries its 2: tr(M^2) over 2-forms is tr((2M_P)^2).
 """
 
 from __future__ import annotations
@@ -27,6 +36,13 @@ import numpy as np
 from . import Weyl4Error
 from .exprjet import jderiv, jeinsum, jet_order, jmul, jpartials, jtruncate, jvalue
 from .pointgeom import MetricPoint, _trail, is_skew
+
+PAIR_I, PAIR_J = np.triu_indices(4, 1)  # the basis e_i ^ e_j of Lambda^2, i < j: 01, 02, 03, 12, 13, 23
+_PAIR = np.full((4, 4), 6)  # the pair of (i, j) either way round; 6 on the diagonal
+_PAIR[PAIR_I, PAIR_J] = _PAIR[PAIR_J, PAIR_I] = range(6)
+# unpacking: flat [i, j, k, l] -> the sign and the flat position of (p, q), or of a zero (36) where i = j or k = l
+_UNPACK_SIGN = np.multiply.outer(*[np.sign(np.subtract.outer(range(4), range(4)))] * 2).ravel()
+_UNPACK = np.where(_UNPACK_SIGN, (6 * _PAIR[:, :, None, None] + _PAIR).ravel(), 36)
 
 
 class InsufficientJetOrder(Weyl4Error, ValueError):
@@ -45,11 +61,11 @@ class CurvatureBundle:
     mp: MetricPoint
     order: int
     gamma: np.ndarray           # (4,4,4,*) jets of Gamma^k_{ij}, index [k,i,j]
-    riem: np.ndarray            # (4,4,4,4,*) jets of R_{ijkl}
+    riem: np.ndarray            # (6,6,*) jets of R_{ijkl} on pairs
     ric: np.ndarray             # (4,4,*) jets of the Ricci endomorphism [a,b]
     ric_form: np.ndarray        # (4,4,*) jets of Ric_{ij}
     S: np.ndarray               # (*,) jet of the scalar curvature
-    weyl: np.ndarray            # (4,4,4,4,*) jets of W_{ijkl}
+    weyl: np.ndarray            # (6,6,*) jets of W_{ijkl} on pairs
     dS: Optional[np.ndarray]    # (4,) gradient of S (order >= 3)
     nabla_ric: Optional[np.ndarray]       # (4,4,4) values (nabla_m Ric)^a_b
     nabla2_ric: Optional[np.ndarray]      # (4,4,4,4) values (nabla^2_{m,n} Ric)^a_b
@@ -61,7 +77,7 @@ class CurvatureBundle:
 
     @property
     def riem_v(self) -> np.ndarray:
-        return jvalue(self.riem)
+        return unpack(jvalue(self.riem))
 
     @property
     def ric_v(self) -> np.ndarray:
@@ -73,7 +89,7 @@ class CurvatureBundle:
 
     @property
     def weyl_v(self) -> np.ndarray:
-        return jvalue(self.weyl)
+        return unpack(jvalue(self.weyl))
 
     @property
     def dg_v(self) -> np.ndarray:
@@ -81,12 +97,9 @@ class CurvatureBundle:
         return first_partials(self.mp.jets)
 
     def require(self, field: str):
-        value = getattr(self, field)
-        if value is None:
-            raise InsufficientJetOrder(
-                f"{field} needs higher metric jet order than {self.order}"
-            )
-        return value
+        if getattr(self, field) is None:
+            raise InsufficientJetOrder(f"{field} needs higher metric jet order than {self.order}")
+        return getattr(self, field)
 
 
 def christoffel(mp: MetricPoint) -> np.ndarray:
@@ -107,18 +120,19 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         raise InsufficientJetOrder("curvature needs metric jets of order >= 2")
     gamma = christoffel(mp)
     o2 = d - 2
-    dgamma = np.stack([jderiv(gamma, v) for v in range(4)], axis=-5)  # [m,k,i,j]
     gam = jtruncate(gamma, o2)
-    gg = jeinsum("abc,cde->abde", gam, gam, o2)
-    # R(d_i, d_j) d_k = rup[l,i,j,k] d_l
-    rup = _trail(dgamma, 1, 0, 2, 3, 4) - _trail(dgamma, 1, 2, 0, 3, 4) + gg - _trail(gg, 0, 2, 1, 3, 4)
+    # F[l,i,j,k] = d_i Gamma^l_{jk} + Gamma^l_{ic} Gamma^c_{jk}, and R(d_i, d_j) d_k = rup[l,i,j,k] d_l
+    F = np.stack([jderiv(gamma, v) for v in range(4)], axis=-4) + jeinsum("lic,cjk->lijk", gam, gam, o2)
+    rup = F - _trail(F, 0, 2, 1, 3, 4)
     g2 = jtruncate(mp.jets, o2)
-    ginv2 = jtruncate(mp.inv_jets, o2)
-    riem = jeinsum("mijk,ml->ijkl", rup, g2, o2)  # R_{ijkl} = g_{lm} rup[m,i,j,k]
-    ric = jeinsum("aijk,jk->ai", rup, ginv2, o2)
+    # R_{pq} = g_{lm} rup[m,p,k] on the pairs p = (i, j), q = (k, l)
+    riem = jeinsum("mpk,ml->pkl", rup[..., PAIR_I, PAIR_J, :, :], g2, o2)[..., PAIR_I, PAIR_J, :]
+    ric = jeinsum("aijk,jk->ai", rup, jtruncate(mp.inv_jets, o2), o2)
     ric_form = jeinsum("ai,aj->ij", ric, g2, o2)
     S = np.einsum("...aac->...c", ric)
-    weyl = _weyl_04(riem, ric_form, S, g2, o2)
+    # the Ricci decomposition, arranged so the induced operator matches W(A) = R(A) - {Ric,A} + (S/3)A:
+    # W = R - (Ric_0 . g)/2 - (S g/24) . g with Ric_0 = Ric - S g/4, i.e. R - h . g = R + h ^ g, h = Ric/2 - S g/12
+    weyl = riem + wedge(0.5 * ric_form - jmul(S[..., None, None, :], g2, o2) / 12.0, g2, o2)
 
     dS = None
     nabla_ric = nabla2_ric = nabla_weyl = None
@@ -135,16 +149,12 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         )
         nabla_ric = jvalue(nabla_ric_jets)
 
-        dweyl = np.moveaxis(jpartials(weyl, 1), -1, -5)  # [m,i,j,k,l]
-        gv = jvalue(gam3)
-        wv = jvalue(weyl)
-        corr = (
-            np.einsum("...pmi,...pjkl->...mijkl", gv, wv)
-            + np.einsum("...pmj,...ipkl->...mijkl", gv, wv)
-            + np.einsum("...pmk,...ijpl->...mijkl", gv, wv)
-            + np.einsum("...pml,...ijkp->...mijkl", gv, wv)
-        )
-        nabla_weyl = dweyl - corr
+        # nabla_m W = d_m W - D_m W - W D_m^T on pairs, D_m = wedge(G_m, 1) the action of G_m[i,a] =
+        # Gamma^a_{mi} on 2-forms (Gamma^p_{mi} W_{pj..} + Gamma^p_{mj} W_{ip..} on the first pair)
+        G = np.moveaxis(jvalue(gam3), -3, -1)[..., None]
+        D = wedge(G, np.broadcast_to(np.eye(4)[:, :, None], G.shape), 0)[..., 0]
+        W = jvalue(weyl)[..., None, :, :]
+        nabla_weyl = unpack(np.moveaxis(jpartials(weyl, 1), -1, -3) - D @ W - W @ np.swapaxes(D, -1, -2))
 
     if d >= 4:
         gv = jvalue(gamma)
@@ -173,19 +183,33 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     )
 
 
-def _kulkarni(h: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
-    """(h . k)_{ijkl} = h_{jk}k_{il} + h_{il}k_{jk} - h_{ik}k_{jl} - h_{jl}k_{ik},
-    the product for which constant curvature K is (K/2)(g . g) in our sign."""
-    P = jeinsum("jk,il->ijkl", h, k, order)
-    return P + _trail(P, 1, 0, 3, 2, 4) - _trail(P, 1, 0, 2, 3, 4) - _trail(P, 0, 1, 3, 2, 4)
+def lambda2(a: np.ndarray, order: int) -> np.ndarray:
+    """(Lambda^2 a)[p, q] = a_ik a_jl - a_il a_jk on the pairs p = (i, j), q = (k, l): the matrix
+    of a jet matrix a acting on 2-forms, from the outer products of rows i and j of a."""
+    o = jeinsum("k,l->kl", a[..., PAIR_I, :, :], a[..., PAIR_J, :, :], order)  # [p, k, l] = a_ik a_jl
+    return o[..., PAIR_I, PAIR_J, :] - o[..., PAIR_J, PAIR_I, :]
 
 
-def _weyl_04(riem, ric_form, S, g2, order):
-    """Standard Ricci decomposition, arranged so the induced operator matches
-    W(A) = R(A) - {Ric,A} + (S/3)A.  The correction (Ric_0 . g)/2 + (S g/24) . g
-    with Ric_0 = Ric - S g/4 is linear in its first slot: one product (Ric/2 - S g/12) . g."""
-    Sg = jmul(S[..., None, None, :], g2, order)
-    return riem - _kulkarni(0.5 * ric_form - Sg / 12.0, g2, order)
+def wedge(h: np.ndarray, k: np.ndarray, order: int) -> np.ndarray:
+    """(h ^ k)[p, q] = h_ik k_jl + h_jl k_ik - h_il k_jk - h_jk k_il on the pairs p = (i, j),
+    q = (k, l), from jet matrices h and k; wedge(a, a) = 2 Lambda^2 a.  The Kulkarni product,
+    for which constant curvature K is -(K/2)(g ^ g) in our sign, is -(h ^ k)."""
+    hk = np.stack([h, k], axis=-4)
+    o = jeinsum("k,l->kl", hk[..., PAIR_I, :, :], hk[..., ::-1, PAIR_J, :, :], order)  # h_ik k_jl, k_ik h_jl
+    o = o[..., 0, :, :, :, :] + o[..., 1, :, :, :, :]
+    return o[..., PAIR_I, PAIR_J, :] - o[..., PAIR_J, PAIR_I, :]
+
+
+def pair_sum(x: np.ndarray) -> np.ndarray:
+    """The sum of a (..., 6, 6, ncoef) jet over both pair axes, entry by entry in row order."""
+    return x.reshape(x.shape[:-3] + (36, x.shape[-1])).sum(axis=-2)
+
+
+def unpack(x: np.ndarray) -> np.ndarray:
+    """Values [..., p, q] on pairs as [..., i, j, k, l], antisymmetric in (i, j) and in (k, l)."""
+    flat = np.zeros(x.shape[:-2] + (37,))
+    flat[..., :36] = x.reshape(x.shape[:-2] + (36,))
+    return (_UNPACK_SIGN * flat[..., _UNPACK]).reshape(x.shape[:-2] + (4, 4, 4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -222,4 +246,6 @@ def laplacian_scalar(f: np.ndarray, gamma: np.ndarray, mp) -> np.ndarray:
     if jet_order(f) < 2:
         raise InsufficientJetOrder("laplacian needs a scalar jet of order >= 2")
     grad, hess = jpartials(f, 1), jpartials(f, 2)
-    return -np.einsum("...ij,...ij->...", mp.g_inv, hess - np.einsum("...kij,...k->...ij", gamma, grad))
+    # fixed-order sums, so that a row of a stack keeps its bits (an einsum over six or more rows does not)
+    terms = mp.g_inv * (hess - (gamma * grad[..., :, None, None]).sum(axis=-3))
+    return -terms.reshape(terms.shape[:-2] + (16,)).sum(axis=-1)

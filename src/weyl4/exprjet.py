@@ -144,8 +144,9 @@ def jeinsum(subscripts: str, a: np.ndarray, b: np.ndarray, order: int) -> np.nda
     coefficient axis is implicit, and leading axes are a batch both operands
     share.  Every index must occur in exactly two of the three terms, so the
     product is one batched matmul over the coefficient pairs, ``(P, batch,
-    free_a, K) @ (P, batch, K, free_b)``, then each output coefficient sums
-    its pairs rank by rank, in an order that gives a batch row its bits alone.
+    free_a, K) @ (P, batch, K, free_b)`` (a broadcast product when K = 1),
+    then each output coefficient sums its pairs rank by rank, in an order
+    that gives a batch row its bits alone.
     """
     t = tables(order)
     perm_a, shape_a, perm_b, shape_b, shape_out, perm_out = _contraction_plan(
@@ -153,7 +154,9 @@ def jeinsum(subscripts: str, a: np.ndarray, b: np.ndarray, order: int) -> np.nda
     )
     pa = a.transpose(perm_a).reshape(shape_a)[t.mul_ia]
     pb = b.transpose(perm_b).reshape(shape_b)[t.mul_ib]
-    prod = np.matmul(pa, pb).reshape(len(t.mul_ia), -1)
+    prod = (np.matmul(pa, pb) if pa.shape[-1] > 1 else pa * pb).reshape(len(t.mul_ia), -1)
+    if order == 0:  # one coefficient pair: nothing to sum
+        return prod.reshape(shape_out).transpose(perm_out)
     out = prod[t.rank_rows[0]]
     for rows in t.rank_rows[1:]:
         out[: len(rows)] += prod[rows]

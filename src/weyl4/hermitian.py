@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, first_partials
-from .exprjet import jeinsum, jet_order, jtruncate, jvalue
-from .exprjet import jmul  # noqa: F401  (perfbench/tracer.py wraps this binding)
+from .curvature import CurvatureBundle, first_partials, lambda2, pair_sum
+from .exprjet import jeinsum, jet_order, jmul, jtruncate, jvalue
 from .pointgeom import MetricPoint, SelfDualFrame, _flat, _kron2, _pairs, _trail, check_acs, endo_to_form, inner_endos
 
 
@@ -160,12 +159,6 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     gm = np.swapaxes(gv, -3, -2)  # [m, a, c] = Gamma^a_{mc}
     nabla_j = dJ + gm @ J[..., None, :, :] - J[..., None, :, :] @ gm
 
-    xi_form, eta_form = np.moveaxis(inner_endos(np.stack([frame.I, frame.K], axis=-3), nabla_j, mp), -2, 0)
-    xi = (mp.g_inv @ xi_form[..., None])[..., 0]
-    eta = (mp.g_inv @ eta_form[..., None])[..., 0]
-    I, K = frame.I[..., None, :, :], frame.K[..., None, :, :]
-    recon = nabla_j - xi_form[..., None, None] * I - eta_form[..., None, None] * K
-
     # partials of Omega = J^T g by the product rule, then the covariant pieces
     g = mp.g[..., None, :, :]
     d_omega_partials = np.swapaxes(dJ, -1, -2) @ g + np.swapaxes(J, -1, -2)[..., None, :, :] @ bundle.dg_v  # [m,i,j]
@@ -183,18 +176,18 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     # |nabla J|^2 = g^{km} <nabla_k J, nabla_m J> with the weighted product
     norm2 = np.einsum("...km,...km->...", mp.g_inv, inner_endos(nabla_j, nabla_j, mp))
 
-    return NablaJData(
-        nabla_j=nabla_j,
-        xi=xi,
-        eta=eta,
-        xi_form=xi_form,
-        eta_form=eta_form,
-        d_omega=d_omega,
-        delta_omega=delta_omega,
-        nijenhuis=nijenhuis,
-        norm2=norm2,
-        reconstruction_residual=np.abs(recon).max(axis=(-3, -2, -1)),
-    )
+    return NablaJData(nabla_j=nabla_j, d_omega=d_omega, delta_omega=delta_omega, nijenhuis=nijenhuis, norm2=norm2,
+                      **supplement_terms(nabla_j, frame, mp))
+
+
+def supplement_terms(nabla_j: np.ndarray, frame: SelfDualFrame, mp) -> dict:
+    """The fields of ``NablaJData`` that depend on the supplement (I, K): xi and eta with
+    nabla_X J = g(xi, X) I + g(eta, X) K, and the residual of that reconstruction."""
+    xi_form, eta_form = np.moveaxis(inner_endos(np.stack([frame.I, frame.K], axis=-3), nabla_j, mp), -2, 0)
+    I, K = frame.I[..., None, :, :], frame.K[..., None, :, :]
+    recon = nabla_j - xi_form[..., None, None] * I - eta_form[..., None, None] * K
+    return dict(xi=(mp.g_inv @ xi_form[..., None])[..., 0], eta=(mp.g_inv @ eta_form[..., None])[..., 0],
+                xi_form=xi_form, eta_form=eta_form, reconstruction_residual=np.abs(recon).max(axis=(-3, -2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +266,11 @@ def phi_psi_pairing(nabla_ric: np.ndarray, nj, mp, frame) -> tuple:
 
 def s_star_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:
     """S_star as a scalar jet, from Riemann jets and the jets of J: with C[n,l] = J^n_k g^{kl},
-    Ric*[i,a] = J^m_i R_{mnly} g^{ya} C[n,l], so S_star = R_{mnly} C[n,l] C[m,y]."""
+    Ric*[i,a] = J^m_i R_{mnly} g^{ya} C[n,l], so S_star = R_{mnly} C[n,l] C[m,y], which on the
+    pairs is -2 <R, Lambda^2 C>, summed in a fixed order."""
     d = min(bundle.order - 2, jet_order(j_jets))
-    riem = jtruncate(bundle.riem, d)
     C = jeinsum("nk,kl->nl", jtruncate(j_jets, d), jtruncate(bundle.mp.inv_jets, d), d)
-    rc = jeinsum("mnly,nl->my", riem, C, d)
-    return jeinsum("my,my->", rc, C, d)
+    return -2.0 * pair_sum(jmul(jtruncate(bundle.riem, d), lambda2(C, d), d))
 
 
 def lambda_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:

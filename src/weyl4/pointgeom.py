@@ -199,13 +199,15 @@ def build_j_frame(mp: MetricPoint, acs, seed: np.ndarray) -> SelfDualFrame:
 
     ``acs`` is a validated structure (``AcsPoint.from_jets``), read for its
     ``J``.  e3 is the Gram-Schmidt remainder of the first
-    chart basis vector whose residual against span(e1, e2) exceeds 1e-6,
-    chosen row by row, which makes frames reproducible across runs.
+    chart basis vector whose residual against span(e1, e2) exceeds 1e-6 of
+    its own g-norm, chosen row by row, which makes frames reproducible across
+    runs.  Both tests are relative, so a constant rescaling of g builds the same frame.
     """
     J = acs.J
     seed = np.broadcast_to(np.asarray(seed, dtype=float), np.shape(J)[:-1])
     ns = np.sqrt(np.maximum(_dot(seed, mp.g, seed), 0.0))
-    _raise_at_first(ns < 1e-12, mp.point, "frame", lambda k: "degenerate frame seed")
+    scale = np.sqrt(np.abs(mp.g).max(axis=(-2, -1))) * np.abs(seed).max(axis=-1)
+    _raise_at_first(ns <= 1e-12 * scale, mp.point, "frame", lambda k: "degenerate frame seed")
     e1 = seed / ns[..., None]
     e2 = (J @ e1[..., None])[..., 0]
     # remainders of the chart basis vectors b_i against span(e1, e2), as rows [..., i, :]
@@ -213,7 +215,7 @@ def build_j_frame(mp: MetricPoint, acs, seed: np.ndarray) -> SelfDualFrame:
     basis = np.eye(N)
     r = basis - _dot(basis, g, u1)[..., None] * u1 - _dot(basis, g, u2)[..., None] * u2
     nr = np.sqrt(np.maximum(_dot(r, g, r), 0.0))
-    ok = nr > 1e-6
+    ok = nr > 1e-6 * np.sqrt(np.diagonal(mp.g, axis1=-2, axis2=-1))
     _raise_at_first(~ok.any(axis=-1), mp.point, "frame", lambda k: "no chart basis vector completes the frame")
     first = np.argmax(ok, axis=-1)[..., None]
     e3 = np.take_along_axis(r, first[..., None], axis=-2)[..., 0, :] / np.take_along_axis(nr, first, axis=-1)

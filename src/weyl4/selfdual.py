@@ -12,7 +12,10 @@ Operators on 2-forms are matrices M with ``(C w)_{ij} = M[i,j,k,l] w_{kl}``
 (full sums).  For the operator induced by a (0,4) curvature-type tensor C
 via ``C(A) = C(A X_k, X^k)`` this matrix is ``M = -C_{ij}^{kl}``; the trace
 of such an operator over the 6-dimensional space of 2-forms is
-``M[i,j,i,j]``.
+``M[i,j,i,j]``.  On the pairs i < j of ``curvature`` (order 01, 02, 03, 12,
+13, 23) the same operator is the 6x6 matrix 2 M[p, q] = -2 (C L)[p, q] with
+L = Lambda^2(g^-1); a full trace counts each pair twice and the packed one
+once, so the full tr(M^2) is the pair trace of (2M)^2.
 
 Frame functions take ``bundle`` as anything holding ``mp`` (with ``g`` and
 ``g_inv``) and the curvature values read, and leading row axes on every
@@ -32,9 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle
-from .exprjet import jeinsum, jet_order, jtruncate
-from .exprjet import jmul  # noqa: F401  (perfbench/tracer.py wraps this binding)
+from .curvature import PAIR_I, PAIR_J, CurvatureBundle, lambda2, pair_sum
+from .exprjet import jeinsum, jet_order, jmul, jtruncate
 from .pointgeom import SelfDualFrame, _flat, _pairs, _trail, inner_endos
 
 
@@ -136,18 +138,21 @@ def wplus_norm2_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:
 
     The form operator M of W commutes with P+, so |W+|^2 = tr(M^2 P+) over
     2-forms; with P+ = (1 - calJ)/2 + Omega_J (x) Omega_J^#/4 that is
-    (tr M^2 - tr(M^2 calJ))/2 + tr(M^2 Omega_J (x) Omega_J^#)/4, every factor
-    run through jet arithmetic from the metric and J jets.
+    (tr M^2 - tr(M^2 calJ))/2 + tr(M^2 Omega_J (x) Omega_J^#)/4.  On pairs,
+    M is -N with N = W Lambda^2(g^-1), calJ is Lambda^2 J and each full trace
+    is the pair trace of the pair matrices with a factor 2 each, so
+    |W+|^2 = 2 <N^2, Q> with Q = 1 - Lambda^2 J + Omega_J^# (x) Omega_J,
+    every factor run through jet arithmetic from the metric and J jets.
     """
     d = min(bundle.order - 2, jet_order(j_jets))
     mp = bundle.mp
     g, gi, J = (jtruncate(a, d) for a in (mp.jets, mp.inv_jets, j_jets))
-    # M = -W_{ij}^{kl}, the form-operator matrix of W
-    M = -jeinsum("ijbk,bl->ijkl", jeinsum("ijab,ak->ijbk", jtruncate(bundle.weyl, d), gi, d), gi, d)
-    m2 = jeinsum("ijab,abkl->ijkl", M, M, d)
-    # tr(M^2 calJ) = M^2[i,j,k,l] J[i,k] J[j,l]
-    tr_j = jeinsum("jl,jl->", jeinsum("ijkl,ik->jl", m2, J, d), J, d)
-    # tr(M^2 Omega_J (x) Omega_J^#) = (Omega_J^#)^{ij} M^2[i,j,k,l] (Omega_J)_{kl}, Omega_J = J^T g, Omega_J^# = g^-1 J^T
-    m2_omega = jeinsum("ijkl,kl->ij", m2, jeinsum("ki,kj->ij", J, g, d), d)
-    tr_p1 = jeinsum("ij,ij->", jeinsum("ik,jk->ij", gi, J, d), m2_omega, d)
-    return 0.5 * (np.einsum("...ijijc->...c", m2) - tr_j) + 0.25 * tr_p1
+    L, LJ = lambda2(np.stack([gi, J]), d)
+    N = jeinsum("pr,rq->pq", jtruncate(bundle.weyl, d), L, d)
+    # Omega_J = J^T g and Omega_J^# = g^-1 J^T on the pairs
+    omega = jeinsum("ki,kj->ij", J, g, d)[..., PAIR_I, PAIR_J, :]
+    omega_up = jeinsum("ik,jk->ij", gi, J, d)[..., PAIR_I, PAIR_J, :]
+    Q = jmul(omega_up[..., :, None, :], omega[..., None, :, :], d) - LJ
+    Q[..., range(6), range(6), 0] += 1.0
+    # <N^2, Q> = <N, N^T Q>, the last sum in a fixed order so that a row of a stack keeps its bits
+    return 2.0 * pair_sum(jmul(N, jeinsum("rp,rq->pq", N, Q, d), d))

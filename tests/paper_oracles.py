@@ -23,8 +23,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from weyl4.conditions import FRAME_SEED
-from weyl4.curvature import curvature_bundle
-from weyl4.exprjet import jeinsum, jfunc, jmul, jpartials, jtruncate
+from weyl4.curvature import christoffel, curvature_bundle
+from weyl4.exprjet import jderiv, jeinsum, jet_order, jfunc, jmul, jpartials, jtruncate
 from weyl4.hermitian import AcsPoint, nabla_j_data, rtilde_table, star_ricci_family
 from weyl4.pointgeom import (
     build_j_frame,
@@ -202,11 +202,69 @@ def wplus_norm2_jet_star(bundle, orientation):
     star = (orientation/2) sqrt(det g) eps_{ij}^{kl} and every factor a jet."""
     d = bundle.order - 2
     g, gi = jtruncate(bundle.mp.jets, d), jtruncate(bundle.mp.inv_jets, d)
-    M = -jeinsum("ijbk,bl->ijkl", jeinsum("ijab,ak->ijbk", bundle.weyl, gi, d), gi, d)
+    M = -jeinsum("ijbk,bl->ijkl", jeinsum("ijab,ak->ijbk", unpack_jets(bundle.weyl), gi, d), gi, d)
     T2 = jeinsum("ijab,abkl->ijkl", M, M, d)
     eps_up = jeinsum("ijbk,bl->ijkl", np.einsum("ijab,akc->ijbkc", EPS4, gi), gi, d)
     tr_w2_eps = jeinsum("ijab,abij->", T2, eps_up, d)
     return 0.5 * (np.einsum("ijijc->c", T2) + 0.5 * orientation * jmul(tr_w2_eps, jfunc("sqrt", det4_jet(g, d)), d))
+
+
+# ---------------------------------------------------------------------------
+# The 4-index curvature algebra the pair basis replaces
+# ---------------------------------------------------------------------------
+
+PAIRS = list(itertools.combinations(range(4), 2))  # 01, 02, 03, 12, 13, 23, the package's pair order
+
+
+def unpack_jets(x):
+    """Jets [..., p, q, c] on pairs as [..., i, j, k, l, c], antisymmetric in (i, j) and in (k, l),
+    entry by entry."""
+    out = np.zeros(x.shape[:-3] + (4, 4, 4, 4) + x.shape[-1:])
+    for p, (i, j) in enumerate(PAIRS):
+        for q, (k, l) in enumerate(PAIRS):
+            v = x[..., p, q, :]
+            out[..., i, j, k, l, :], out[..., j, i, k, l, :] = v, -v
+            out[..., i, j, l, k, :], out[..., j, i, l, k, :] = -v, v
+    return out
+
+
+def curvature_jets_full(mp):
+    """R_{ijkl} and W_{ijkl} as 4-index jets: all 256 components of R(d_i, d_j) d_k lowered, and
+    W = R - (h . g) with h = Ric/2 - S g/12 and the Kulkarni product
+    (h . k)_{ijkl} = h_{jk}k_{il} + h_{il}k_{jk} - h_{ik}k_{jl} - h_{jl}k_{ik}."""
+    o = mp.order - 2
+    gamma = christoffel(mp)
+    gam = jtruncate(gamma, o)
+    dgamma = np.stack([jderiv(gamma, v) for v in range(4)])  # [m,l,i,k]
+    gg = jeinsum("abc,cde->abde", gam, gam, o)
+    rup = dgamma.transpose(1, 0, 2, 3, 4) - dgamma.transpose(1, 2, 0, 3, 4) + gg - gg.transpose(0, 2, 1, 3, 4)
+    g, gi = jtruncate(mp.jets, o), jtruncate(mp.inv_jets, o)
+    riem = jeinsum("mijk,ml->ijkl", rup, g, o)
+    ric = jeinsum("aijk,jk->ai", rup, gi, o)
+    h = 0.5 * jeinsum("ai,aj->ij", ric, g, o) - jmul(np.einsum("aac->c", ric)[None, None], g, o) / 12.0
+    P = jeinsum("jk,il->ijkl", h, g, o)
+    return riem, riem - (P + P.transpose(1, 0, 3, 2, 4) - P.transpose(1, 0, 2, 3, 4) - P.transpose(0, 1, 3, 2, 4))
+
+
+def wplus_norm2_jet_m2(bundle, j_jets):
+    """|W+|^2 as a scalar jet from the 4-index form operator M = -W_{ij}^{kl}:
+    (tr M^2 - tr(M^2 calJ))/2 + tr(M^2 Omega_J (x) Omega_J^#)/4 with full sums."""
+    d = min(bundle.order - 2, jet_order(j_jets))
+    g, gi, J = (jtruncate(a, d) for a in (bundle.mp.jets, bundle.mp.inv_jets, j_jets))
+    M = -jeinsum("ijbk,bl->ijkl", jeinsum("ijab,ak->ijbk", unpack_jets(jtruncate(bundle.weyl, d)), gi, d), gi, d)
+    m2 = jeinsum("ijab,abkl->ijkl", M, M, d)
+    tr_j = jeinsum("jl,jl->", jeinsum("ijkl,ik->jl", m2, J, d), J, d)
+    m2_omega = jeinsum("ijkl,kl->ij", m2, jeinsum("ki,kj->ij", J, g, d), d)
+    tr_p1 = jeinsum("ij,ij->", jeinsum("ik,jk->ij", gi, J, d), m2_omega, d)
+    return 0.5 * (np.einsum("ijijc->c", m2) - tr_j) + 0.25 * tr_p1
+
+
+def s_star_jet_full(bundle, j_jets):
+    """S_star = R_{mnly} C[n,l] C[m,y] with C = J g^-1, from the 4-index Riemann jets."""
+    d = min(bundle.order - 2, jet_order(j_jets))
+    C = jeinsum("nk,kl->nl", jtruncate(j_jets, d), jtruncate(bundle.mp.inv_jets, d), d)
+    rc = jeinsum("mnly,nl->my", unpack_jets(jtruncate(bundle.riem, d)), C, d)
+    return jeinsum("my,my->", rc, C, d)
 
 
 def delta_w_full(bundle):

@@ -198,6 +198,31 @@ class TestCheck:
         assert err.startswith("error: tolerances need 0 < tol_pass < tol_fail < inf") and err.count("\n") == 1
 
 
+class TestRescaledMetric:
+    """A constant rescaling of g is the same manifold: its frame is built with thresholds in the
+    metric's own scale, so neither a huge nor a tiny g is refused or ends in a traceback."""
+
+    CONFIGS = {
+        "kodaira_thurston": ("g_11 = 1e30\ng_22 = 1e30*(1 + x^2)\ng_33 = 1e30\ng_44 = 1e30\ng_23 = -1e30*x\n"
+                             "[structure]\nJ_1_2 = x\nJ_1_3 = -1\nJ_2_4 = -1\nJ_3_1 = 1\nJ_3_4 = -x\nJ_4_2 = 1\n",
+                             "almost-Kähler non-Kähler"),
+        "flat_torus": ("g_11 = 1e-14\ng_22 = 1e-14\ng_33 = 1e-14\ng_44 = 1e-14\n"
+                       "[structure]\nJ_1_2 = -1\nJ_2_1 = 1\nJ_3_4 = -1\nJ_4_3 = 1\n", "Kähler"),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_check_and_classify_run(self, capsys, tmp_path, name):
+        metric, verdict = self.CONFIGS[name]
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"[manifold]\nid = scaled_{name}\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+                        f"[metric]\n{metric}")
+        code, out, err = run(capsys, "check", "--config", str(path), "--points", "5", "--format", "json")
+        assert code in (0, 1) and err == "" and json.loads(out)["identities"]  # a report, not a refusal
+        code, out, err = run(capsys, "classify", "--config", str(path), "--points", "5", "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["verdict"] == verdict
+
+
 class TestClassify:
     @pytest.mark.parametrize("tols", [["--tol-pass", "nan"], ["--tol-pass", "1", "--tol-fail", "1e-6"], ["--tol-fail", "0"]])
     def test_tolerance_band_refused_exit_2(self, capsys, tols):

@@ -14,7 +14,7 @@ from weyl4.curvature import (
 from weyl4.exprjet import eval_jet, jderiv, jvalue, parse_expression
 from weyl4.pointgeom import adjoint_endo
 
-from paper_oracles import j_frame
+from paper_oracles import j_frame, unpack_jets
 
 XYZT = ("x", "y", "z", "t")
 
@@ -220,7 +220,7 @@ class TestCovariantDerivatives:
         pt = [0.4, 0.2, -0.3, 0.5]
         mp = spec.metric_point(pt, 4)
         b = curvature_bundle(mp)
-        driem = np.stack([jvalue(jderiv(b.riem, v)) for v in range(4)])
+        driem = np.stack([jvalue(jderiv(unpack_jets(b.riem), v)) for v in range(4)])
         gv = b.gamma_v
         rv = b.riem_v
         nabla_riem = driem - (

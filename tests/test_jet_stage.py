@@ -5,15 +5,18 @@ stack.  Each column it returns must match the same column built from one
 point at a time, on every catalog entry and on the benchmark's strictly
 almost-Kahler torus, at jet orders 2 to 4, for a stack of one point, for one
 just past a chunk and for 25 points.  ``eval_jet`` must give every row of a
-stack the bits of its point alone.
+stack the bits of its point alone, and one chunk must keep its transient
+jets within the stage's memory budget.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from weyl4 import exprjet
 from weyl4.catalog import builtin_manifolds, load_manifold_config
-from weyl4.conditions import _chunk_points, point_context, stack_rows
+from weyl4.conditions import JET_BYTES, _chunk_points, point_context, stack_rows
 from weyl4.exprjet import eval_jet, jconst
 from weyl4.pointgeom import MetricError, MetricPoint
 
@@ -74,6 +77,20 @@ def test_a_single_point_is_a_stack_without_a_leading_axis(specs):
     for key in one:
         assert np.array_equal(one[key][None], stack[key]), key
     assert stack_rows(one).S_v.shape == (1,)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_chunk_stays_within_the_jet_budget(specs, order):
+    spec = specs["kahler_potential_generic"]
+    pts = spec.sample_points(_chunk_points(order), np.random.default_rng(0))
+    point_context(spec, pts, order)  # index tables and contraction plans are cached on the first call
+    tracemalloc.start()
+    try:
+        point_context(spec, pts, order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= JET_BYTES, (order, len(pts), peak)
 
 
 def test_jmul_rows_have_the_bits_of_single_rows():
