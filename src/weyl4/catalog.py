@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import Weyl4Error, exprjet
-from .exprjet import Expr, Tape, compile_tape, expr_to_string, parse_expression
+from .exprjet import AXES, Expr, Tape, compile_tape, expr_to_string, parse_expression
 from .pointgeom import MetricError, MetricPoint, PointError, check_acs
 
 KNOWN_TAGS = ("flat", "einstein", "kahler", "almost-kahler", "constant-s", "conformally-flat")
@@ -66,27 +66,33 @@ class ManifoldSpec:
     compact: bool
     tags: frozenset
     notes: str = ""
-    # compiled once per spec from the grids as given
+    # compiled once per spec from the grids as given, with the coordinates they read
     metric_tape: Tape = field(init=False, repr=False, compare=False)
     j_tape: Optional[Tape] = field(init=False, repr=False, compare=False)
+    _read_axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "metric_tape", compile_tape(self.metric_exprs))
         object.__setattr__(self, "j_tape", None if self.j_exprs is None else compile_tape(self.j_exprs))
+        tapes = filter(None, (self.metric_tape, self.j_tape))
+        axes = {param for tape in tapes for kind, _, param in tape.ops if kind == "coord"}
+        object.__setattr__(self, "_read_axes", tuple(sorted(axes)))
 
     @property
     def has_j(self) -> bool:
         return self.j_exprs is not None
 
-    def metric_point(self, point: Sequence[float], order: int) -> MetricPoint:
-        jets = self._guarded(self.metric_tape, self.metric_exprs, "g_{}{}", point, order)
-        return MetricPoint.from_jets(point, jets, order)
+    def metric_point(self, point: Sequence[float], order: int, axes: tuple = AXES) -> MetricPoint:
+        """The checked metric with its jets in the variables ``axes`` (all four by default;
+        they must include ``read_axes()``) at a point or a stack of points."""
+        jets = self._guarded(self.metric_tape, self.metric_exprs, "g_{}{}", point, order, axes)
+        return MetricPoint.from_jets(point, jets, order, axes)
 
-    def j_jets(self, point: Sequence[float], order: int) -> np.ndarray:
-        """Jets of J (the spec must have one) at a point or a stack of points."""
-        return self._guarded(self.j_tape, self.j_exprs, "J_{}_{}", point, order)
+    def j_jets(self, point: Sequence[float], order: int, axes: tuple = AXES) -> np.ndarray:
+        """Jets of J (the spec must have one) in the variables ``axes`` at a point or a stack of points."""
+        return self._guarded(self.j_tape, self.j_exprs, "J_{}_{}", point, order, axes)
 
-    def _guarded(self, tape: Tape, grid: tuple, entry: str, point, order: int) -> np.ndarray:
+    def _guarded(self, tape: Tape, grid: tuple, entry: str, point, order: int, axes: tuple) -> np.ndarray:
         """``eval_jet`` of ``tape`` under the one guard: where an expression
         fails, an :class:`EntryError` naming the first point at which an
         entry of ``grid`` (``entry`` formats its indices) fails on its own,
@@ -95,7 +101,7 @@ class ManifoldSpec:
         one of its points fails alone; a candidate that passes alone (a
         failure no single point shows) falls back to the whole stack."""
         try:
-            return exprjet.eval_jet(tape, point, order)
+            return exprjet.eval_jet(tape, point, order, axes)
         except exprjet.ExpressionError as exc:
             failure = exc
         point = np.asarray(point, dtype=float)
@@ -104,14 +110,14 @@ class ManifoldSpec:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             try:
-                exprjet.eval_jet(tape, rows[lo:mid], order)
+                exprjet.eval_jet(tape, rows[lo:mid], order, axes)
                 lo = mid
             except exprjet.ExpressionError:
                 hi = mid
         for where in (rows[lo], point):
             for i, j in np.ndindex(4, 4):
                 try:
-                    exprjet.eval_jet(grid[i][j], where, order)
+                    exprjet.eval_jet(grid[i][j], where, order, axes)
                 except exprjet.ExpressionError as exc:
                     at = f" at {where.tolist()}" if where.ndim == 1 else ""
                     raise EntryError(self.id, f"{entry.format(i + 1, j + 1)} evaluation failed{at}: {exc}")
@@ -119,9 +125,9 @@ class ManifoldSpec:
 
     def read_axes(self) -> tuple[int, ...]:
         """The coordinates the metric or J tape reads.  Along any other axis
-        every quantity built from the spec is exactly constant."""
-        tapes = (self.metric_tape,) if self.j_tape is None else (self.metric_tape, self.j_tape)
-        return tuple(sorted({param for tape in tapes for kind, _, param in tape.ops if kind == "coord"}))
+        every quantity built from the spec is exactly constant, and every jet
+        coefficient with a power of it is exactly zero."""
+        return self._read_axes
 
     def volume_density(self, points: np.ndarray) -> np.ndarray:
         """sqrt(det g) at each point of an (n, 4) stack, from the checked metric; a

@@ -23,14 +23,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
 from .curvature import InsufficientJetOrder, curvature_bundle, laplacian_scalar, unpack, weyl_operator
-from .exprjet import jpartials, jvalue
+from .exprjet import AXES, NCOORDS, jembed, jpartials, jvalue
 from .hermitian import (
     AcsPoint,
     NablaJData,
@@ -98,25 +98,33 @@ JET_BYTES = 2**21  # memory the transient jets of one chunk of the jet stage may
 MAX_CHUNK = 8
 
 
-# a point's transient jets at orders 2-4, tracemalloc on kahler_potential_generic (test_jet_stage holds a chunk to it)
-POINT_BYTES = {2: 24_000, 3: 90_000, 4: 276_000}
+# a point's share of the transient jets of an 8-point chunk, by (order, variables): tracemalloc's peak
+# over 8, the most among the configs tests/test_jet_stage.py runs (in three variables, the round
+# metric's factor without t); that test holds a chunk to JET_BYTES
+POINT_BYTES = {
+    (2, 0): 18_000, (2, 1): 18_000, (2, 2): 18_000, (2, 3): 19_000, (2, 4): 24_000,
+    (3, 0): 36_000, (3, 1): 43_000, (3, 2): 51_000, (3, 3): 66_000, (3, 4): 90_000,
+    (4, 0): 40_000, (4, 1): 52_000, (4, 2): 98_000, (4, 3): 172_000, (4, 4): 276_000,
+}
 
 
-def _chunk_points(order: int) -> int:
-    """Points per chunk of the jet stage at most."""
-    return max(1, min(MAX_CHUNK, JET_BYTES // POINT_BYTES[order]))
+def _chunk_points(order: int, nvars: int = NCOORDS) -> int:
+    """Points per chunk of the jet stage at most, for jets in ``nvars`` variables."""
+    return max(1, min(MAX_CHUNK, JET_BYTES // POINT_BYTES[order, nvars]))
 
 
 def point_context(spec: ManifoldSpec, points, order: int) -> dict:
     """The jet stage at a point or a stack of points, shape (..., 4): the frame-free
     columns of ``stack_rows`` with the leading axes of ``points``, read off the metric,
-    curvature, J, |W+|^2 and lambda jets.  It runs in equal chunks of at most
-    ``_chunk_points(order)`` points, each copying out the values it reads, so no jet
+    curvature, J, |W+|^2 and lambda jets.  The jets are in the coordinates the chart
+    reads, ``spec.read_axes()``; every column has all four.  It runs in equal chunks of
+    at most ``_chunk_points`` points, each copying out the values it reads, so no jet
     outlives its chunk; R and W leave the chunks as pair matrices, unpacked once per stack."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, 4)
+    size = _chunk_points(order, len(spec.read_axes()))
     chunks = [{k: v.copy() for k, v in _jet_columns(spec, chunk, order).items()}
-              for chunk in np.array_split(flat, -(-len(flat) // _chunk_points(order)))]
+              for chunk in np.array_split(flat, -(-len(flat) // size))]
     cols = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
     cols.update(riem_v=unpack(cols.pop("riem_p")), weyl_v=unpack(cols.pop("weyl_p")))
     return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in cols.items()}
@@ -124,20 +132,22 @@ def point_context(spec: ManifoldSpec, points, order: int) -> dict:
 
 def _jet_columns(spec: ManifoldSpec, points: np.ndarray, order: int) -> dict:
     """The columns of ``point_context`` on a chunk of points (n, 4), as views of its jets."""
-    mp = spec.metric_point(points, order)
+    axes = spec.read_axes()
+    mp = spec.metric_point(points, order, axes)
     b = curvature_bundle(mp)
     cols = dict(point=points, S_v=b.S_v, riem_p=jvalue(b.riem), ric_v=b.ric_v, weyl_p=jvalue(b.weyl), g=mp.g, g_inv=mp.g_inv)
     if order >= 3:
         cols.update(dS=b.dS, nabla_ric=b.nabla_ric)
     if not spec.has_j:
         return cols
-    j_jets = spec.j_jets(points, 2)
+    j_jets = spec.j_jets(points, 2, axes)
     # built at order 2 too, where no column reads it: perfbench/tracer.py requires every
     # workload to reach it (ROADMAP item 1)
     w2jet = wplus_norm2_jet(b, j_jets)
-    cols.update(j_jets=j_jets, gamma_v=b.gamma_v, dg_v=b.dg_v)
+    cols.update(j_jets=jembed(j_jets, 2, axes), gamma_v=b.gamma_v, dg_v=b.dg_v)
     if order >= 3:
-        cols.update(nabla_weyl=b.nabla_weyl, w2_grad=jpartials(w2jet, 1), lam_grad=jpartials(lambda_jet(b, j_jets), 1))
+        cols.update(nabla_weyl=b.nabla_weyl, w2_grad=jpartials(w2jet, 1, axes),
+                    lam_grad=jpartials(lambda_jet(b, j_jets), 1, axes))
     if order >= 4:
         cols.update(w2_lap=laplacian_scalar(w2jet, b.gamma_v, mp), nabla2_ric=b.nabla2_ric)
     return cols
@@ -185,6 +195,7 @@ class Rows:
     dwp: Optional[np.ndarray] = None
     nabla_sd: Optional[np.ndarray] = None
     wplus04: Optional[np.ndarray] = None  # W+ as a (0,4) tensor, for EQ05, EQ112 and EQ114
+    axes: ClassVar[tuple] = AXES  # the variables of j_jets, in all four
 
     @property
     def mp(self) -> "Rows":

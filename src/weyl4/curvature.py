@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import Weyl4Error
-from .exprjet import jderiv, jeinsum, jet_order, jmul, jpartials, jtruncate, jvalue
+from .exprjet import AXES, jderiv, jeinsum, jet_order, jmul, jpartials, jtruncate, jvalue
 from .pointgeom import MetricPoint, _trail, is_skew
 
 PAIR_I, PAIR_J = np.triu_indices(4, 1)  # the basis e_i ^ e_j of Lambda^2, i < j: 01, 02, 03, 12, 13, 23
@@ -94,7 +94,7 @@ class CurvatureBundle:
     @property
     def dg_v(self) -> np.ndarray:
         """Values of the metric's first partials, [m, i, j] = d_m g_ij."""
-        return first_partials(self.mp.jets)
+        return first_partials(self.mp.jets, self.mp.axes)
 
     def require(self, field: str):
         if getattr(self, field) is None:
@@ -107,7 +107,7 @@ def christoffel(mp: MetricPoint) -> np.ndarray:
     if mp.order < 1:
         raise InsufficientJetOrder("christoffel needs metric jets of order >= 1")
     d = mp.order
-    dg = np.stack([jderiv(mp.jets, v) for v in range(4)], axis=-4)  # [v,i,j] = d_v g_{ij}
+    dg = np.moveaxis(jderiv(mp.jets, axes=mp.axes), -2, -4)  # [v,i,j] = d_v g_{ij}
     # T[l,i,j] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     T = _trail(dg, 2, 0, 1, 3) + _trail(dg, 2, 1, 0, 3) - dg
     return 0.5 * jeinsum("kl,lij->kij", mp.inv_jets, T, d - 1)
@@ -115,19 +115,19 @@ def christoffel(mp: MetricPoint) -> np.ndarray:
 
 def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     """Build every curvature quantity the metric jet order supports."""
-    d = mp.order
+    d, axes, nv = mp.order, mp.axes, len(mp.axes)
     if d < 2:
         raise InsufficientJetOrder("curvature needs metric jets of order >= 2")
     gamma = christoffel(mp)
     o2 = d - 2
-    gam = jtruncate(gamma, o2)
+    gam = jtruncate(gamma, o2, nv)
     # F[l,i,j,k] = d_i Gamma^l_{jk} + Gamma^l_{ic} Gamma^c_{jk}, and R(d_i, d_j) d_k = rup[l,i,j,k] d_l
-    F = np.stack([jderiv(gamma, v) for v in range(4)], axis=-4) + jeinsum("lic,cjk->lijk", gam, gam, o2)
+    F = np.moveaxis(jderiv(gamma, axes=axes), -2, -4) + jeinsum("lic,cjk->lijk", gam, gam, o2)
     rup = F - _trail(F, 0, 2, 1, 3, 4)
-    g2 = jtruncate(mp.jets, o2)
+    g2 = jtruncate(mp.jets, o2, nv)
     # R_{pq} = g_{lm} rup[m,p,k] on the pairs p = (i, j), q = (k, l)
     riem = jeinsum("mpk,ml->pkl", rup[..., PAIR_I, PAIR_J, :, :], g2, o2)[..., PAIR_I, PAIR_J, :]
-    ric = jeinsum("aijk,jk->ai", rup, jtruncate(mp.inv_jets, o2), o2)
+    ric = jeinsum("aijk,jk->ai", rup, jtruncate(mp.inv_jets, o2, nv), o2)
     ric_form = jeinsum("ai,aj->ij", ric, g2, o2)
     S = np.einsum("...aac->...c", ric)
     # the Ricci decomposition, arranged so the induced operator matches W(A) = R(A) - {Ric,A} + (S/3)A:
@@ -137,13 +137,13 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
     dS = None
     nabla_ric = nabla2_ric = nabla_weyl = None
     if d >= 3:
-        dS = jpartials(S, 1)
+        dS = jpartials(S, 1, axes)
         o3 = d - 3
-        ric3 = jtruncate(ric, o3)
-        gam3 = jtruncate(gamma, o3)
+        ric3 = jtruncate(ric, o3, nv)
+        gam3 = jtruncate(gamma, o3, nv)
         # (nabla_m Ric)^a_b = d_m Ric^a_b + Gamma^a_{mk} Ric^k_b - Ric^a_k Gamma^k_{mb}
         nabla_ric_jets = (
-            np.stack([jderiv(ric, m) for m in range(4)], axis=-4)
+            np.moveaxis(jderiv(ric, axes=axes), -2, -4)
             + jeinsum("amk,kb->mab", gam3, ric3, o3)
             - jeinsum("ak,kmb->mab", ric3, gam3, o3)
         )
@@ -154,12 +154,12 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         G = np.moveaxis(jvalue(gam3), -3, -1)[..., None]
         D = wedge(G, np.broadcast_to(np.eye(4)[:, :, None], G.shape), 0)[..., 0]
         W = jvalue(weyl)[..., None, :, :]
-        nabla_weyl = unpack(np.moveaxis(jpartials(weyl, 1), -1, -3) - D @ W - W @ np.swapaxes(D, -1, -2))
+        nabla_weyl = unpack(np.moveaxis(jpartials(weyl, 1, axes), -1, -3) - D @ W - W @ np.swapaxes(D, -1, -2))
 
     if d >= 4:
         gv = jvalue(gamma)
         nrv = jvalue(nabla_ric_jets)
-        dnr = np.moveaxis(jpartials(nabla_ric_jets, 1), -1, -4)  # [m,n,a,b]
+        dnr = np.moveaxis(jpartials(nabla_ric_jets, 1, axes), -1, -4)  # [m,n,a,b]
         nabla2_ric = (
             dnr
             + np.einsum("...amc,...ncb->...mnab", gv, nrv)
@@ -234,18 +234,18 @@ def weyl_operator(A: np.ndarray, riem: np.ndarray, ric: np.ndarray, S, mp) -> np
     return RA - (ric @ A + A @ ric) + (np.asarray(S) / 3.0)[..., None, None] * A
 
 
-def first_partials(a: np.ndarray) -> np.ndarray:
-    """Values of the first partials of a jet matrix: [..., m, i, j] = d_m a_ij."""
-    d = jpartials(a, 1)  # [..., i, j, m]
+def first_partials(a: np.ndarray, axes: tuple = AXES) -> np.ndarray:
+    """Values of the first partials of a jet matrix in the variables ``axes``: [..., m, i, j] = d_m a_ij."""
+    d = jpartials(a, 1, axes)  # [..., i, j, m]
     return d.transpose(*range(d.ndim - 3), -1, -3, -2)
 
 
 def laplacian_scalar(f: np.ndarray, gamma: np.ndarray, mp) -> np.ndarray:
     """lap f = -g^{ij}(d_i d_j f - Gamma^k_{ij} d_k f) (sign: -trace of Hessian),
-    from a jet of ``f`` and the Christoffel values, over leading row axes too."""
-    if jet_order(f) < 2:
+    from a jet of ``f`` in the variables of ``mp`` and the Christoffel values, over leading row axes too."""
+    if jet_order(f, len(mp.axes)) < 2:
         raise InsufficientJetOrder("laplacian needs a scalar jet of order >= 2")
-    grad, hess = jpartials(f, 1), jpartials(f, 2)
+    grad, hess = jpartials(f, 1, mp.axes), jpartials(f, 2, mp.axes)
     # fixed-order sums, so that a row of a stack keeps its bits (an einsum over six or more rows does not)
     terms = mp.g_inv * (hess - (gamma * grad[..., :, None, None]).sum(axis=-3))
     return -terms.reshape(terms.shape[:-2] + (16,)).sum(axis=-1)

@@ -9,15 +9,21 @@ propagating truncated Taylor series rather than by finite differencing or
 nested dual numbers; order 0 gives plain values.
 
 Jets are stored as dense vectors of Taylor coefficients ``c_alpha =
-d^alpha f / alpha!`` indexed by the multi-indices of degree <= order in four
-variables (graded lexicographic order), so symmetry of mixed partials holds
-by construction.  The coefficient array is the only jet type: the curvature
-pipeline runs whole tensor fields through the same arithmetic, with
-``jeinsum`` the one tensor-contracting jet product (every index contraction
-of two jet tensors goes through it), ``jmul`` the elementwise product,
-``jfunc`` a named function of a jet and ``jderiv`` the coordinate
-derivative.  ``jpartials`` is the one read-out of derivative values; no
-other module reads coefficient positions or factorials.
+d^alpha f / alpha!`` indexed by the multi-indices of degree <= order in the
+jet's variables (graded lexicographic order), so symmetry of mixed partials
+holds by construction.  The variables are sorted chart coordinates, all four
+by default; the jet stage runs in those the chart reads, since along any
+other every coefficient with a power of it is exactly zero.  An order-4 jet
+in k variables has C(4 + k, k) coefficients, so the count alone does not
+name the order, and functions that read it take the variables.  The
+coefficient array is the only jet type: the curvature pipeline runs whole
+tensor fields through the same arithmetic, with ``jeinsum`` the one
+tensor-contracting jet product (every index contraction of two jet tensors
+goes through it), ``jmul`` the elementwise product, ``jfunc`` a named
+function of a jet and ``jderiv`` the coordinate derivative.  ``jpartials``
+is the one read-out of derivative values, in every chart direction (zero
+along those that are not variables); no other module reads coefficient
+positions or factorials.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +40,7 @@ from . import Weyl4Error
 
 NCOORDS = 4
 MAX_ORDER = 4
+AXES = tuple(range(NCOORDS))  # the variables of a jet in every chart coordinate
 
 
 class ExpressionError(Weyl4Error):
@@ -63,14 +70,18 @@ class DomainError(ExpressionError):
 
 
 class JetTables:
-    """Index tables for jets of a fixed truncation order in 4 variables."""
+    """Index tables for jets of a fixed truncation order in ``nvars`` variables."""
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, nvars: int = NCOORDS):
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+        if not 0 <= nvars <= NCOORDS:
+            raise ValueError(f"a jet has 0..{NCOORDS} variables, got {nvars}")
         self.order = order
-        # graded lexicographic: by degree, then lexicographic within a degree
-        alphas = itertools.product(range(order + 1), repeat=NCOORDS)
+        self.nvars = nvars
+        # graded lexicographic: by degree, then lexicographic within a degree; restricted to some
+        # variables, this is the order their multi-indices have among those in all four
+        alphas = itertools.product(range(order + 1), repeat=nvars)
         self.multis = sorted((a for a in alphas if sum(a) <= order), key=lambda a: (sum(a), a))
         self.ncoef = len(self.multis)
         self.pos = {a: i for i, a in enumerate(self.multis)}
@@ -89,40 +100,52 @@ class JetTables:
         self.rank_rows = [self.mul_starts[by_length[: np.count_nonzero(lengths > r)]] + r for r in range(lengths.max())]
         self.rank_order = np.argsort(by_length)
 
-        # d/dx_v: coefficient of beta in the derivative is (beta_v+1)*c[beta+e_v]
+        # d/dx_v: coefficient of beta in the derivative is (beta_v+1)*c[beta+e_v], row v of these
         lower = [a for a in self.multis if sum(a) < order]
-        unit = np.eye(NCOORDS, dtype=int)
-        self.diff_src = [np.array([self.pos[tuple(b + unit[v])] for b in lower], dtype=np.intp) for v in range(NCOORDS)]
-        self.diff_fac = [np.array([b[v] + 1.0 for b in lower]) for v in range(NCOORDS)]
+        unit = np.eye(nvars, dtype=int)
+        shape = (nvars, len(lower))
+        self.diff_src = np.reshape(np.array([[self.pos[tuple(b + unit[v])] for b in lower] for v in range(nvars)],
+                                            dtype=np.intp), shape)
+        self.diff_fac = np.reshape([[b[v] + 1.0 for b in lower] for v in range(nvars)], shape)
 
         # k-th partials: [i1, ..., ik] -> position of e_i1 + ... + e_ik, and its alpha!
         self.partial_pos: list[np.ndarray] = []
         self.partial_fac: list[np.ndarray] = []
         for k in range(order + 1):
-            alphas = [tuple(i.count(v) for v in range(NCOORDS)) for i in itertools.product(range(NCOORDS), repeat=k)]
-            shape = (NCOORDS,) * k
-            self.partial_pos.append(np.reshape([self.pos[a] for a in alphas], shape))
+            alphas = [tuple(i.count(v) for v in range(nvars)) for i in itertools.product(range(nvars), repeat=k)]
+            shape = (nvars,) * k
+            self.partial_pos.append(np.reshape(np.array([self.pos[a] for a in alphas], dtype=np.intp), shape))
             self.partial_fac.append(np.reshape([math.prod(map(math.factorial, a)) for a in alphas], shape).astype(float))
 
 
-_TABLES: dict[int, JetTables] = {}
+@functools.lru_cache(maxsize=None)
+def tables(order: int, nvars: int = NCOORDS) -> JetTables:
+    """The tables of jets of ``order`` in ``nvars`` variables, built on first use."""
+    return JetTables(order, nvars)
 
 
-def tables(order: int) -> JetTables:
-    if order not in _TABLES:
-        _TABLES[order] = JetTables(order)
-    return _TABLES[order]
+# (ncoef, nvars) -> order: the coefficient count alone does not name it, since 5 coefficients
+# are order 4 in one variable or order 1 in four
+_ORDER = {(math.comb(n + k, k), k): n for n in range(MAX_ORDER + 1) for k in range(1, NCOORDS + 1)}
 
 
-_ORDER_BY_NCOEF = {math.comb(n + NCOORDS, NCOORDS): n for n in range(MAX_ORDER + 1)}
-
-
-def jet_order(a: np.ndarray) -> int:
-    """Truncation order of a coefficient array, from its trailing axis length."""
-    order = _ORDER_BY_NCOEF.get(a.shape[-1])
+def jet_order(a: np.ndarray, nvars: int = NCOORDS) -> int:
+    """Truncation order of a coefficient array in ``nvars`` variables, from its trailing axis length.
+    A jet in no variables is a constant, whose one coefficient is exact to every order: MAX_ORDER."""
+    order = MAX_ORDER if nvars == 0 and a.shape[-1] == 1 else _ORDER.get((a.shape[-1], nvars))
     if order is None:
-        raise ValueError(f"{a.shape[-1]} is not a jet coefficient count")
+        raise ValueError(f"{a.shape[-1]} is not a jet coefficient count in {nvars} variables")
     return order
+
+
+@functools.lru_cache(maxsize=None)
+def _product_tables(order: int, ncoef: int) -> JetTables:
+    """The tables of a jet of ``order`` with ``ncoef`` coefficients, which name its variable count
+    (at order 0 every count has the one coefficient, and their tables agree)."""
+    for nvars in range(NCOORDS + 1):
+        if math.comb(order + nvars, nvars) == ncoef:
+            return tables(order, nvars)
+    raise ValueError(f"{ncoef} is not a coefficient count of a jet of order {order}")
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +156,7 @@ def jet_order(a: np.ndarray) -> int:
 def jmul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Truncated product of jet coefficient arrays, broadcasting leading axes;
     a fixed summation order gives a row of a stack the bits of the row alone."""
-    t = tables(order)
+    t = _product_tables(order, a.shape[-1])
     return np.add.reduceat(a[..., t.mul_ia] * b[..., t.mul_ib], t.mul_starts, axis=-1)
 
 
@@ -148,7 +171,7 @@ def jeinsum(subscripts: str, a: np.ndarray, b: np.ndarray, order: int) -> np.nda
     then each output coefficient sums its pairs rank by rank, in an order
     that gives a batch row its bits alone.
     """
-    t = tables(order)
+    t = _product_tables(order, a.shape[-1])
     perm_a, shape_a, perm_b, shape_b, shape_out, perm_out = _contraction_plan(
         subscripts, a.shape, b.shape, t.ncoef
     )
@@ -194,24 +217,36 @@ def _contraction_plan(subscripts: str, shape_a: tuple, shape_b: tuple, ncoef: in
     )
 
 
-def jderiv(a: np.ndarray, v: int) -> np.ndarray:
-    """Coordinate derivative d/dx_v; the result is a jet of one order less."""
-    order = jet_order(a)
+def jderiv(a: np.ndarray, v: Optional[int] = None, axes: tuple = AXES) -> np.ndarray:
+    """Coordinate derivative d/dx_v of a jet in the variables ``axes``; the result is a
+    jet of one order less, and zero where ``v`` is not among them.  Without ``v``, the
+    derivatives along all four coordinates, stacked on axis -2."""
+    order = jet_order(a, len(axes))
     if order < 1:
         raise ValueError("cannot differentiate an order-0 jet")
-    t = tables(order)
-    return a[..., t.diff_src[v]] * t.diff_fac[v]
+    t = tables(order, len(axes))
+    if v is None:
+        d = a[..., t.diff_src] * t.diff_fac
+        if len(axes) == NCOORDS:
+            return d
+        out = np.zeros(a.shape[:-1] + (NCOORDS, d.shape[-1]))
+        out[..., list(axes), :] = d
+        return out
+    if v not in axes:
+        return np.zeros(a.shape[:-1] + (tables(order - 1, len(axes)).ncoef,))
+    i = axes.index(v)
+    return a[..., t.diff_src[i]] * t.diff_fac[i]
 
 
-def jtruncate(a: np.ndarray, order_to: int) -> np.ndarray:
-    if order_to > jet_order(a):
+def jtruncate(a: np.ndarray, order_to: int, nvars: int = NCOORDS) -> np.ndarray:
+    if order_to > jet_order(a, nvars):
         raise ValueError("cannot raise jet order by truncation")
-    return a[..., : tables(order_to).ncoef]
+    return a[..., : tables(order_to, nvars).ncoef]
 
 
-def jconst(values: np.ndarray | float, order: int) -> np.ndarray:
+def jconst(values: np.ndarray | float, order: int, nvars: int = NCOORDS) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    out = np.zeros(values.shape + (tables(order).ncoef,))
+    out = np.zeros(values.shape + (tables(order, nvars).ncoef,))
     out[..., 0] = values
     return out
 
@@ -220,23 +255,54 @@ def jvalue(a: np.ndarray) -> np.ndarray:
     return a[..., 0]
 
 
-def jpartials(a: np.ndarray, k: int) -> np.ndarray:
-    """Values of every k-th partial of a jet, as trailing ``(4,) * k`` axes:
-    ``[..., i1, ..., ik] = d_i1 ... d_ik a``, the coefficient times alpha!."""
-    t = tables(jet_order(a))
+def jpartials(a: np.ndarray, k: int, axes: tuple = AXES) -> np.ndarray:
+    """Values of every k-th partial of a jet in the variables ``axes``, as trailing
+    ``(4,) * k`` axes: ``[..., i1, ..., ik] = d_i1 ... d_ik a``, the coefficient times
+    alpha!, and zero where an index is not among ``axes``."""
+    t = tables(jet_order(a, len(axes)), len(axes))
     if not 0 <= k <= t.order:
         raise ValueError(f"partials of order {k} outside a jet of order {t.order}")
-    return a[..., t.partial_pos[k]] * t.partial_fac[k]
+    d = a[..., t.partial_pos[k]] * t.partial_fac[k]
+    if k == 0 or len(axes) == NCOORDS:
+        return d
+    out = np.zeros(a.shape[:-1] + (NCOORDS,) * k)
+    out[(Ellipsis, *_axes_mesh(axes, k))] = d
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _axes_mesh(axes: tuple, k: int) -> tuple:
+    """Index arrays that place a ``(len(axes),) * k`` block at ``axes`` on each of k axes."""
+    return np.ix_(*[np.array(axes, dtype=np.intp)] * k)
+
+
+def jembed(a: np.ndarray, order: int, axes: tuple) -> np.ndarray:
+    """A jet of ``order`` in the variables ``axes`` as the same jet in all four,
+    its coefficients with a power of another coordinate zero."""
+    if len(axes) == NCOORDS:
+        return a
+    out = np.zeros(a.shape[:-1] + (tables(order).ncoef,))
+    out[..., _embedding(order, axes)] = a
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _embedding(order: int, axes: tuple) -> np.ndarray:
+    """Positions among the multi-indices in four variables of those in ``axes``."""
+    pos = tables(order).pos
+    return np.array([pos[tuple(m[axes.index(v)] if v in axes else 0 for v in AXES)]
+                     for m in tables(order, len(axes)).multis], dtype=np.intp)
 
 
 def jmatinv(G: np.ndarray, order: int) -> np.ndarray:
     """Inverse of a (..., 4, 4, ncoef) jet matrix via the truncated Neumann series."""
+    nvars = _product_tables(order, G.shape[-1]).nvars
     g0inv = np.linalg.inv(G[..., 0])
     delta = G.copy()
     delta[..., 0] = 0.0
     # E = -g0inv . delta has no constant term, so E^(order+1) == 0
     E = -np.einsum("...ik,...kjc->...ijc", g0inv, delta)
-    acc = jconst(np.broadcast_to(np.eye(NCOORDS), G.shape[:-1]), order)
+    acc = jconst(np.broadcast_to(np.eye(NCOORDS), G.shape[:-1]), order, nvars)
     term = acc
     for _ in range(order):
         term = jeinsum("ik,kj->ij", E, term, order)
@@ -253,7 +319,7 @@ def _compose(a: np.ndarray, derivs: Sequence, order: int) -> np.ndarray:
     """Compose the univariate series with derivatives ``derivs`` at the value of ``a``."""
     h = a.copy()
     h[..., 0] = 0.0
-    out = jconst(derivs[order] / math.factorial(order), order)
+    out = jconst(derivs[order] / math.factorial(order), order, _product_tables(order, a.shape[-1]).nvars)
     for k in range(order - 1, -1, -1):
         out = jmul(out, h, order)
         out[..., 0] += derivs[k] / math.factorial(k)
@@ -350,9 +416,11 @@ FUNCTIONS: dict[str, Callable] = {
 }
 
 
-def jfunc(name: str, a: np.ndarray) -> np.ndarray:
-    """The named function of ``FUNCTIONS`` applied to the jet ``a``."""
-    order = jet_order(a)
+def jfunc(name: str, a: np.ndarray, nvars: int = NCOORDS, order: Optional[int] = None) -> np.ndarray:
+    """The named function of ``FUNCTIONS`` applied to the jet ``a`` in ``nvars`` variables.
+    Its order is read off its coefficient count unless given: in no variables every order
+    has the one coefficient, while the domain of the function's derivatives depends on it."""
+    order = jet_order(a, nvars) if order is None else order
     return _compose(a, FUNCTIONS[name](a[..., 0], order), order)
 
 
@@ -676,9 +744,11 @@ def compile_tape(grid) -> Tape:
     return Tape(tuple(ops), out, tuple(map(tuple, dead)))
 
 
-def _run(tape: Tape, coords: Sequence[np.ndarray], order: int) -> list:
-    """Slot values of ``tape`` (None once dead): jets of ``order`` at
-    ``coords``, one array of point values per coordinate."""
+def _run(tape: Tape, coords: Sequence[np.ndarray], order: int, axes: tuple = AXES) -> list:
+    """Slot values of ``tape`` (None once dead): jets of ``order`` in the variables
+    ``axes`` at ``coords``, one array of point values per coordinate."""
+    nvars = len(axes)
+    seeds = tables(order, nvars).partial_pos[1] if order else None
     vals: list = []
     for (kind, inputs, param), dead in zip(tape.ops, tape.dead):
         a = vals[inputs[0]] if inputs else None
@@ -688,13 +758,15 @@ def _run(tape: Tape, coords: Sequence[np.ndarray], order: int) -> list:
             x = a * param[0]
             x[..., 0] += param[1]
         elif kind == "coord":
-            x = jconst(coords[param], order)
+            x = jconst(coords[param], order, nvars)
             if order:
-                x[..., tables(order).partial_pos[1][param]] = 1.0
+                if param not in axes:
+                    raise ValueError(f"the tape reads coordinate {param}, which is not among the variables {axes}")
+                x[..., seeds[axes.index(param)]] = 1.0
         elif kind == "const":
-            x = jconst(param, order)
+            x = jconst(param, order, nvars)
         elif kind == "call":
-            x = jfunc(param, a)
+            x = jfunc(param, a, order=order)
         elif kind == "pow":
             x = _jpow(a, param, order)
         elif kind == "powv":
@@ -710,19 +782,27 @@ def _run(tape: Tape, coords: Sequence[np.ndarray], order: int) -> list:
     return vals
 
 
+@functools.lru_cache(maxsize=None)
+def _variables(axes) -> tuple:
+    """``axes`` as the variables of a jet: a tuple of sorted chart coordinates."""
+    if list(axes) != sorted(set(axes) & set(AXES)):
+        raise ValueError(f"jet variables must be sorted chart coordinates, got {axes}")
+    return tuple(axes)
+
+
 def _jpow(a: np.ndarray, p: float, order: int) -> np.ndarray:
     """``a^p`` for a constant ``p``: integer powers by repeated squaring, others as exp(p log a)."""
     v = a[..., 0]
     if p != int(p):
         if np.any(v <= 0.0):
             raise DomainError(f"real power of non-positive base {float(np.min(v))}")
-        return jfunc("exp", jfunc("log", a) * p)
+        return jfunc("exp", jfunc("log", a, order=order) * p, order=order)
     n = int(p)
     if n < 0:
         if np.any(v == 0.0):
             raise DomainError("division by a jet with zero value")
         a = _compose(a, _reciprocal_derivs(v, order), order)
-    result = jconst(1.0, order) if n == 0 else None
+    result = jconst(1.0, order, _product_tables(order, a.shape[-1]).nvars) if n == 0 else None
     n = abs(n)
     while n:
         if n & 1:
@@ -733,23 +813,26 @@ def _jpow(a: np.ndarray, p: float, order: int) -> np.ndarray:
     return result
 
 
-def eval_jet(expr: Expr | Tape, points, order: int) -> np.ndarray:
+def eval_jet(expr: Expr | Tape, points, order: int, axes: tuple = AXES) -> np.ndarray:
     """Evaluate ``expr`` and all partials up to ``order`` at ``points`` of
     shape (..., 4), one point or a stack of them.
 
     Derivatives are exact to machine rounding (jet propagation), not finite
-    differences.  The result has the leading axes of ``points``, the grid of
+    differences.  The jets are in the variables ``axes``, sorted chart
+    coordinates that must include every one the expression reads (all four
+    by default).  The result has the leading axes of ``points``, the grid of
     a :class:`Tape` (none for an :class:`Expr`), then the coefficients; a
     row of a stack gets the bits of its point alone.
     """
     if not 0 <= order <= MAX_ORDER:
         raise ValueError(f"jet order must be in 0..{MAX_ORDER}, got {order}")
+    axes = _variables(tuple(axes))
     points = np.asarray(points, dtype=float)
     if points.shape[-1:] != (NCOORDS,):
         raise ValueError("point must have 4 coordinates")
     tape = expr if isinstance(expr, Tape) else compile_tape(expr)
-    vals = _run(tape, list(np.moveaxis(points, -1, 0)), order)
-    out = np.empty(points.shape[:-1] + tape.out.shape + (tables(order).ncoef,))
+    vals = _run(tape, list(np.moveaxis(points, -1, 0)), order, axes)
+    out = np.empty(points.shape[:-1] + tape.out.shape + (tables(order, len(axes)).ncoef,))
     for i, k in np.ndenumerate(tape.out):
         out[(Ellipsis, *i, slice(None))] = vals[k]
     return out

@@ -36,10 +36,10 @@ class AcsPoint:
     @staticmethod
     def from_jets(j_jets: np.ndarray, mp: MetricPoint) -> "AcsPoint":
         """Validated J: compatible with g on every row (so Omega_J is self-dual
-        in the orientation with vol = Omega_J^2/2)."""
+        in the orientation with vol = Omega_J^2/2); ``j_jets`` are in the variables of ``mp``."""
         J = jvalue(j_jets)
         check_acs(J, mp)
-        return AcsPoint(J=J, omega=endo_to_form(J, mp), jets=j_jets, order=jet_order(j_jets))
+        return AcsPoint(J=J, omega=endo_to_form(J, mp), jets=j_jets, order=jet_order(j_jets, len(mp.axes)))
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,7 @@ def nabla_j_data(acs: AcsPoint, bundle: CurvatureBundle, frame: SelfDualFrame) -
     mp = bundle.mp
     gv = bundle.gamma_v
     J = acs.J
-    dJ = first_partials(acs.jets)  # [m,a,b]
+    dJ = first_partials(acs.jets, mp.axes)  # [m,a,b]
     gm = np.swapaxes(gv, -3, -2)  # [m, a, c] = Gamma^a_{mc}
     nabla_j = dJ + gm @ J[..., None, :, :] - J[..., None, :, :] @ gm
 
@@ -268,12 +268,13 @@ def s_star_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:
     """S_star as a scalar jet, from Riemann jets and the jets of J: with C[n,l] = J^n_k g^{kl},
     Ric*[i,a] = J^m_i R_{mnly} g^{ya} C[n,l], so S_star = R_{mnly} C[n,l] C[m,y], which on the
     pairs is -2 <R, Lambda^2 C>, summed in a fixed order."""
-    d = min(bundle.order - 2, jet_order(j_jets))
-    C = jeinsum("nk,kl->nl", jtruncate(j_jets, d), jtruncate(bundle.mp.inv_jets, d), d)
-    return -2.0 * pair_sum(jmul(jtruncate(bundle.riem, d), lambda2(C, d), d))
+    nv = len(bundle.mp.axes)
+    d = min(bundle.order - 2, jet_order(j_jets, nv))
+    C = jeinsum("nk,kl->nl", jtruncate(j_jets, d, nv), jtruncate(bundle.mp.inv_jets, d, nv), d)
+    return -2.0 * pair_sum(jmul(jtruncate(bundle.riem, d, nv), lambda2(C, d), d))
 
 
 def lambda_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:
     """lambda = (S_star - S/3)/4 as a scalar jet."""
-    ss = s_star_jet(bundle, j_jets)
-    return 0.25 * (ss - jtruncate(bundle.S, jet_order(ss)) / 3.0)
+    ss, nv = s_star_jet(bundle, j_jets), len(bundle.mp.axes)
+    return 0.25 * (ss - jtruncate(bundle.S, jet_order(ss, nv), nv) / 3.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import Weyl4Error
-from .exprjet import jmatinv, jtruncate, jvalue
+from .exprjet import AXES, jmatinv, jtruncate, jvalue
 
 N = 4
 
@@ -61,7 +61,8 @@ def _raise_at_first(bad, point, stage: str, message, error=FrameError) -> None:
 
 @dataclass(frozen=True)
 class MetricPoint:
-    """Metric matrix, inverse, and component jets at a chart point or a stack of them."""
+    """Metric matrix, inverse, and component jets at a chart point or a stack of them;
+    the jets are in the variables ``axes``, which every jet built from them shares."""
 
     point: np.ndarray      # (..., 4)
     g: np.ndarray
@@ -69,11 +70,13 @@ class MetricPoint:
     jets: np.ndarray       # (..., 4, 4, ncoef)
     inv_jets: np.ndarray   # (..., 4, 4, ncoef of order - 1): every reader truncates to order - 1 or lower
     order: int
+    axes: tuple = AXES
 
     @staticmethod
-    def from_jets(point, jets: np.ndarray, order: int) -> "MetricPoint":
+    def from_jets(point, jets: np.ndarray, order: int, axes: tuple = AXES) -> "MetricPoint":
         """Validated metric jets: g finite, symmetric to 1e-12 of its scale max(1, max |g_ij|) (the one rule
-        for a pair g_ij, g_ji, at load and at run time) and positive definite on every row."""
+        for a pair g_ij, g_ji, at load and at run time) and on every row positive definite with
+        lambda_min > 1e-12 lambda_max; a positive definite g past that bound is named ill-conditioned."""
         point = np.asarray(point, dtype=float)
         g = jvalue(jets)
         gt = np.swapaxes(g, -1, -2)
@@ -92,12 +95,15 @@ class MetricPoint:
                 i, j = divmod(int(diff.reshape(-1, N * N)[k].argmax()), N)
                 return (f"metric not symmetric (g_{i+1}{j+1} vs g_{j+1}{i+1}: "
                         f"residual {asym.flat[k]:.3e}, scale {scale.flat[k]:.3e})")
-            return f"metric not positive definite (eigenvalues {eig.reshape(-1, N)[k].tolist()})"
+            lam = eig.reshape(-1, N)[k]
+            if not (lam[0] > 0.0 and np.isfinite(lam).all()):
+                return f"metric not positive definite (eigenvalues {lam.tolist()})"
+            return f"metric too ill-conditioned in this chart (λ_min/λ_max = {lam[0] / lam[-1]:.3e})"
 
         _raise_at_first(asymmetric | ~(eig[..., 0] > 1e-12 * eig[..., -1]), point, "metric", message, MetricError)
         inv_order = max(order - 1, 0)
-        inv_jets = jmatinv(jtruncate(jets, inv_order), inv_order)
-        return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order)
+        inv_jets = jmatinv(jtruncate(jets, inv_order, len(axes)), inv_order)
+        return MetricPoint(point, g, jvalue(inv_jets), jets, inv_jets, order, axes)
 
 
 # ---------------------------------------------------------------------------

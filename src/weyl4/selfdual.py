@@ -144,11 +144,12 @@ def wplus_norm2_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:
     |W+|^2 = 2 <N^2, Q> with Q = 1 - Lambda^2 J + Omega_J^# (x) Omega_J,
     every factor run through jet arithmetic from the metric and J jets.
     """
-    d = min(bundle.order - 2, jet_order(j_jets))
     mp = bundle.mp
-    g, gi, J = (jtruncate(a, d) for a in (mp.jets, mp.inv_jets, j_jets))
+    nv = len(mp.axes)
+    d = min(bundle.order - 2, jet_order(j_jets, nv))
+    g, gi, J = (jtruncate(a, d, nv) for a in (mp.jets, mp.inv_jets, j_jets))
     L, LJ = lambda2(np.stack([gi, J]), d)
-    N = jeinsum("pr,rq->pq", jtruncate(bundle.weyl, d), L, d)
+    N = jeinsum("pr,rq->pq", jtruncate(bundle.weyl, d, nv), L, d)
     # Omega_J = J^T g and Omega_J^# = g^-1 J^T on the pairs
     omega = jeinsum("ki,kj->ij", J, g, d)[..., PAIR_I, PAIR_J, :]
     omega_up = jeinsum("ik,jk->ij", gi, J, d)[..., PAIR_I, PAIR_J, :]

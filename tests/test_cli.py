@@ -156,10 +156,25 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error: manifold 'exp' failed validation")
-        # named at the first failing sample, where g_11 is still finite but over 1e12 times the other eigenvalues
-        assert "\n  - metric not positive definite" in err and "in the metric stage at point" in err
+        # named at the first failing sample, where g_11 is still finite but over 1e12 times the other
+        # eigenvalues: positive definite, but too ill-conditioned to check
+        assert "\n  - metric too ill-conditioned in this chart (λ_min/λ_max = " in err and "in the metric stage at point" in err
         point = json.loads(err.rsplit("at point ", 1)[1])
         assert 0.0 < point[0] < np.log(np.finfo(float).max) / 1000.0
+
+    def test_metric_in_a_dilated_chart_named_ill_conditioned_exit_2(self, capsys, tmp_path):
+        # the flat metric in a chart dilated by 1e-6 and 1e6: positive definite, but its eigenvalue
+        # ratio 1e-24 is past the check's 1e-12, and the message says which
+        path = tmp_path / "dilated.cfg"
+        path.write_text(
+            "[manifold]\nid = dilated\ncoords = x, y, z, t\ndomain = 0..1, 0..1, 0..1, 0..1\n"
+            "[metric]\ng_11 = 1e-12\ng_22 = 1e-12\ng_33 = 1e12\ng_44 = 1e12\n"
+        )
+        code, out, err = run(capsys, "check", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: manifold 'dilated' failed validation:\n  - metric too ill-conditioned "
+                              "in this chart (λ_min/λ_max = 1.000e-24) in the metric stage at point [")
+        assert "positive definite" not in err
 
     def test_structure_entry_failing_at_a_sample_exit_2(self, capsys, tmp_path):
         path = tmp_path / "jlog.cfg"
@@ -341,8 +356,8 @@ class TestPointFailures:
         assert abs(point[0] - 0.4) < 0.007
 
     def test_stacked_metric_check_names_its_row(self, capsys, tmp_path):
-        # the 200 points run as stacks of at most _chunk_points(4) rows; the first that fails
-        # is named with the message its point alone gives, and every point before it passes
+        # the 200 points run as stacks of at most _chunk_points(4, 1) rows (the metric reads x alone);
+        # the first that fails is named with the message its point alone gives, and every point before it passes
         path = tmp_path / "dip.cfg"
         path.write_text(self.DIP)
         code, out, err = run(capsys, "check", "--config", str(path), "--points", "200", "--seed", "2")
@@ -350,7 +365,7 @@ class TestPointFailures:
         spec = load_manifold_config(str(path))
         pts = spec.sample_points(200, np.random.default_rng(2))
         k = [p.tolist() for p in pts].index(json.loads(err.rsplit("at point ", 1)[1]))
-        firsts = np.cumsum([0] + [len(c) for c in np.array_split(pts, -(-200 // _chunk_points(4)))])
+        firsts = np.cumsum([0] + [len(c) for c in np.array_split(pts, -(-200 // _chunk_points(4, 1)))])
         assert k not in firsts  # not the first row of its stack
         with pytest.raises(MetricError) as alone:
             point_context(spec, pts[k], 4)

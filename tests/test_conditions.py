@@ -402,8 +402,8 @@ class TestBatchedRows:
     def test_frame_functions_run_once_per_stack(self, stage_calls, batch_specs):
         once = dict.fromkeys(FRAME_FUNCTIONS[:-1] + ("AcsPoint.from_jets",), 1)
 
-        def chunks(n, order):  # the jet stage runs the |W+|^2 and lambda jets once per chunk
-            return -(-n // _chunk_points(order))
+        def chunks(n, order):  # the jet stage runs the |W+|^2 and lambda jets once per chunk (in one variable here)
+            return -(-n // _chunk_points(order, 1))
 
         # rotated rows repeat the frame-free jets and delta W+ of their point; the self-dual
         # triple is split once for delta W+ on the points and once on the rotated rows

@@ -710,3 +710,105 @@ class TestPartials:
             jpartials(a, -1)
         with pytest.raises(ValueError, match="not a jet coefficient count"):
             jpartials(np.zeros(tables(order).ncoef + 1), 0)
+
+
+# ---------------------------------------------------------------------------
+# Jets in fewer variables: the variable count names the order
+# ---------------------------------------------------------------------------
+
+# sorted chart coordinates, and an expression that reads exactly those
+VARIABLES = {
+    0: ((), "2.5"),
+    1: ((2,), "exp(0.5*z)*sin(z) + z^3"),
+    2: ((1, 3), "exp(0.5*y)*sin(t) + y*t^2"),
+    3: ((0, 1, 3), "exp(0.5*x)*sin(y) + x*y*t^2 - cos(t)"),
+    4: (exprjet.AXES, "exp(0.5*x)*sin(y) + x*y*t^2 - cos(z*t)"),
+}
+VAR_POINT = [0.3, -0.4, 0.7, 0.2]
+
+
+def jets_in(nvars, order):
+    """The variables, and one expression's jet in them and in all four."""
+    axes, text = VARIABLES[nvars]
+    e = parse_expression(text, XYZT)
+    return axes, eval_jet(e, VAR_POINT, order, axes), eval_jet(e, VAR_POINT, order)
+
+
+class TestVariables:
+    @pytest.mark.parametrize("pair", [((4, 1), (1, 4)), ((4, 2), (2, 4)), ((4, 3), (3, 4))],
+                             ids=["5 coefficients", "15 coefficients", "35 coefficients"])
+    def test_the_variable_count_names_the_order(self, pair):
+        (o1, n1), (o2, n2) = pair
+        assert tables(o1, n1).ncoef == tables(o2, n2).ncoef
+        for order, nvars in pair:
+            axes, jet, full = jets_in(nvars, order)
+            assert [exprjet.jet_order(jet, n) for n in (n1, n2)] == [o1, o2]
+            # the same coefficients, in graded lexicographic order among those in four variables
+            assert np.array_equal(exprjet.jembed(jet, order, axes), full)
+            for v in range(4):
+                d = exprjet.jderiv(jet, v, axes)
+                assert d.shape == (tables(order - 1, nvars).ncoef,)
+                assert np.array_equal(exprjet.jembed(d, order - 1, axes), exprjet.jderiv(full, v))
+            grad = exprjet.jderiv(jet, axes=axes)
+            assert np.array_equal(np.stack([exprjet.jderiv(jet, v, axes) for v in range(4)]), grad)
+            low = jtruncate(jet, 1, nvars)
+            assert low.shape == (tables(1, nvars).ncoef,)
+            assert np.array_equal(exprjet.jembed(low, 1, axes), jtruncate(full, 1))
+            for k in range(order + 1):
+                d = jpartials(jet, k, axes)
+                assert d.shape == (4,) * k
+                assert np.array_equal(d, jpartials(full, k)), k
+                unread = np.ones((4,) * k, dtype=bool)
+                unread[np.ix_(*[list(axes)] * k)] = False
+                assert (d[unread] == 0.0).all(), k  # exact zeros along an axis the jet does not read
+            for name in ("exp", "atan"):
+                assert np.array_equal(exprjet.jembed(exprjet.jfunc(name, jet, nvars), order, axes),
+                                      exprjet.jfunc(name, full)), name
+
+    @settings(max_examples=150, deadline=None)
+    @given(_exprs(XYZT), st.integers(0, exprjet.MAX_ORDER))
+    def test_random_expressions_in_their_read_axes_have_the_bits_of_four(self, e, order):
+        tape = compile_tape(e)
+        axes = tuple(sorted({param for kind, _, param in tape.ops if kind == "coord"}))
+        with np.errstate(all="ignore"):
+            try:
+                full = eval_jet(tape, VAR_POINT, order)
+            except exprjet.ExpressionError as exc:
+                with pytest.raises(type(exc)):
+                    eval_jet(tape, VAR_POINT, order, axes)
+                return
+            assume(np.isfinite(full).all())  # an unread coefficient of 0 * inf is NaN in four variables
+            jet = eval_jet(tape, VAR_POINT, order, axes)
+        assert np.array_equal(exprjet.jembed(jet, order, axes), full)
+
+    def test_a_jet_in_no_variables_is_exact_to_every_order(self):
+        axes, jet, full = jets_in(0, 3)
+        assert jet.shape == (1,) and exprjet.jet_order(jet, 0) == exprjet.MAX_ORDER
+        assert np.array_equal(exprjet.jembed(jet, 3, axes), full)
+        assert np.array_equal(jpartials(jet, 2, axes), np.zeros((4, 4)))
+        assert np.array_equal(exprjet.jderiv(jet, 1, axes), np.zeros(1))
+        # the domain of a function's derivatives depends on the order, which such a jet cannot tell
+        root = eval_jet(parse_expression("sqrt(x - x)", XYZT), VAR_POINT, 0, ())
+        assert exprjet.jfunc("sqrt", root, 0, order=0)[0] == 0.0
+        with pytest.raises(DomainError):
+            eval_jet(parse_expression("sqrt(x - x)", XYZT), VAR_POINT, 1, (0,))
+
+    def test_variables_must_cover_the_tape_and_be_sorted(self):
+        e = parse_expression("x*t", XYZT)
+        assert np.array_equal(eval_jet(e, VAR_POINT, 0, ()), eval_jet(e, VAR_POINT, 0))  # values read no variable
+        with pytest.raises(ValueError, match="reads coordinate 3"):
+            eval_jet(e, VAR_POINT, 2, (0,))
+        for axes in ((3, 0), (0, 0), (4,)):
+            with pytest.raises(ValueError, match="sorted chart coordinates"):
+                eval_jet(e, VAR_POINT, 2, axes)
+
+    @pytest.mark.parametrize("nvars", range(5))
+    def test_products_in_fewer_variables_have_the_bits_of_four(self, nvars):
+        axes = VARIABLES[nvars][0]
+        rng = np.random.default_rng(nvars)
+        for order in range(exprjet.MAX_ORDER + 1):
+            a, b = (rng.normal(size=(3, 4, 4, tables(order, nvars).ncoef)) for _ in range(2))
+            full = [exprjet.jembed(x, order, axes) for x in (a, b)]
+            assert np.array_equal(exprjet.jembed(jmul(a, b, order), order, axes), jmul(*full, order))
+            assert np.array_equal(exprjet.jembed(jeinsum("ik,kj->ij", a, b, order), order, axes),
+                                  jeinsum("ik,kj->ij", *full, order))

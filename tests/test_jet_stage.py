@@ -1,26 +1,33 @@
-"""The jet stage on a stack of points equals the stage run point by point.
+"""The jet stage on a stack of points equals the stage run point by point,
+and the stage in the coordinates a chart reads equals the stage in all four.
 
 ``point_context`` runs the metric, curvature and J jets once per chunk of a
-stack.  Each column it returns must match the same column built from one
-point at a time, on every catalog entry and on the benchmark's strictly
-almost-Kahler torus, at jet orders 2 to 4, for a stack of one point, for one
-just past a chunk and for 25 points.  ``eval_jet`` must give every row of a
-stack the bits of its point alone, and one chunk must keep its transient
-jets within the stage's memory budget.
+stack, in the variables ``spec.read_axes()``.  Each column it returns must
+match the same column built from one point at a time, on every catalog entry
+and on the benchmark's strictly almost-Kahler torus, at jet orders 2 to 4,
+for a stack of one point, for one just past a chunk and for 25 points.  It
+must also match, bit for bit, the columns of a twin whose g_11 adds
+``0*x + 0*y + 0*z + 0*t``, so that its tapes read all four coordinates, and
+the twin's check and classify reports must be the same text.  ``eval_jet``
+and ``jmul`` must give every row of a stack the bits of its point alone, in
+every number of variables, and one chunk must keep its transient jets within
+the stage's memory budget.
 """
 
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from weyl4 import exprjet
 from weyl4.catalog import builtin_manifolds, load_manifold_config
-from weyl4.conditions import JET_BYTES, _chunk_points, point_context, stack_rows
-from weyl4.exprjet import eval_jet, jconst
+from weyl4.conditions import JET_BYTES, _chunk_points, classify_structure, point_context, run_suite, stack_rows
+from weyl4.exprjet import AXES, eval_jet, expr_to_string, jconst, parse_expression
 from weyl4.pointgeom import MetricError, MetricPoint
 
-from conftest import perfbench_module
+from conftest import SIN2_TORUS, TWISTED_J_TORUS, perfbench_module
 
 ORDERS = (2, 3, 4)
 NAMES = [s.id for s in builtin_manifolds()] + ["sak_torus"]
@@ -28,17 +35,20 @@ NAMES = [s.id for s in builtin_manifolds()] + ["sak_torus"]
 
 @pytest.fixture(scope="module")
 def specs(tmp_path_factory):
-    path = tmp_path_factory.mktemp("sak") / "sak_torus.cfg"
-    path.write_text(perfbench_module("workloads").sak_config(0.37))
-    return {s.id: s for s in builtin_manifolds() + [load_manifold_config(str(path))]}
+    tmp = tmp_path_factory.mktemp("configs")
+    configs = {"sak_torus": perfbench_module("workloads").sak_config(0.37),
+               "sin2_torus": SIN2_TORUS, "twisted_j_torus": TWISTED_J_TORUS}
+    for name, text in configs.items():
+        (tmp / f"{name}.cfg").write_text(text)
+    return {s.id: s for s in builtin_manifolds() + [load_manifold_config(str(tmp / f"{n}.cfg")) for n in configs]}
 
 
-def stack_sizes(order):
-    return (1, _chunk_points(order) + 1, 25)
+def stack_sizes(order, spec):
+    return (1, _chunk_points(order, len(spec.read_axes())) + 1, 25)
 
 
 def sample(spec, order):
-    return spec.sample_points(max(stack_sizes(order)), np.random.default_rng(order))
+    return spec.sample_points(max(stack_sizes(order, spec)), np.random.default_rng(order))
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -47,7 +57,7 @@ def test_stacked_columns_equal_single_points(specs, name, order):
     spec = specs[name]
     pts = sample(spec, order)
     single = [point_context(spec, p, order) for p in pts]
-    for n in stack_sizes(order):
+    for n in stack_sizes(order, spec):
         got = point_context(spec, pts[:n], order)
         assert got.keys() == single[0].keys()
         for key, col in got.items():
@@ -63,10 +73,11 @@ def test_eval_jet_rows_have_the_bits_of_single_points(specs, name, order):
     spec = specs[name]
     pts = sample(spec, order)
     for tape in filter(None, (spec.metric_tape, spec.j_tape)):
-        single = np.stack([eval_jet(tape, p, order) for p in pts])
-        for n in stack_sizes(order):
-            assert np.array_equal(eval_jet(tape, pts[:n], order), single[:n]), n
-        assert np.array_equal(eval_jet(tape, pts.reshape(-1, 1, 4), order), single[:, None])
+        for axes in (AXES, spec.read_axes()):
+            single = np.stack([eval_jet(tape, p, order, axes) for p in pts])
+            for n in stack_sizes(order, spec):
+                assert np.array_equal(eval_jet(tape, pts[:n], order, axes), single[:n]), (axes, n)
+            assert np.array_equal(eval_jet(tape, pts.reshape(-1, 1, 4), order, axes), single[:, None]), axes
 
 
 def test_a_single_point_is_a_stack_without_a_leading_axis(specs):
@@ -81,26 +92,63 @@ def test_a_single_point_is_a_stack_without_a_leading_axis(specs):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_a_chunk_stays_within_the_jet_budget(specs, order):
-    spec = specs["kahler_potential_generic"]
-    pts = spec.sample_points(_chunk_points(order), np.random.default_rng(0))
-    point_context(spec, pts, order)  # index tables and contraction plans are cached on the first call
-    tracemalloc.start()
-    try:
-        point_context(spec, pts, order)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= JET_BYTES, (order, len(pts), peak)
+    # every entry of the catalog and the benchmark's torus: 0, 1, 2 and 4 variables
+    for name in NAMES:
+        spec = specs[name]
+        pts = spec.sample_points(_chunk_points(order, len(spec.read_axes())), np.random.default_rng(0))
+        point_context(spec, pts, order)  # index tables and contraction plans are cached on the first call
+        tracemalloc.start()
+        try:
+            point_context(spec, pts, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= JET_BYTES, (name, order, len(pts), peak)
 
 
 def test_jmul_rows_have_the_bits_of_single_rows():
     rng = np.random.default_rng(3)
-    for order in range(exprjet.MAX_ORDER + 1):
-        a = rng.normal(size=(7, 3) + jconst(0.0, order).shape)
-        b = rng.normal(size=a.shape)
-        stacked = exprjet.jmul(a, b, order)
-        for i in np.ndindex(a.shape[:-1]):
-            assert np.array_equal(stacked[i], exprjet.jmul(a[i], b[i], order)), (order, i)
+    for nvars in range(exprjet.NCOORDS + 1):
+        for order in range(exprjet.MAX_ORDER + 1):
+            a = rng.normal(size=(7, 3) + jconst(0.0, order, nvars).shape)
+            b = rng.normal(size=a.shape)
+            stacked = exprjet.jmul(a, b, order)
+            for i in np.ndindex(a.shape[:-1]):
+                assert np.array_equal(stacked[i], exprjet.jmul(a[i], b[i], order)), (nvars, order, i)
+
+
+def four_axis_twin(spec):
+    """``spec`` with ``0*x + 0*y + 0*z + 0*t`` added to g_11: its tapes read all four coordinates."""
+    g11 = " + ".join([expr_to_string(spec.metric_exprs[0][0])] + [f"0*{c}" for c in spec.coords])
+    metric = ((parse_expression(g11, spec.coords),) + spec.metric_exprs[0][1:],) + spec.metric_exprs[1:]
+    return replace(spec, metric_exprs=metric)
+
+
+TWIN_NAMES = NAMES + ["sin2_torus", "twisted_j_torus"]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("name", TWIN_NAMES)
+def test_the_read_axes_give_the_bits_of_all_four(specs, name, order):
+    spec = specs[name]
+    twin = four_axis_twin(spec)
+    assert twin.read_axes() == AXES
+    pts = spec.sample_points(25, np.random.default_rng(5))
+    got, want = point_context(spec, pts, order), point_context(twin, pts, order)
+    assert got.keys() == want.keys()
+    for key, col in got.items():
+        assert col.shape == want[key].shape, key
+        assert np.array_equal(col, want[key]), key
+
+
+@pytest.mark.parametrize("name", TWIN_NAMES)
+def test_the_read_axes_give_the_reports_of_all_four(specs, name):
+    spec = specs[name]
+    twin = four_axis_twin(spec)
+    assert run_suite(spec, 25, seed=7).to_json() == run_suite(twin, 25, seed=7).to_json()
+    assert run_suite(spec, 10, seed=3, rotations=2).to_json() == run_suite(twin, 10, seed=3, rotations=2).to_json()
+    if spec.has_j:
+        assert json.dumps(classify_structure(spec, 25, 7)) == json.dumps(classify_structure(twin, 25, 7))
 
 
 class TestStackedMetricCheck:
