@@ -93,9 +93,6 @@ FRAME_SEED = np.eye(4)[0]  # every J-frame starts from the first chart basis vec
 
 
 JET_BYTES = 2**21  # memory the transient jets of one chunk of the jet stage may take
-# Whole 25-point stacks at order 2 are faster again, but then perfbench's peak_rss_mb passes its
-# bound on classify_o2, through the ~1 KB its runner keeps per completed call (ROADMAP item 1)
-MAX_CHUNK = 8
 
 
 # a point's share of the transient jets of an 8-point chunk, by (order, variables): tracemalloc's peak
@@ -110,16 +107,16 @@ POINT_BYTES = {
 
 def _chunk_points(order: int, nvars: int = NCOORDS) -> int:
     """Points per chunk of the jet stage at most, for jets in ``nvars`` variables."""
-    return max(1, min(MAX_CHUNK, JET_BYTES // POINT_BYTES[order, nvars]))
+    return max(1, JET_BYTES // POINT_BYTES[order, nvars])
 
 
 def point_context(spec: ManifoldSpec, points, order: int) -> dict:
     """The jet stage at a point or a stack of points, shape (..., 4): the frame-free
     columns of ``stack_rows`` with the leading axes of ``points``, read off the metric,
     curvature, J, |W+|^2 and lambda jets.  The jets are in the coordinates the chart
-    reads, ``spec.read_axes()``; every column has all four.  It runs in equal chunks of
-    at most ``_chunk_points`` points, each copying out the values it reads, so no jet
-    outlives its chunk; R and W leave the chunks as pair matrices, unpacked once per stack."""
+    reads, ``spec.read_axes()``; every column has all four.  It runs in as few equal chunks
+    as the byte budget ``JET_BYTES`` allows, each copying out the values it reads, so no
+    jet outlives its chunk; R and W leave the chunks as pair matrices, unpacked once per stack."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, 4)
     size = _chunk_points(order, len(spec.read_axes()))
@@ -887,14 +884,14 @@ def _gauss_grid(spec: ManifoldSpec, n: int, axes: Sequence[int]) -> tuple:
     """Tensor Gauss-Legendre nodes of the domain, n on each axis in ``axes``
     and the one-node rule (the box midpoint, weight the box length) on every
     other axis: shape (n**len(axes), 4), first coordinate slowest, and their
-    weights times the volume density."""
+    tensor weights, without the volume density."""
     coords, waxes = [], []
     for i, (lo, hi) in enumerate(spec.domain):
         nodes, weights = np.polynomial.legendre.leggauss(n if i in axes else 1)
         coords.append(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo))
         waxes.append(0.5 * (hi - lo) * weights)
     points = np.stack([a.ravel() for a in np.meshgrid(*coords, indexing="ij")], axis=1)
-    return points, np.einsum("i,j,k,l->ijkl", *waxes).ravel() * spec.volume_density(points)
+    return points, np.einsum("i,j,k,l->ijkl", *waxes).ravel()
 
 
 NODE_CHUNK = 16  # nodes per density call, one frame stage each: larger chunks gained no time, cost ~70 KB per node
@@ -923,12 +920,12 @@ def integrate_density(
 
     ``density`` maps points of shape (n, 4) to values with the point axis
     last: shape (n,) for a scalar density, (..., n) for an array of them.
-    Nodes go to it in chunks of NODE_CHUNK points; every component is
-    integrated in one pass over the nodes, and value and error have its
-    shape without the point axis.  ``axes`` are the coordinates the density
-    may depend on: each level puts its nodes on them only, and every other
-    axis contributes its box length (``spec.read_axes()`` for a density
-    built from the spec; the default, all four, holds for any callable).
+    The nodes of all levels go to it as one stack, in chunks of NODE_CHUNK
+    points; every component and level is integrated in that one pass, and
+    value and error have its shape without the point axis.  ``axes`` are the
+    coordinates the density may depend on: each level puts its nodes on them
+    only, and every other axis contributes its box length (``spec.read_axes()``
+    for a density built from the spec; the default, all four, holds for any callable).
     The constancy shortcut (value * volume) is taken only after an explicit
     constancy check at ``constancy_samples`` random points, and only when
     every component's spread there is within CONSTANCY_TOL.
@@ -936,18 +933,21 @@ def integrate_density(
     if not spec.compact:
         raise ConditionsError(f"manifold '{spec.id}' is not compact; cannot integrate")
     levels = sorted({max(2, quad.n // 2), quad.n, quad.n_refine})
-    grids = {n: _gauss_grid(spec, n, axes) for n in levels}
-    vol_fine = grids[quad.n_refine][1].sum()
+    grids = [_gauss_grid(spec, n, axes) for n in levels]
+    splits = np.cumsum([len(w) for _, w in grids])[:-1]
+    nodes, weights = (np.concatenate(part) for part in zip(*grids))
+    weights = dict(zip(levels, np.split(weights * spec.volume_density(nodes), splits)))
+    vol_fine = weights[quad.n_refine].sum()
 
     rng = np.random.default_rng(quad.seed)
     vals = _node_values(spec, density, spec.sample_points(quad.constancy_samples, rng, margin=0.0))
     spread = vals.max(axis=-1) - vals.min(axis=-1)
     if np.all(spread <= CONSTANCY_TOL * np.maximum(np.abs(vals).max(axis=-1), 1.0)):
         mean = vals.mean(axis=-1)
-        vol_err = abs(vol_fine - grids[quad.n][1].sum())
+        vol_err = abs(vol_fine - weights[quad.n].sum())
         return IntegralResult(mean * vol_fine, spread * vol_fine + abs(mean) * vol_err, True, vol_fine)
 
-    results = [_node_values(spec, density, grids[n][0]) @ grids[n][1] for n in levels]
+    results = [v @ weights[n] for n, v in zip(levels, np.split(_node_values(spec, density, nodes), splits, axis=-1))]
     errors = [abs(b - a) for a, b in zip(results, results[1:])]
     if len(errors) >= 2 and np.any(
         (errors[-1] > errors[0]) & (errors[-1] > 1e-12 * np.maximum(abs(results[-1]), 1.0))

@@ -28,12 +28,14 @@ from weyl4.conditions import (
 from weyl4 import conditions
 from weyl4.conditions import (
     FRAME_SEED,
+    NODE_CHUNK,
     Rows,
     _chunk_points,
     _classify,
     _gate_masks,
     _gauss_grid,
     _leafwise,
+    _node_values,
     _residual,
     _tag_report,
     _verdict,
@@ -645,6 +647,32 @@ class TestIntegralFormulas:
     def test_requires_compact(self):
         with pytest.raises(ConditionsError):
             check_integral_formulas(get_manifold("round_conformal"))
+
+    @pytest.mark.parametrize("quad, calls", [(QuadratureSpec(n=1, n_refine=2, constancy_samples=8), 2), (QuadratureSpec(), 5)])
+    def test_one_pass_over_the_ladder(self, tmp_path, monkeypatch, quad, calls):
+        # the constancy samples take their own pass, then the nodes of every level go through the
+        # density as one stack; each level's weighted sum keeps the bits of its grid run alone
+        path = tmp_path / "sak.cfg"
+        path.write_text(perfbench_module("workloads").sak_config(0.37))
+        spec = load_manifold_config(str(path))
+        levels = sorted({max(2, quad.n // 2), quad.n, quad.n_refine})
+        grids = [_gauss_grid(spec, n, spec.read_axes()) for n in levels]
+
+        def densities(p):
+            d = evaluate_integrand(spec, p)
+            return [d[k] for k in INTEGRAND_KEYS] + [d["s"] * d["nabla_j2"]]
+
+        sums = [_node_values(spec, densities, p) @ (w * spec.volume_density(p)) for p, w in grids]
+        sizes = []
+        evaluate = conditions.evaluate_integrand
+        monkeypatch.setattr(conditions, "evaluate_integrand", lambda s, p: sizes.append(len(p)) or evaluate(s, p))
+        rep = check_integral_formulas(spec, quad)
+        ladder = sum(len(p) for p, _ in grids)
+        assert len(sizes) == -(-quad.constancy_samples // NODE_CHUNK) + -(-ladder // NODE_CHUNK) == calls
+        assert not rep["used_constancy_shortcut"]
+        assert rep["volume"] == (grids[-1][1] * spec.volume_density(grids[-1][0])).sum()
+        assert rep["Q"] == sums[-1][0]
+        assert list(rep["errors"].values()) == abs(sums[-1] - sums[-2]).tolist()
 
 
 class TestGates:

@@ -11,7 +11,7 @@ must also match, bit for bit, the columns of a twin whose g_11 adds
 the twin's check and classify reports must be the same text.  ``eval_jet``
 and ``jmul`` must give every row of a stack the bits of its point alone, in
 every number of variables, and one chunk must keep its transient jets within
-the stage's memory budget.
+the stage's memory budget, while only that budget splits a stack.
 """
 
 import json
@@ -21,9 +21,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weyl4 import exprjet
+from weyl4 import conditions, exprjet
 from weyl4.catalog import builtin_manifolds, load_manifold_config
-from weyl4.conditions import JET_BYTES, _chunk_points, classify_structure, point_context, run_suite, stack_rows
+from weyl4.conditions import (
+    JET_BYTES, POINT_BYTES, _chunk_points, classify_structure, point_context, run_suite, stack_rows,
+)
 from weyl4.exprjet import AXES, eval_jet, expr_to_string, jconst, parse_expression
 from weyl4.pointgeom import MetricError, MetricPoint
 
@@ -104,6 +106,20 @@ def test_a_chunk_stays_within_the_jet_budget(specs, order):
         finally:
             tracemalloc.stop()
         assert peak <= JET_BYTES, (name, order, len(pts), peak)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_one_chunk_where_the_budget_allows(specs, monkeypatch, order):
+    # only the byte budget splits a stack: 25 points at order 2 are one chunk in every chart
+    sizes = []
+    columns = conditions._jet_columns
+    monkeypatch.setattr(conditions, "_jet_columns", lambda spec, pts, o: sizes.append(len(pts)) or columns(spec, pts, o))
+    for name in NAMES:
+        spec = specs[name]
+        sizes.clear()
+        point_context(spec, spec.sample_points(25, np.random.default_rng(0)), order)
+        assert len(sizes) == -(-25 // (JET_BYTES // POINT_BYTES[order, len(spec.read_axes())])), (name, sizes)
+        assert order > 2 or sizes == [25], name
 
 
 def test_jmul_rows_have_the_bits_of_single_rows():
