@@ -29,8 +29,8 @@ import numpy as np
 
 from . import Weyl4Error, __version__
 from .catalog import ManifoldSpec
-from .curvature import InsufficientJetOrder, curvature_bundle, laplacian_scalar, unpack, weyl_operator
-from .exprjet import AXES, NCOORDS, jembed, jpartials, jvalue
+from .curvature import InsufficientJetOrder, bivector, curvature_bundle, laplacian_scalar, pair_operator
+from .exprjet import AXES, NCOORDS, jembed, jpartials
 from .hermitian import (
     AcsPoint,
     NablaJData,
@@ -49,10 +49,9 @@ from .pointgeom import build_j_frame, rotate_supplement
 from .selfdual import (
     WplusMatrix,
     delta_wpm,
-    interior_product,
     lambda2_split,
     nabla_w_sd_matrices,
-    wplus_04,
+    wplus_interior,
     wplus_matrix,
     wplus_norm2_jet,
 )
@@ -116,14 +115,13 @@ def point_context(spec: ManifoldSpec, points, order: int) -> dict:
     curvature, J, |W+|^2 and lambda jets.  The jets are in the coordinates the chart
     reads, ``spec.read_axes()``; every column has all four.  It runs in as few equal chunks
     as the byte budget ``JET_BYTES`` allows, each copying out the values it reads, so no
-    jet outlives its chunk; R and W leave the chunks as pair matrices, unpacked once per stack."""
+    jet outlives its chunk; R and W leave the chunks as 6x6 pair matrices."""
     points = np.asarray(points, dtype=float)
     flat = points.reshape(-1, 4)
     size = _chunk_points(order, len(spec.read_axes()))
     chunks = [{k: v.copy() for k, v in _jet_columns(spec, chunk, order).items()}
               for chunk in np.array_split(flat, -(-len(flat) // size))]
     cols = {k: np.concatenate([c[k] for c in chunks]) for k in chunks[0]}
-    cols.update(riem_v=unpack(cols.pop("riem_p")), weyl_v=unpack(cols.pop("weyl_p")))
     return {k: v.reshape(points.shape[:-1] + v.shape[1:]) for k, v in cols.items()}
 
 
@@ -132,7 +130,7 @@ def _jet_columns(spec: ManifoldSpec, points: np.ndarray, order: int) -> dict:
     axes = spec.read_axes()
     mp = spec.metric_point(points, order, axes)
     b = curvature_bundle(mp)
-    cols = dict(point=points, S_v=b.S_v, riem_p=jvalue(b.riem), ric_v=b.ric_v, weyl_p=jvalue(b.weyl), g=mp.g, g_inv=mp.g_inv)
+    cols = dict(point=points, S_v=b.S_v, riem_v=b.riem_v, ric_v=b.ric_v, weyl_v=b.weyl_v, g=mp.g, g_inv=mp.g_inv)
     if order >= 3:
         cols.update(dS=b.dS, nabla_ric=b.nabla_ric)
     if not spec.has_j:
@@ -165,9 +163,9 @@ class Rows:
 
     point: np.ndarray
     S_v: np.ndarray
-    riem_v: np.ndarray
+    riem_v: np.ndarray                # (6, 6) pair matrix of R_{ijkl}
     ric_v: np.ndarray                 # Ricci endomorphism
-    weyl_v: np.ndarray
+    weyl_v: np.ndarray                # (6, 6) pair matrix of W_{ijkl}
     g: np.ndarray
     g_inv: np.ndarray
     curvature_scale: np.ndarray
@@ -176,7 +174,7 @@ class Rows:
     j_jets: Optional[np.ndarray] = None
     gamma_v: Optional[np.ndarray] = None
     dg_v: Optional[np.ndarray] = None  # metric first partials [m, i, j]
-    nabla_weyl: Optional[np.ndarray] = None
+    nabla_weyl: Optional[np.ndarray] = None  # (4, 6, 6): nabla_m W on pairs
     nabla_weyl_max: Optional[np.ndarray] = None  # max |nabla W|
     w2_grad: Optional[np.ndarray] = None
     lam_grad: Optional[np.ndarray] = None
@@ -191,7 +189,6 @@ class Rows:
     proj: Optional[ProjectionData] = None
     dwp: Optional[np.ndarray] = None
     nabla_sd: Optional[np.ndarray] = None
-    wplus04: Optional[np.ndarray] = None  # W+ as a (0,4) tensor, for EQ05, EQ112 and EQ114
     axes: ClassVar[tuple] = AXES  # the variables of j_jets, in all four
 
     @property
@@ -250,8 +247,7 @@ def stack_rows(cols: dict, angles: Optional[np.ndarray] = None) -> Rows:
     if dwp is None:
         return rows
     return replace(
-        rows, nabla_sd=nabla_w_sd_matrices(rows, sd), wplus04=wplus_04(wplus.m, sd, rows),
-        nabla_weyl=None, nabla_weyl_max=_amax(rows.nabla_weyl),
+        rows, nabla_sd=nabla_w_sd_matrices(rows, sd), nabla_weyl=None, nabla_weyl_max=_amax(rows.nabla_weyl),
     )
 
 
@@ -337,8 +333,8 @@ def _eq04_88(r):  # |nabla W+|^2 = |nabla |W+||^2
 
 
 def _wplus_interior(r, u):
-    """u .| W+ as [row, 4, 4, 4], W+ taken as a (0,4)-tensor."""
-    return interior_product(u, r.wplus04, r)
+    """u .| W+ as [row, 4, 4, 4], from the W+ matrix in the rows' basis (J, I, K)."""
+    return wplus_interior(u, r.wplus.m, np.stack([r.J, r.I, r.K], axis=1), r)
 
 
 def _dwp_plus_interior(r, u):  # delta W+ + u .| W+ = 0
@@ -369,7 +365,7 @@ def _eq46(r):
 
 
 def _eq48(r):  # W(J) = (S* - S/3) J / 2 + 2 Ric*- J
-    lhs = weyl_operator(r.J, r.riem_v, r.ric_v, r.S_v, r)
+    lhs = pair_operator(bivector(r.J @ r.g_inv)[:, None], r.weyl_v, r.g_inv[:, None])[:, 0]
     rhs = 0.5 * (r.star.s_star - r.S_v / 3.0)[:, None, None] * r.J + 2.0 * r.star.ric_star_minus @ r.J
     return _tensor_res(lhs, rhs)
 

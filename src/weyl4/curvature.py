@@ -16,11 +16,16 @@ Conventions (normative throughout the package):
   ``W(A) = R(A) - ({Ric, A} - (S/3) A)`` (n = 4);
 * scalar Laplacian ``lap f = -g^{ij} (d_i d_j f - Gamma^k_{ij} d_k f)``.
 
-R and W are carried as symmetric operators on the 6-dimensional Lambda^2:
-jets of the 6x6 matrices ``R[p, q] = R_{ijkl}`` over the pairs p = (i, j),
-q = (k, l) with i < j and k < l, in the order 01, 02, 03, 12, 13, 23
-(``PAIR_I``, ``PAIR_J``); ``unpack`` gives the 4-index values.  A full-sum
-operator ``(C w)_{ij} = M[i,j,k,l] w_{kl}`` is twice its pair matrix
+R and W are carried as symmetric operators on the 6-dimensional Lambda^2,
+from the jets to the identities: jets of the 6x6 matrices ``R[p, q] = R_{ijkl}``
+over the pairs p = (i, j), q = (k, l) with i < j and k < l, in the order 01,
+02, 03, 12, 13, 23 (``PAIR_I``, ``PAIR_J``), and nabla W as one such matrix
+per direction.  A skew endomorphism A enters through the bivector
+``v(A) = bivector(A g^-1)``, its pair entries; ``skew`` is the inverse.  The
+operator C(A) = C(A X_k, X^k) of a pair matrix C is then
+``-2 g^-1 skew(v(A) C)`` (``pair_operator``), and ``<A, C(B)> = -v(A) C v(B)^T``
+for the weighted inner product tr(A* B)/4.  A full-sum operator
+``(C w)_{ij} = M[i,j,k,l] w_{kl}`` is twice its pair matrix
 (``(C w)_p = 2 M[p, q] w_q``), and a full trace over both index pairs
 ``M[i,j,i,j]`` counts each pair twice, so the traces of products agree
 once each factor carries its 2: tr(M^2) over 2-forms is tr((2M_P)^2).
@@ -35,14 +40,9 @@ import numpy as np
 
 from . import Weyl4Error
 from .exprjet import AXES, jderiv, jeinsum, jet_order, jmul, jpartials, jtruncate, jvalue
-from .pointgeom import MetricPoint, _trail, is_skew
+from .pointgeom import MetricPoint, _trail
 
 PAIR_I, PAIR_J = np.triu_indices(4, 1)  # the basis e_i ^ e_j of Lambda^2, i < j: 01, 02, 03, 12, 13, 23
-_PAIR = np.full((4, 4), 6)  # the pair of (i, j) either way round; 6 on the diagonal
-_PAIR[PAIR_I, PAIR_J] = _PAIR[PAIR_J, PAIR_I] = range(6)
-# unpacking: flat [i, j, k, l] -> the sign and the flat position of (p, q), or of a zero (36) where i = j or k = l
-_UNPACK_SIGN = np.multiply.outer(*[np.sign(np.subtract.outer(range(4), range(4)))] * 2).ravel()
-_UNPACK = np.where(_UNPACK_SIGN, (6 * _PAIR[:, :, None, None] + _PAIR).ravel(), 36)
 
 
 class InsufficientJetOrder(Weyl4Error, ValueError):
@@ -69,7 +69,7 @@ class CurvatureBundle:
     dS: Optional[np.ndarray]    # (4,) gradient of S (order >= 3)
     nabla_ric: Optional[np.ndarray]       # (4,4,4) values (nabla_m Ric)^a_b
     nabla2_ric: Optional[np.ndarray]      # (4,4,4,4) values (nabla^2_{m,n} Ric)^a_b
-    nabla_weyl: Optional[np.ndarray]      # (4,4,4,4,4) values (nabla_m W)_{ijkl}
+    nabla_weyl: Optional[np.ndarray]      # (4,6,6) values (nabla_m W)_{ijkl} on pairs
 
     @property
     def gamma_v(self) -> np.ndarray:
@@ -77,7 +77,7 @@ class CurvatureBundle:
 
     @property
     def riem_v(self) -> np.ndarray:
-        return unpack(jvalue(self.riem))
+        return jvalue(self.riem)
 
     @property
     def ric_v(self) -> np.ndarray:
@@ -89,7 +89,7 @@ class CurvatureBundle:
 
     @property
     def weyl_v(self) -> np.ndarray:
-        return unpack(jvalue(self.weyl))
+        return jvalue(self.weyl)
 
     @property
     def dg_v(self) -> np.ndarray:
@@ -154,7 +154,7 @@ def curvature_bundle(mp: MetricPoint) -> CurvatureBundle:
         G = np.moveaxis(jvalue(gam3), -3, -1)[..., None]
         D = wedge(G, np.broadcast_to(np.eye(4)[:, :, None], G.shape), 0)[..., 0]
         W = jvalue(weyl)[..., None, :, :]
-        nabla_weyl = unpack(np.moveaxis(jpartials(weyl, 1, axes), -1, -3) - D @ W - W @ np.swapaxes(D, -1, -2))
+        nabla_weyl = np.moveaxis(jpartials(weyl, 1, axes), -1, -3) - D @ W - W @ np.swapaxes(D, -1, -2)
 
     if d >= 4:
         gv = jvalue(gamma)
@@ -205,33 +205,23 @@ def pair_sum(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[:-3] + (36, x.shape[-1])).sum(axis=-2)
 
 
-def unpack(x: np.ndarray) -> np.ndarray:
-    """Values [..., p, q] on pairs as [..., i, j, k, l], antisymmetric in (i, j) and in (k, l)."""
-    flat = np.zeros(x.shape[:-2] + (37,))
-    flat[..., :36] = x.reshape(x.shape[:-2] + (36,))
-    return (_UNPACK_SIGN * flat[..., _UNPACK]).reshape(x.shape[:-2] + (4, 4, 4, 4))
+def bivector(a: np.ndarray) -> np.ndarray:
+    """The pair entries [..., p] = a[..., i, j] of antisymmetric matrices a, i < j; v(A) = bivector(A g^-1)."""
+    return a[..., PAIR_I, PAIR_J]
 
 
-# ---------------------------------------------------------------------------
-# Operators on skew endomorphisms
-# ---------------------------------------------------------------------------
+def skew(x: np.ndarray) -> np.ndarray:
+    """The antisymmetric 4x4 matrices of the 6-vectors x on the pairs, inverse to ``bivector``."""
+    a = np.zeros(x.shape[:-1] + (4, 4))
+    a[..., PAIR_I, PAIR_J] = x
+    a[..., PAIR_J, PAIR_I] = -x
+    return a
 
 
-def tensor_operator(C: np.ndarray, A: np.ndarray, mp) -> np.ndarray:
-    """Contract a (0,4) curvature-type tensor against a skew endo:
-    C(A) = C(A X_k, X^k), returned as an endomorphism matrix.  ``mp`` is
-    anything holding ``g_inv``; every argument may carry leading row axes."""
-    X = np.einsum("...pm,...pmbn->...bn", A @ mp.g_inv, C)  # C(A X_k, X^k, d_b, d_n)
-    return mp.g_inv @ np.swapaxes(X, -1, -2)
-
-
-def weyl_operator(A: np.ndarray, riem: np.ndarray, ric: np.ndarray, S, mp) -> np.ndarray:
-    """W(A) = R(A) - ({Ric, A} - (S/3) A) from the values of R_{ijkl}, the Ricci
-    endomorphism and S, over leading row axes too."""
-    if not is_skew(A, mp):
-        raise ValueError("weyl operator expects a skew endomorphism")
-    RA = tensor_operator(riem, A, mp)
-    return RA - (ric @ A + A @ ric) + (np.asarray(S) / 3.0)[..., None, None] * A
+def pair_operator(x: np.ndarray, C: np.ndarray, g_inv: np.ndarray) -> np.ndarray:
+    """C(A) = C(A X_k, X^k) = -2 g^-1 skew(v(A) C) as an endomorphism, from a pair matrix C
+    (..., 6, 6) and a stack of bivectors x = v(A) (..., s, 6); ``g_inv`` broadcasts to (..., s, 4, 4)."""
+    return -2.0 * g_inv @ skew(x @ C)
 
 
 def first_partials(a: np.ndarray, axes: tuple = AXES) -> np.ndarray:

@@ -8,8 +8,11 @@ second covariant derivative of Ricci, and the phi/psi pairing that
 obstructs the Kahler property on compact manifolds.
 
 All endomorphisms are chart-basis matrices; ``frame`` supplies (I, K).  The
-frame functions also take stacks (leading row axes; ``bundle`` then anything
-holding ``mp`` and the curvature values they read).
+curvature enters as the 6x6 pair matrix of R (``curvature``) through the
+operator R(A) = R(A X_k, X^k) at bivectors: Ric_A = -R(A) A / 2 by the first
+Bianchi identity, and Rt(A) = [R(a - J a J^T), J] J / 4 with a = A g^-1 read
+as a bivector.  The frame functions also take stacks (leading row axes;
+``bundle`` then anything holding ``mp`` and the curvature values they read).
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureBundle, first_partials, lambda2, pair_sum
+from .curvature import CurvatureBundle, bivector, first_partials, lambda2, pair_operator, pair_sum
 from .exprjet import jeinsum, jet_order, jmul, jtruncate, jvalue
-from .pointgeom import MetricPoint, SelfDualFrame, _flat, _kron2, _pairs, _trail, check_acs, endo_to_form, inner_endos
+from .pointgeom import MetricPoint, SelfDualFrame, _flat, check_acs, endo_to_form, inner_endos
 
 
 @dataclass(frozen=True)
@@ -67,40 +70,25 @@ class StarCurvature:
     j_dot_tri_minus: np.ndarray     # <J, Ric_tri^->
 
 
-def _r_op(bundle: CurvatureBundle) -> np.ndarray:
-    """Endomorphisms R(d_p, d_m): r_op[p,m,a,b] with R(d_p,d_m) d_b = r_op[p,m,a,b] d_a."""
-    return bundle.mp.g_inv[..., None, None, :, :] @ np.swapaxes(bundle.riem_v, -1, -2)
-
-
-def rtilde_table(bundle: CurvatureBundle, J: np.ndarray, r_op: np.ndarray | None = None) -> np.ndarray:
-    """Rt(d_p, d_m) = [R(d_p,d_m) - R(J d_p, J d_m), J] J / 4 as [p,m,a,b]."""
-    if r_op is None:
-        r_op = _r_op(bundle)
-    rjj = (np.swapaxes(_kron2(J), -1, -2) @ _pairs(r_op)).reshape(r_op.shape)  # R(J d_p, J d_m)
-    D, J = r_op - rjj, J[..., None, None, :, :]
-    return 0.25 * (D @ J - J @ D) @ J
-
-
 def star_ricci_family(bundle: CurvatureBundle, acs: AcsPoint, frame: SelfDualFrame) -> StarCurvature:
     mp = bundle.mp
     J = acs.J
-    r_op = _r_op(bundle)
+    R = bundle.riem_v
     g, g_inv = mp.g[..., None, :, :], mp.g_inv[..., None, :, :]
 
-    # star Ricci of A = J, I, K at once: Ric_A(X) = R(AX, A X_k) X^k
+    # star Ricci of A = J, I, K at once: Ric_A(X) = R(AX, A X_k) X^k = -R(A) A / 2 by the first Bianchi identity
     jik = np.stack([J, frame.I, frame.K], axis=-3)
-    # T[s,m,a] = (A g^-1)[s,n,l] r_op[m,n,a,l], then Ric_A[s,a,i] = T[s,m,a] A[s,m,i]
-    T = (_flat(jik @ g_inv) @ _pairs(_trail(r_op, 1, 3, 0, 2))).reshape(jik.shape)
-    stars = np.swapaxes(T, -1, -2) @ jik
+    stars = -0.5 * pair_operator(bivector(jik @ g_inv), R, g_inv) @ jik
     minus = 0.5 * (stars - g_inv @ np.swapaxes(stars, -1, -2) @ g)
     s_star, s_tri, s_box = np.moveaxis(np.trace(stars, axis1=-2, axis2=-1), -1, 0)
     lam = 0.25 * (s_star - bundle.S_v / 3.0)
 
-    # Rt(A) = Rt(A X_k, X^k) for A = I, K, JI, JK
-    rt = rtilde_table(bundle, J, r_op)
+    # Rt(A) = Rt(A X_k, X^k) = [R(a - J a J^T), J] J / 4 with a = A g^-1, for A = I, K, JI, JK
     supp = np.stack([frame.I, frame.K, J @ frame.I, J @ frame.K], axis=-3)
-    rts = (_flat(supp @ g_inv) @ _pairs(rt)).reshape(supp.shape)
-    rtp = 0.5 * (rts[..., :2, :, :] + rts[..., 2:, :, :] @ J[..., None, :, :])
+    a, Js = supp @ g_inv, J[..., None, :, :]
+    D = pair_operator(bivector(a - Js @ a @ np.swapaxes(Js, -1, -2)), R, g_inv)
+    rts = 0.25 * (D @ Js - Js @ D) @ Js
+    rtp = 0.5 * (rts[..., :2, :, :] + rts[..., 2:, :, :] @ Js)
     rtm = rts[..., :2, :, :] - rtp
     squares = np.concatenate([rts[..., :2, :, :], rtp, rtm, minus], axis=-3)
     n2 = np.moveaxis(np.einsum("...skj,...skj->...s", squares, g @ squares @ g_inv) / 4, -1, 0)

@@ -7,8 +7,8 @@ supplements (I, K), and the skew-endomorphism / 2-form correspondence
 ``Omega_A(X,Y) = g(AX,Y)``.
 
 All matrices are in the chart basis unless noted; endomorphisms act on
-column vectors of chart components, and the frame kernels contract index
-pairs (i, j) as 16-rows of one matrix product.  The metric check and the
+column vectors of chart components (curvature operators on 2-forms are
+6x6 pair matrices, see ``curvature``).  The metric check and the
 frame functions also take a stack of points (leading row axes; ``mp``
 holding ``point``, ``g`` and ``g_inv``), and a failing check names the
 first failing row's point.
@@ -107,13 +107,8 @@ class MetricPoint:
 
 
 # ---------------------------------------------------------------------------
-# Index-pair matrices
+# Reshapes
 # ---------------------------------------------------------------------------
-
-
-def _pairs(T: np.ndarray) -> np.ndarray:
-    """A [..., i, j, k, l] array as [..., (i, j), (k, l)] 16x16 matrices."""
-    return T.reshape(T.shape[:-4] + (16, 16))
 
 
 def _flat(stack: np.ndarray) -> np.ndarray:
@@ -127,11 +122,6 @@ def _trail(x: np.ndarray, *order: int) -> np.ndarray:
     return x.transpose(*range(k), *(k + i for i in order))
 
 
-def _kron2(a: np.ndarray) -> np.ndarray:
-    """a (x) a on index pairs: [(i, j), (k, l)] = a[i, k] a[j, l]."""
-    return _pairs(a[..., :, None, :, None] * a[..., None, :, None, :])
-
-
 # ---------------------------------------------------------------------------
 # Adjoints, inner products, 2-form correspondence
 # ---------------------------------------------------------------------------
@@ -140,11 +130,6 @@ def _kron2(a: np.ndarray) -> np.ndarray:
 def adjoint_endo(A: np.ndarray, mp: MetricPoint) -> np.ndarray:
     """Adjoint A* with g(AX, Y) = g(X, A*Y)."""
     return mp.g_inv @ np.swapaxes(A, -1, -2) @ mp.g
-
-
-def is_skew(A: np.ndarray, mp: MetricPoint, tol: float = 1e-10) -> bool:
-    res = np.abs(adjoint_endo(A, mp) + A).max()
-    return res <= tol * max(np.abs(A).max(), 1.0)
 
 
 def inner_endo(A: np.ndarray, B: np.ndarray, mp: MetricPoint) -> float:

@@ -2,20 +2,20 @@
 
 Lambda+ = <Omega_J> + [[Lambda^{0,2}]] is spanned by the forms
 ``Omega_A = A^T g`` of the orthonormal triple (J, I, K) of a J-frame
-(``lambda2_split``).  W+, nabla W+, delta W+ and the (0,4) tensor W+ are
-read in that one basis, where the projection onto Lambda+ is
+(``lambda2_split``).  W+, nabla W+, delta W+ and u .| W+ are read in that
+one basis, where the projection onto Lambda+ is
 ``P+ = (1/4) sum_A Omega_A (x) Omega_A^#``.  The |W+|^2 jet has no frame and
 writes it with J alone: ``P+ = (1 - calJ)/2 + Omega_J (x) Omega_J^#/4``,
 ``(calJ w)(X, Y) = w(JX, JY)``.
 
-Operators on 2-forms are matrices M with ``(C w)_{ij} = M[i,j,k,l] w_{kl}``
-(full sums).  For the operator induced by a (0,4) curvature-type tensor C
-via ``C(A) = C(A X_k, X^k)`` this matrix is ``M = -C_{ij}^{kl}``; the trace
-of such an operator over the 6-dimensional space of 2-forms is
-``M[i,j,i,j]``.  On the pairs i < j of ``curvature`` (order 01, 02, 03, 12,
-13, 23) the same operator is the 6x6 matrix 2 M[p, q] = -2 (C L)[p, q] with
-L = Lambda^2(g^-1); a full trace counts each pair twice and the packed one
-once, so the full tr(M^2) is the pair trace of (2M)^2.
+W and each nabla_k W are 6x6 pair matrices (``curvature``), and a skew
+endomorphism A enters through its bivector v(A) = bivector(A g^-1).  The
+matrix of such an operator C on an orthonormal triple is then
+``<A_a, C(A_b)> = -v(A_a) C v(A_b)^T``: for W+, ``m = -V W V^T`` with V the
+3x6 stack of v(J), v(I), v(K), and the same map of each nabla_k W.  On the
+full-sum matrices ``(C w)_{ij} = M[i,j,k,l] w_{kl}`` a full trace counts each
+pair twice and the packed one once, so the full tr(M^2) is the pair trace of
+(2M)^2.
 
 Frame functions take ``bundle`` as anything holding ``mp`` (with ``g`` and
 ``g_inv``) and the curvature values read, and leading row axes on every
@@ -35,14 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import PAIR_I, PAIR_J, CurvatureBundle, lambda2, pair_sum
+from .curvature import PAIR_I, PAIR_J, CurvatureBundle, bivector, lambda2, pair_sum, skew
 from .exprjet import jeinsum, jet_order, jmul, jtruncate
-from .pointgeom import SelfDualFrame, _flat, _pairs, _trail, inner_endos
-
-
-def interior_product(U: np.ndarray, C04: np.ndarray, mp) -> np.ndarray:
-    """(U .| C)(X) = C(U, X) as an endomorphism table [direction, a, b]."""
-    return np.einsum("...m,...an,...mibn->...iab", U, mp.g_inv, C04)
+from .pointgeom import SelfDualFrame
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +52,15 @@ def lambda2_split(frame: SelfDualFrame) -> np.ndarray:
     return np.stack([frame.J, frame.I, frame.K], axis=-3)
 
 
-def _forms(sd: np.ndarray, mp) -> tuple[np.ndarray, np.ndarray]:
-    """The forms Omega_A = A^T g of a stack of endomorphisms, each as a
-    16-row over its index pair, and the raised forms Omega_A^# = g^-1 A^T."""
-    At = np.swapaxes(sd, -1, -2)
-    return _flat(At @ mp.g[..., None, :, :]), _flat(mp.g_inv[..., None, :, :] @ At)
+def _bivectors(sd: np.ndarray, mp) -> np.ndarray:
+    """The bivectors v(A) = bivector(A g^-1) of a stack of skew endomorphisms, [..., s, p]."""
+    return bivector(sd @ mp.g_inv[..., None, :, :])
+
+
+def _on_basis(C: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The matrices [..., a, b] = <A_a, C(A_b)> = -v(A_a) C v(A_b)^T of pair matrices C on the
+    bivectors V = v(A_a) of an orthonormal stack."""
+    return -(V @ C @ np.swapaxes(V, -1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +86,15 @@ class WplusMatrix:
 def wplus_matrix(bundle: CurvatureBundle, Bs: np.ndarray) -> WplusMatrix:
     """Matrix [a, b] = <A_a, W(A_b)> of the Weyl operator on an orthonormal stack
     Bs [..., s, 4, 4]: W+ on the self-dual triple of ``lambda2_split``."""
-    mp = bundle.mp
-    g_inv = mp.g_inv[..., None, :, :]
-    # W(B)^a_b = g^{an} (B g^-1)^p_m W_{pmbn}: one index-pair product serves the whole stack
-    X = (_flat(Bs @ g_inv) @ _pairs(bundle.weyl_v)).reshape(Bs.shape)
-    return WplusMatrix.from_matrix(inner_endos(Bs, g_inv @ np.swapaxes(X, -1, -2), mp))
+    return WplusMatrix.from_matrix(_on_basis(bundle.weyl_v, _bivectors(Bs, bundle.mp)))
 
 
-def wplus_04(m: np.ndarray, sd: np.ndarray, mp) -> np.ndarray:
-    """(0,4) components of W+ (the Weyl operator composed with P+) from its
-    matrix ``m`` in the basis ``sd``: W+_{ijkl} = -m_ab (Omega_a)_{ij} (Omega_b)_{kl} / 4."""
-    forms = _forms(sd, mp)[0]
-    return -0.25 * (np.swapaxes(forms, -1, -2) @ m @ forms).reshape(np.shape(m)[:-2] + (4, 4, 4, 4))
+def wplus_interior(u: np.ndarray, m: np.ndarray, sd: np.ndarray, mp) -> np.ndarray:
+    """u .| W+ as the endomorphism table [..., i, a, b] = W+(u, d_i, d_b, d_n) g^{an}, from the
+    matrix ``m`` of W+ in the basis ``sd``: W+_{ijkl} = -m_st (Omega_s)_{ij} (Omega_t)_{kl} / 4 with
+    Omega_s = A_s^T g, so u .| W+ = -m_st g(A_s u, .) (x) A_t / 4."""
+    x = (mp.g[..., None, :, :] @ (sd @ u[..., None, :, None]))[..., 0]  # [s, i] = g(A_s u, d_i)
+    return -0.25 * np.einsum("...si,...st,...tab->...iab", x, m, sd)
 
 
 # ---------------------------------------------------------------------------
@@ -111,26 +107,17 @@ def delta_wpm(bundle: CurvatureBundle, sd: np.ndarray) -> np.ndarray:
     derivative tensors C_k = (nabla_k W) P+, P+ from the basis ``sd``."""
     nw = bundle.require("nabla_weyl")
     mp = bundle.mp
-    forms, forms_up = _forms(sd, mp)
-    # E[i,b,n] = g^{km} C[k,i,m,b,n]; the projection acts on the last index pair only, so the
+    # T[i, q] = g^{km} (nabla_k W)[(i, m), q]; the projection acts on the last pair only, so the
     # trace over (k, m) is taken first, on nabla W, and no C is formed
-    T = np.einsum("...km,...kimx->...ix", mp.g_inv, nw.reshape(nw.shape[:-2] + (16,)))
-    # on index pairs, E = T P+ = (T Omega^#^T) Omega / 4
-    E = 0.25 * (T @ np.swapaxes(forms_up, -1, -2)) @ forms
-    # delta W+[i,a,b] = E[i,b,n] g^{an}
-    return np.swapaxes(E.reshape(nw.shape[:-5] + (4, 4, 4)) @ np.swapaxes(mp.g_inv, -1, -2)[..., None, :, :], -1, -2)
+    T = np.einsum("...km,...kqim->...iq", mp.g_inv, skew(np.swapaxes(nw, -1, -2)))
+    # P+ = (1/4) sum_s Omega_s^# (x) Omega_s with Omega_s^# = -v(A_s) on the pairs, each counted twice in
+    # the full sum, and Omega_s raised by g^-1 is A_s: delta W+(d_i) = -(T V^T)[i, s] A_s / 2
+    return -0.5 * np.einsum("...is,...sab->...iab", T @ np.swapaxes(_bivectors(sd, mp), -1, -2), sd)
 
 
 def nabla_w_sd_matrices(bundle: CurvatureBundle, sd: np.ndarray) -> np.ndarray:
     """3x3 matrices of nabla_p W+ in the basis ``sd``, one per direction."""
-    nw = bundle.require("nabla_weyl")
-    mp = bundle.mp
-    # the operator of nabla_p W maps the form of B to the endo g^-1 (nabla_p W)_{..ab} Omega_B^{ab};
-    # the (p, B) images are paired as one stack
-    contracted = nw.reshape(nw.shape[:-5] + (64, 16)) @ np.swapaxes(_forms(sd, mp)[1], -1, -2)
-    images = mp.g_inv[..., None, None, :, :] @ _trail(contracted.reshape(nw.shape[:-2] + (3,)), 0, 3, 1, 2)
-    pairs = inner_endos(sd, images.reshape(images.shape[:-4] + (12, 4, 4)), mp)
-    return pairs.reshape(pairs.shape[:-1] + (4, 3)).swapaxes(-3, -2)
+    return _on_basis(bundle.require("nabla_weyl"), _bivectors(sd, bundle.mp)[..., None, :, :])
 
 
 def wplus_norm2_jet(bundle: CurvatureBundle, j_jets: np.ndarray) -> np.ndarray:

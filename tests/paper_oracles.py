@@ -9,6 +9,13 @@ projections), so that tests can hold the package's quantities against
 them.  ``frame_reference`` builds the frame data of one point from the
 frame functions directly, apart from the stacked rows of the package.
 
+The package carries R, W and nabla W as 6x6 matrices on the pairs i < j
+from the jets to the identities.  The 4-index algebra they replaced is kept
+below unchanged, as the reference the pair kernels are held against: the
+operator C(A) = C(A X_k, X^k) of a (0,4) tensor, W(J), the star-Ricci family
+and Rt from the endomorphism table R(d_p, d_m), and u .| W+ from W+ as a
+(0,4) tensor.
+
 The package reads the self-dual 2-forms through the J-splitting alone.  The
 Hodge-star operator algebra below (operators on 2-forms as [i, j, k, l]
 arrays, the star from epsilon, sqrt(det g) and the chart orientation J
@@ -25,15 +32,18 @@ import numpy as np
 from weyl4.conditions import FRAME_SEED
 from weyl4.curvature import christoffel, curvature_bundle
 from weyl4.exprjet import jderiv, jeinsum, jet_order, jfunc, jmul, jpartials, jtruncate
-from weyl4.hermitian import AcsPoint, nabla_j_data, rtilde_table, star_ricci_family
+from weyl4.hermitian import AcsPoint, StarCurvature, nabla_j_data, star_ricci_family
 from weyl4.pointgeom import (
+    _flat,
+    _trail,
+    adjoint_endo,
     build_j_frame,
     endo_to_form,
     inner_endo,
     inner_endos,
     rotate_supplement,
 )
-from weyl4.selfdual import interior_product, lambda2_split, nabla_w_sd_matrices, wplus_matrix
+from weyl4.selfdual import lambda2_split, nabla_w_sd_matrices, wplus_matrix
 
 # Frame-basis matrices of the anti-self-dual counterparts of J_STD, I_STD and
 # K_STD in weyl4.pointgeom (the second block of J flipped, etc.)
@@ -182,7 +192,7 @@ def wplus_04_star(weyl, mp, orientation):
 def delta_w_projected(bundle, P):
     """delta of (nabla W) P from the divergence formula on C_k = (nabla_k W) P, one direction at a time."""
     mp = bundle.mp
-    C = np.stack([operator_to_04(compose(form_operator(w, mp), P), mp) for w in bundle.require("nabla_weyl")])
+    C = np.stack([operator_to_04(compose(form_operator(w, mp), P), mp) for w in unpack(bundle.require("nabla_weyl"))])
     return np.einsum("km,an,kimbn->iab", mp.g_inv, mp.g_inv, C)
 
 
@@ -228,6 +238,112 @@ def unpack_jets(x):
     return out
 
 
+def unpack(x):
+    """Values [..., p, q] on pairs as [..., i, j, k, l]."""
+    return unpack_jets(x[..., None])[..., 0]
+
+
+def _pairs(T):
+    """A [..., i, j, k, l] array as [..., (i, j), (k, l)] 16x16 matrices."""
+    return T.reshape(T.shape[:-4] + (16, 16))
+
+
+def _kron2(a):
+    """a (x) a on index pairs: [(i, j), (k, l)] = a[i, k] a[j, l]."""
+    return _pairs(a[..., :, None, :, None] * a[..., None, :, None, :])
+
+
+def tensor_operator(C, A, mp):
+    """Contract a (0,4) curvature-type tensor against a skew endo:
+    C(A) = C(A X_k, X^k), returned as an endomorphism matrix.  ``mp`` is
+    anything holding ``g_inv``; every argument may carry leading row axes."""
+    X = np.einsum("...pm,...pmbn->...bn", A @ mp.g_inv, C)  # C(A X_k, X^k, d_b, d_n)
+    return mp.g_inv @ np.swapaxes(X, -1, -2)
+
+
+def weyl_operator(A, riem, ric, S, mp):
+    """W(A) = R(A) - ({Ric, A} - (S/3) A) from the values of R_{ijkl}, the Ricci
+    endomorphism and S, over leading row axes too."""
+    if np.abs(adjoint_endo(A, mp) + A).max() > 1e-10 * max(np.abs(A).max(), 1.0):
+        raise ValueError("weyl operator expects a skew endomorphism")
+    RA = tensor_operator(riem, A, mp)
+    return RA - (ric @ A + A @ ric) + (np.asarray(S) / 3.0)[..., None, None] * A
+
+
+def _r_op(bundle):
+    """Endomorphisms R(d_p, d_m): r_op[p,m,a,b] with R(d_p,d_m) d_b = r_op[p,m,a,b] d_a."""
+    return bundle.mp.g_inv[..., None, None, :, :] @ np.swapaxes(unpack(bundle.riem_v), -1, -2)
+
+
+def rtilde_table(bundle, J, r_op=None):
+    """Rt(d_p, d_m) = [R(d_p,d_m) - R(J d_p, J d_m), J] J / 4 as [p,m,a,b]."""
+    if r_op is None:
+        r_op = _r_op(bundle)
+    rjj = (np.swapaxes(_kron2(J), -1, -2) @ _pairs(r_op)).reshape(r_op.shape)  # R(J d_p, J d_m)
+    D, J = r_op - rjj, J[..., None, None, :, :]
+    return 0.25 * (D @ J - J @ D) @ J
+
+
+def star_ricci_family_4index(bundle, acs, frame):
+    """``star_ricci_family`` from the endomorphism table R(d_p, d_m) and the table of Rt."""
+    mp = bundle.mp
+    J = acs.J
+    r_op = _r_op(bundle)
+    g, g_inv = mp.g[..., None, :, :], mp.g_inv[..., None, :, :]
+
+    # star Ricci of A = J, I, K at once: Ric_A(X) = R(AX, A X_k) X^k
+    jik = np.stack([J, frame.I, frame.K], axis=-3)
+    # T[s,m,a] = (A g^-1)[s,n,l] r_op[m,n,a,l], then Ric_A[s,a,i] = T[s,m,a] A[s,m,i]
+    T = (_flat(jik @ g_inv) @ _pairs(_trail(r_op, 1, 3, 0, 2))).reshape(jik.shape)
+    stars = np.swapaxes(T, -1, -2) @ jik
+    minus = 0.5 * (stars - g_inv @ np.swapaxes(stars, -1, -2) @ g)
+    s_star, s_tri, s_box = np.moveaxis(np.trace(stars, axis1=-2, axis2=-1), -1, 0)
+    lam = 0.25 * (s_star - bundle.S_v / 3.0)
+
+    # Rt(A) = Rt(A X_k, X^k) for A = I, K, JI, JK
+    rt = rtilde_table(bundle, J, r_op)
+    supp = np.stack([frame.I, frame.K, J @ frame.I, J @ frame.K], axis=-3)
+    rts = (_flat(supp @ g_inv) @ _pairs(rt)).reshape(supp.shape)
+    rtp = 0.5 * (rts[..., :2, :, :] + rts[..., 2:, :, :] @ J[..., None, :, :])
+    rtm = rts[..., :2, :, :] - rtp
+    squares = np.concatenate([rts[..., :2, :, :], rtp, rtm, minus], axis=-3)
+    n2 = np.moveaxis(np.einsum("...skj,...skj->...s", squares, g @ squares @ g_inv) / 4, -1, 0)
+    j_dot_tri_minus = np.trace(mp.g_inv @ np.swapaxes(J, -1, -2) @ mp.g @ minus[..., 1, :, :], axis1=-2, axis2=-1) / 4
+
+    return StarCurvature(
+        ric_star=stars[..., 0, :, :],
+        ric_star_minus=minus[..., 0, :, :],
+        s_star=s_star,
+        ric_tri=stars[..., 1, :, :],
+        ric_box=stars[..., 2, :, :],
+        ric_tri_minus=minus[..., 1, :, :],
+        s_tri=s_tri,
+        s_box=s_box,
+        lam=lam,
+        rtilde_I=rts[..., 0, :, :],
+        rtilde_K=rts[..., 1, :, :],
+        rt2=n2[0] + n2[1],
+        rtp2=n2[2] + n2[3],
+        rtm2=n2[4] + n2[5],
+        ric_star_minus2=n2[6],
+        ric_tri_minus2=n2[7],
+        ric_box_minus2=n2[8],
+        j_dot_tri_minus=j_dot_tri_minus,
+    )
+
+
+def interior_product(U, C04, mp):
+    """(U .| C)(X) = C(U, X) as an endomorphism table [direction, a, b]."""
+    return np.einsum("...m,...an,...mibn->...iab", U, mp.g_inv, C04)
+
+
+def wplus_04(m, sd, mp):
+    """(0,4) components of W+ (the Weyl operator composed with P+) from its
+    matrix ``m`` in the basis ``sd``: W+_{ijkl} = -m_ab (Omega_a)_{ij} (Omega_b)_{kl} / 4."""
+    forms = _flat(np.swapaxes(sd, -1, -2) @ mp.g[..., None, :, :])
+    return -0.25 * (np.swapaxes(forms, -1, -2) @ m @ forms).reshape(np.shape(m)[:-2] + (4, 4, 4, 4))
+
+
 def curvature_jets_full(mp):
     """R_{ijkl} and W_{ijkl} as 4-index jets: all 256 components of R(d_i, d_j) d_k lowered, and
     W = R - (h . g) with h = Ric/2 - S g/12 and the Kulkarni product
@@ -269,7 +385,7 @@ def s_star_jet_full(bundle, j_jets):
 
 def delta_w_full(bundle):
     """delta W(X) = (nabla_{X_k} W)(X, X^k) as an endo table [i,a,b]."""
-    nw = bundle.require("nabla_weyl")
+    nw = unpack(bundle.require("nabla_weyl"))
     gi = bundle.mp.g_inv
     return np.einsum("km,an,kimbn->iab", gi, gi, nw)
 

@@ -46,7 +46,7 @@ from weyl4.pointgeom import build_j_frame
 from weyl4.selfdual import delta_wpm, lambda2_split, nabla_w_sd_matrices, wplus_matrix
 
 from conftest import SIN2_TORUS, TWISTED_J_TORUS, perfbench_module
-from paper_oracles import frame_reference, prop21_equivalence
+from paper_oracles import frame_reference, prop21_equivalence, unpack
 
 SPEC_REGISTRY_IDS = {
     "EQ01", "EQ02", "EQ03", "EQ04", "EQ05", "EQ06",
@@ -710,7 +710,40 @@ def curvature_scale(spec, pt, order):
     return max(1.0, float(np.abs(b.riem_v).max()), abs(b.S_v))
 
 
+@pytest.fixture(scope="module")
+def sak_specs(tmp_path_factory):
+    """Every catalog entry, and the benchmark's strictly almost-Kahler torus at phase 0.37."""
+    path = tmp_path_factory.mktemp("sak") / "sak_torus.cfg"
+    path.write_text(perfbench_module("workloads").sak_config(0.37))
+    return {s.id: s for s in builtin_manifolds() + [load_manifold_config(str(path))]}
+
+
+def four_index_max(x):
+    """max |x| per row over the 4-index values of (rows, ..., 6, 6) pair matrices."""
+    return np.abs(unpack(x)).reshape(len(x), -1).max(axis=1)
+
+
 class TestCurvatureScale:
+    @pytest.mark.parametrize("name", [s.id for s in builtin_manifolds()] + ["sak_torus"])
+    def test_pair_maxima_are_the_four_index_maxima(self, sak_specs, name):
+        # the scale, the flat and conformally-flat tag residuals and max |nabla W| are maxima over the
+        # pair entries: the same bits as over the 256 (1,024) values, a row with NaN entries included
+        spec = sak_specs[name]
+        cols = point_context(spec, spec.sample_points(5, np.random.default_rng(9)), 4)
+        nan_row = {k: v[:1].copy() for k, v in cols.items()}
+        nan_row["riem_v"][0, 1, 4] = nan_row["nabla_weyl"][0, 2, 3, 3] = np.nan  # a NaN W+ has no spectrum
+        cols = {k: np.concatenate([v, nan_row[k]]) for k, v in cols.items()}
+        rows = stack_rows(cols)
+        riem, weyl, S = four_index_max(cols["riem_v"]), four_index_max(cols["weyl_v"]), np.abs(cols["S_v"])
+        assert np.array_equal(rows.curvature_scale, np.fmax(np.fmax(1.0, riem), S))
+        assert np.array_equal(rows.nabla_weyl_max, four_index_max(cols["nabla_weyl"]), equal_nan=True)
+        tags = _tag_report(frozenset({"flat", "conformally-flat"}), rows, 1e-8)
+        g_max = np.abs(cols["g"]).reshape(len(S), -1).max(axis=1)
+        for tag, v in (("flat", riem / np.fmax(1.0, g_max**2)), ("conformally-flat", weyl / np.fmax(np.fmax(1.0, riem), S))):
+            finite = np.isfinite(v)
+            assert np.array_equal(tags[tag]["residual"], v[finite].max(initial=0.0))
+            assert tags[tag].get("non_finite_points", 0) == np.count_nonzero(~finite)
+
     @pytest.mark.parametrize("name", ["fubini_study_cp2", "kodaira_thurston", "round_conformal"])
     def test_value_is_the_largest_curvature_magnitude(self, name):
         spec = get_manifold(name)
@@ -725,14 +758,18 @@ class TestCurvatureScale:
         # as max(1.0, nan, |S|) gives max(1, |S|): a NaN term never becomes the scale
         row = point_context(get_manifold("fubini_study_cp2"), [0.3, 0.4, 0.5, 0.6], 3)  # S = 12 > max |Riem|
         nan_riem = np.full_like(row["riem_v"], np.nan)
+        one_nan = row["riem_v"].copy()
+        one_nan[2, 3] = np.nan  # one pair entry, so that the 4-index values hold two NaN among finite ones
         rows = stack_rows(stacked(
             {**row, "riem_v": nan_riem},
             {**row, "riem_v": nan_riem, "S_v": 0.5},
             {**row, "S_v": np.nan},
+            {**row, "riem_v": one_nan},
         ))
         S, riem_max = abs(row["S_v"]), float(np.abs(row["riem_v"]).max())
-        assert rows.curvature_scale.tolist() == [max(1.0, math.nan, S), max(1.0, math.nan, 0.5), max(1.0, riem_max, math.nan)]
-        assert rows.curvature_scale.tolist() == [S, 1.0, max(1.0, riem_max)]
+        assert rows.curvature_scale.tolist() == [max(1.0, math.nan, S), max(1.0, math.nan, 0.5), max(1.0, riem_max, math.nan),
+                                                 max(1.0, float(np.abs(unpack(one_nan)).max()), S)]
+        assert rows.curvature_scale.tolist() == [S, 1.0, max(1.0, riem_max), S]
 
     def test_rotated_rows_carry_their_points_scale(self):
         spec = get_manifold("kahler_potential_generic")  # S varies from point to point

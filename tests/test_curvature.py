@@ -5,18 +5,23 @@ from fd_oracle import richardson, ricci_scalar_fd
 from weyl4.catalog import ManifoldSpec, conformally_rescaled, get_manifold
 from weyl4.curvature import (
     InsufficientJetOrder,
+    bivector,
     christoffel,
     curvature_bundle,
     laplacian_scalar,
-    tensor_operator,
-    weyl_operator,
+    pair_operator,
 )
 from weyl4.exprjet import eval_jet, jderiv, jvalue, parse_expression
 from weyl4.pointgeom import adjoint_endo
 
-from paper_oracles import j_frame, unpack_jets
+from paper_oracles import j_frame, tensor_operator, unpack, unpack_jets, weyl_operator
 
 XYZT = ("x", "y", "z", "t")
+
+
+def operator(C, A, mp):
+    """C(A) = C(A X_k, X^k) from the pair matrix C, as the frame stage forms it."""
+    return pair_operator(bivector(A @ mp.g_inv)[None], C, mp.g_inv)[0]
 
 
 def diag_spec(entries, coords=XYZT, domain=((-0.8, 0.8),) * 4):
@@ -81,7 +86,7 @@ class TestRiemannRicciScalar:
             b = curvature_bundle(spec.metric_point(pt, 2))
             riem_fd, ric_fd, S_fd = ricci_scalar_fd(spec, pt, h=2e-3)
             scale = np.abs(b.riem_v).max()
-            assert np.abs(b.riem_v - riem_fd).max() < 1e-5 * scale
+            assert np.abs(unpack(b.riem_v) - riem_fd).max() < 1e-5 * scale
             assert abs(b.S_v - S_fd) < 1e-5 * abs(b.S_v)
 
     def test_complex_hyperbolic_negative_constant_s(self):
@@ -103,7 +108,7 @@ class TestRiemannRicciScalar:
             for pt in spec.sample_points(4, rng):
                 mp = spec.metric_point(pt, 2)
                 b = curvature_bundle(mp)
-                r = b.riem_v
+                r = unpack(b.riem_v)
                 scale = max(np.abs(r).max(), 1.0)
                 assert np.abs(r + r.transpose(1, 0, 2, 3)).max() < 1e-9 * scale
                 assert np.abs(r + r.transpose(0, 1, 3, 2)).max() < 1e-9 * scale
@@ -114,7 +119,7 @@ class TestRiemannRicciScalar:
                 ric_form = jvalue(b.ric_form)
                 assert np.abs(ric_form - ric_form.T).max() < 1e-10 * scale
                 # Weyl totally trace-free
-                w = b.weyl_v
+                w = unpack(b.weyl_v)
                 for tr in (
                     np.einsum("ik,ijkl->jl", mp.g_inv, w),
                     np.einsum("ij,ijkl->kl", mp.g_inv, w),
@@ -133,7 +138,7 @@ class TestCurvatureOperator:
         mp = spec.metric_point([0.1, 0.2, 0.3, 0.4], 2)
         b = curvature_bundle(mp)
         rng = np.random.default_rng(3)
-        assert np.abs(tensor_operator(b.riem_v, self._skew(mp, rng), mp)).max() == 0.0
+        assert np.abs(operator(b.riem_v, self._skew(mp, rng), mp)).max() == 0.0
 
     def test_result_is_skew(self, catalog):
         rng = np.random.default_rng(4)
@@ -141,16 +146,16 @@ class TestCurvatureOperator:
             spec = catalog[name]
             mp = spec.metric_point(spec.sample_points(1, rng)[0], 2)
             b = curvature_bundle(mp)
-            RA = tensor_operator(b.riem_v, self._skew(mp, rng), mp)
+            RA = operator(b.riem_v, self._skew(mp, rng), mp)
             assert np.abs(adjoint_endo(RA, mp) + RA).max() < 1e-10 * max(np.abs(RA).max(), 1.0)
 
     def test_rejects_non_skew(self):
-        # the operator the identity evaluators call checks its argument
+        # the 4-index reference of W(A) checks its argument
         spec = get_manifold("fubini_study_cp2")
         mp = spec.metric_point([0.1, 0.1, 0.1, 0.1], 2)
         b = curvature_bundle(mp)
         with pytest.raises(ValueError):
-            weyl_operator(np.eye(4), b.riem_v, b.ric_v, b.S_v, mp)
+            weyl_operator(np.eye(4), unpack(b.riem_v), b.ric_v, b.S_v, mp)
 
     def test_star_ricci_relation_kahler(self, catalog):
         # Ric* = -R(J X_k, X^k) J / 2 against the direct definition
@@ -161,10 +166,12 @@ class TestCurvatureOperator:
             mp = spec.metric_point(pt, 2)
             b = curvature_bundle(mp)
             J = spec.j_jets(pt, 0)[..., 0]
-            via_op = -0.5 * tensor_operator(b.riem_v, J, mp) @ J
+            via_op = -0.5 * operator(b.riem_v, J, mp) @ J
             direct = np.einsum(
-                "mi,nk,kl,ab,mnlb->ai", J, J, mp.g_inv, mp.g_inv, b.riem_v
+                "mi,nk,kl,ab,mnlb->ai", J, J, mp.g_inv, mp.g_inv, unpack(b.riem_v)
             )
+            assert np.abs(via_op + 0.5 * tensor_operator(unpack(b.riem_v), J, mp) @ J).max() < 1e-12 * max(
+                np.abs(direct).max(), 1.0)
             assert np.abs(via_op - direct).max() < 1e-9 * max(np.abs(direct).max(), 1.0)
 
 
@@ -178,7 +185,7 @@ class TestWeylOperator:
         M = rng.normal(size=(4, 4))
         A = M - adjoint_endo(M, mp)
         scale = max(np.abs(b.riem_v).max(), 1.0)
-        assert np.abs(weyl_operator(A, b.riem_v, b.ric_v, b.S_v, mp)).max() < 1e-8 * scale
+        assert np.abs(operator(b.weyl_v, A, mp)).max() < 1e-8 * scale
 
     def test_kahler_wj(self):
         spec = get_manifold("fubini_study_cp2")
@@ -186,7 +193,7 @@ class TestWeylOperator:
         mp = spec.metric_point(pt, 2)
         b = curvature_bundle(mp)
         J = spec.j_jets(pt, 0)[..., 0]
-        assert np.abs(weyl_operator(J, b.riem_v, b.ric_v, b.S_v, mp) - (b.S_v / 3.0) * J).max() < 1e-9 * abs(b.S_v)
+        assert np.abs(operator(b.weyl_v, J, mp) - (b.S_v / 3.0) * J).max() < 1e-9 * abs(b.S_v)
 
     def test_operator_vs_tensor_contraction(self, catalog):
         rng = np.random.default_rng(7)
@@ -197,7 +204,7 @@ class TestWeylOperator:
             M = rng.normal(size=(4, 4))
             A = M - adjoint_endo(M, mp)
             scale = max(np.abs(b.riem_v).max(), 1.0)
-            assert np.abs(weyl_operator(A, b.riem_v, b.ric_v, b.S_v, mp) - tensor_operator(b.weyl_v, A, mp)).max() < 1e-9 * scale
+            assert np.abs(weyl_operator(A, unpack(b.riem_v), b.ric_v, b.S_v, mp) - operator(b.weyl_v, A, mp)).max() < 1e-9 * scale
 
 
 class TestCovariantDerivatives:
@@ -222,7 +229,7 @@ class TestCovariantDerivatives:
         b = curvature_bundle(mp)
         driem = np.stack([jvalue(jderiv(unpack_jets(b.riem), v)) for v in range(4)])
         gv = b.gamma_v
-        rv = b.riem_v
+        rv = unpack(b.riem_v)
         nabla_riem = driem - (
             np.einsum("pmi,pjkl->mijkl", gv, rv)
             + np.einsum("pmj,ipkl->mijkl", gv, rv)
@@ -265,8 +272,8 @@ class TestConformalCovariance:
         pt = [0.3, 0.1, -0.2, 0.4]
         b1 = curvature_bundle(spec.metric_point(pt, 2))
         b2 = curvature_bundle(rescaled.metric_point(pt, 2))
-        w13_1 = np.einsum("ia,ajkl->ijkl", b1.mp.g_inv, b1.weyl_v)
-        w13_2 = np.einsum("ia,ajkl->ijkl", b2.mp.g_inv, b2.weyl_v)
+        w13_1 = np.einsum("ia,ajkl->ijkl", b1.mp.g_inv, unpack(b1.weyl_v))
+        w13_2 = np.einsum("ia,ajkl->ijkl", b2.mp.g_inv, unpack(b2.weyl_v))
         assert np.abs(w13_1 - w13_2).max() < 1e-7 * max(np.abs(w13_1).max(), 1.0)
 
 

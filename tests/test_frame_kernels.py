@@ -2,22 +2,28 @@
 
 Each oracle below is the element-by-element definition (one operator image
 and one weighted pairing at a time), kept here the way ``broadcast_reference``
-in test_exprjet.py serves ``jeinsum``.  The kernels that read Lambda+ through
-the J-splitting (W+ as a (0,4) tensor, delta W+, the |W+|^2 jet) are held
-against the Hodge-star operator algebra of ``paper_oracles``.
+in test_exprjet.py serves ``jeinsum``.  The kernels read R, W and nabla W as
+6x6 pair matrices; their references read the 4-index values
+(``paper_oracles.unpack``) through the 4-index algebra the pair kernels
+replaced.  The kernels that read Lambda+ through the J-splitting (u .| W+,
+delta W+, the |W+|^2 jet) are also held against the Hodge-star operator
+algebra of ``paper_oracles``.  The frame kernels run on every catalog entry
+and on a strictly almost-Kahler torus, at one point of each with the
+supplement (I, K) rotated.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from weyl4.catalog import builtin_manifolds, load_manifold_config
-from weyl4.curvature import curvature_bundle, tensor_operator
+from weyl4.curvature import bivector, curvature_bundle, pair_operator
 from weyl4.exprjet import jeinsum, jmatinv, jpartials, tables
-from weyl4.hermitian import _r_op, q_j_integrand, rtilde_table
+from weyl4.hermitian import q_j_integrand
 from weyl4.pointgeom import adjoint_endo, endo_to_form, inner_endo, inner_endos
-from weyl4.selfdual import delta_wpm, nabla_w_sd_matrices, wplus_04, wplus_norm2_jet
+from weyl4.selfdual import delta_wpm, nabla_w_sd_matrices, wplus_interior, wplus_norm2_jet
 
 from paper_oracles import (
     apply_form_operator,
@@ -26,9 +32,17 @@ from paper_oracles import (
     delta_w_projected,
     form_operator,
     form_to_endo,
+    _r_op,
     frame_reference,
+    interior_product,
     pm_projectors,
+    rtilde_table,
+    star_ricci_family_4index,
+    tensor_operator,
+    unpack,
+    weyl_operator,
     wminus_matrix,
+    wplus_04,
     wplus_04_star,
     wplus_norm2_jet_star,
 )
@@ -68,10 +82,14 @@ def sak_spec(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def contexts(sak_spec):
-    """Order-4 frame data at two points per catalog entry with a J, and on the test torus."""
+    """Order-4 frame data at two points per catalog entry with a J, and on the test torus, then at
+    a third point with the supplement (I, K) rotated by 0.7."""
     specs = [s for s in builtin_manifolds() if s.has_j] + [sak_spec]
     rng = np.random.default_rng(17)
-    return {s.id: [frame_reference(s, p, 4) for p in s.sample_points(2, rng)] for s in specs}
+    refs = {s.id: [frame_reference(s, p, 4) for p in s.sample_points(2, rng)] for s in specs}
+    for s in specs:
+        refs[s.id].append(frame_reference(s, s.sample_points(1, rng)[0], 4, alpha=0.7))
+    return refs
 
 
 def assert_close(got, ref, c):
@@ -87,11 +105,17 @@ def pairing_oracle(endos, image, mp):
     return np.array([[inner_endo(A, image(B), mp) for B in endos] for A in endos])
 
 
+def assert_within_scale(got, ref, scale):
+    """|got - ref| <= 1e-12 scale, entry by entry, for every field of a frame result."""
+    assert np.shape(got) == np.shape(ref)
+    assert np.abs(np.asarray(got) - ref).max() <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("sid", IDS)
 class TestFrameKernels:
     def test_weyl_matrices(self, contexts, sid):
         for c in contexts[sid]:
-            image = lambda B: tensor_operator(c.bundle.weyl_v, B, c.mp)
+            image = lambda B: tensor_operator(unpack(c.bundle.weyl_v), B, c.mp)
             assert_close(c.wplus.m, pairing_oracle(c.basis, image, c.mp), c)
             assert_close(wminus_matrix(c.bundle, c.frame).m, pairing_oracle(asd_endos(c.frame), image, c.mp), c)
 
@@ -100,7 +124,7 @@ class TestFrameKernels:
             mp = c.mp
             ref = np.empty((4, 3, 3))
             for p in range(4):
-                M = form_operator(c.bundle.nabla_weyl[p], mp)
+                M = form_operator(unpack(c.bundle.nabla_weyl[p]), mp)
                 image = lambda B: form_to_endo(
                     apply_form_operator(M, endo_to_form(B, mp)), mp, check=False
                 )
@@ -113,9 +137,13 @@ class TestFrameKernels:
             assert_close(delta_wpm(c.bundle, c.basis), delta_w_projected(c.bundle, P), c)
 
     def test_wplus_04(self, contexts, sid):
+        # u .| W+ contracted from the 3x3 matrix, against W+ as a (0,4) tensor from the matrix and from the star
+        u = np.array([0.3, -1.1, 0.7, 0.2])
         for c in contexts[sid]:
-            ref = wplus_04_star(c.bundle.weyl_v, c.mp, chart_orientation(c.acs.J, c.mp))
-            assert_close(wplus_04(c.wplus.m, c.basis, c.mp), ref, c)
+            got = wplus_interior(u, c.wplus.m, c.basis, c.mp)
+            assert_within_scale(got, interior_product(u, wplus_04(c.wplus.m, c.basis, c.mp), c.mp), c.curvature_scale)
+            ref = wplus_04_star(unpack(c.bundle.weyl_v), c.mp, chart_orientation(c.acs.J, c.mp))
+            assert_close(got, interior_product(u, ref, c.mp), c)
 
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_wplus_norm2_jet(self, sak_spec, sid, order):
@@ -166,6 +194,19 @@ class TestFrameKernels:
                 (star.ric_box_minus2, n2([skew(star_ricci(K))])),
             ):
                 assert abs(got - ref) <= 1e-13 * max(curv2, abs(ref))
+            # every field against the 4-index family, the quadratic ones on the squared scale
+            ref = star_ricci_family_4index(c.bundle, c.acs, c.frame)
+            for f in dataclasses.fields(star):
+                scale = c.curvature_scale ** (2 if f.name.endswith("2") else 1)
+                assert_within_scale(getattr(star, f.name), getattr(ref, f.name), scale)
+
+    def test_weyl_operator_at_j(self, contexts, sid):
+        # W(J) from the pair matrix of W, as EQ48 reads it, against R(J) - {Ric, J} + (S/3) J on 4 indices
+        for c in contexts[sid]:
+            mp, b, J = c.mp, c.bundle, c.acs.J
+            got = pair_operator(bivector(J @ mp.g_inv)[None], b.weyl_v, mp.g_inv)[0]
+            assert_within_scale(got, weyl_operator(J, unpack(b.riem_v), b.ric_v, b.S_v, mp), c.curvature_scale)
+            assert_within_scale(got, tensor_operator(unpack(b.weyl_v), J, mp), c.curvature_scale)
 
     def test_nabla_j_pairings(self, contexts, sid):
         for c in contexts[sid]:

@@ -51,7 +51,9 @@ def test_unpacked_riemann_and_weyl_equal_the_four_index_jets(bundles, name):
     for b, _ in bundles[name]:
         for packed, value, full in zip((b.riem, b.weyl), (b.riem_v, b.weyl_v), curvature_jets_full(b.mp)):
             unpacked = unpack_jets(packed)
-            assert np.array_equal(unpacked[..., 0], value)
+            # the values the frame stage reads are the pair matrices, with the 4-index maximum
+            assert np.array_equal(packed[..., 0], value)
+            assert np.abs(value).max() == np.abs(unpacked[..., 0]).max()
             assert np.abs(unpacked - full).max() <= 1e-12 * max(1.0, float(np.abs(full).max()))
 
 

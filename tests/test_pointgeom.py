@@ -15,7 +15,6 @@ from weyl4.pointgeom import (
     check_acs,
     endo_to_form,
     inner_endo,
-    is_skew,
     rotate_supplement,
 )
 from weyl4.selfdual import lambda2_split
@@ -274,8 +273,3 @@ class TestHodgeSplit:
         # an oppositely-oriented structure flips the sign
         assert chart_orientation(-J_STD, mp) == 1.0
         assert chart_orientation(JM_STD, mp) == -1.0
-
-    def test_skew_check(self):
-        mp = euclidean_mp()
-        assert is_skew(J_STD, mp)
-        assert not is_skew(np.eye(4), mp)

@@ -8,9 +8,8 @@ from weyl4.pointgeom import adjoint_endo, endo_to_form, inner_endo, rotate_suppl
 from weyl4.selfdual import (
     WplusMatrix,
     delta_wpm,
-    interior_product,
     lambda2_split,
-    wplus_04,
+    wplus_interior,
     wplus_matrix,
     wplus_norm2_jet,
 )
@@ -33,6 +32,7 @@ from paper_oracles import (
     project_minus,
     project_plus,
     star_operator,
+    unpack,
     wminus_matrix,
 )
 
@@ -151,7 +151,7 @@ class TestWplusMatrix:
         _, mp, b, fr = make("kahler_potential_generic", [0.5, 0.2, -0.3, 0.1], 2)
         w = wplus_matrix(b, lambda2_split(fr))
         wm = wminus_matrix(b, fr)
-        M = form_operator(b.weyl_v, mp)
+        M = form_operator(unpack(b.weyl_v), mp)
         tr_w2 = float(np.einsum("ijkl,klij->", M, M))
         assert tr_w2 == pytest.approx(w.norm2 + wm.norm2, rel=1e-10)
 
@@ -209,8 +209,7 @@ class TestDeltaW:
         _, mp, b, fr = make("kahler_potential_generic", [0.4, 0.3, -0.2, 0.5], 3)
         sd = lambda2_split(fr)
         dwp = delta_wpm(b, sd)
-        Wp04 = wplus_04(wplus_matrix(b, sd).m, sd, mp)
-        ip = interior_product(mp.g_inv @ b.dS / b.S_v, Wp04, mp)
+        ip = wplus_interior(mp.g_inv @ b.dS / b.S_v, wplus_matrix(b, sd).m, sd, mp)
         assert np.abs(dwp + ip).max() < 1e-7 * np.abs(dwp).max()
 
     def test_decomposition(self, catalog):
@@ -298,9 +297,9 @@ class TestNablaWplusNorms:
 class TestOperatorHelpers:
     def test_operator_roundtrip(self):
         _, mp, b, fr = make("kodaira_thurston", [0.2, 0.7, 0.4, 0.3], 2)
-        M = form_operator(b.weyl_v, mp)
-        back = operator_to_04(M, mp)
-        assert np.abs(back - b.weyl_v).max() < 1e-12 * max(np.abs(b.weyl_v).max(), 1.0)
+        W = unpack(b.weyl_v)
+        back = operator_to_04(form_operator(W, mp), mp)
+        assert np.abs(back - W).max() < 1e-12 * max(np.abs(W).max(), 1.0)
 
     def test_star_operator_squares_to_identity(self):
         _, mp, b, fr = make("fubini_study_cp2", [0.3, 0.3, 0.1, -0.2], 2)
